@@ -1,0 +1,162 @@
+"""Checks of the computed objects against their defining properties and oracles.
+
+One function per property, window as a parameter: `chacon verify` runs SUITE
+on small windows, the acceptance tests call the same functions on full ones.
+Engine and oracles are called as module attributes, never imported by name.
+"""
+
+from __future__ import annotations
+
+import math
+from fractions import Fraction
+
+from . import constants, correlation, exceptional, oracle, tower
+from .triadic import TriadicRational, TriadicSet
+
+# d_l' at stage 1 for l <= 3: l -> (start, masses)
+SMALL_DL_TABLE = {0: (0, (Fraction(1),)), 1: (4, (Fraction(1, 2), Fraction(1, 2))),
+                  2: (8, (Fraction(1, 6), Fraction(2, 3), Fraction(1, 6))),
+                  3: (13, (Fraction(1, 2), Fraction(1, 2)))}
+
+
+def small_dl_table() -> bool:
+    dists = {l: correlation.compute_dl(1, l) for l in SMALL_DL_TABLE}
+    return {l: (d.start, d.masses) for l, d in dists.items()} == SMALL_DL_TABLE
+
+
+def dl_matches_oracle(ks, l_max: int) -> bool:
+    """Digit-cell enumeration agrees with the recursion for l <= l_max."""
+    pairs = ((oracle.brute_dl(k, l), correlation.compute_dl(k, l))
+             for k in ks for l in range(l_max + 1))
+    return all((b.start, b.masses) == (d.start, d.masses) for b, d in pairs)
+
+
+def corr_matches_oracle(ks, n_max: int) -> bool:
+    """Level bookkeeping on A_k agrees with the recursion for n <= n_max."""
+    cell = {k: TriadicSet.from_endpoints([(Fraction(0), correlation.mu_Ak(k))]) for k in ks}
+    return all(oracle.brute_correlation(cell[k], cell[k], n) == correlation.autocorrelation(k, n)
+               for k in ks for n in range(n_max + 1))
+
+
+def dl_normalized_unimodal(l_bound: int) -> bool:
+    """Each d_l' at stage 1, l < l_bound, sums to 1, is palindromic and unimodal."""
+    for l in range(l_bound):
+        m = correlation.compute_dl(1, l).masses
+        peak = max(range(len(m)), key=lambda i: m[i])
+        if not (sum(m) == 1 and m == tuple(reversed(m))
+                and all(x <= y for x, y in zip(m[:peak], m[1:peak + 1]))
+                and all(x >= y for x, y in zip(m[peak:], m[peak + 1:]))):
+            return False
+    return True
+
+
+def support_sizes(dl_bound: int, index_bound: int) -> bool:
+    """|supp d_l'| = b_l from the masses and the endpoint tables; |b_l - b_(l+1)| = 1."""
+    bl = correlation.compute_bl
+    idx = correlation.support_index(1)
+    idx.ensure(index_bound)
+    return (all(correlation.compute_dl(1, l).support_size == bl(l) for l in range(dl_bound))
+            and all(idx.t[l] - idx.s[l] + 1 == bl(l) and abs(bl(l) - bl(l + 1)) == 1
+                    for l in range(index_bound)))
+
+
+def bijective(rng, samples: int) -> bool:
+    """T^-1 T = id on random triadic points."""
+    for _ in range(samples):
+        e = rng.randint(1, 8)
+        x = TriadicRational.from_fraction(Fraction(rng.randrange(3 ** e), 3 ** e))
+        if tower.apply_T_inverse(tower.apply_T(x)) != x:
+            return False
+    return True
+
+
+def measure_preserved(rng, samples: int) -> bool:
+    """One pushforward step keeps the measure of random intervals."""
+    for _ in range(samples):
+        e = rng.randint(2, 6)
+        a = rng.randrange(3 ** e - 1)
+        b = rng.randrange(a + 1, 3 ** e)
+        if a <= 2 * 3 ** (e - 1) <= b:
+            # an interval whose closure meets 2/3 has an infinite image
+            continue
+        st = oracle.PushforwardState.of(
+            TriadicSet.from_endpoints([(Fraction(a, 3 ** e), Fraction(b, 3 ** e))]))
+        if oracle.pushforward_step(st).measure() != Fraction(b - a, 3 ** e):
+            return False
+    return True
+
+
+def majorized(l_max: int) -> bool:
+    """phi_l precedes, and peaks no higher than, the (b_l - 1)-step lazy walk."""
+    pairs = ((oracle.phi_repr(l), oracle.walk_poly(correlation.compute_bl(l) - 1))
+             for l in range(1, l_max + 1))
+    return all(oracle.precedes(phi, walk) and oracle.center_value(phi) <= oracle.center_value(walk)
+               for phi, walk in pairs)
+
+
+def frozen_constants_reproduce() -> bool:
+    fr = constants.FROZEN
+    sweeps = (constants.sweep_c1_sq(fr.sweep_l_bound), constants.sweep_c2_sq(fr.sweep_l_bound),
+              constants.sweep_c3_sq(fr.sweep_envelope_l, fr.sweep_p))
+    return [m * fr.headroom_sq for m, _ in sweeps] == [fr.c1_sq, fr.c2_sq, fr.c3_sq]
+
+
+def zero_correlation_times(l_max: int, rng, samples: int) -> bool:
+    """c_1 vanishes on E_1 and, at `samples` random covered times, only there."""
+    ek, covered = exceptional.enumerate_Ek(1, l_max)
+    ok = all(correlation.autocorrelation(1, n) == 0 for n in ek.iter_points())
+    for _ in range(samples):
+        n = rng.randrange(covered)
+        if n not in ek and correlation.autocorrelation(1, n) == 0:
+            return False
+    return ok
+
+
+def power_of_two_series(n_max: int) -> tuple[list, list, list]:
+    """a_n = 1 at powers of two, b_n = (floor(log2 n) + 2)/n, c_n = 1/log(n + 2)."""
+    a = [Fraction(1) if n and n & (n - 1) == 0 else Fraction(0) for n in range(n_max + 1)]
+    b = [Fraction(1)] + [Fraction(math.floor(math.log2(n)) + 2, n) for n in range(1, n_max + 1)]
+    c = [Fraction(1 / math.log(n + 2)) for n in range(n_max + 1)]
+    return a, b, c
+
+
+def contract_holds(res, a, b, c, n_max: int) -> bool:
+    """From l_k on, a_n > 1/k is exceptional and c_n * count(n) * k <= n * b_n."""
+    for k in range(1, len(res.thresholds) + 1):
+        lk = res.thresholds[k - 1]
+        hi = res.thresholds[k] if k < len(res.thresholds) else n_max + 1
+        if any(n not in res.exceptional and a[n] * k > 1 for n in range(lk, n_max + 1)):
+            return False
+        if any(c[n] * res.exceptional.count(n) * k > n * b[n] for n in range(max(lk, 1), hi)):
+            return False
+    return True
+
+
+def extractor_contract(n_max: int) -> bool:
+    a, b, c = power_of_two_series(n_max)
+    res = exceptional.extract_exceptional(a, b, c, n_max)
+    return len(res.thresholds) >= 2 and contract_holds(res, a, b, c, n_max)
+
+
+# (name, detail, check) in run order; every check is handed the suite's rng
+SUITE = (
+    ("small-distribution-table", "k=1, l<=3", lambda rng: small_dl_table()),
+    ("distribution-oracle", "enumeration vs recursion, k<=2, l<=60",
+     lambda rng: dl_matches_oracle((1, 2), 60)),
+    ("correlation-oracle", "level bookkeeping vs recursion, k=1, n<=60",
+     lambda rng: corr_matches_oracle((1,), 60)),
+    ("normalization-shape", "sum 1, palindromic, unimodal, l<81",
+     lambda rng: dl_normalized_unimodal(81)),
+    ("support-size", "balanced-ternary weight, l<243", lambda rng: support_sizes(243, 243)),
+    ("bijectivity", "T^-1 T = id on 200 random triadic points", lambda rng: bijective(rng, 200)),
+    ("measure-preservation", "one pushforward step on random intervals",
+     lambda rng: measure_preserved(rng, 25)),
+    ("majorization", "smoothing order and peak comparison, l<=100", lambda rng: majorized(100)),
+    ("frozen-constants", "re-sweep reproduces the frozen values",
+     lambda rng: frozen_constants_reproduce()),
+    ("zero-correlation-times", "gap set matches vanishing correlation",
+     lambda rng: zero_correlation_times(200, rng, 100)),
+    ("extractor-contract", "synthetic power-of-two series, window 4096",
+     lambda rng: extractor_contract(4096)),
+)
+

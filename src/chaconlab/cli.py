@@ -20,12 +20,13 @@ import random
 import sys
 from fractions import Fraction
 
-from . import constants, correlation, exceptional, oracle, tower
+from . import constants, correlation, exceptional, tower
+from .checks import SUITE
 from .correlation import SizeError
 from .exceptional import HFunction, InputError
 from .oracle import FragmentationError
 from .tower import DepthExceededError
-from .triadic import DomainError, TriadicRational, TriadicSet
+from .triadic import DomainError, TriadicRational
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -39,12 +40,14 @@ def dec12(x: Fraction) -> str:
 
 
 def parse_range(text: str) -> range:
-    """'A..B' (inclusive) or a single integer."""
+    """'A..B' (inclusive, B >= A) or a single integer."""
     if ".." in text:
-        a, b = text.split("..", 1)
-        return range(int(a), int(b) + 1)
-    v = int(text)
-    return range(v, v + 1)
+        a, b = (int(v) for v in text.split("..", 1))
+    else:
+        a = b = int(text)
+    if b < a:
+        raise ValueError(f"reversed range {text!r}")
+    return range(a, b + 1)
 
 
 def parse_point(text: str) -> TriadicRational:
@@ -116,15 +119,8 @@ def cmd_corr(args, out: Output) -> int:
 
 
 def cmd_cesaro(args, out: Output) -> int:
-    target = correlation.mu_Ak(args.k) ** 2
-    total = Fraction(0)
-    rows = []
-    for n in range(args.n_max):
-        if n > args.cap_n:
-            raise SizeError(f"n = {n} exceeds cap {args.cap_n}")
-        total += abs(correlation.autocorrelation(args.k, n, max_n=args.cap_n) - target)
-        c = total / (n + 1)
-        rows.append([n + 1, c.numerator, c.denominator, dec12(c)])
+    averages = correlation.cesaro(args.k, args.n_max, max_n=args.cap_n)
+    rows = [[n, c.numerator, c.denominator, dec12(c)] for n, c in enumerate(averages, 1)]
     out.emit_rows(["N", "num", "den", "decimal"], rows,
                   {"command": "cesaro", "k": args.k})
     return EXIT_OK
@@ -239,133 +235,10 @@ def cmd_locate(args, out: Output) -> int:
     return EXIT_OK
 
 
-# ---------------------------------------------------------------------------
-# verification suite
-
-def _suite_checks(rng: random.Random) -> list[dict]:
-    checks: list[dict] = []
-
-    def record(name: str, ok: bool, detail: str) -> None:
-        checks.append({"name": name, "pass": bool(ok), "detail": detail})
-
-    # distribution table for small indices
-    table = {
-        0: (0, [Fraction(1)]),
-        1: (4, [Fraction(1, 2), Fraction(1, 2)]),
-        2: (8, [Fraction(1, 6), Fraction(2, 3), Fraction(1, 6)]),
-        3: (13, [Fraction(1, 2), Fraction(1, 2)]),
-    }
-    ok = all(
-        (correlation.compute_dl(1, l).start, list(correlation.compute_dl(1, l).masses))
-        == (s, m) for l, (s, m) in table.items())
-    record("small-distribution-table", ok, "k=1, l<=3")
-
-    ok = all(
-        (oracle.brute_dl(k, l).start, oracle.brute_dl(k, l).masses)
-        == (correlation.compute_dl(k, l).start, correlation.compute_dl(k, l).masses)
-        for k in (1, 2) for l in range(61))
-    record("distribution-oracle", ok, "enumeration vs recursion, k<=2, l<=60")
-
-    a1 = TriadicSet.from_endpoints([(Fraction(0), Fraction(2, 9))])
-    ok = all(oracle.brute_correlation(a1, a1, n) == correlation.autocorrelation(1, n)
-             for n in range(61))
-    record("correlation-oracle", ok, "level bookkeeping vs recursion, k=1, n<=60")
-
-    ok = True
-    for l in range(81):
-        d = correlation.compute_dl(1, l)
-        if d.total() != 1 or d.masses != tuple(reversed(d.masses)):
-            ok = False
-            break
-        peak = max(range(len(d.masses)), key=lambda i: d.masses[i])
-        up = all(x <= y for x, y in zip(d.masses[:peak + 1], d.masses[1:peak + 1]))
-        down = all(x >= y for x, y in zip(d.masses[peak:], d.masses[peak + 1:]))
-        if not (up and down):
-            ok = False
-            break
-    record("normalization-shape", ok, "sum 1, palindromic, unimodal, l<81")
-
-    ok = all(correlation.compute_dl(1, l).support_size == correlation.compute_bl(l)
-             for l in range(243))
-    ok = ok and all(abs(correlation.compute_bl(l) - correlation.compute_bl(l + 1)) == 1
-                    for l in range(243))
-    record("support-size", ok, "balanced-ternary weight, l<243")
-
-    ok = True
-    for _ in range(200):
-        e = rng.randint(1, 8)
-        x = TriadicRational.from_fraction(Fraction(rng.randrange(3 ** e), 3 ** e))
-        if tower.apply_T_inverse(tower.apply_T(x)) != x:
-            ok = False
-            break
-    record("bijectivity", ok, "T^-1 T = id on 200 random triadic points")
-
-    ok = True
-    for _ in range(25):
-        e = rng.randint(2, 6)
-        a = rng.randrange(3 ** e - 1)
-        b = rng.randrange(a + 1, 3 ** e)
-        if a <= 2 * 3 ** (e - 1) <= b:
-            # an interval whose closure meets 2/3 has an infinite image
-            continue
-        st = oracle.PushforwardState.of(
-            TriadicSet.from_endpoints([(Fraction(a, 3 ** e), Fraction(b, 3 ** e))]))
-        if oracle.pushforward_step(st).measure() != Fraction(b - a, 3 ** e):
-            ok = False
-            break
-    record("measure-preservation", ok, "one pushforward step on random intervals")
-
-    ok = all(oracle.precedes(oracle.phi_repr(l),
-                             oracle.walk_poly(correlation.compute_bl(l) - 1))
-             for l in range(1, 101))
-    ok = ok and all(
-        oracle.center_value(oracle.phi_repr(l))
-        <= oracle.center_value(oracle.walk_poly(correlation.compute_bl(l) - 1))
-        for l in range(1, 101))
-    record("majorization", ok, "smoothing order and peak comparison, l<=100")
-
-    fr = constants.FROZEN
-    m1, _ = constants.sweep_c1_sq(fr.sweep_l_bound)
-    m2, _ = constants.sweep_c2_sq(fr.sweep_l_bound)
-    m3, _ = constants.sweep_c3_sq(fr.sweep_envelope_l, fr.sweep_p)
-    ok = (m1 * fr.headroom_sq == fr.c1_sq and m2 * fr.headroom_sq == fr.c2_sq
-          and m3 * fr.headroom_sq == fr.c3_sq)
-    record("frozen-constants", ok, "re-sweep reproduces the frozen values")
-
-    ek, covered = exceptional.enumerate_Ek(1, 200)
-    ok = all(correlation.autocorrelation(1, n) == 0 for n in ek.iter_points())
-    for _ in range(100):
-        n = rng.randrange(covered)
-        if n not in ek and correlation.autocorrelation(1, n) == 0:
-            ok = False
-            break
-    record("zero-correlation-times", ok, "gap set matches vanishing correlation")
-
-    n_max = 4096
-    a = [Fraction(1) if n and n & (n - 1) == 0 else Fraction(0)
-         for n in range(n_max + 1)]
-    b = [Fraction(1)] + [Fraction(math.floor(math.log2(n)) + 2, n)
-                         for n in range(1, n_max + 1)]
-    c = [Fraction(1 / math.log(n + 2)) for n in range(n_max + 1)]
-    res = exceptional.extract_exceptional(a, b, c, n_max)
-    ok = len(res.thresholds) >= 2
-    for k in range(1, len(res.thresholds) + 1):
-        lk = res.thresholds[k - 1]
-        hi = res.thresholds[k] if k < len(res.thresholds) else n_max
-        for n in range(lk, n_max + 1):
-            if n not in res.exceptional and a[n] * k > 1:
-                ok = False
-        for n in range(max(lk, 1), hi):
-            if c[n] * res.exceptional.count(n) * k > n * b[n]:
-                ok = False
-    record("extractor-contract", ok, "synthetic power-of-two series, window 4096")
-
-    return checks
-
-
 def cmd_verify(args, out: Output) -> int:
     rng = random.Random(args.seed)
-    checks = _suite_checks(rng)
+    checks = [{"name": name, "pass": bool(check(rng)), "detail": detail}
+              for name, detail, check in SUITE]
     fr = constants.FROZEN
     report = {
         "suite": args.suite,
@@ -438,7 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_extract)
 
     p = sub.add_parser("verify", help="deterministic verification suite")
-    p.add_argument("--suite", default="all")
+    p.add_argument("--suite", choices=("all",), default="all")
     common(p)
     p.set_defaults(fn=cmd_verify)
 

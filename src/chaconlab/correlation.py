@@ -220,16 +220,18 @@ def cell_correlation(cells_a: Iterable[int], cells_b: Iterable[int], k: int, n: 
 
     Cells are given by their level numbers m, i.e. A = union of T^m A_k.
     """
+    return sum((autocorrelation(k, n + d) for d in _cell_offsets(cells_a, cells_b, k)),
+               Fraction(0))
+
+
+def _cell_offsets(cells_a: Iterable[int], cells_b: Iterable[int], k: int) -> list[int]:
+    """Level differences m1 - m2 over all cell pairs, each cell checked once."""
+    cells_a, cells_b = list(cells_a), list(cells_b)
     h = tower.height(k)
-    total = Fraction(0)
-    for m1 in cells_a:
-        if not 0 <= m1 < h:
-            raise DomainError(f"cell {m1} outside stage-{k} tower")
-        for m2 in cells_b:
-            if not 0 <= m2 < h:
-                raise DomainError(f"cell {m2} outside stage-{k} tower")
-            total += autocorrelation(k, n - m2 + m1)
-    return total
+    for m in cells_a + cells_b:
+        if not 0 <= m < h:
+            raise DomainError(f"cell {m} outside stage-{k} tower")
+    return [m1 - m2 for m1 in cells_a for m2 in cells_b]
 
 
 def approximate_by_cells(a: TriadicSet, k: int) -> tuple[list[int], Fraction]:
@@ -249,24 +251,24 @@ def approximate_by_cells(a: TriadicSet, k: int) -> tuple[list[int], Fraction]:
 
 
 def cesaro(k: int, big_n: int, cells_a: Sequence[int] | None = None,
-           cells_b: Sequence[int] | None = None) -> Fraction:
-    """C_N = (1/N) sum_{n<N} |mu(A intersect T^-n B) - mu(A) mu(B)|, exact.
-
-    With no cell lists, A = B = A_k.
-    """
+           cells_b: Sequence[int] | None = None,
+           max_n: int = DEFAULT_MAX_N) -> list[Fraction]:
+    """Running averages [C_1, ..., C_N], exact, in one pass, where C_M is
+    (1/M) sum_{n<M} |mu(A intersect T^-n B) - mu(A) mu(B)|; A = B = A_k by default."""
     if big_n < 1:
         raise DomainError(f"N = {big_n} < 1")
-    if cells_a is None:
-        cells_a = [0]
-    if cells_b is None:
-        cells_b = list(cells_a)
-    w = mu_Ak(k)
-    mu_a = w * len(cells_a)
-    mu_b = w * len(cells_b)
+    cells_a = [0] if cells_a is None else cells_a
+    offsets = _cell_offsets(cells_a, cells_a if cells_b is None else cells_b, k)
+    target = mu_Ak(k) ** 2 * len(offsets)
     total = Fraction(0)
+    averages = []
     for n in range(big_n):
-        total += abs(cell_correlation(cells_a, cells_b, k, n) - mu_a * mu_b)
-    return total / big_n
+        dev = -target
+        for d in offsets:
+            dev += autocorrelation(k, n + d, max_n)
+        total += abs(dev)
+        averages.append(total / (n + 1))
+    return averages
 
 
 # ---------------------------------------------------------------------------

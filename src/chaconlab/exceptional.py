@@ -127,8 +127,8 @@ class HFunction:
 
     @classmethod
     def power(cls, alpha: float) -> "HFunction":
-        if alpha <= 0:
-            raise DomainError(f"power exponent must be positive, got {alpha}")
+        if not 0 < alpha < math.inf:
+            raise DomainError(f"power exponent must be finite and positive, got {alpha}")
         return cls(f"power:{alpha:g}", lambda x: x ** alpha if x >= 0 else -math.inf)
 
     @classmethod
@@ -389,10 +389,6 @@ class BoundSpec:
         except OverflowError:
             return math.inf
         raise DomainError(f"unknown bound form {self.form!r}")
-
-
-def eval_bound(spec: BoundSpec, n: int) -> float:
-    return spec.evaluate(n)
 
 
 def verify_count(iset: IntegerIntervalSet, spec: BoundSpec, grid: Sequence[int],

@@ -37,24 +37,6 @@ def cell_width(k: int) -> Fraction:
     return Fraction(2, 3 ** (k + 1))
 
 
-@dataclass(frozen=True)
-class TowerParams:
-    k: int
-    height: int
-    cell_width: Fraction
-    spacer_remainder: TriadicInterval
-
-
-def tower_params(k: int) -> TowerParams:
-    w = cell_width(k)
-    return TowerParams(
-        k=k,
-        height=height(k),
-        cell_width=w,
-        spacer_remainder=TriadicInterval(1 - Fraction(1, 3 ** (k + 1)), Fraction(1)),
-    )
-
-
 @lru_cache(maxsize=None)
 def _level_start(k: int, j: int) -> Fraction:
     """Left endpoint of level j of the stage-k tower."""
@@ -98,26 +80,24 @@ class TowerAddress:
 
 def locate(x: TriadicRational, k: int) -> TowerAddress:
     """Find the stage-k level (or spacer reservoir) containing x."""
+    if k < 0:
+        raise DomainError(f"stage {k} < 0")
     q = x.as_fraction()
-    if k == 0:
-        if q < Fraction(2, 3):
-            return TowerAddress(0, 0, q)
-        return TowerAddress(0, None, q - Fraction(2, 3))
-    prev = locate(x, k - 1)
-    w = cell_width(k)
-    hp = height(k - 1)
-    if prev.in_spacer_remainder:
-        # stage-(k-1) reservoir splits into the inserted spacer piece and
-        # the stage-k reservoir
-        if prev.offset < w:
-            return TowerAddress(k, 2 * hp, prev.offset)
-        return TowerAddress(k, None, prev.offset - w)
-    third, off = divmod(prev.offset, w)
-    if third == 0:
-        return TowerAddress(k, prev.level, off)
-    if third == 1:
-        return TowerAddress(k, hp + prev.level, off)
-    return TowerAddress(k, 2 * hp + 1 + prev.level, off)
+    level, offset = (0, q) if q < Fraction(2, 3) else (None, q - Fraction(2, 3))
+    for j in range(1, k + 1):
+        w = cell_width(j)
+        hp = height(j - 1)
+        if level is None:
+            # the stage-(j-1) reservoir splits into the inserted spacer piece
+            # and the stage-j reservoir
+            if offset < w:
+                level = 2 * hp
+            else:
+                offset -= w
+        else:
+            third, offset = divmod(offset, w)
+            level += (0, hp, 2 * hp + 1)[third]
+    return TowerAddress(k, level, offset)
 
 
 def apply_T(x: TriadicRational, depth_cap: int = DEFAULT_DEPTH_CAP) -> TriadicRational:

@@ -302,19 +302,3 @@ def _merge(intervals: Iterable[TriadicInterval]) -> tuple[TriadicInterval, ...]:
             out.append(iv)
     return tuple(out)
 
-
-def set_algebra(a: TriadicSet, b: TriadicSet, op: str) -> TriadicSet:
-    """Dispatch union / intersect / difference / symmetric-difference by name."""
-    ops = {
-        "union": a.union,
-        "intersect": a.intersection,
-        "difference": a.difference,
-        "symmetric-difference": a.symmetric_difference,
-    }
-    if op not in ops:
-        raise DomainError(f"unknown set operation {op!r}")
-    return ops[op](b)
-
-
-def measure(a: TriadicSet) -> Fraction:
-    return a.measure()

@@ -14,6 +14,7 @@ exact regression fixture, then reports FAIL for the criterion as stated:
 """
 
 import math
+import random
 import subprocess
 import sys
 import time
@@ -21,14 +22,11 @@ from fractions import Fraction
 
 import pytest
 
-from chaconlab import constants, correlation as co, exceptional as ex, oracle as orc
+from chaconlab import checks, constants, exceptional as ex
 from chaconlab.cli import main
 from chaconlab.correlation import (
-    autocorrelation,
     compute_bl,
-    compute_dl,
     find_Pn,
-    mu_Ak,
     profile_D,
     profile_envelope_gap,
     profile_l1,
@@ -37,7 +35,6 @@ from chaconlab.correlation import (
 )
 from chaconlab.exceptional import BoundSpec, HFunction
 from chaconlab.tower import height
-from chaconlab.triadic import TriadicSet
 
 
 def report(num, name, ok, detail=""):
@@ -53,28 +50,16 @@ def test_criterion_01_distribution_table(tmp_path):
     for line in out.read_text(encoding="utf-8").splitlines()[2:]:
         l, n, num, den, _ = line.split(",")
         rows[(int(l), int(n))] = Fraction(int(num), int(den))
-    expected = {
-        (0, 0): Fraction(1),
-        (1, 4): Fraction(1, 2), (1, 5): Fraction(1, 2),
-        (2, 8): Fraction(1, 6), (2, 9): Fraction(2, 3), (2, 10): Fraction(1, 6),
-        (3, 13): Fraction(1, 2), (3, 14): Fraction(1, 2),
-    }
+    expected = {(l, start + i): m for l, (start, masses) in checks.SMALL_DL_TABLE.items()
+                for i, m in enumerate(masses)}
     ok = code == 0 and rows == expected
     assert report(1, "distribution-table", ok)
 
 
 def test_criterion_02_oracle_equivalence():
     t0 = time.time()
-    ok = True
-    for k in (1, 2, 3):
-        for l in range(201):
-            b = orc.brute_dl(k, l)
-            d = compute_dl(k, l)
-            ok &= (b.start, b.masses) == (d.start, d.masses)
-    for k in (1, 2):
-        ak = TriadicSet.from_endpoints([(0, mu_Ak(k))])
-        for n in range(201):
-            ok &= orc.brute_correlation(ak, ak, n) == autocorrelation(k, n)
+    ok = checks.dl_matches_oracle((1, 2, 3), 200)
+    ok &= checks.corr_matches_oracle((1, 2), 200)
     elapsed = time.time() - t0
     ok &= elapsed <= 120
     assert report(2, "oracle-equivalence", ok, f"{elapsed:.1f}s")
@@ -82,27 +67,14 @@ def test_criterion_02_oracle_equivalence():
 
 def test_criterion_03_normalization_and_shape():
     t0 = time.time()
-    ok = True
-    for l in range(3 ** 7):
-        d = compute_dl(1, l)
-        ok &= d.total() == 1
-        ok &= d.masses == tuple(reversed(d.masses))
-        peak = max(range(len(d.masses)), key=lambda i: d.masses[i])
-        ok &= all(x <= y for x, y in zip(d.masses[:peak], d.masses[1:peak + 1]))
-        ok &= all(x >= y for x, y in zip(d.masses[peak:], d.masses[peak + 1:]))
-        if not ok:
-            break
+    ok = checks.dl_normalized_unimodal(3 ** 7)
     elapsed = time.time() - t0
     ok &= elapsed <= 60
     assert report(3, "normalization-shape", ok, f"l<3^7, {elapsed:.1f}s")
 
 
 def test_criterion_04_balanced_ternary():
-    ok = all(compute_dl(1, l).support_size == compute_bl(l) for l in range(3 ** 5))
-    idx = support_index(1)
-    idx.ensure(3 ** 8)
-    ok &= all(idx.t[l] - idx.s[l] + 1 == compute_bl(l) for l in range(3 ** 8))
-    ok &= all(abs(compute_bl(l) - compute_bl(l + 1)) == 1 for l in range(3 ** 8))
+    ok = checks.support_sizes(3 ** 5, 3 ** 8)
     assert report(4, "balanced-ternary", ok)
 
 
@@ -151,12 +123,7 @@ def test_criterion_06_pn_bounds():
 
 def test_criterion_07_frozen_constants():
     fr = constants.FROZEN
-    m1, _ = constants.sweep_c1_sq(fr.sweep_l_bound)
-    m2, _ = constants.sweep_c2_sq(fr.sweep_l_bound)
-    m3, _ = constants.sweep_c3_sq(fr.sweep_envelope_l, fr.sweep_p)
-    ok = (m1 * fr.headroom_sq == fr.c1_sq
-          and m2 * fr.headroom_sq == fr.c2_sq
-          and m3 * fr.headroom_sq == fr.c3_sq)
+    ok = checks.frozen_constants_reproduce()
     for l in range(3 ** 7):
         b = compute_bl(l)
         ok &= H_value(1, l) ** 2 * b <= fr.c1_sq
@@ -170,11 +137,7 @@ def test_criterion_07_frozen_constants():
 
 
 def test_criterion_08_majorization():
-    ok = True
-    for l in range(1, 3 ** 5 + 1):
-        g = orc.walk_poly(compute_bl(l) - 1)
-        ok &= orc.precedes(orc.phi_repr(l), g)
-        ok &= orc.center_value(orc.phi_repr(l)) <= orc.center_value(g)
+    ok = checks.majorized(3 ** 5)
     assert report(8, "majorization", ok)
 
 
@@ -218,9 +181,8 @@ def test_criterion_10_global_count_bound():
 
 
 def test_criterion_11_zero_correlation_structure():
-    ek, covered = ex.enumerate_Ek(1, 200)
-    pts = set(ek.iter_points())
-    ok = all(autocorrelation(1, n) == 0 for n in pts)
+    ok = checks.zero_correlation_times(200, random.Random(11), 100)
+    pts = set(ex.enumerate_Ek(1, 200)[0].iter_points())
     ok &= {1, 2, 3} <= pts and {11, 12} <= pts and 8 not in pts
     for k in (1, 2, 3):
         hk = height(k)
@@ -235,19 +197,6 @@ def test_criterion_11_zero_correlation_structure():
     assert report(11, "zero-correlation-structure", ok)
 
 
-def _contract_holds(res, a, b, c, n_max):
-    for k in range(1, len(res.thresholds) + 1):
-        lk = res.thresholds[k - 1]
-        hi = res.thresholds[k] if k < len(res.thresholds) else n_max + 1
-        for n in range(lk, n_max + 1):
-            if n not in res.exceptional and a[n] * k > 1:
-                return False
-        for n in range(max(lk, 1), hi):
-            if c[n] * res.exceptional.count(n) * k > n * b[n]:
-                return False
-    return True
-
-
 def test_criterion_12_extractor_contract():
     ok = True
 
@@ -257,18 +206,14 @@ def test_criterion_12_extractor_contract():
     c = [Fraction(1, n + 2) for n in range(n_max + 1)]
     res = ex.extract_exceptional(a, b, c, n_max)
     ok &= len(res.exceptional) == 0 and all(lk == 0 for lk in res.thresholds)
-    ok &= _contract_holds(res, a, b, c, n_max)
+    ok &= checks.contract_holds(res, a, b, c, n_max)
 
     n_max = 2 ** 16
-    a = [Fraction(1) if n and n & (n - 1) == 0 else Fraction(0)
-         for n in range(n_max + 1)]
-    b = [Fraction(1)] + [Fraction(math.floor(math.log2(n)) + 2, n)
-                         for n in range(1, n_max + 1)]
-    c = [Fraction(1 / math.log(n + 2)) for n in range(n_max + 1)]
+    a, b, c = checks.power_of_two_series(n_max)
     res = ex.extract_exceptional(a, b, c, n_max, k_max=8)
     l2 = res.thresholds[1]
     ok &= all(2 ** e in res.exceptional for e in range(17) if 2 ** e >= l2)
-    ok &= _contract_holds(res, a, b, c, n_max)
+    ok &= checks.contract_holds(res, a, b, c, n_max)
 
     n_max = 1000
     a = [Fraction(1, j + 1) for j in range(n_max + 1)]
@@ -280,7 +225,7 @@ def test_criterion_12_extractor_contract():
     res = ex.extract_exceptional(a, b, c, n_max)
     ok &= all(set(res.level_sets[k - 1].iter_points()) == set(range(k - 1))
               for k in range(1, len(res.level_sets) + 1))
-    ok &= _contract_holds(res, a, b, c, n_max)
+    ok &= checks.contract_holds(res, a, b, c, n_max)
 
     assert report(12, "extractor-contract", ok)
 

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from chaconlab.cli import EXIT_INPUT, EXIT_OK, EXIT_RESOURCE, dec12, main, parse_range
+from chaconlab.tower import cell_width
 
 
 def run(tmp_path, *argv):
@@ -23,6 +24,8 @@ class TestHelpers:
     def test_parse_range(self):
         assert list(parse_range("3..6")) == [3, 4, 5, 6]
         assert list(parse_range("7")) == [7]
+        with pytest.raises(ValueError):
+            parse_range("5..3")
 
     def test_dec12_reparses_to_twelve_digits(self):
         for q in (Fraction(2, 3), Fraction(1, 7), Fraction(5, 9) ** 4):
@@ -89,6 +92,14 @@ class TestCesaro:
         assert len(rows) == 5
         assert Fraction(int(rows[-1][1]), int(rows[-1][2])) == Fraction(31, 405)
 
+    def test_empty_average_is_invalid(self, tmp_path):
+        code, _ = run(tmp_path, "cesaro", "--k", "1", "--N-max", "0")
+        assert code == EXIT_INPUT
+
+    def test_cap_exceeded(self, tmp_path):
+        code, _ = run(tmp_path, "cesaro", "--k", "1", "--N-max", "50", "--cap-n", "20")
+        assert code == EXIT_RESOURCE
+
 
 class TestJsetEset:
     def test_layer_mode(self, tmp_path):
@@ -101,6 +112,11 @@ class TestJsetEset:
         for lo, hi, cum in ((int(a), int(b), int(c)) for a, b, c in rows):
             assert prev_hi < lo <= hi <= 2000
             prev_hi = hi
+
+    def test_non_finite_power_is_invalid(self, tmp_path):
+        for h in ("power:nan", "power:inf"):
+            code, _ = run(tmp_path, "jset", "--k", "1", "--h", h, "--N-max", "100")
+            assert code == EXIT_INPUT
 
     def test_global_mode_with_log_growth_is_empty(self, tmp_path):
         code, text = run(tmp_path, "jset", "--k", "2", "--h", "log",
@@ -167,6 +183,13 @@ class TestPointwise:
         _, _, rows = csv_rows(text)
         assert rows[0][:4] == ["1", "1", "1", "9"]
 
+    def test_locate_deep_stage(self, tmp_path):
+        code, text = run(tmp_path, "locate", "0.1", "--k", "3000")
+        assert code == EXIT_OK
+        _, _, rows = csv_rows(text)
+        offset = Fraction(int(rows[0][2]), int(rows[0][3]))
+        assert 0 <= offset < cell_width(3000)
+
     def test_bad_point_is_invalid(self, tmp_path):
         code, _ = run(tmp_path, "locate", "zebra", "--k", "1")
         assert code == EXIT_INPUT
@@ -185,3 +208,7 @@ class TestVerify:
         code, second = run(tmp_path, "verify", "--suite", "all", "--seed", "7")
         assert code == EXIT_OK
         assert first == second
+
+    def test_unknown_suite_is_invalid(self, tmp_path):
+        code, _ = run(tmp_path, "verify", "--suite", "bogus")
+        assert code == EXIT_INPUT

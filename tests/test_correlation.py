@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from chaconlab import correlation as co
+from chaconlab import checks, correlation as co
 from chaconlab.correlation import (
     SizeError,
     approximate_by_cells,
@@ -76,14 +76,8 @@ class TestComputeDl:
             compute_dl(1, 100, max_l=50)
 
     def test_normalization_and_shape(self):
-        for l in range(500):
-            d = compute_dl(1, l)
-            assert d.total() == 1
-            assert all(m > 0 for m in d.masses)
-            assert d.masses == tuple(reversed(d.masses))
-            peak = max(range(len(d.masses)), key=lambda i: d.masses[i])
-            assert all(x <= y for x, y in zip(d.masses[:peak], d.masses[1:peak + 1]))
-            assert all(x >= y for x, y in zip(d.masses[peak:], d.masses[peak + 1:]))
+        assert checks.dl_normalized_unimodal(500)
+        assert all(m > 0 for l in range(500) for m in compute_dl(1, l).masses)
 
 
 class TestSupport:
@@ -214,15 +208,24 @@ class TestApproximateByCells:
 class TestCesaro:
     def test_single_term(self):
         for k in (1, 2):
-            assert cesaro(k, 1) == mu_Ak(k) * (1 - mu_Ak(k))
+            assert cesaro(k, 1)[-1] == mu_Ak(k) * (1 - mu_Ak(k))
 
     def test_five_terms_exact(self):
         # n=1..3 have zero correlation, n=4 contributes |1/9 - 4/81|
-        assert cesaro(1, 5) == Fraction(31, 405)
+        assert cesaro(1, 5)[-1] == Fraction(31, 405)
 
     def test_nonnegative(self):
         for big_n in (1, 3, 10):
-            assert cesaro(1, big_n) >= 0
+            assert cesaro(1, big_n)[-1] >= 0
+
+    def test_multi_cell_running_averages(self):
+        a, b = [0, 2], [1]
+        target = mu_Ak(1) ** 2 * 2
+        total, expected = Fraction(0), []
+        for n in range(60):
+            total += abs(cell_correlation(a, b, 1, n) - target)
+            expected.append(total / (n + 1))
+        assert cesaro(1, 60, a, b) == expected
 
     def test_rejects_empty_average(self):
         with pytest.raises(DomainError):

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from chaconlab import exceptional as ex
+from chaconlab import checks
 from chaconlab.correlation import autocorrelation, compute_bl, support, support_index
 from chaconlab.exceptional import (
     BoundSpec,
@@ -15,7 +15,6 @@ from chaconlab.exceptional import (
     build_Jk,
     convergence_report,
     enumerate_Ek,
-    eval_bound,
     extract_exceptional,
     g_cutoff,
     verify_count,
@@ -66,8 +65,9 @@ class TestHFunction:
         assert HFunction.parse("log")(math.e) == pytest.approx(1.0)
         assert HFunction.parse("loglog")(math.exp(math.e)) == pytest.approx(1.0)
         assert HFunction.parse("power:0.5")(16.0) == pytest.approx(4.0)
-        with pytest.raises(DomainError):
-            HFunction.parse("cubic")
+        for bad in ("cubic", "power:nan", "power:inf"):
+            with pytest.raises(DomainError):
+                HFunction.parse(bad)
 
     def test_table_interpolation(self, tmp_path):
         path = tmp_path / "h.csv"
@@ -102,19 +102,6 @@ class TestHFunction:
         assert g_cutoff(HFunction.linear(), 2) == 729
 
 
-def contract_holds(res, a, b, c, n_max):
-    for k in range(1, len(res.thresholds) + 1):
-        lk = res.thresholds[k - 1]
-        hi = res.thresholds[k] if k < len(res.thresholds) else n_max + 1
-        for n in range(lk, n_max + 1):
-            if n not in res.exceptional and a[n] * k > 1:
-                return False
-        for n in range(max(lk, 1), hi):
-            if c[n] * res.exceptional.count(n) * k > n * b[n]:
-                return False
-    return True
-
-
 class TestExtractor:
     def test_zero_sequence(self):
         n_max = 300
@@ -124,21 +111,17 @@ class TestExtractor:
         res = extract_exceptional(a, b, c, n_max)
         assert len(res.exceptional) == 0
         assert all(lk == 0 for lk in res.thresholds)
-        assert contract_holds(res, a, b, c, n_max)
+        assert checks.contract_holds(res, a, b, c, n_max)
 
     def test_power_of_two_spikes(self):
         n_max = 2 ** 12
-        a = [Fraction(1) if n and n & (n - 1) == 0 else Fraction(0)
-             for n in range(n_max + 1)]
-        b = [Fraction(1)] + [Fraction(math.floor(math.log2(n)) + 2, n)
-                             for n in range(1, n_max + 1)]
-        c = [Fraction(1 / math.log(n + 2)) for n in range(n_max + 1)]
+        a, b, c = checks.power_of_two_series(n_max)
         res = extract_exceptional(a, b, c, n_max, k_max=6)
         assert len(res.thresholds) >= 2
         l2 = res.thresholds[1]
         assert all(2 ** e in res.exceptional
                    for e in range(13) if 2 ** e >= l2)
-        assert contract_holds(res, a, b, c, n_max)
+        assert checks.contract_holds(res, a, b, c, n_max)
 
     def test_vanishing_sequence_gives_finite_level_sets(self):
         n_max = 800
@@ -151,7 +134,7 @@ class TestExtractor:
         res = extract_exceptional(a, b, c, n_max)
         for k in range(1, len(res.level_sets) + 1):
             assert set(res.level_sets[k - 1].iter_points()) == set(range(k - 1))
-        assert contract_holds(res, a, b, c, n_max)
+        assert checks.contract_holds(res, a, b, c, n_max)
 
     def test_rejects_negative_deviation(self):
         with pytest.raises(InputError):
@@ -229,16 +212,10 @@ class TestEnumerateEk:
         assert 8 not in pts
 
     def test_members_have_zero_correlation(self):
-        ek, covered = enumerate_Ek(1, 150)
-        assert all(autocorrelation(1, n) == 0 for n in ek.iter_points())
+        assert checks.zero_correlation_times(150, random.Random(31), 0)
 
     def test_non_members_have_positive_correlation(self):
-        ek, covered = enumerate_Ek(1, 150)
-        rng = random.Random(31)
-        for _ in range(100):
-            n = rng.randrange(covered)
-            if n not in ek:
-                assert autocorrelation(1, n) > 0
+        assert checks.zero_correlation_times(150, random.Random(31), 100)
 
     def test_gap_existence(self):
         for k in (1, 2, 3):
@@ -253,29 +230,29 @@ class TestEnumerateEk:
 class TestBounds:
     def test_lower_form(self):
         spec = BoundSpec("lower", 1.0, exponent=2.0)
-        assert eval_bound(spec, round(math.exp(10))) == pytest.approx(100.0, rel=1e-3)
+        assert spec.evaluate(round(math.exp(10))) == pytest.approx(100.0, rel=1e-3)
 
     def test_upper_form_closed_value(self):
         h = HFunction("one", lambda x: 1.0)
         spec = BoundSpec("upper", 1.0, h=h)
         n = 15
         ln = math.log(n)
-        assert eval_bound(spec, n) == pytest.approx(ln ** (math.log(ln) ** 2))
+        assert spec.evaluate(n) == pytest.approx(ln ** (math.log(ln) ** 2))
 
     def test_upper_form_overflows_to_infinity(self):
         spec = BoundSpec("upper", 1.0, h=HFunction.linear())
-        assert math.isinf(eval_bound(spec, 1000))
+        assert math.isinf(spec.evaluate(1000))
 
     def test_power_and_nlog_forms(self):
-        assert eval_bound(BoundSpec("power", 2.0, exponent=0.5), 100) == pytest.approx(20.0)
-        assert eval_bound(BoundSpec("nlog", 1.0, exponent=1.0), 100) == pytest.approx(
+        assert BoundSpec("power", 2.0, exponent=0.5).evaluate(100) == pytest.approx(20.0)
+        assert BoundSpec("nlog", 1.0, exponent=1.0).evaluate(100) == pytest.approx(
             100 / math.log(100))
 
     def test_rejects_small_n_and_unknown_form(self):
         with pytest.raises(DomainError):
-            eval_bound(BoundSpec("lower", 1.0, exponent=1.0), 2)
+            BoundSpec("lower", 1.0, exponent=1.0).evaluate(2)
         with pytest.raises(DomainError):
-            eval_bound(BoundSpec("mystery", 1.0), 10)
+            BoundSpec("mystery", 1.0).evaluate(10)
 
     def test_verify_count_directions(self):
         s = IntegerIntervalSet([(0, 9)])

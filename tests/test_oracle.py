@@ -3,8 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from chaconlab import oracle as orc
-from chaconlab.correlation import autocorrelation, compute_bl, compute_dl, H_value
+from chaconlab import checks
+from chaconlab.correlation import compute_bl, H_value
 from chaconlab.oracle import (
     FragmentationError,
     PhiPolynomial,
@@ -86,10 +86,7 @@ class TestBruteCorrelation:
             assert brute_correlation(a1, b, -n) == brute_correlation(b, a1, n)
 
     def test_agrees_with_recursion_engine(self):
-        for k in (1, 2):
-            ak = base_cell(k)
-            for n in range(41):
-                assert brute_correlation(ak, ak, n) == autocorrelation(k, n)
+        assert checks.corr_matches_oracle((1, 2), 40)
 
     def test_general_sets(self):
         a = TriadicSet.from_endpoints([(0, Fraction(1, 9)), (Fraction(1, 3), Fraction(4, 9))])
@@ -118,11 +115,7 @@ class TestBruteDl:
             17, (Fraction(2, 9), Fraction(5, 9), Fraction(2, 9)))
 
     def test_agrees_with_recursion_engine(self):
-        for k in (1, 2):
-            for l in range(80):
-                b = brute_dl(k, l)
-                d = compute_dl(k, l)
-                assert (b.start, b.masses) == (d.start, d.masses)
+        assert checks.dl_matches_oracle((1, 2), 79)
 
 
 class TestPhiPolynomials:
@@ -162,10 +155,7 @@ class TestPhiPolynomials:
         assert not precedes(phi_repr(1), phi_repr(2))
 
     def test_majorized_by_lazy_walk(self):
-        for l in range(1, 121):
-            g = walk_poly(compute_bl(l) - 1)
-            assert precedes(phi_repr(l), g)
-            assert center_value(phi_repr(l)) <= center_value(g)
+        assert checks.majorized(120)
 
 
 class TestLazyWalk:

@@ -4,13 +4,14 @@ from fractions import Fraction
 
 import pytest
 
-from chaconlab import tower
+from chaconlab import checks
 from chaconlab.tower import (
     DepthExceededError,
     TowerAddress,
     apply_T,
     apply_T_inverse,
     apply_T_power,
+    cell_width,
     first_return,
     height,
     induced_map,
@@ -18,9 +19,8 @@ from chaconlab.tower import (
     locate,
     lth_return_time,
     lth_return_time_orbit,
-    tower_params,
 )
-from chaconlab.triadic import DomainError, TernaryWord, TriadicRational
+from chaconlab.triadic import DomainError, TernaryWord, TriadicInterval, TriadicRational
 
 
 def T(num, den):
@@ -29,9 +29,9 @@ def T(num, den):
 
 class TestTowerParams:
     def test_small_stages(self):
-        assert (tower_params(0).height, tower_params(0).cell_width) == (1, Fraction(2, 3))
-        assert (tower_params(1).height, tower_params(1).cell_width) == (4, Fraction(2, 9))
-        assert tower_params(2).height == 13
+        assert (height(0), cell_width(0)) == (1, Fraction(2, 3))
+        assert (height(1), cell_width(1)) == (4, Fraction(2, 9))
+        assert height(2) == 13
 
     def test_height_recursion_and_closed_form(self):
         for k in range(1, 12):
@@ -40,9 +40,7 @@ class TestTowerParams:
 
     def test_widths_fill_unit_interval(self):
         for k in range(8):
-            p = tower_params(k)
-            assert p.height * p.cell_width + Fraction(1, 3 ** (k + 1)) == 1
-            assert p.spacer_remainder.length == Fraction(1, 3 ** (k + 1))
+            assert height(k) * cell_width(k) + Fraction(1, 3 ** (k + 1)) == 1
 
 
 class TestLevelInterval:
@@ -62,7 +60,7 @@ class TestLevelInterval:
     def test_levels_and_reservoir_tile_unit_interval(self):
         for k in range(7):
             pieces = [level_interval(k, j) for j in range(height(k))]
-            pieces.append(tower_params(k).spacer_remainder)
+            pieces.append(TriadicInterval(1 - Fraction(1, 3 ** (k + 1)), Fraction(1)))
             pieces.sort(key=lambda iv: iv.start)
             assert pieces[0].start == 0
             assert pieces[-1].end == 1
@@ -91,6 +89,10 @@ class TestLocate:
                 iv = level_interval(k, addr.level)
                 assert x.as_fraction() in iv
                 assert addr.offset == x.as_fraction() - iv.start
+
+    def test_rejects_negative_stage(self):
+        with pytest.raises(DomainError):
+            locate(T(1, 3), -1)
 
 
 def stage_image(x, k):
@@ -143,11 +145,7 @@ class TestApplyT:
             assert all(y is not None for y in images[first:])
 
     def test_bijectivity_on_random_points(self):
-        rng = random.Random(17)
-        for _ in range(10_000):
-            e = rng.randint(1, 8)
-            x = TriadicRational.from_fraction(Fraction(rng.randrange(3 ** e), 3 ** e))
-            assert apply_T_inverse(apply_T(x)) == x
+        assert checks.bijective(random.Random(17), 10_000)
 
     def test_inverse_of_zero_exceeds_depth(self):
         with pytest.raises(DepthExceededError):

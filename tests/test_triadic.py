@@ -12,7 +12,6 @@ from chaconlab.triadic import (
     TriadicRational,
     TriadicSet,
     normalize,
-    set_algebra,
     translate,
 )
 
@@ -142,12 +141,9 @@ class TestTriadicSet:
     def test_set_algebra_dispatch(self):
         a = TriadicSet.from_endpoints([(0, Fraction(1, 3))])
         b = TriadicSet.from_endpoints([(Fraction(1, 9), Fraction(2, 3))])
-        assert set_algebra(a, b, "union").measure() == Fraction(2, 3)
-        assert set_algebra(a, b, "intersect").measure() == Fraction(2, 9)
-        assert set_algebra(a, b, "difference") == TriadicSet.from_endpoints(
-            [(0, Fraction(1, 9))])
-        with pytest.raises(DomainError):
-            set_algebra(a, b, "xor")
+        assert a.union(b).measure() == Fraction(2, 3)
+        assert a.intersection(b).measure() == Fraction(2, 9)
+        assert a.difference(b) == TriadicSet.from_endpoints([(0, Fraction(1, 9))])
 
     def test_refine_to_level_examples(self):
         assert TriadicSet.from_endpoints([(0, Fraction(2, 9))]).refine_to_level(2) == [0, 1]
