@@ -109,9 +109,18 @@ def cmd_dl(args, out: Output) -> int:
 
 
 def cmd_corr(args, out: Output) -> int:
+    ns = parse_range(args.n)
+    # the cap names the first row in order whose |n| exceeds it
+    for n in (ns[0], args.cap_n + 1):
+        if n in ns and abs(n) > args.cap_n:
+            raise SizeError(f"n = {abs(n)} exceeds cap {args.cap_n}")
+    # c_k is even in n: one series over |n| covers the whole range
+    lo = 0 if ns[0] <= 0 <= ns[-1] else min(abs(ns[0]), abs(ns[-1]))
+    series = correlation.correlation_series(
+        args.k, lo, max(abs(ns[0]), abs(ns[-1])), args.cap_n)
     rows = []
-    for n in parse_range(args.n):
-        c = correlation.autocorrelation(args.k, n, max_n=args.cap_n)
+    for n in ns:
+        c = series[abs(n) - lo]
         rows.append([n, c.numerator, c.denominator, dec12(c)])
     out.emit_rows(["n", "num", "den", "decimal"], rows,
                   {"command": "corr", "k": args.k})
@@ -127,6 +136,8 @@ def cmd_cesaro(args, out: Output) -> int:
 
 
 def cmd_jset(args, out: Output) -> int:
+    if args.n_max > args.cap_n:
+        raise SizeError(f"n = {args.n_max} exceeds cap {args.cap_n}")
     h = HFunction.parse(args.h)
     meta: dict = {"command": "jset", "h": args.h, "n_max": args.n_max}
     if args.global_set:
@@ -148,6 +159,8 @@ def cmd_jset(args, out: Output) -> int:
 
 def cmd_eset(args, out: Output) -> int:
     l_max = max(parse_range(args.l))
+    if l_max > args.cap_l:
+        raise SizeError(f"l = {l_max} exceeds cap {args.cap_l}")
     ek, covered = exceptional.enumerate_Ek(args.k, l_max)
     rows = [[a, b, ek.count(b)] for a, b in ek.intervals]
     out.emit_rows(["lo", "hi", "count_cum"], rows,
@@ -169,11 +182,13 @@ def cmd_extract(args, out: Output) -> int:
             else Fraction(float(text))
 
     with open(args.series, encoding="utf-8") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if not line or line.startswith("#") or line.lower().startswith("n,"):
                 continue
             parts = line.split(",")
+            if len(parts) < 2:
+                raise InputError(f"line {lineno}: expected columns n, a [, b [, c]]")
             n = int(parts[0])
             ns[n] = parse_value(parts[1])
             if len(parts) > 2 and parts[2].strip():

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -101,11 +102,14 @@ def find_Pn(k: int, n: int) -> list[int]:
     """All l with d_l(n) > 0.  The set is a contiguous run of indices."""
     if n < 0:
         raise DomainError(f"n = {n} < 0")
+    return list(_support_run(k, n, n))
+
+
+def _support_run(k: int, n_lo: int, n_hi: int) -> range:
+    """All l whose support [s_l, t_l] meets [n_lo, n_hi], a contiguous run."""
     idx = support_index(k)
-    idx.ensure_covering(n)
-    hi = bisect_right(idx.s, n) - 1
-    lo = bisect_left(idx.t, n)
-    return list(range(lo, hi + 1))
+    idx.ensure_covering(n_hi)
+    return range(bisect_left(idx.t, n_lo), bisect_right(idx.s, n_hi))
 
 
 # ---------------------------------------------------------------------------
@@ -113,32 +117,33 @@ def find_Pn(k: int, n: int) -> list[int]:
 
 @dataclass(frozen=True)
 class ReturnDistribution:
-    """Exact masses of the normalized distribution d_l' on [start, start+len-1].
+    """Exact normalized distribution d_l' on [start, start+len(nums)-1].
 
-    The un-normalized d_l is (2 / 3^(k+1)) times this.  All masses are
-    positive; they sum to 1.
+    Mass i is nums[i] / (2 * 3^e): every mass of d_l' has a denominator
+    dividing 2 * 3^e, so the recursion and the correlation sums over l are
+    integer sums.  The un-normalized d_l is (2 / 3^(k+1)) times d_l'.  All
+    masses are positive; they sum to 1.
     """
 
     k: int
     l: int
     start: int
-    masses: tuple[Fraction, ...]
+    nums: tuple[int, ...]
+    e: int
 
     @property
     def end(self) -> int:
-        return self.start + len(self.masses) - 1
+        return self.start + len(self.nums) - 1
 
     @property
     def support_size(self) -> int:
-        return len(self.masses)
+        return len(self.nums)
 
-    def mass(self, n: int) -> Fraction:
-        if self.start <= n <= self.end:
-            return self.masses[n - self.start]
-        return Fraction(0)
-
-    def total(self) -> Fraction:
-        return sum(self.masses, Fraction(0))
+    @cached_property
+    def masses(self) -> tuple[Fraction, ...]:
+        """The masses as reduced Fractions, built at most once per distribution."""
+        den = 2 * 3 ** self.e
+        return tuple(Fraction(m, den) for m in self.nums)
 
 
 _dl_cache: dict[tuple[int, int], ReturnDistribution] = {}
@@ -154,17 +159,16 @@ def compute_dl(k: int, l: int, max_l: int = DEFAULT_MAX_L) -> ReturnDistribution
     if key in _dl_cache:
         return _dl_cache[key]
     h = tower.height(k)
-    half = Fraction(1, 2)
     if l == 0:
-        dist = ReturnDistribution(k, 0, 0, (Fraction(1),))
+        dist = ReturnDistribution(k, 0, 0, (2,), 0)
     elif l == 1:
-        dist = ReturnDistribution(k, 1, h, (half, half))
+        dist = ReturnDistribution(k, 1, h, (1, 1), 0)
     else:
         q, r = divmod(l, 3)
         if r == 0:
             prev = compute_dl(k, q, max_l)
             shift = 2 * q * h + q
-            dist = ReturnDistribution(k, l, prev.start + shift, prev.masses)
+            dist = ReturnDistribution(k, l, prev.start + shift, prev.nums, prev.e)
         elif r == 1:
             pieces = [
                 (compute_dl(k, q, max_l), (2 * q + 1) * h + q),
@@ -184,15 +188,17 @@ def compute_dl(k: int, l: int, max_l: int = DEFAULT_MAX_L) -> ReturnDistribution
 
 
 def _combine(k: int, l: int, pieces: Sequence[tuple[ReturnDistribution, int]]) -> ReturnDistribution:
-    third = Fraction(1, 3)
+    """One third of each shifted piece, summed: a piece of exponent e_p is
+    scaled by 3^(e - e_p) to the common exponent e, and the third makes e + 1."""
+    e = max(p.e for p, _ in pieces)
     lo = min(p.start + shift for p, shift in pieces)
     hi = max(p.end + shift for p, shift in pieces)
-    acc = [Fraction(0)] * (hi - lo + 1)
+    acc = [0] * (hi - lo + 1)
     for p, shift in pieces:
-        base = p.start + shift - lo
-        for i, m in enumerate(p.masses):
-            acc[base + i] += third * m
-    return ReturnDistribution(k, l, lo, tuple(acc))
+        scale = 3 ** (e - p.e)
+        for i, m in enumerate(p.nums, p.start + shift - lo):
+            acc[i] += m * scale
+    return ReturnDistribution(k, l, lo, tuple(acc), e + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -200,19 +206,39 @@ def _combine(k: int, l: int, pieces: Sequence[tuple[ReturnDistribution, int]]) -
 
 def mu_Ak(k: int) -> Fraction:
     """Measure of the base cell A_k."""
+    if k < 0:
+        raise DomainError(f"stage {k} < 0")
     return Fraction(2, 3 ** (k + 1))
 
 
+def correlation_series(k: int, n_lo: int, n_hi: int,
+                       max_n: int = DEFAULT_MAX_N) -> list[Fraction]:
+    """[c_k(n) for n in n_lo..n_hi], exactly, in one pass.
+
+    c_k(n) = mu(A_k) * sum of d_l'(n) over l in P_n.  Every d_l' whose
+    support meets the window is scattered into one integer array over the
+    largest exponent E among them, so that c_k(n) = acc[n] / 3^(E+k+1).
+    """
+    if n_lo < 0:
+        raise DomainError(f"n = {n_lo} < 0")
+    if n_hi > max_n:
+        raise SizeError(f"n = {max(n_lo, max_n + 1)} exceeds cap {max_n}")
+    dists = [compute_dl(k, l) for l in _support_run(k, n_lo, n_hi)]
+    e_max = max((d.e for d in dists), default=0)
+    acc = [0] * (n_hi - n_lo + 1)
+    for d in dists:
+        scale = 3 ** (e_max - d.e)
+        lo = max(d.start, n_lo)
+        for i, m in enumerate(d.nums[lo - d.start:n_hi - d.start + 1], lo - n_lo):
+            acc[i] += m * scale
+    den = 3 ** (e_max + k + 1)
+    return [Fraction(a, den) for a in acc]
+
+
 def autocorrelation(k: int, n: int, max_n: int = DEFAULT_MAX_N) -> Fraction:
-    """mu(A_k intersect T^-n A_k), exactly, via the finite sum over P_n."""
+    """mu(A_k intersect T^-n A_k), exactly, via the integer sum over P_n."""
     n = abs(n)
-    if n > max_n:
-        raise SizeError(f"n = {n} exceeds cap {max_n}")
-    scale = mu_Ak(k)
-    total = Fraction(0)
-    for l in find_Pn(k, n):
-        total += compute_dl(k, l).mass(n)
-    return scale * total
+    return correlation_series(k, n, n, max_n)[0]
 
 
 def cell_correlation(cells_a: Iterable[int], cells_b: Iterable[int], k: int, n: int) -> Fraction:
@@ -260,13 +286,13 @@ def cesaro(k: int, big_n: int, cells_a: Sequence[int] | None = None,
     cells_a = [0] if cells_a is None else cells_a
     offsets = _cell_offsets(cells_a, cells_a if cells_b is None else cells_b, k)
     target = mu_Ak(k) ** 2 * len(offsets)
+    # c_k is even in n, so the series over |n + d| covers every term
+    corr = correlation_series(
+        k, 0, max(max(abs(d), abs(big_n - 1 + d)) for d in offsets), max_n)
     total = Fraction(0)
     averages = []
     for n in range(big_n):
-        dev = -target
-        for d in offsets:
-            dev += autocorrelation(k, n + d, max_n)
-        total += abs(dev)
+        total += abs(sum((corr[abs(n + d)] for d in offsets), -target))
         averages.append(total / (n + 1))
     return averages
 

@@ -19,7 +19,6 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb
 
-from .correlation import ReturnDistribution
 from .triadic import DomainError, TriadicSet
 
 DEFAULT_ORACLE_CAP = 500
@@ -260,7 +259,17 @@ def brute_correlation(a: TriadicSet, b: TriadicSet, n: int,
 # ---------------------------------------------------------------------------
 # digit-cell enumeration of return distributions
 
-def brute_dl(k: int, l: int) -> ReturnDistribution:
+@dataclass(frozen=True)
+class EnumeratedDistribution:
+    """d_l' from the digit-cell enumeration: masses on [start, start+len-1]."""
+
+    k: int
+    l: int
+    start: int
+    masses: tuple[Fraction, ...]
+
+
+def brute_dl(k: int, l: int) -> EnumeratedDistribution:
     """Exact d_l' by running the digit rules of the l-th return time over an
     exhaustive cell decomposition of the base.
 
@@ -325,7 +334,7 @@ def brute_dl(k: int, l: int) -> ReturnDistribution:
     lo, hi = min(dist), max(dist)
     if set(dist) != set(range(lo, hi + 1)):
         raise DomainError(f"enumerated support of d_{l}' is not an integer interval")
-    return ReturnDistribution(k, l, lo, tuple(dist[n] for n in range(lo, hi + 1)))
+    return EnumeratedDistribution(k, l, lo, tuple(dist[n] for n in range(lo, hi + 1)))
 
 
 # ---------------------------------------------------------------------------

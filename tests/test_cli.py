@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from chaconlab.cli import EXIT_INPUT, EXIT_OK, EXIT_RESOURCE, dec12, main, parse_range
+from chaconlab.correlation import autocorrelation
 from chaconlab.tower import cell_width
 
 
@@ -83,6 +84,23 @@ class TestCorr:
         code, _ = run(tmp_path, "corr", "--k", "1", "--n", "200", "--cap-n", "100")
         assert code == EXIT_RESOURCE
 
+    def test_range_straddling_zero(self, tmp_path):
+        code, text = run(tmp_path, "corr", "--k", "1", "--n=-300..400")
+        assert code == EXIT_OK
+        _, _, rows = csv_rows(text)
+        assert [int(r[0]) for r in rows] == list(range(-300, 401))
+        for n, num, den, _ in rows:
+            assert Fraction(int(num), int(den)) == autocorrelation(1, abs(int(n)))
+
+    def test_cap_names_first_row_over_it(self, tmp_path, capsys):
+        code, text = run(tmp_path, "corr", "--k", "1", "--n=-600..10", "--cap-n", "500")
+        assert (code, text) == (EXIT_RESOURCE, "")
+        assert capsys.readouterr().err == "resource cap: n = 600 exceeds cap 500\n"
+
+    def test_negative_stage_is_invalid(self, tmp_path):
+        code, _ = run(tmp_path, "corr", "--k", "-2", "--n", "3")
+        assert code == EXIT_INPUT
+
 
 class TestCesaro:
     def test_running_average(self, tmp_path):
@@ -99,6 +117,10 @@ class TestCesaro:
     def test_cap_exceeded(self, tmp_path):
         code, _ = run(tmp_path, "cesaro", "--k", "1", "--N-max", "50", "--cap-n", "20")
         assert code == EXIT_RESOURCE
+
+    def test_negative_stage_is_invalid(self, tmp_path):
+        code, _ = run(tmp_path, "cesaro", "--k", "-2", "--N-max", "5")
+        assert code == EXIT_INPUT
 
 
 class TestJsetEset:
@@ -117,6 +139,14 @@ class TestJsetEset:
         for h in ("power:nan", "power:inf"):
             code, _ = run(tmp_path, "jset", "--k", "1", "--h", h, "--N-max", "100")
             assert code == EXIT_INPUT
+
+    def test_caps_checked_before_building(self, tmp_path):
+        code, _ = run(tmp_path, "eset", "--k", "1", "--l", "1000", "--cap-l", "100")
+        assert code == EXIT_RESOURCE
+        for extra in ([], ["--global"]):
+            code, _ = run(tmp_path, "jset", "--k", "1", "--N-max", "1000",
+                          "--cap-n", "100", *extra)
+            assert code == EXIT_RESOURCE
 
     def test_global_mode_with_log_growth_is_empty(self, tmp_path):
         code, text = run(tmp_path, "jset", "--k", "2", "--h", "log",
@@ -158,6 +188,13 @@ class TestExtract:
         series.write_text("n,a\n0,0\n2,0\n", encoding="utf-8")
         code, _ = run(tmp_path, "extract", str(series))
         assert code == EXIT_INPUT
+
+    def test_short_row_is_invalid(self, tmp_path, capsys):
+        series = tmp_path / "series.csv"
+        series.write_text("n,a\n0,0\n1\n", encoding="utf-8")
+        code, _ = run(tmp_path, "extract", str(series))
+        assert code == EXIT_INPUT
+        assert "line 3" in capsys.readouterr().err
 
     def test_missing_file_is_invalid(self, tmp_path):
         code, _ = run(tmp_path, "extract", str(tmp_path / "absent.csv"))

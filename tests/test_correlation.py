@@ -13,6 +13,7 @@ from chaconlab.correlation import (
     cesaro,
     compute_bl,
     compute_dl,
+    correlation_series,
     find_Pn,
     mu_Ak,
     profile_D,
@@ -160,6 +161,41 @@ class TestAutocorrelation:
         with pytest.raises(SizeError):
             autocorrelation(1, 1000, max_n=500)
 
+    def test_rejects_negative_stage(self):
+        with pytest.raises(DomainError):
+            autocorrelation(-2, 3)
+        with pytest.raises(DomainError):
+            mu_Ak(-2)
+
+
+def reference_correlation(k, n):
+    """c_k(n) as a per-n Fraction sum over the masses of each d_l' covering n."""
+    total = Fraction(0)
+    for l in find_Pn(k, n):
+        d = compute_dl(k, l)
+        total += d.masses[n - d.start]
+    return mu_Ak(k) * total
+
+
+class TestCorrelationSeries:
+    def test_matches_reference_loop(self):
+        for k in (1, 2, 3):
+            assert correlation_series(k, 0, 3 ** 8) == [
+                reference_correlation(k, n) for n in range(3 ** 8 + 1)]
+
+    def test_window_starting_in_a_gap(self):
+        for k in (1, 2, 3):
+            gap = next(n for n in range(1000, 3 ** 8) if not find_Pn(k, n))
+            assert correlation_series(k, gap, gap + 400) == [
+                reference_correlation(k, n) for n in range(gap, gap + 401)]
+            assert correlation_series(k, gap, gap) == [0]
+
+    def test_cap_and_domain(self):
+        with pytest.raises(SizeError):
+            correlation_series(1, 0, 1000, max_n=500)
+        with pytest.raises(DomainError):
+            correlation_series(1, -1, 10)
+
 
 class TestCellCorrelation:
     def test_reduces_to_autocorrelation(self):
@@ -219,13 +255,14 @@ class TestCesaro:
             assert cesaro(1, big_n)[-1] >= 0
 
     def test_multi_cell_running_averages(self):
-        a, b = [0, 2], [1]
-        target = mu_Ak(1) ** 2 * 2
-        total, expected = Fraction(0), []
-        for n in range(60):
-            total += abs(cell_correlation(a, b, 1, n) - target)
-            expected.append(total / (n + 1))
-        assert cesaro(1, 60, a, b) == expected
+        # offsets m1 - m2 down to -3 make n + d negative for the first times
+        for a, b in (([0, 2], [1]), ([0], [3]), ([1], [0, 3])):
+            target = mu_Ak(1) ** 2 * len(a) * len(b)
+            total, expected = Fraction(0), []
+            for n in range(60):
+                total += abs(cell_correlation(a, b, 1, n) - target)
+                expected.append(total / (n + 1))
+            assert cesaro(1, 60, a, b) == expected
 
     def test_rejects_empty_average(self):
         with pytest.raises(DomainError):
