@@ -213,11 +213,18 @@ def mu_Ak(k: int) -> Fraction:
 
 def correlation_series(k: int, n_lo: int, n_hi: int,
                        max_n: int = DEFAULT_MAX_N) -> list[Fraction]:
-    """[c_k(n) for n in n_lo..n_hi], exactly, in one pass.
+    """[c_k(n) for n in n_lo..n_hi], exactly, in one pass."""
+    nums, p = _series_numerators(k, n_lo, n_hi, max_n)
+    den = 3 ** p
+    return [Fraction(a, den) for a in nums]
+
+
+def _series_numerators(k: int, n_lo: int, n_hi: int, max_n: int) -> tuple[list[int], int]:
+    """Integers a_n and p with c_k(n) = a_n / 3^p for n in n_lo..n_hi.
 
     c_k(n) = mu(A_k) * sum of d_l'(n) over l in P_n.  Every d_l' whose
     support meets the window is scattered into one integer array over the
-    largest exponent E among them, so that c_k(n) = acc[n] / 3^(E+k+1).
+    largest exponent E among them, so that p = E + k + 1.
     """
     if n_lo < 0:
         raise DomainError(f"n = {n_lo} < 0")
@@ -231,8 +238,7 @@ def correlation_series(k: int, n_lo: int, n_hi: int,
         lo = max(d.start, n_lo)
         for i, m in enumerate(d.nums[lo - d.start:n_hi - d.start + 1], lo - n_lo):
             acc[i] += m * scale
-    den = 3 ** (e_max + k + 1)
-    return [Fraction(a, den) for a in acc]
+    return acc, e_max + k + 1
 
 
 def autocorrelation(k: int, n: int, max_n: int = DEFAULT_MAX_N) -> Fraction:
@@ -287,13 +293,17 @@ def cesaro(k: int, big_n: int, cells_a: Sequence[int] | None = None,
     offsets = _cell_offsets(cells_a, cells_a if cells_b is None else cells_b, k)
     target = mu_Ak(k) ** 2 * len(offsets)
     # c_k is even in n, so the series over |n + d| covers every term
-    corr = correlation_series(
+    corr, p = _series_numerators(
         k, 0, max(max(abs(d), abs(big_n - 1 + d)) for d in offsets), max_n)
-    total = Fraction(0)
+    # every term over one power of 3, so the running sum is an integer
+    den = 3 ** max(p, 2 * k + 2)
+    scale = den // 3 ** p
+    target_num = target.numerator * (den // target.denominator)
+    total = 0
     averages = []
     for n in range(big_n):
-        total += abs(sum((corr[abs(n + d)] for d in offsets), -target))
-        averages.append(total / (n + 1))
+        total += abs(scale * sum(corr[abs(n + d)] for d in offsets) - target_num)
+        averages.append(Fraction(total, den * (n + 1)))
     return averages
 
 
