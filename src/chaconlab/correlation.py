@@ -12,8 +12,8 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from functools import cached_property
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from . import tower
@@ -291,18 +291,17 @@ def cesaro(k: int, big_n: int, cells_a: Sequence[int] | None = None,
         raise DomainError(f"N = {big_n} < 1")
     cells_a = [0] if cells_a is None else cells_a
     offsets = _cell_offsets(cells_a, cells_a if cells_b is None else cells_b, k)
-    target = mu_Ak(k) ** 2 * len(offsets)
     # c_k is even in n, so the series over |n + d| covers every term
     corr, p = _series_numerators(
         k, 0, max(max(abs(d), abs(big_n - 1 + d)) for d in offsets), max_n)
-    # every term over one power of 3, so the running sum is an integer
+    # every term over den = 3^max(p, 2k+2), so the running sum is an integer
     den = 3 ** max(p, 2 * k + 2)
     scale = den // 3 ** p
-    target_num = target.numerator * (den // target.denominator)
+    target = int(mu_Ak(k) ** 2 * len(offsets) * den)
     total = 0
     averages = []
     for n in range(big_n):
-        total += abs(scale * sum(corr[abs(n + d)] for d in offsets) - target_num)
+        total += abs(scale * sum(corr[abs(n + d)] for d in offsets) - target)
         averages.append(Fraction(total, den * (n + 1)))
     return averages
 
