@@ -110,10 +110,10 @@ def cmd_dl(args, out: Output) -> int:
 
 def cmd_corr(args, out: Output) -> int:
     ns = parse_range(args.n)
-    # the cap names the first row in order whose |n| exceeds it
-    for n in (ns[0], args.cap_n + 1):
-        if n in ns and abs(n) > args.cap_n:
-            raise SizeError(f"n = {abs(n)} exceeds cap {args.cap_n}")
+    # a cap error names the first row over the cap: this one, or else the
+    # first n over it in the series below
+    if abs(ns[0]) > args.cap_n:
+        raise SizeError(f"n = {abs(ns[0])} exceeds cap {args.cap_n}")
     # c_k is even in n: one series over |n| covers the whole range
     lo = 0 if ns[0] <= 0 <= ns[-1] else min(abs(ns[0]), abs(ns[-1]))
     series = correlation.correlation_series(
