@@ -136,6 +136,8 @@ def cmd_cesaro(args, out: Output) -> int:
 
 
 def cmd_jset(args, out: Output) -> int:
+    if args.n_max < 0:
+        raise DomainError(f"N-max = {args.n_max} < 0")
     if args.n_max > args.cap_n:
         raise SizeError(f"n = {args.n_max} exceeds cap {args.cap_n}")
     h = HFunction.parse(args.h)

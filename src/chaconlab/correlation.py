@@ -17,7 +17,7 @@ from functools import cached_property
 from typing import Iterable, Sequence
 
 from . import tower
-from .triadic import DomainError, TriadicSet
+from .triadic import DomainError
 
 DEFAULT_MAX_L = 3 ** 12
 DEFAULT_MAX_N = 3 ** 14
@@ -51,13 +51,15 @@ def compute_bl(l: int) -> int:
 # supports
 
 class SupportIndex:
-    """Monotone tables of support endpoints (s_l, t_l) for one stage k."""
+    """Monotone tables of support endpoints (s_l, t_l) for one stage k, and
+    the memo of the distributions d_l' computed at that stage, keyed by l."""
 
     def __init__(self, k: int):
         self.k = k
         self.h = tower.height(k)
         self.s: list[int] = [0, self.h]
         self.t: list[int] = [0, self.h + 1]
+        self.dists: dict[int, ReturnDistribution] = {}
 
     def ensure(self, l_max: int) -> None:
         h = self.h
@@ -88,9 +90,10 @@ _support_indices: dict[int, SupportIndex] = {}
 
 
 def support_index(k: int) -> SupportIndex:
-    if k not in _support_indices:
-        _support_indices[k] = SupportIndex(k)
-    return _support_indices[k]
+    idx = _support_indices.get(k)
+    if idx is None:
+        idx = _support_indices[k] = SupportIndex(k)
+    return idx
 
 
 def support(k: int, l: int) -> tuple[int, int]:
@@ -146,19 +149,17 @@ class ReturnDistribution:
         return tuple(Fraction(m, den) for m in self.nums)
 
 
-_dl_cache: dict[tuple[int, int], ReturnDistribution] = {}
-
-
 def compute_dl(k: int, l: int, max_l: int = DEFAULT_MAX_L) -> ReturnDistribution:
     """d_l' at stage k by the memoized three-branch recursion."""
     if l < 0:
         raise DomainError(f"l = {l} < 0")
     if l > max_l:
         raise SizeError(f"l = {l} exceeds cap {max_l}")
-    key = (k, l)
-    if key in _dl_cache:
-        return _dl_cache[key]
-    h = tower.height(k)
+    idx = support_index(k)
+    dist = idx.dists.get(l)
+    if dist is not None:
+        return dist
+    h = idx.h
     if l == 0:
         dist = ReturnDistribution(k, 0, 0, (2,), 0)
     elif l == 1:
@@ -183,7 +184,7 @@ def compute_dl(k: int, l: int, max_l: int = DEFAULT_MAX_L) -> ReturnDistribution
                 (compute_dl(k, q + 1, max_l), (2 * q + 1) * h + q),
             ]
             dist = _combine(k, l, pieces)
-    _dl_cache[key] = dist
+    idx.dists[l] = dist
     return dist
 
 
@@ -264,22 +265,6 @@ def _cell_offsets(cells_a: Iterable[int], cells_b: Iterable[int], k: int) -> lis
         if not 0 <= m < h:
             raise DomainError(f"cell {m} outside stage-{k} tower")
     return [m1 - m2 for m1 in cells_a for m2 in cells_b]
-
-
-def approximate_by_cells(a: TriadicSet, k: int) -> tuple[list[int], Fraction]:
-    """Best stage-k cell approximation: cells overlapping A in more than half
-    a cell (ties included), and the exact symmetric-difference error."""
-    h = tower.height(k)
-    w = tower.cell_width(k)
-    cells = []
-    union = TriadicSet.empty()
-    for m in range(h):
-        cell = TriadicSet((tower.level_interval(k, m),))
-        if 2 * a.intersection(cell).measure() >= w:
-            cells.append(m)
-            union = union.union(cell)
-    error = a.symmetric_difference(union).measure()
-    return cells, error
 
 
 def cesaro(k: int, big_n: int, cells_a: Sequence[int] | None = None,

@@ -69,18 +69,9 @@ class IntegerIntervalSet:
         a, b = self.intervals[i]
         return self._cum[i] + min(n, b) - a + 1
 
-    def union(self, other: "IntegerIntervalSet") -> "IntegerIntervalSet":
-        return IntegerIntervalSet(self.intervals + other.intervals)
-
     def fatten(self, radius: int) -> "IntegerIntervalSet":
         """Close under n -> n + i for |i| <= radius, clipped at 0."""
         return IntegerIntervalSet((max(a - radius, 0), b + radius) for a, b in self.intervals)
-
-    def truncate_below(self, cutoff: int) -> "IntegerIntervalSet":
-        """Drop everything below cutoff."""
-        return IntegerIntervalSet(
-            (max(a, cutoff), b) for a, b in self.intervals if b >= cutoff
-        )
 
     def clip(self, lo: int, hi: int) -> "IntegerIntervalSet":
         return IntegerIntervalSet(
@@ -133,11 +124,15 @@ class HFunction:
 
     @classmethod
     def table(cls, points: Sequence[tuple[float, float]]) -> "HFunction":
+        if not all(math.isfinite(v) for p in points for v in p):
+            raise DomainError("table entries must be finite")
         pts = sorted(points)
         if len(pts) < 2:
             raise DomainError("table needs at least two points")
         xs = [p[0] for p in pts]
         ys = [p[1] for p in pts]
+        if any(x2 == x1 for x1, x2 in zip(xs, xs[1:])):
+            raise DomainError("table x values must be distinct")
         if any(y2 <= y1 for y1, y2 in zip(ys, ys[1:])):
             raise DomainError("table values must be strictly increasing")
 
@@ -307,7 +302,6 @@ def build_J(k_max: int, h: HFunction, n_max: int) -> GlobalJ:
     """Union over stages of the fattened, cutoff-truncated stage sets."""
     layers: dict[int, IntegerIntervalSet] = {}
     skipped: list[tuple[int, str]] = []
-    total = IntegerIntervalSet()
     for k in range(1, k_max + 1):
         try:
             g = g_cutoff(h, k)
@@ -320,9 +314,8 @@ def build_J(k_max: int, h: HFunction, n_max: int) -> GlobalJ:
         hk = tower.height(k)
         t_max = n_max // hk + 3
         jk = build_Jk(k, h, t_max)
-        layer = jk.fatten(hk).truncate_below(g).clip(0, n_max)
-        layers[k] = layer
-        total = total.union(layer)
+        layers[k] = jk.fatten(hk).clip(g, n_max)
+    total = IntegerIntervalSet(iv for layer in layers.values() for iv in layer.intervals)
     return GlobalJ(n_max, total, layers, skipped)
 
 
@@ -332,6 +325,8 @@ def enumerate_Ek(k: int, l_max: int) -> tuple[IntegerIntervalSet, int]:
     Returns the gap set for indices l < l_max together with the covered
     range bound (gaps are complete below s_{l_max}).
     """
+    if l_max < 0:
+        raise DomainError(f"l = {l_max} < 0")
     idx = support_index(k)
     idx.ensure(l_max)
     pieces = []

@@ -8,7 +8,7 @@ Three unrelated verification devices live here:
 * exhaustive digit-word enumeration of the return-time distributions via
   the orbit sum of first-return times (no use of the mass recursion),
 * the smoothing-operator polynomials, the partial-sum order on them, and
-  the lazy random walk they are compared against.
+  the lazy-walk polynomials they are compared against.
 """
 
 from __future__ import annotations
@@ -32,27 +32,30 @@ class FragmentationError(RuntimeError):
 # ---------------------------------------------------------------------------
 # pushforward simulation
 
-@lru_cache(maxsize=None)
-def _stack_starts(k: int) -> tuple[Fraction, ...]:
-    """Left endpoints of the stage-k levels, bottom to top, by re-running the
-    cutting-and-stacking construction."""
-    if k == 0:
-        return (Fraction(0),)
-    prev = _stack_starts(k - 1)
-    w = Fraction(2, 3 ** (k + 1))
-    spacer = 1 - Fraction(1, 3 ** k)
-    return tuple(
-        [s for s in prev]
-        + [s + w for s in prev]
-        + [spacer]
-        + [s + 2 * w for s in prev]
-    )
+def _h(m: int) -> int:
+    return (3 ** (m + 1) - 1) // 2
+
+
+@lru_cache(maxsize=200_000)
+def _lv_start(m: int, j: int) -> Fraction:
+    """Left endpoint of level j of the stage-m stack, from the construction
+    rule (left copy, middle copy, spacer, right copy)."""
+    if m == 0:
+        return Fraction(0)
+    hp = _h(m - 1)
+    w = Fraction(2, 3 ** (m + 1))
+    if j < hp:
+        return _lv_start(m - 1, j)
+    if j < 2 * hp:
+        return _lv_start(m - 1, j - hp) + w
+    if j == 2 * hp:
+        return 1 - Fraction(1, 3 ** m)
+    return _lv_start(m - 1, j - 2 * hp - 1) + 2 * w
 
 
 @lru_cache(maxsize=None)
 def _sorted_levels(k: int) -> tuple[tuple[Fraction, ...], tuple[int, ...]]:
-    starts = _stack_starts(k)
-    pairs = sorted((s, j) for j, s in enumerate(starts))
+    pairs = sorted((_lv_start(k, j), j) for j in range(_h(k)))
     return tuple(s for s, _ in pairs), tuple(j for _, j in pairs)
 
 
@@ -61,9 +64,8 @@ def _image_pieces(a: Fraction, b: Fraction, k: int, depth_cap: int,
     """Append the one-step image of [a, b), splitting at stage boundaries."""
     if k > depth_cap:
         raise FragmentationError(f"piece [{a}, {b}) unresolved at depth {depth_cap}")
-    starts = _stack_starts(k)
     w = Fraction(2, 3 ** (k + 1))
-    top = len(starts) - 1
+    top = _h(k) - 1
     ss, jj = _sorted_levels(k)
     i = bisect_right(ss, a) - 1
     if i < 0 or ss[i] + w <= a:
@@ -75,7 +77,7 @@ def _image_pieces(a: Fraction, b: Fraction, k: int, depth_cap: int,
             if j == top:
                 _image_pieces(lo, hi, k + 1, depth_cap, out)
             else:
-                d = starts[j + 1] - s
+                d = _lv_start(k, j + 1) - s
                 out.append((lo + d, hi + d))
         i += 1
     # spacer remainder [1 - 3^-(k+1), 1)
@@ -115,34 +117,6 @@ def pushforward_step(state: PushforwardState, depth_cap: int = 11,
     if len(merged) > fragment_cap:
         raise FragmentationError(f"{len(merged)} fragments after step {state.steps + 1}")
     return PushforwardState(merged, state.steps + 1)
-
-
-def _h(m: int) -> int:
-    return (3 ** (m + 1) - 1) // 2
-
-
-def _lv_start(m: int, j: int, _cache: dict = {}) -> Fraction:
-    """Left endpoint of level j of the stage-m stack, from the construction
-    rule (left copy, middle copy, spacer, right copy)."""
-    key = (m, j)
-    if key in _cache:
-        return _cache[key]
-    if m == 0:
-        out = Fraction(0)
-    else:
-        hp = _h(m - 1)
-        w = Fraction(2, 3 ** (m + 1))
-        if j < hp:
-            out = _lv_start(m - 1, j)
-        elif j < 2 * hp:
-            out = _lv_start(m - 1, j - hp) + w
-        elif j == 2 * hp:
-            out = 1 - Fraction(1, 3 ** m)
-        else:
-            out = _lv_start(m - 1, j - 2 * hp - 1) + 2 * w
-    if len(_cache) < 200_000:
-        _cache[key] = out
-    return out
 
 
 def _trace(intervals: list[tuple[Fraction, Fraction]], lo: Fraction,
@@ -280,11 +254,11 @@ def brute_dl(k: int, l: int) -> EnumeratedDistribution:
     in exact form: stripping a leading 2 leaves the law invariant, so the
     time is h with probability 1/2 and h + 1 with probability 1/2.
     """
-    import chaconlab.tower as tower
-
+    if k < 0:
+        raise DomainError(f"stage {k} < 0")
     if l < 0:
         raise DomainError(f"l = {l} < 0")
-    h = tower.height(k)
+    h = _h(k)
     half = Fraction(1, 2)
     dist: dict[int, Fraction] = {}
 
@@ -338,7 +312,7 @@ def brute_dl(k: int, l: int) -> EnumeratedDistribution:
 
 
 # ---------------------------------------------------------------------------
-# smoothing polynomials, partial-sum order, lazy walk
+# smoothing polynomials, partial-sum order, lazy-walk polynomials
 
 @dataclass(frozen=True)
 class PhiPolynomial:
@@ -431,29 +405,3 @@ def _phi_center(i: int) -> Fraction:
 def center_value(poly: PhiPolynomial) -> Fraction:
     """Value at the origin of the profile the polynomial represents."""
     return sum((c * _phi_center(i) for i, c in enumerate(poly.coeffs)), Fraction(0))
-
-
-@dataclass(frozen=True)
-class WalkDistribution:
-    """Point masses of the lazy walk on the half-integer lattice.
-
-    probs[i] is the probability of sitting at (start + i)/2.
-    """
-
-    start: int
-    probs: tuple[Fraction, ...]
-
-    @property
-    def central(self) -> Fraction:
-        return self.probs[-self.start] if 0 <= -self.start < len(self.probs) else Fraction(0)
-
-
-def lazy_walk(n: int) -> WalkDistribution:
-    """n steps of the walk that moves +-1/2 with probability 1/6 each."""
-    probs = [Fraction(1)]
-    sixth, two_thirds = Fraction(1, 6), Fraction(2, 3)
-    for _ in range(n):
-        padded = [Fraction(0), Fraction(0)] + probs + [Fraction(0), Fraction(0)]
-        probs = [sixth * padded[i] + two_thirds * padded[i + 1] + sixth * padded[i + 2]
-                 for i in range(len(padded) - 2)]
-    return WalkDistribution(-n, tuple(probs))

@@ -268,23 +268,6 @@ class TriadicSet:
     def symmetric_difference(self, other: "TriadicSet") -> "TriadicSet":
         return self.difference(other).union(other.difference(self))
 
-    def refine_to_level(self, m: int) -> list[int]:
-        """Indices p of level-m cells [p*3^-m, (p+1)*3^-m) whose union is this set.
-
-        Every endpoint must already live on the level-m grid.
-        """
-        scale = 3 ** m
-        cells: list[int] = []
-        for iv in self.intervals:
-            lo = iv.start * scale
-            hi = iv.end * scale
-            if lo.denominator != 1 or hi.denominator != 1:
-                raise DomainError(
-                    f"interval {iv} has endpoints finer than level {m}; raise the level"
-                )
-            cells.extend(range(int(lo), int(hi)))
-        return cells
-
     def __str__(self) -> str:
         return " ∪ ".join(str(iv) for iv in self.intervals) if self.intervals else "∅"
 

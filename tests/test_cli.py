@@ -148,6 +148,23 @@ class TestJsetEset:
                           "--cap-n", "100", *extra)
             assert code == EXIT_RESOURCE
 
+    def test_negative_bounds_are_invalid(self, tmp_path, capsys):
+        for argv in (["eset", "--k", "1", "--l=-5"], ["eset", "--k", "1", "--l=-1"],
+                     ["jset", "--k", "1", "--N-max=-5"],
+                     ["jset", "--k", "1", "--N-max=-5", "--global"]):
+            code, text = run(tmp_path, *argv)
+            assert code == EXIT_INPUT and text == ""
+            assert "invalid input" in capsys.readouterr().err
+
+    def test_table_with_bad_rows_is_invalid(self, tmp_path):
+        path = tmp_path / "h.csv"
+        for body in ("1,1\n1,2\n", "1,nan\n2,3\n"):
+            path.write_text(body, encoding="utf-8")
+            for extra in ([], ["--global"]):
+                code, _ = run(tmp_path, "jset", "--k", "1", "--h", f"table:{path}",
+                              "--N-max", "1000", *extra)
+                assert code == EXIT_INPUT
+
     def test_global_mode_with_log_growth_is_empty(self, tmp_path):
         code, text = run(tmp_path, "jset", "--k", "2", "--h", "log",
                          "--N-max", "10000", "--global", "--format", "json")

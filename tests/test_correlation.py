@@ -6,7 +6,6 @@ import pytest
 from chaconlab import checks, correlation as co
 from chaconlab.correlation import (
     SizeError,
-    approximate_by_cells,
     autocorrelation,
     balanced_ternary,
     cell_correlation,
@@ -22,7 +21,7 @@ from chaconlab.correlation import (
     H_value,
 )
 from chaconlab.tower import height
-from chaconlab.triadic import DomainError, TriadicSet
+from chaconlab.triadic import DomainError
 
 
 class TestBalancedTernary:
@@ -218,27 +217,6 @@ class TestCellCorrelation:
     def test_rejects_cells_outside_tower(self):
         with pytest.raises(DomainError):
             cell_correlation([4], [0], 1, 0)
-
-
-class TestApproximateByCells:
-    def test_base_cell_is_exact(self):
-        a = TriadicSet.from_endpoints([(0, Fraction(2, 9))])
-        assert approximate_by_cells(a, 1) == ([0], Fraction(0))
-
-    def test_partial_overlap(self):
-        # [2/9, 1/3) meets level 1 in exactly half a cell; ties are included
-        a = TriadicSet.from_endpoints([(0, Fraction(1, 3))])
-        assert approximate_by_cells(a, 1) == ([0, 1], Fraction(1, 9))
-
-    def test_strict_majority_only(self):
-        a = TriadicSet.from_endpoints([(0, Fraction(8, 27))])
-        assert approximate_by_cells(a, 1) == ([0], Fraction(2, 27))
-
-    def test_full_interval_misses_only_reservoir(self):
-        for k in (1, 2):
-            cells, err = approximate_by_cells(TriadicSet.full(), k)
-            assert cells == list(range(height(k)))
-            assert err == Fraction(1, 3 ** (k + 1))
 
 
 class TestCesaro:

@@ -43,13 +43,13 @@ class TestIntegerIntervalSet:
     def test_fatten_truncate_clip(self):
         s = IntegerIntervalSet([(2, 3), (10, 11)])
         assert s.fatten(2).intervals == ((0, 5), (8, 13))
-        assert s.truncate_below(3).intervals == ((3, 3), (10, 11))
+        assert s.clip(3, 11).intervals == ((3, 3), (10, 11))
         assert s.clip(3, 10).intervals == ((3, 3), (10, 10))
-        assert s.union(IntegerIntervalSet([(4, 9)])).intervals == ((2, 11),)
+        assert IntegerIntervalSet(s.intervals + ((4, 9),)).intervals == ((2, 11),)
 
     def test_truncation_only_changes_the_prefix(self):
         s = IntegerIntervalSet([(2, 8), (15, 20), (30, 31)])
-        t = s.truncate_below(16)
+        t = s.clip(16, 40)
         for n in range(16, 40):
             assert (n in s) == (n in t)
         assert t.count(40) == s.count(40) - s.count(15)
@@ -80,6 +80,11 @@ class TestHFunction:
     def test_table_rejects_non_increasing(self):
         with pytest.raises(DomainError):
             HFunction.table([(1, 1), (2, 1)])
+
+    def test_table_rejects_repeated_x_and_non_finite_values(self):
+        for rows in ([(1, 1), (1, 2)], [(1, math.nan), (2, 3)], [(1, 1), (math.inf, 2)]):
+            with pytest.raises(DomainError):
+                HFunction.table(rows)
 
     def test_diverges_on_doubling_grid(self):
         for spec in ("linear", "log", "loglog", "power:0.3"):

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from chaconlab import checks
+from chaconlab import checks, oracle, tower
 from chaconlab.correlation import compute_bl, H_value
 from chaconlab.oracle import (
     FragmentationError,
@@ -12,13 +12,12 @@ from chaconlab.oracle import (
     brute_correlation,
     brute_dl,
     center_value,
-    lazy_walk,
     phi_repr,
     precedes,
     pushforward_step,
     walk_poly,
 )
-from chaconlab.triadic import TriadicSet
+from chaconlab.triadic import DomainError, TriadicSet
 
 
 def base_cell(k):
@@ -26,6 +25,12 @@ def base_cell(k):
 
 
 class TestPushforward:
+    def test_level_table_matches_tower(self):
+        # two independent constructions of the stacking table
+        for k in range(6):
+            for j in range(tower.height(k)):
+                assert oracle._lv_start(k, j) == tower.level_interval(k, j).start
+
     def test_preserves_measure_on_random_intervals(self):
         rng = random.Random(23)
         done = 0
@@ -117,6 +122,10 @@ class TestBruteDl:
     def test_agrees_with_recursion_engine(self):
         assert checks.dl_matches_oracle((1, 2), 79)
 
+    def test_rejects_negative_stage(self):
+        with pytest.raises(DomainError):
+            brute_dl(-1, 0)
+
 
 class TestPhiPolynomials:
     def test_base_representations(self):
@@ -156,26 +165,3 @@ class TestPhiPolynomials:
 
     def test_majorized_by_lazy_walk(self):
         assert checks.majorized(120)
-
-
-class TestLazyWalk:
-    def test_zero_steps(self):
-        w = lazy_walk(0)
-        assert (w.start, w.probs) == (0, (Fraction(1),))
-        assert w.central == 1
-
-    def test_one_step(self):
-        w = lazy_walk(1)
-        assert w.central == Fraction(2, 3)
-        assert w.probs == (Fraction(1, 6), Fraction(2, 3), Fraction(1, 6))
-
-    def test_normalized_and_symmetric(self):
-        for n in range(10):
-            w = lazy_walk(n)
-            assert sum(w.probs) == 1
-            assert w.probs == tuple(reversed(w.probs))
-            assert w.central == max(w.probs)
-
-    def test_peak_decays(self):
-        peaks = [lazy_walk(n).central for n in range(12)]
-        assert all(a >= b for a, b in zip(peaks, peaks[1:]))

@@ -145,17 +145,6 @@ class TestTriadicSet:
         assert a.intersection(b).measure() == Fraction(2, 9)
         assert a.difference(b) == TriadicSet.from_endpoints([(0, Fraction(1, 9))])
 
-    def test_refine_to_level_examples(self):
-        assert TriadicSet.from_endpoints([(0, Fraction(2, 9))]).refine_to_level(2) == [0, 1]
-        assert TriadicSet.from_endpoints(
-            [(Fraction(1, 3), Fraction(2, 3))]).refine_to_level(1) == [1]
-        assert TriadicSet.from_endpoints(
-            [(Fraction(2, 9), Fraction(1, 3))]).refine_to_level(3) == [6, 7, 8]
-
-    def test_refine_to_level_rejects_fine_endpoints(self):
-        with pytest.raises(DomainError):
-            TriadicSet.from_endpoints([(0, Fraction(1, 27))]).refine_to_level(2)
-
 
 def random_set(rng, e):
     scale = 3 ** e
