@@ -54,7 +54,10 @@ def parse_point(text: str) -> TriadicRational:
     try:
         return TriadicRational.parse(text)
     except (DomainError, ValueError):
-        return TriadicRational.from_fraction(Fraction(text))
+        try:
+            return TriadicRational.from_fraction(Fraction(text))
+        except ZeroDivisionError:
+            raise DomainError(f"zero denominator in point {text!r}") from None
 
 
 class Output:
@@ -176,12 +179,15 @@ def cmd_extract(args, out: Output) -> int:
     bs: dict[int, Fraction] = {}
     cs: dict[int, Fraction] = {}
 
-    def parse_value(text: str) -> Fraction:
+    def parse_value(text: str, lineno: int) -> Fraction:
         text = text.strip()
-        if "/" in text:
-            return Fraction(text)
-        return Fraction(text) if "." not in text and "e" not in text.lower() \
-            else Fraction(float(text))
+        try:
+            if "/" in text or ("." not in text and "e" not in text.lower()):
+                return Fraction(text)
+            return Fraction(float(text))
+        except (ZeroDivisionError, OverflowError):
+            # a zero denominator, or a float literal that overflows to infinity
+            raise InputError(f"line {lineno}: {text!r} is not a finite rational") from None
 
     with open(args.series, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
@@ -192,19 +198,20 @@ def cmd_extract(args, out: Output) -> int:
             if len(parts) < 2:
                 raise InputError(f"line {lineno}: expected columns n, a [, b [, c]]")
             n = int(parts[0])
-            ns[n] = parse_value(parts[1])
+            ns[n] = parse_value(parts[1], lineno)
             if len(parts) > 2 and parts[2].strip():
-                bs[n] = parse_value(parts[2])
+                bs[n] = parse_value(parts[2], lineno)
             if len(parts) > 3 and parts[3].strip():
-                cs[n] = parse_value(parts[3])
+                cs[n] = parse_value(parts[3], lineno)
     if not ns:
         raise InputError(f"no data rows in {args.series}")
     n_max = max(ns)
-    if set(ns) != set(range(n_max + 1)):
+    # the keys are distinct integers: this is ns == {0..n_max} without building it
+    if min(ns) != 0 or len(ns) != n_max + 1:
         raise InputError("series must cover every n from 0 to its maximum")
     a = [ns[n] for n in range(n_max + 1)]
     if bs:
-        if set(bs) != set(range(n_max + 1)):
+        if len(bs) != n_max + 1:
             raise InputError("b column must cover every n when present")
         b = [bs[n] for n in range(n_max + 1)]
     else:
@@ -214,7 +221,7 @@ def cmd_extract(args, out: Output) -> int:
             run += a[n - 1]
             b.append(run / n)
     if cs:
-        if set(cs) != set(range(n_max + 1)):
+        if len(cs) != n_max + 1:
             raise InputError("c column must cover every n when present")
         c = [cs[n] for n in range(n_max + 1)]
     else:
@@ -232,6 +239,8 @@ def cmd_extract(args, out: Output) -> int:
 def cmd_apply_t(args, out: Output) -> int:
     x = parse_point(args.point)
     n = int(args.n) if args.n else 1
+    if abs(n) > args.cap_n:
+        raise SizeError(f"n = {n} exceeds cap {args.cap_n}")
     y = tower.apply_T_power(x, n)
     q = y.as_fraction()
     out.emit_rows(["n", "point", "image", "decimal"],

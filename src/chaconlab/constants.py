@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .correlation import H_value, compute_bl, profile_D, profile_envelope_gap, profile_l1
+from .correlation import H_value, compute_bl, profile_gap
 
 HEADROOM = Fraction(121, 100)     # (1.1)^2, applied to squared maxima
 
@@ -51,34 +51,27 @@ FROZEN = FrozenConstants(
 )
 
 
+def _first_max(values: dict) -> tuple:
+    """The largest value and the first key, in order, that attains it."""
+    arg = max(values, key=values.__getitem__)
+    return values[arg], arg
+
+
 def sweep_c1_sq(l_bound: int) -> tuple[Fraction, int]:
     """Exact max of H_l^2 b_l over l < l_bound, with its argmax."""
-    best, arg = Fraction(0), 0
-    for l in range(l_bound):
-        v = H_value(1, l) ** 2 * compute_bl(l)
-        if v > best:
-            best, arg = v, l
-    return best, arg
+    return _first_max({l: H_value(1, l) ** 2 * compute_bl(l) for l in range(l_bound)})
 
 
 def sweep_c2_sq(l_bound: int) -> tuple[Fraction, int]:
     """Exact max of |D_{l+1} - D_l|_1^2 b_l over l < l_bound."""
-    best, arg = Fraction(0), 0
-    for l in range(l_bound):
-        v = profile_l1(profile_D(1, l + 1), profile_D(1, l)) ** 2 * compute_bl(l)
-        if v > best:
-            best, arg = v, l
-    return best, arg
+    return _first_max({l: profile_gap(1, [(l + 1, 0), (l, 0)]) ** 2 * compute_bl(l)
+                       for l in range(l_bound)})
 
 
 def sweep_c3_sq(l_bound: int, p_bound: int) -> tuple[Fraction, tuple[int, int]]:
-    """Exact max of envelope_gap(l, p)^2 b_l / p^2 over the sweep window."""
-    best, arg = Fraction(0), (0, 1)
-    for l in range(l_bound):
-        b = compute_bl(l)
-        for p in range(1, p_bound + 1):
-            g = profile_envelope_gap(1, l, p)
-            v = g * g * b / (p * p)
-            if v > best:
-                best, arg = v, (l, p)
-    return best, arg
+    """Exact max of gap(l, p)^2 b_l / p^2 over the sweep window, where gap(l, p)
+    is the envelope gap of D_{l+j}(. - i/2), 0 <= j <= 2, -p <= i <= p."""
+    return _first_max({
+        (l, p): profile_gap(1, [(l + j, i) for j in range(3) for i in range(-p, p + 1)]) ** 2
+        * compute_bl(l) / (p * p)
+        for l in range(l_bound) for p in range(1, p_bound + 1)})

@@ -3,9 +3,9 @@
 The normalized l-th return-time distribution d_l' is computed exactly by the
 three-branch recursion on l (base cases l = 0, 1), with masses shifted by
 amounts linear in the tower height h_k.  Support endpoints follow their own
-recursion so that membership queries never materialize masses.  The centered
-step-function profile of d_l' lives on the half-integer grid and is the
-object the L1 estimates are about.
+recursion so that membership queries never materialize masses.  The L1
+estimates on the centered profiles D_l are integer sums over the same
+numerators.
 """
 
 from __future__ import annotations
@@ -292,70 +292,34 @@ def cesaro(k: int, big_n: int, cells_a: Sequence[int] | None = None,
 
 
 # ---------------------------------------------------------------------------
-# profiles on the half-integer grid
+# profiles
 
-@dataclass(frozen=True)
-class Profile:
-    """Centered step-function view of d_l' on half-width cells.
+def profile_gap(k: int, family: Iterable[tuple[int, int]]) -> Fraction:
+    """Integral of max - min over the profiles D_l(. - i/2), (l, i) in family.
 
-    Cell j covers [j/2, (j+1)/2); vals[i] is the value on cell start + i.
-    Each mass of d_l' occupies two consecutive cells, so the profile of a
-    b-point distribution has 2b cells and integral sum(vals)/2.
+    D_l is the even step function of d_l' re-centered about the origin on
+    half-width cells [j/2, (j+1)/2): each mass covers two consecutive cells.
+    Over the largest exponent e in the family every cell value is an integer
+    over 2 * 3^e, so the cell sum is an integer and the integral is that sum
+    over 4 * 3^e.  For two profiles this is their L1 distance.
     """
-
-    start: int
-    vals: tuple[Fraction, ...]
-
-    def value_at_cell(self, j: int) -> Fraction:
-        i = j - self.start
-        if 0 <= i < len(self.vals):
-            return self.vals[i]
-        return Fraction(0)
-
-    @property
-    def center_value(self) -> Fraction:
-        """Value at x = 0, i.e. the peak for an even unimodal profile."""
-        return self.value_at_cell(0)
-
-    def shifted(self, half_steps: int) -> "Profile":
-        """Profile of x -> value(x - half_steps/2)."""
-        return Profile(self.start + half_steps, self.vals)
-
-    def integral(self) -> Fraction:
-        return sum(self.vals, Fraction(0)) / 2
-
-
-def profile_D(k: int, l: int) -> Profile:
-    """The even profile D_l: masses of d_l' re-centered about the origin."""
-    dist = compute_dl(k, l)
     h = tower.height(k)
-    start = 2 * dist.start - 1 - 2 * h * l - l
-    vals = tuple(v for m in dist.masses for v in (m, m))
-    return Profile(start, vals)
-
-
-def profile_l1(p: Profile, q: Profile) -> Fraction:
-    """Exact L1 distance between two profiles on the common half-grid."""
-    lo = min(p.start, q.start)
-    hi = max(p.start + len(p.vals), q.start + len(q.vals))
-    total = Fraction(0)
-    for j in range(lo, hi):
-        total += abs(p.value_at_cell(j) - q.value_at_cell(j))
-    return total / 2
-
-
-def profile_envelope_gap(k: int, l: int, p: int) -> Fraction:
-    """L1 norm of max - min over the family D_{l+j}(. - i/2), 0<=j<=2, -p<=i<=p."""
-    family = [profile_D(k, l + j).shifted(i) for j in range(3) for i in range(-p, p + 1)]
-    lo = min(f.start for f in family)
-    hi = max(f.start + len(f.vals) for f in family)
-    total = Fraction(0)
-    for j in range(lo, hi):
-        vals = [f.value_at_cell(j) for f in family]
-        total += max(vals) - min(vals)
-    return total / 2
+    members = []
+    for l, i in family:
+        d = compute_dl(k, l)
+        members.append((d, 2 * d.start - 1 - (2 * h + 1) * l + i))
+    e = max(d.e for d, _ in members)
+    lo = min(first for _, first in members)
+    hi = max(first + 2 * d.support_size for d, first in members)
+    rows = []
+    for d, first in members:
+        scale = 3 ** (e - d.e)
+        cells = [v for m in d.nums for v in (m * scale,) * 2]
+        rows.append([0] * (first - lo) + cells + [0] * (hi - first - len(cells)))
+    return Fraction(sum(max(col) - min(col) for col in zip(*rows)), 4 * 3 ** e)
 
 
 def H_value(k: int, l: int) -> Fraction:
     """Peak height H_l = D_l(0)."""
-    return profile_D(k, l).center_value
+    d = compute_dl(k, l)
+    return d.masses[((2 * tower.height(k) + 1) * l + 1 - 2 * d.start) // 2]

@@ -27,9 +27,7 @@ from chaconlab.cli import main
 from chaconlab.correlation import (
     compute_bl,
     find_Pn,
-    profile_D,
-    profile_envelope_gap,
-    profile_l1,
+    profile_gap,
     support_index,
     H_value,
 )
@@ -127,11 +125,11 @@ def test_criterion_07_frozen_constants():
     for l in range(3 ** 7):
         b = compute_bl(l)
         ok &= H_value(1, l) ** 2 * b <= fr.c1_sq
-        ok &= profile_l1(profile_D(1, l + 1), profile_D(1, l)) ** 2 * b <= fr.c2_sq
+        ok &= profile_gap(1, [(l + 1, 0), (l, 0)]) ** 2 * b <= fr.c2_sq
     for l in range(3 ** 4):
         b = compute_bl(l)
         for p in range(1, 5):
-            g = profile_envelope_gap(1, l, p)
+            g = profile_gap(1, [(l + j, i) for j in range(3) for i in range(-p, p + 1)])
             ok &= g * g * b <= fr.c3_sq * p * p
     assert report(7, "frozen-constants", ok)
 

@@ -213,6 +213,28 @@ class TestExtract:
         assert code == EXIT_INPUT
         assert "line 3" in capsys.readouterr().err
 
+    def test_zero_denominator_is_invalid(self, tmp_path, capsys):
+        series = tmp_path / "series.csv"
+        for row in ("1/0", "0/0", "0,1/0", "0,1,0/0"):
+            series.write_text(f"n,a,b,c\n0,0,1,1\n1,{row}\n", encoding="utf-8")
+            code, _ = run(tmp_path, "extract", str(series))
+            assert code == EXIT_INPUT
+            assert "line 3" in capsys.readouterr().err
+
+    def test_non_finite_value_is_invalid(self, tmp_path, capsys):
+        series = tmp_path / "series.csv"
+        series.write_text("n,a\n0,0\n1,1e999\n", encoding="utf-8")
+        code, _ = run(tmp_path, "extract", str(series))
+        assert code == EXIT_INPUT
+        assert "line 3" in capsys.readouterr().err
+
+    def test_huge_sparse_index_is_rejected_without_allocating(self, tmp_path):
+        series = tmp_path / "series.csv"
+        for rows in ("1000000000000,1", "0,0\n1000000000000,1"):
+            series.write_text(f"n,a\n{rows}\n", encoding="utf-8")
+            code, _ = run(tmp_path, "extract", str(series))
+            assert code == EXIT_INPUT
+
     def test_missing_file_is_invalid(self, tmp_path):
         code, _ = run(tmp_path, "extract", str(tmp_path / "absent.csv"))
         assert code == EXIT_INPUT
@@ -247,6 +269,16 @@ class TestPointwise:
     def test_bad_point_is_invalid(self, tmp_path):
         code, _ = run(tmp_path, "locate", "zebra", "--k", "1")
         assert code == EXIT_INPUT
+
+    def test_zero_denominator_point_is_invalid(self, tmp_path):
+        for point in ("1/0", "0/0"):
+            assert run(tmp_path, "apply-t", point)[0] == EXIT_INPUT
+            assert run(tmp_path, "locate", point, "--k", "2")[0] == EXIT_INPUT
+
+    def test_apply_t_power_cap(self, tmp_path):
+        assert run(tmp_path, "apply-t", "1/3^1", "--n", "600", "--cap-n", "500")[0] == EXIT_RESOURCE
+        assert run(tmp_path, "apply-t", "1/3^1", "--n=-600", "--cap-n", "500")[0] == EXIT_RESOURCE
+        assert run(tmp_path, "apply-t", "1/3^1", "--n", "500", "--cap-n", "500")[0] == EXIT_OK
 
     def test_unknown_command_is_invalid(self, tmp_path):
         assert main(["frobnicate"]) == EXIT_INPUT

@@ -15,8 +15,7 @@ from chaconlab.correlation import (
     correlation_series,
     find_Pn,
     mu_Ak,
-    profile_D,
-    profile_l1,
+    profile_gap,
     support,
     H_value,
 )
@@ -249,46 +248,68 @@ class TestCesaro:
 
 class TestProfiles:
     def test_base_profile_is_unit_box(self):
-        p = profile_D(1, 0)
-        assert (p.start, p.vals) == (-1, (Fraction(1), Fraction(1)))
-        assert p.center_value == 1
+        d = compute_dl(1, 0)
+        assert (d.start, d.masses) == (0, (Fraction(1),))
+        assert H_value(1, 0) == 1
+        # height 1, width 1: shifted by a whole unit it no longer overlaps itself
+        assert profile_gap(1, [(0, 0), (0, 2)]) == 2
 
     def test_three_step_profile(self):
-        p = profile_D(1, 2)
         assert H_value(1, 2) == Fraction(2, 3)
-        assert p.integral() == 1
-        assert p.vals == tuple(v for m in (Fraction(1, 6), Fraction(2, 3), Fraction(1, 6))
-                               for v in (m, m))
+        assert compute_dl(1, 2).masses == (Fraction(1, 6), Fraction(2, 3), Fraction(1, 6))
 
     def test_index_tripling_fixes_profile(self):
         for l in range(1, 100):
-            assert profile_D(1, 3 * l) == profile_D(1, l)
+            assert profile_gap(1, [(3 * l, 0), (l, 0)]) == 0
 
     def test_adjacent_l1_distance(self):
-        assert profile_l1(profile_D(1, 1), profile_D(1, 0)) == 1
+        assert profile_gap(1, [(1, 0), (0, 0)]) == 1
 
     def test_even_and_normalized(self):
+        h = height(1)
         for l in range(300):
-            p = profile_D(1, l)
-            assert p.integral() == 1
-            assert p.vals == tuple(reversed(p.vals))
-            # centered: the support is symmetric about the origin
-            assert p.start + (p.start + len(p.vals)) == 0
+            d = compute_dl(1, l)
+            assert sum(d.masses) == 1
+            assert d.masses == tuple(reversed(d.masses))
+            # centered: D_l lives on [2 start - 1 - (2h+1) l, 2 end + 1 - (2h+1) l] / 2,
+            # which is symmetric about the origin
+            assert d.start + d.end == (2 * h + 1) * l
 
     def test_half_shift_bounded_by_peak(self):
         for l in range(3 ** 5):
-            p = profile_D(1, l)
-            assert profile_l1(p, p.shifted(1)) <= H_value(1, l)
+            assert profile_gap(1, [(l, 0), (l, 1)]) <= H_value(1, l)
 
     def test_envelope_contains_intermediate_profiles(self):
+        # max - min over the family grows on a cell exactly where D_q leaves
+        # the envelope, so the gaps are equal iff D_q lies inside it everywhere
         for l in range(3 ** 4):
             for p in range(1, 5):
-                family = [profile_D(1, l + j).shifted(i)
-                          for j in range(2) for i in range(-p, p + 1)]
+                family = [(l + j, i) for j in range(2) for i in range(-p, p + 1)]
+                gap = profile_gap(1, family)
                 for q in range(l * 3 ** p, (l + 1) * 3 ** p):
-                    dq = profile_D(1, q)
-                    lo = min(f.start for f in family + [dq])
-                    hi = max(f.start + len(f.vals) for f in family + [dq])
-                    for j in range(lo, hi):
-                        vals = [f.value_at_cell(j) for f in family]
-                        assert min(vals) <= dq.value_at_cell(j) <= max(vals)
+                    assert profile_gap(1, family + [(q, 0)]) == gap
+
+    def test_gap_matches_reference_cells(self):
+        def reference_gap(k, family):
+            h = height(k)
+            profiles = []
+            for l, i in family:
+                d = compute_dl(k, l)
+                first = 2 * d.start - 1 - (2 * h + 1) * l + i
+                vals = [v for m in d.masses for v in (m, m)]
+                profiles.append({first + j: v for j, v in enumerate(vals)})
+            lo = min(min(f) for f in profiles)
+            hi = max(max(f) for f in profiles)
+            total = Fraction(0)
+            for j in range(lo, hi + 1):
+                vals = [f.get(j, Fraction(0)) for f in profiles]
+                total += max(vals) - min(vals)
+            return total / 2
+
+        for k in (1, 2):
+            for l in range(243):
+                families = [[(l + 1, 0), (l, 0)]]
+                families += [[(l + j, i) for j in range(3) for i in range(-p, p + 1)]
+                             for p in (1, 2)]
+                for family in families:
+                    assert profile_gap(k, family) == reference_gap(k, family)
