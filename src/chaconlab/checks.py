@@ -51,13 +51,13 @@ def dl_normalized_unimodal(l_bound: int) -> bool:
 
 
 def support_sizes(dl_bound: int, index_bound: int) -> bool:
-    """|supp d_l'| = b_l from the masses and the endpoint tables; |b_l - b_(l+1)| = 1."""
+    """At stage 1, |supp d_l'| = b_l for l < dl_bound; for l < index_bound the closed-form
+    support is the mass recursion's [start, end] and |b_l - b_(l+1)| = 1."""
     bl = correlation.compute_bl
-    idx = correlation.support_index(1)
-    idx.ensure(index_bound)
-    return (all(correlation.compute_dl(1, l).support_size == bl(l) for l in range(dl_bound))
-            and all(idx.t[l] - idx.s[l] + 1 == bl(l) and abs(bl(l) - bl(l + 1)) == 1
-                    for l in range(index_bound)))
+    dists = [correlation.compute_dl(1, l) for l in range(max(dl_bound, index_bound))]
+    return (all(dists[l].support_size == bl(l) for l in range(dl_bound))
+            and all(correlation.support(1, l) == (dists[l].start, dists[l].end)
+                    and abs(bl(l) - bl(l + 1)) == 1 for l in range(index_bound)))
 
 
 def bijective(rng, samples: int) -> bool:

@@ -120,7 +120,7 @@ def cmd_corr(args, out: Output) -> int:
     # c_k is even in n: one series over |n| covers the whole range
     lo = 0 if ns[0] <= 0 <= ns[-1] else min(abs(ns[0]), abs(ns[-1]))
     series = correlation.correlation_series(
-        args.k, lo, max(abs(ns[0]), abs(ns[-1])), args.cap_n)
+        args.k, lo, max(abs(ns[0]), abs(ns[-1])), args.cap_n, args.cap_l)
     rows = []
     for n in ns:
         c = series[abs(n) - lo]
@@ -131,7 +131,7 @@ def cmd_corr(args, out: Output) -> int:
 
 
 def cmd_cesaro(args, out: Output) -> int:
-    averages = correlation.cesaro(args.k, args.n_max, max_n=args.cap_n)
+    averages = correlation.cesaro(args.k, args.n_max, max_n=args.cap_n, max_l=args.cap_l)
     rows = [[n, c.numerator, c.denominator, dec12(c)] for n, c in enumerate(averages, 1)]
     out.emit_rows(["N", "num", "den", "decimal"], rows,
                   {"command": "cesaro", "k": args.k})
@@ -253,11 +253,17 @@ def cmd_locate(args, out: Output) -> int:
     x = parse_point(args.point)
     addr = tower.locate(x, args.k)
     level = "" if addr.level is None else addr.level
-    out.emit_rows(["k", "level", "offset_num", "offset_den", "decimal"],
-                  [[args.k, level, addr.offset.numerator, addr.offset.denominator,
-                    dec12(addr.offset)]],
-                  {"command": "locate",
-                   "region": "spacer_remainder" if addr.level is None else "level"})
+    # a deep stage's numbers pass the int -> str limit; the stage loop costs more
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        out.emit_rows(["k", "level", "offset_num", "offset_den", "decimal"],
+                      [[args.k, level, addr.offset.numerator, addr.offset.denominator,
+                        dec12(addr.offset)]],
+                      {"command": "locate",
+                       "region": "spacer_remainder" if addr.level is None else "level"})
+    finally:
+        sys.set_int_max_str_digits(limit)
     return EXIT_OK
 
 

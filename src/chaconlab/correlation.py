@@ -2,15 +2,15 @@
 
 The normalized l-th return-time distribution d_l' is computed exactly by the
 three-branch recursion on l (base cases l = 0, 1), with masses shifted by
-amounts linear in the tower height h_k.  Support endpoints follow their own
-recursion so that membership queries never materialize masses.  The L1
-estimates on the centered profiles D_l are integer sums over the same
-numerators.
+amounts linear in the tower height h_k.  Support endpoints have a closed
+form in l, h_k and the balanced-ternary weight of l, so membership queries
+never materialize masses and finding the indices that meet a window of
+times costs the window's width, not its offset.  The L1 estimates on the
+centered profiles D_l are integer sums over the same numerators.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -43,47 +43,34 @@ def balanced_ternary(l: int) -> tuple[int, ...]:
 
 
 def compute_bl(l: int) -> int:
-    """Support size b_l = 1 + sum |a_i| over the balanced ternary digits of l."""
-    return 1 + sum(abs(d) for d in balanced_ternary(l))
+    """Support size b_l = 1 + the number of nonzero balanced-ternary digits of l."""
+    if l < 0:
+        raise DomainError(f"l = {l} < 0")
+    b = 1
+    while l:
+        # the low digit is l % 3 read as 0, 1 or -1; the rest of l is (l + 1) // 3
+        b += l % 3 != 0
+        l = (l + 1) // 3
+    return b
+
+
+def support_weights(l_max: int) -> list[int]:
+    """[b_0, ..., b_l_max] by b_m = b_((m+1)//3) + [m % 3 != 0]."""
+    b = [1]
+    for m in range(1, l_max + 1):
+        b.append(b[(m + 1) // 3] + (m % 3 != 0))
+    return b
 
 
 # ---------------------------------------------------------------------------
 # supports
 
 class SupportIndex:
-    """Monotone tables of support endpoints (s_l, t_l) for one stage k, and
-    the memo of the distributions d_l' computed at that stage, keyed by l."""
+    """The memo of the distributions d_l' computed at one stage k, keyed by l."""
 
     def __init__(self, k: int):
-        self.k = k
         self.h = tower.height(k)
-        self.s: list[int] = [0, self.h]
-        self.t: list[int] = [0, self.h + 1]
         self.dists: dict[int, ReturnDistribution] = {}
-
-    def ensure(self, l_max: int) -> None:
-        h = self.h
-        s, t = self.s, self.t
-        for m in range(len(s), l_max + 1):
-            q, r = divmod(m, 3)
-            if r == 0:
-                s.append(s[q] + 2 * q * h + q)
-                t.append(t[q] + 2 * q * h + q)
-            elif r == 1:
-                s.append(min(s[q] + (2 * q + 1) * h + q, s[q + 1] + 2 * q * h + q))
-                t.append(max(t[q] + (2 * q + 1) * h + q + 1, t[q + 1] + 2 * q * h + q))
-            else:
-                s.append(min(s[q] + (2 * q + 2) * h + q + 1, s[q + 1] + (2 * q + 1) * h + q))
-                t.append(max(t[q] + (2 * q + 2) * h + q + 1, t[q + 1] + (2 * q + 1) * h + q + 1))
-
-    def ensure_covering(self, n: int) -> None:
-        """Grow the tables until s_l overtakes n."""
-        while self.s[-1] <= n:
-            self.ensure(2 * len(self.s))
-
-    def bounds(self, l: int) -> tuple[int, int]:
-        self.ensure(l)
-        return self.s[l], self.t[l]
 
 
 _support_indices: dict[int, SupportIndex] = {}
@@ -97,8 +84,30 @@ def support_index(k: int) -> SupportIndex:
 
 
 def support(k: int, l: int) -> tuple[int, int]:
-    """Support interval [s_l, t_l] of d_l at stage k, via the endpoint recursion."""
-    return support_index(k).bounds(l)
+    """Support interval [s_l, t_l] of d_l at stage k, in closed form:
+    s_l = l*h + (l - b_l + 1)/2 and t_l = l*h + (l + b_l - 1)/2, h = h_k.
+
+    Proof.  b_0 = 1, b_1 = 2, b_3q = b_q, b_(3q+1) = b_q + 1 and
+    b_(3q+2) = b_(q+1) + 1, so by induction |b_(m+1) - b_m| = 1 (the step
+    from 3q+1 to 3q+2 is b_(q+1) - b_q) and b_m = m + 1 mod 2.  Induct on l
+    along compute_dl's recursion, where the support of d_l' is the hull of
+    its pieces; write d_m + c for d_m' shifted by c, which spans
+    [s_m + c, t_m + c].  The form holds at l = 0 and 1.  For l = 3q + r >= 2
+    let S, T be the form at l and d = (1 + b_q - b_(q+1))/2, in {0, 1}.
+    r = 0: b_l = b_q; the one piece d_q + 2qh + q spans [S, T].
+    r = 1: b_l = b_q + 1; the pieces d_q + (2q+1)h + q, d_q + (2q+1)h + q + 1
+      and d_(q+1) + 2qh + q span [S, T-1], [S+1, T] and [S+d, T-d].
+    r = 2: b_l = b_(q+1) + 1; the pieces d_q + (2q+2)h + q + 1,
+      d_(q+1) + (2q+1)h + q + 1 and d_(q+1) + (2q+1)h + q span
+      [S+1-d, T-1+d], [S+1, T] and [S, T-1].
+    In each case the hull is [S, T].
+    """
+    return support_span(support_index(k).h, l, compute_bl(l))
+
+
+def support_span(h: int, l: int, b: int) -> tuple[int, int]:
+    """[s_l, t_l] from h = h_k, l and b = b_l: the closed form of `support`."""
+    return l * h + (l - b + 1) // 2, l * h + (l + b - 1) // 2
 
 
 def find_Pn(k: int, n: int) -> list[int]:
@@ -109,10 +118,20 @@ def find_Pn(k: int, n: int) -> list[int]:
 
 
 def _support_run(k: int, n_lo: int, n_hi: int) -> range:
-    """All l whose support [s_l, t_l] meets [n_lo, n_hi], a contiguous run."""
-    idx = support_index(k)
-    idx.ensure_covering(n_hi)
-    return range(bisect_left(idx.t, n_lo), bisect_right(idx.s, n_hi))
+    """All l whose support [s_l, t_l] meets [n_lo, n_hi], a contiguous run.
+
+    s_l <= l*(2h+1)/2 <= t_l and both rise by h or h + 1 per step, so the
+    run starts at most floor(2*n_lo/(2h+1)) + 1 and ends after
+    floor(2*n_hi/(2h+1)), each end a few steps from there.
+    """
+    step = 2 * support_index(k).h + 1
+    lo = 2 * n_lo // step + 1
+    while lo and support(k, lo - 1)[1] >= n_lo:
+        lo -= 1
+    hi = 2 * n_hi // step + 1
+    while support(k, hi)[0] <= n_hi:
+        hi += 1
+    return range(lo, hi)
 
 
 # ---------------------------------------------------------------------------
@@ -212,15 +231,16 @@ def mu_Ak(k: int) -> Fraction:
     return Fraction(2, 3 ** (k + 1))
 
 
-def correlation_series(k: int, n_lo: int, n_hi: int,
-                       max_n: int = DEFAULT_MAX_N) -> list[Fraction]:
+def correlation_series(k: int, n_lo: int, n_hi: int, max_n: int = DEFAULT_MAX_N,
+                       max_l: int = DEFAULT_MAX_L) -> list[Fraction]:
     """[c_k(n) for n in n_lo..n_hi], exactly, in one pass."""
-    nums, p = _series_numerators(k, n_lo, n_hi, max_n)
+    nums, p = _series_numerators(k, n_lo, n_hi, max_n, max_l)
     den = 3 ** p
     return [Fraction(a, den) for a in nums]
 
 
-def _series_numerators(k: int, n_lo: int, n_hi: int, max_n: int) -> tuple[list[int], int]:
+def _series_numerators(k: int, n_lo: int, n_hi: int, max_n: int,
+                       max_l: int) -> tuple[list[int], int]:
     """Integers a_n and p with c_k(n) = a_n / 3^p for n in n_lo..n_hi.
 
     c_k(n) = mu(A_k) * sum of d_l'(n) over l in P_n.  Every d_l' whose
@@ -231,7 +251,7 @@ def _series_numerators(k: int, n_lo: int, n_hi: int, max_n: int) -> tuple[list[i
         raise DomainError(f"n = {n_lo} < 0")
     if n_hi > max_n:
         raise SizeError(f"n = {max(n_lo, max_n + 1)} exceeds cap {max_n}")
-    dists = [compute_dl(k, l) for l in _support_run(k, n_lo, n_hi)]
+    dists = [compute_dl(k, l, max_l) for l in _support_run(k, n_lo, n_hi)]
     e_max = max((d.e for d in dists), default=0)
     acc = [0] * (n_hi - n_lo + 1)
     for d in dists:
@@ -242,10 +262,11 @@ def _series_numerators(k: int, n_lo: int, n_hi: int, max_n: int) -> tuple[list[i
     return acc, e_max + k + 1
 
 
-def autocorrelation(k: int, n: int, max_n: int = DEFAULT_MAX_N) -> Fraction:
+def autocorrelation(k: int, n: int, max_n: int = DEFAULT_MAX_N,
+                    max_l: int = DEFAULT_MAX_L) -> Fraction:
     """mu(A_k intersect T^-n A_k), exactly, via the integer sum over P_n."""
     n = abs(n)
-    return correlation_series(k, n, n, max_n)[0]
+    return correlation_series(k, n, n, max_n, max_l)[0]
 
 
 def cell_correlation(cells_a: Iterable[int], cells_b: Iterable[int], k: int, n: int) -> Fraction:
@@ -269,7 +290,7 @@ def _cell_offsets(cells_a: Iterable[int], cells_b: Iterable[int], k: int) -> lis
 
 def cesaro(k: int, big_n: int, cells_a: Sequence[int] | None = None,
            cells_b: Sequence[int] | None = None,
-           max_n: int = DEFAULT_MAX_N) -> list[Fraction]:
+           max_n: int = DEFAULT_MAX_N, max_l: int = DEFAULT_MAX_L) -> list[Fraction]:
     """Running averages [C_1, ..., C_N], exact, in one pass, where C_M is
     (1/M) sum_{n<M} |mu(A intersect T^-n B) - mu(A) mu(B)|; A = B = A_k by default."""
     if big_n < 1:
@@ -278,7 +299,7 @@ def cesaro(k: int, big_n: int, cells_a: Sequence[int] | None = None,
     offsets = _cell_offsets(cells_a, cells_a if cells_b is None else cells_b, k)
     # c_k is even in n, so the series over |n + d| covers every term
     corr, p = _series_numerators(
-        k, 0, max(max(abs(d), abs(big_n - 1 + d)) for d in offsets), max_n)
+        k, 0, max(max(abs(d), abs(big_n - 1 + d)) for d in offsets), max_n, max_l)
     # every term over den = 3^max(p, 2k+2), so the running sum is an integer
     den = 3 ** max(p, 2 * k + 2)
     scale = den // 3 ** p

@@ -12,7 +12,7 @@ from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
 from . import tower
-from .correlation import compute_bl, autocorrelation, mu_Ak, support_index
+from .correlation import autocorrelation, mu_Ak, support_span, support_weights
 from .triadic import DomainError
 
 
@@ -273,18 +273,18 @@ def build_Jk(k: int, h: HFunction, t_max: int) -> IntegerIntervalSet:
     """
     if k < 1:
         raise DomainError(f"stage k must be >= 1, got {k}")
-    idx = support_index(k)
+    hk = tower.height(k)
+    top = 1
+    while 3 ** top <= t_max:
+        top += 1
+    weights = support_weights(3 ** top)
     pieces: list[tuple[int, int]] = []
-    big_n = 1
-    while 3 ** big_n <= t_max:
+    for big_n in range(1, top):
         threshold = math.log(big_n) ** 2 * h(big_n)
         if threshold > 0:
-            lo_t, hi_t = 3 ** big_n, 3 ** (big_n + 1)
-            idx.ensure(hi_t)
-            for t in range(lo_t, hi_t + 1):
-                if compute_bl(t) < threshold:
-                    pieces.append((idx.s[t], idx.t[t]))
-        big_n += 1
+            pieces.extend(support_span(hk, t, weights[t])
+                          for t in range(3 ** big_n, 3 ** (big_n + 1) + 1)
+                          if weights[t] < threshold)
     return IntegerIntervalSet(pieces)
 
 
@@ -327,15 +327,15 @@ def enumerate_Ek(k: int, l_max: int) -> tuple[IntegerIntervalSet, int]:
     """
     if l_max < 0:
         raise DomainError(f"l = {l_max} < 0")
-    idx = support_index(k)
-    idx.ensure(l_max)
+    hk = tower.height(k)
     pieces = []
-    for l in range(l_max):
-        lo = idx.t[l] + 1
-        hi = idx.s[l + 1] - 1
-        if lo <= hi:
-            pieces.append((lo, hi))
-    return IntegerIntervalSet(pieces), idx.s[l_max]
+    t_prev = -1
+    for l, b in enumerate(support_weights(l_max)):
+        s, t = support_span(hk, l, b)
+        if t_prev + 1 < s:
+            pieces.append((t_prev + 1, s - 1))
+        t_prev = t
+    return IntegerIntervalSet(pieces), s
 
 
 # ---------------------------------------------------------------------------

@@ -79,14 +79,20 @@ class TowerAddress:
 
 
 def locate(x: TriadicRational, k: int) -> TowerAddress:
-    """Find the stage-k level (or spacer reservoir) containing x."""
+    """Find the stage-k level (or spacer reservoir) containing x.
+
+    Offsets and cell widths are integers over 3^max(k+1, m) for x = p/3^m.
+    """
     if k < 0:
         raise DomainError(f"stage {k} < 0")
-    q = x.as_fraction()
-    level, offset = (0, q) if q < Fraction(2, 3) else (None, q - Fraction(2, 3))
-    for j in range(1, k + 1):
-        w = cell_width(j)
-        hp = height(j - 1)
+    den = 3 ** max(k + 1, x.exponent)
+    offset = x.numerator * (den // 3 ** x.exponent)
+    w = 2 * den // 3
+    level, offset = (0, offset) if offset < w else (None, offset - w)
+    hp = 1
+    for _ in range(k):
+        # stage j: w is the stage-j cell width, hp the stage-(j-1) height
+        w //= 3
         if level is None:
             # the stage-(j-1) reservoir splits into the inserted spacer piece
             # and the stage-j reservoir
@@ -97,7 +103,8 @@ def locate(x: TriadicRational, k: int) -> TowerAddress:
         else:
             third, offset = divmod(offset, w)
             level += (0, hp, 2 * hp + 1)[third]
-    return TowerAddress(k, level, offset)
+        hp = 3 * hp + 1
+    return TowerAddress(k, level, Fraction(offset, den))
 
 
 def apply_T(x: TriadicRational, depth_cap: int = DEFAULT_DEPTH_CAP) -> TriadicRational:

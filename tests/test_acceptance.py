@@ -28,7 +28,7 @@ from chaconlab.correlation import (
     compute_bl,
     find_Pn,
     profile_gap,
-    support_index,
+    support,
     H_value,
 )
 from chaconlab.exceptional import BoundSpec, HFunction
@@ -184,9 +184,7 @@ def test_criterion_11_zero_correlation_structure():
     ok &= {1, 2, 3} <= pts and {11, 12} <= pts and 8 not in pts
     for k in (1, 2, 3):
         hk = height(k)
-        idx = support_index(k)
-        idx.ensure(3 ** 6 + 1)
-        ok &= all(idx.s[l + 1] - idx.t[l] >= 2
+        ok &= all(support(k, l + 1)[0] - support(k, l)[1] >= 2
                   for l in range(3 ** 6 + 1) if compute_bl(l) <= hk - 2)
     # the count lower bound at stage 3 is vacuous on the checkable range
     ek3, _ = ex.enumerate_Ek(3, 50)

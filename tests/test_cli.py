@@ -1,12 +1,14 @@
 import json
 import math
+import sys
 from fractions import Fraction
 
 import pytest
 
 from chaconlab.cli import EXIT_INPUT, EXIT_OK, EXIT_RESOURCE, dec12, main, parse_range
 from chaconlab.correlation import autocorrelation
-from chaconlab.tower import cell_width
+from chaconlab.tower import cell_width, locate
+from chaconlab.triadic import TriadicRational
 
 
 def run(tmp_path, *argv):
@@ -101,6 +103,20 @@ class TestCorr:
         code, _ = run(tmp_path, "corr", "--k", "-2", "--n", "3")
         assert code == EXIT_INPUT
 
+    def test_index_cap(self, tmp_path, capsys):
+        code, text = run(tmp_path, "corr", "--k", "1", "--n", "0..1000", "--cap-l", "5")
+        assert (code, text) == (EXIT_RESOURCE, "")
+        assert capsys.readouterr().err == "resource cap: l = 6 exceeds cap 5\n"
+        # n = 3000000 needs l = 666666, over the default l cap
+        assert run(tmp_path, "corr", "--k", "1", "--n", "3000000",
+                   "--cap-n", "3000000")[0] == EXIT_RESOURCE
+        code, text = run(tmp_path, "corr", "--k", "1", "--n", "3000000",
+                         "--cap-n", "3000000", "--cap-l", "700000")
+        assert code == EXIT_OK
+        _, _, rows = csv_rows(text)
+        assert Fraction(int(rows[0][1]), int(rows[0][2])) == autocorrelation(
+            1, 3_000_000, max_n=3_000_000, max_l=700_000)
+
 
 class TestCesaro:
     def test_running_average(self, tmp_path):
@@ -121,6 +137,11 @@ class TestCesaro:
     def test_negative_stage_is_invalid(self, tmp_path):
         code, _ = run(tmp_path, "cesaro", "--k", "-2", "--N-max", "5")
         assert code == EXIT_INPUT
+
+    def test_index_cap(self, tmp_path, capsys):
+        code, text = run(tmp_path, "cesaro", "--k", "1", "--N-max", "100", "--cap-l", "5")
+        assert (code, text) == (EXIT_RESOURCE, "")
+        assert capsys.readouterr().err == "resource cap: l = 6 exceeds cap 5\n"
 
 
 class TestJsetEset:
@@ -265,6 +286,21 @@ class TestPointwise:
         _, _, rows = csv_rows(text)
         offset = Fraction(int(rows[0][2]), int(rows[0][3]))
         assert 0 <= offset < cell_width(3000)
+
+    def test_locate_past_int_digit_limit(self, tmp_path):
+        # the level and the offset at k = 20000 have about 9,500 digits
+        code, text = run(tmp_path, "locate", "0.1", "--k", "20000")
+        assert code == EXIT_OK
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            _, _, rows = csv_rows(text)
+            addr = locate(TriadicRational.parse("0.1"), 20000)
+            assert rows[0][1:4] == [str(addr.level), str(addr.offset.numerator),
+                                    str(addr.offset.denominator)]
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert len(rows[0][1]) > limit
 
     def test_bad_point_is_invalid(self, tmp_path):
         code, _ = run(tmp_path, "locate", "zebra", "--k", "1")

@@ -43,6 +43,15 @@ class TestBalancedTernary:
             assert compute_bl(3 * l + 1) == compute_bl(l) + 1
             assert compute_bl(3 * l + 2) == compute_bl(l + 1) + 1
 
+    def test_weight_counts_nonzero_digits(self):
+        weights = co.support_weights(3 ** 8)
+        assert len(weights) == 3 ** 8 + 1
+        for l in range(3 ** 8 + 1):
+            assert compute_bl(l) == weights[l] == 1 + sum(map(abs, balanced_ternary(l)))
+        assert co.support_weights(0) == [1]
+        with pytest.raises(DomainError):
+            compute_bl(-1)
+
     def test_weight_ratio_bounds(self):
         for l in range(3, 3 ** 8):
             assert compute_bl(l) <= 4 * compute_bl(l // 3)
@@ -97,11 +106,35 @@ class TestSupport:
     def test_increments(self):
         for k in (1, 2):
             h = height(k)
-            idx = co.support_index(k)
-            idx.ensure(3 ** 8)
             for l in range(3 ** 8):
-                assert idx.s[l + 1] - idx.s[l] in (h, h + 1)
-                assert idx.t[l + 1] - idx.t[l] in (h, h + 1)
+                (s0, t0), (s1, t1) = support(k, l), support(k, l + 1)
+                assert s1 - s0 in (h, h + 1)
+                assert t1 - t0 in (h, h + 1)
+
+    def test_matches_endpoint_recursion(self):
+        # the support-endpoint recursion the closed form replaced: each
+        # support is the hull of the shifted supports of its pieces
+        for k in (0, 1, 2, 3, 5):
+            h = height(k)
+            s, t = [0, h], [0, h + 1]
+            for m in range(2, 3 ** 10 + 1):
+                q, r = divmod(m, 3)
+                if r == 0:
+                    s.append(s[q] + 2 * q * h + q)
+                    t.append(t[q] + 2 * q * h + q)
+                elif r == 1:
+                    s.append(min(s[q] + (2 * q + 1) * h + q, s[q + 1] + 2 * q * h + q))
+                    t.append(max(t[q] + (2 * q + 1) * h + q + 1, t[q + 1] + 2 * q * h + q))
+                else:
+                    s.append(min(s[q] + (2 * q + 2) * h + q + 1,
+                                 s[q + 1] + (2 * q + 1) * h + q))
+                    t.append(max(t[q] + (2 * q + 2) * h + q + 1,
+                                 t[q + 1] + (2 * q + 1) * h + q + 1))
+            assert [support(k, l) for l in range(3 ** 10 + 1)] == list(zip(s, t))
+
+    def test_rejects_negative_index(self):
+        with pytest.raises(DomainError):
+            support(1, -1)
 
 
 class TestFindPn:
@@ -122,6 +155,36 @@ class TestFindPn:
                 if pn:
                     s, t = support(k, pn[0] - 1) if pn[0] else (0, 0)
                     assert pn[0] == 0 or not s <= n <= t
+
+    def test_matches_closed_form_condition(self):
+        # P_n = {l : |2n - l(2h_k+1)| <= b_l - 1}: each l can only be in P_n
+        # for the n within b_l of l(2h_k+1)/2, and b_l <= 12 for l < 3^10
+        n_max = 3 ** 9
+        for k in (1, 2):
+            h = height(k)
+            pn = {n: [] for n in range(n_max + 1)}
+            for l in range(2 * n_max // (2 * h + 1) + 4):
+                b, mid = compute_bl(l), l * (2 * h + 1) // 2
+                for n in range(max(mid - b, 0), min(mid + b, n_max) + 1):
+                    if abs(2 * n - l * (2 * h + 1)) <= b - 1:
+                        pn[n].append(l)
+            assert all(find_Pn(k, n) == pn[n] for n in range(n_max + 1))
+
+    def test_far_runs_match_mass_recursion(self):
+        # near 3^30 the run holds exactly the l whose d_l' covers n
+        rng = random.Random(30)
+        cap = 3 ** 31
+        for _ in range(50):
+            k = rng.choice((0, 1, 2, 3))
+            n = 3 ** 30 + rng.randrange(3 ** 20)
+
+            def covers(l):
+                d = compute_dl(k, l, max_l=cap)
+                return d.start <= n <= d.end
+
+            run = co._support_run(k, n, n)
+            assert all(covers(l) for l in run)
+            assert not covers(run.start - 1) and not covers(run.stop)
 
     def test_size_upper_bound(self):
         # |P_n| < b_m / (h_k - 1/2) + 1 for every m in P_n
@@ -166,11 +229,11 @@ class TestAutocorrelation:
             mu_Ak(-2)
 
 
-def reference_correlation(k, n):
+def reference_correlation(k, n, max_l=co.DEFAULT_MAX_L):
     """c_k(n) as a per-n Fraction sum over the masses of each d_l' covering n."""
     total = Fraction(0)
     for l in find_Pn(k, n):
-        d = compute_dl(k, l)
+        d = compute_dl(k, l, max_l)
         total += d.masses[n - d.start]
     return mu_Ak(k) * total
 
@@ -191,6 +254,13 @@ class TestCorrelationSeries:
     def test_cap_and_domain(self):
         with pytest.raises(SizeError):
             correlation_series(1, 0, 1000, max_n=500)
+        with pytest.raises(SizeError, match="l = 6 exceeds cap 5"):
+            correlation_series(1, 0, 1000, max_l=5)
+        with pytest.raises(SizeError, match="l = 6 exceeds cap 5"):
+            cesaro(1, 1000, max_l=5)
+        n = 3_000_000
+        assert correlation_series(1, n, n, max_n=n, max_l=n) == [
+            reference_correlation(1, n, max_l=n)]
         with pytest.raises(DomainError):
             correlation_series(1, -1, 10)
 

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from chaconlab import checks
-from chaconlab.correlation import autocorrelation, compute_bl, support, support_index
+from chaconlab.correlation import autocorrelation, compute_bl, compute_dl, support
 from chaconlab.exceptional import (
     BoundSpec,
     HFunction,
@@ -178,6 +178,21 @@ class TestBuildJk:
         with pytest.raises(DomainError):
             build_Jk(0, HFunction.linear(), 100)
 
+    def test_matches_mass_recursion_supports(self):
+        for h in (HFunction.linear(), HFunction.log(), HFunction.power(0.5)):
+            for k in (1, 2, 3):
+                for t_max in (2, 8, 9, 80, 81, 300, 729):
+                    pieces = []
+                    big_n = 1
+                    while 3 ** big_n <= t_max:
+                        threshold = math.log(big_n) ** 2 * h(big_n)
+                        for t in range(3 ** big_n, 3 ** (big_n + 1) + 1):
+                            if compute_bl(t) < threshold:
+                                d = compute_dl(k, t)
+                                pieces.append((d.start, d.end))
+                        big_n += 1
+                    assert build_Jk(k, h, t_max) == IntegerIntervalSet(pieces), (h.name, k, t_max)
+
     def test_members_carry_positive_correlation(self):
         jk = build_Jk(1, HFunction.linear(), 81)
         pts = [n for n in jk.iter_points() if n <= 400]
@@ -225,11 +240,17 @@ class TestEnumerateEk:
     def test_gap_existence(self):
         for k in (1, 2, 3):
             hk = height(k)
-            idx = support_index(k)
-            idx.ensure(3 ** 6 + 1)
             for l in range(3 ** 6 + 1):
                 if compute_bl(l) <= hk - 2:
-                    assert idx.s[l + 1] - idx.t[l] >= 2, (k, l)
+                    assert support(k, l + 1)[0] - support(k, l)[1] >= 2, (k, l)
+
+    def test_matches_mass_recursion_supports(self):
+        for k in (0, 1, 2, 3):
+            for l_max in (0, 1, 5, 30, 243, 1000):
+                dists = [compute_dl(k, l) for l in range(l_max + 1)]
+                gaps = IntegerIntervalSet((d.end + 1, e.start - 1)
+                                          for d, e in zip(dists, dists[1:]))
+                assert enumerate_Ek(k, l_max) == (gaps, dists[-1].start)
 
 
 class TestBounds:

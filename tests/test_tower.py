@@ -94,6 +94,30 @@ class TestLocate:
         with pytest.raises(DomainError):
             locate(T(1, 3), -1)
 
+    def test_matches_fraction_loop(self):
+        def reference(x, k):
+            q = x.as_fraction()
+            level, offset = (0, q) if q < Fraction(2, 3) else (None, q - Fraction(2, 3))
+            for j in range(1, k + 1):
+                w = cell_width(j)
+                hp = height(j - 1)
+                if level is None:
+                    if offset < w:
+                        level = 2 * hp
+                    else:
+                        offset -= w
+                else:
+                    third, offset = divmod(offset, w)
+                    level += (0, hp, 2 * hp + 1)[third]
+            return TowerAddress(k, level, offset)
+
+        rng = random.Random(5)
+        for _ in range(3000):
+            e = rng.randint(1, 40)
+            x = TriadicRational.from_fraction(Fraction(rng.randrange(3 ** e), 3 ** e))
+            k = rng.randint(0, 30)
+            assert locate(x, k) == reference(x, k)
+
 
 def stage_image(x, k):
     """tau_k(x): the one-step translation at stage k, or None where undefined."""
