@@ -198,6 +198,8 @@ def cmd_extract(args, out: Output) -> int:
             if len(parts) < 2:
                 raise InputError(f"line {lineno}: expected columns n, a [, b [, c]]")
             n = int(parts[0])
+            if n in ns:
+                raise InputError(f"line {lineno}: repeated n = {n}")
             ns[n] = parse_value(parts[1], lineno)
             if len(parts) > 2 and parts[2].strip():
                 bs[n] = parse_value(parts[2], lineno)

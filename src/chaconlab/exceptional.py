@@ -198,6 +198,10 @@ class ExtractionResult:
     level_sets: list[IntegerIntervalSet]  # J_k for the same k range
 
 
+def _fractions(xs: Sequence) -> list[Fraction]:
+    return [x if isinstance(x, Fraction) else Fraction(x) for x in xs]
+
+
 def extract_exceptional(a: Sequence, b: Sequence, c: Sequence, n_max: int,
                         k_max: int = 32) -> ExtractionResult:
     """Construct the exceptional set from a deviation sequence and its rates.
@@ -207,47 +211,70 @@ def extract_exceptional(a: Sequence, b: Sequence, c: Sequence, n_max: int,
     level sets are {j : a_j > 1/k}; each threshold l_k is the minimal window
     start from which the normalized count stays below 1/k (certified on the
     finite window only).
+
+    Every comparison is made on integers.  a_j = p/q > 1/k exactly when
+    k >= q//p + 1, so one sort of a gives every level set.  For n >= 1 with
+    c_n > 0, c_n * cnt * k <= n * b_n exactly when
+    cnt * k <= floor(n * b_n / c_n), because cnt * k is an integer; c_n <= 0
+    always passes, since n * b_n >= 0 once the Cesaro bound holds.  At n = 0
+    the test is cnt == 0.
     """
-    av = [Fraction(x) for x in a[: n_max + 1]]
-    bv = [Fraction(x) for x in b[: n_max + 1]]
-    cv = [Fraction(x) for x in c[: n_max + 1]]
+    av = _fractions(a[: n_max + 1])
+    bv = _fractions(b[: n_max + 1])
+    cv = _fractions(c[: n_max + 1])
     if len(av) != n_max + 1 or len(bv) != n_max + 1 or len(cv) != n_max + 1:
         raise InputError(f"sequences must cover indices 0..{n_max}")
-    if any(x < 0 for x in av):
+    if any(x.numerator < 0 for x in av):
         raise InputError("deviation sequence has a negative entry")
+    b_num = [x.numerator for x in bv]
+    b_den = [x.denominator for x in bv]
     running = Fraction(0)
     for n in range(1, n_max + 1):
-        running += av[n - 1]
-        if running > n * bv[n]:
+        if av[n - 1]:
+            running += av[n - 1]
+        if running.numerator * b_den[n] > n * b_num[n] * running.denominator:
             raise InputError(f"Cesaro bound violated at n={n}: mean {running / n} > {bv[n]}")
+    c_num = [x.numerator for x in cv]
+    c_den = [x.denominator for x in cv]
     for n in range(1, n_max + 1):
-        if cv[n] > cv[n - 1]:
+        if c_num[n] * c_den[n - 1] > c_num[n - 1] * c_den[n]:
             raise InputError(f"c is not decreasing at n={n}")
+
+    # cap_0 = 0 turns cnt * k <= cap_0 into cnt == 0
+    caps = [0] + [n * b_num[n] * c_den[n] // (b_den[n] * c_num[n]) if c_num[n] > 0 else math.inf
+                  for n in range(1, n_max + 1)]
+    # (first k with a_j * k > 1, j) for every j that enters some level set,
+    # popped from the end in increasing order
+    entries = sorted(((x.denominator // x.numerator + 1, j)
+                      for j, x in enumerate(av) if x.numerator), reverse=True)
 
     thresholds: list[int] = []
     level_sets: list[IntegerIntervalSet] = []
+    members: list[int] = []        # J_k, increasing
+    jk = IntegerIntervalSet()
     prev_l = 0
     for k in range(1, k_max + 1):
-        jk = IntegerIntervalSet.from_points(
-            j for j, x in enumerate(av) if x * k > 1
-        )
-        # minimal start so the normalized count stays <= 1/k through the window
-        lk = None
-        ok_from = n_max + 1
-        for n in range(n_max, -1, -1):
-            cnt = jk.count(n)
-            if n == 0:
-                good = cnt == 0
-            else:
-                good = cv[n] * cnt * k <= n * bv[n]
-            if good:
-                ok_from = n
-            else:
+        fresh = []
+        while entries and entries[-1][0] <= k:
+            fresh.append(entries.pop()[1])
+        if fresh:
+            members = sorted(members + fresh)
+            jk = IntegerIntervalSet.from_points(members)
+        # minimal start so the normalized count stays <= 1/k through the
+        # window: walk the members down from the top; cnt = |J_k ∩ [0, n]|
+        # is constant on [members[cnt - 1], hi], and cnt = 0 always passes
+        ok_from = 0
+        hi = n_max
+        for cnt in range(len(members), 0, -1):
+            lo = members[cnt - 1]
+            bound = cnt * k
+            if min(caps[lo:hi + 1]) < bound:
+                ok_from = next(n for n in range(hi, lo - 1, -1) if caps[n] < bound) + 1
                 break
-        if ok_from <= n_max:
-            lk = max(ok_from, prev_l)
-        if lk is None:
+            hi = lo - 1
+        if ok_from > n_max:
             break
+        lk = max(ok_from, prev_l)
         thresholds.append(lk)
         level_sets.append(jk)
         prev_l = lk

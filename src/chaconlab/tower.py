@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import islice
 
 from .triadic import DomainError, TernaryWord, TriadicInterval, TriadicRational, translate
 
@@ -78,55 +79,66 @@ class TowerAddress:
         return self.level is None
 
 
-def locate(x: TriadicRational, k: int) -> TowerAddress:
-    """Find the stage-k level (or spacer reservoir) containing x.
+def _addresses(x: TriadicRational):
+    """Yield (k, h_k, level, offset) for the stages k = 0, 1, 2, ... in turn.
 
-    Offsets and cell widths are integers over 3^max(k+1, m) for x = p/3^m.
+    level is None in the spacer reservoir; offset is an integer over
+    3^max(k+1, m) for x = p/3^m, so from stage m on each step refines the
+    unit by 3 and the cell width stays 2 units.
     """
-    if k < 0:
-        raise DomainError(f"stage {k} < 0")
-    den = 3 ** max(k + 1, x.exponent)
-    offset = x.numerator * (den // 3 ** x.exponent)
+    m = x.exponent
+    den = 3 ** max(1, m)
+    offset = x.numerator * (den // 3 ** m)
     w = 2 * den // 3
     level, offset = (0, offset) if offset < w else (None, offset - w)
-    hp = 1
-    for _ in range(k):
-        # stage j: w is the stage-j cell width, hp the stage-(j-1) height
-        w //= 3
+    k, h = 0, 1
+    while True:
+        yield k, h, level, offset
+        # to stage k + 1: w becomes its cell width, h is still h_k
+        if k + 1 < m:
+            w //= 3
+        else:
+            offset *= 3
         if level is None:
-            # the stage-(j-1) reservoir splits into the inserted spacer piece
-            # and the stage-j reservoir
+            # the stage-k reservoir splits into the inserted spacer piece and
+            # the stage-(k+1) reservoir
             if offset < w:
-                level = 2 * hp
+                level = 2 * h
             else:
                 offset -= w
         else:
             third, offset = divmod(offset, w)
-            level += (0, hp, 2 * hp + 1)[third]
-        hp = 3 * hp + 1
-    return TowerAddress(k, level, Fraction(offset, den))
+            level += (0, h, 2 * h + 1)[third]
+        k, h = k + 1, 3 * h + 1
+
+
+def locate(x: TriadicRational, k: int) -> TowerAddress:
+    """Find the stage-k level (or spacer reservoir) containing x."""
+    if k < 0:
+        raise DomainError(f"stage {k} < 0")
+    _, _, level, offset = next(islice(_addresses(x), k, None))
+    return TowerAddress(k, level, Fraction(offset, 3 ** max(k + 1, x.exponent)))
+
+
+def _step(x: TriadicRational, up: int, depth_cap: int, name: str) -> TriadicRational:
+    """x moved one level up (up = 1) or down (up = -1) at the first stage where
+    its level has a neighbour that way, in one walk over the stages."""
+    for k, h, level, offset in islice(_addresses(x), depth_cap + 1):
+        if level is None or level == (h - 1 if up > 0 else 0):
+            continue
+        target = _level_start(k, level + up) + Fraction(offset, 3 ** max(k + 1, x.exponent))
+        return translate(x, target - x.as_fraction())
+    raise DepthExceededError(f"{name}({x}) undefined within {depth_cap} stages")
 
 
 def apply_T(x: TriadicRational, depth_cap: int = DEFAULT_DEPTH_CAP) -> TriadicRational:
     """One forward step of the Chacon transformation at a triadic point."""
-    for k in range(depth_cap + 1):
-        addr = locate(x, k)
-        if addr.in_spacer_remainder or addr.level == height(k) - 1:
-            continue
-        target = _level_start(k, addr.level + 1)
-        return translate(x, target + addr.offset - x.as_fraction())
-    raise DepthExceededError(f"T({x}) undefined within {depth_cap} stages")
+    return _step(x, 1, depth_cap, "T")
 
 
 def apply_T_inverse(x: TriadicRational, depth_cap: int = DEFAULT_DEPTH_CAP) -> TriadicRational:
     """One backward step; x = 0 has no triadic preimage and hits the depth cap."""
-    for k in range(depth_cap + 1):
-        addr = locate(x, k)
-        if addr.in_spacer_remainder or addr.level == 0:
-            continue
-        target = _level_start(k, addr.level - 1)
-        return translate(x, target + addr.offset - x.as_fraction())
-    raise DepthExceededError(f"T^-1({x}) undefined within {depth_cap} stages")
+    return _step(x, -1, depth_cap, "T^-1")
 
 
 def apply_T_power(x: TriadicRational, n: int, depth_cap: int = DEFAULT_DEPTH_CAP) -> TriadicRational:

@@ -1,5 +1,7 @@
+import hashlib
 import json
 import math
+import random
 import sys
 from fractions import Fraction
 
@@ -259,6 +261,39 @@ class TestExtract:
     def test_missing_file_is_invalid(self, tmp_path):
         code, _ = run(tmp_path, "extract", str(tmp_path / "absent.csv"))
         assert code == EXIT_INPUT
+
+    def test_repeated_index_is_invalid(self, tmp_path, capsys):
+        series = tmp_path / "series.csv"
+        for rows, line in (("0,0\n1,1\n1,0\n2,0", 4), ("0,0\n1,0\n2,0\n1,1", 5)):
+            series.write_text(f"n,a\n{rows}\n", encoding="utf-8")
+            code, _ = run(tmp_path, "extract", str(series))
+            assert code == EXIT_INPUT
+            err = capsys.readouterr().err
+            assert f"line {line}" in err and "repeated n = 1" in err
+
+    def test_output_pinned(self, tmp_path, capsys):
+        # the extractor input form of the exceptional benchmark, on 2^11 points:
+        # a is zero but at n/16 seeded spikes 1/d, d = 1..32; b = (sum_{j<n} a_j + 1)/n;
+        # c = the binary64 values of 1/log(n + 2)
+        rng = random.Random("extract-pinned")
+        n_points = 2 ** 11
+        a = [Fraction(0)] * n_points
+        for i, n in enumerate(rng.sample(range(n_points), n_points // 16)):
+            a[n] = Fraction(1, 1 + i % 32)
+        b, total = [Fraction(1)], Fraction(0)
+        for n in range(1, n_points):
+            total += a[n - 1]
+            b.append((total + 1) / n)
+        lines = ["n,a,b,c"] + [f"{n},{a[n]},{b[n]},{Fraction(1 / math.log(n + 2))}"
+                               for n in range(n_points)]
+        series = tmp_path / "series.csv"
+        series.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        capsys.readouterr()
+        assert main(["extract", str(series)]) == EXIT_OK
+        out = capsys.readouterr().out
+        # recorded at commit 28b6eb4, the last one with the Fraction extractor
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
+            "4698535898a5527ece2724deeaa392edc2672846282761405daf482d5d90824d")
 
 
 class TestPointwise:

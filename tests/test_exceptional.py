@@ -8,6 +8,7 @@ from chaconlab import checks
 from chaconlab.correlation import autocorrelation, compute_bl, compute_dl, support
 from chaconlab.exceptional import (
     BoundSpec,
+    ExtractionResult,
     HFunction,
     InputError,
     IntegerIntervalSet,
@@ -162,6 +163,189 @@ class TestExtractor:
     def test_rejects_short_sequences(self):
         with pytest.raises(InputError):
             extract_exceptional([Fraction(0)], [Fraction(1)], [Fraction(1)], 5)
+
+
+def reference_extract(a, b, c, n_max: int, k_max: int = 32) -> ExtractionResult:
+    """The Fraction extractor of commit 28b6eb4, verbatim: the reference for the
+    integer one."""
+    av = [Fraction(x) for x in a[: n_max + 1]]
+    bv = [Fraction(x) for x in b[: n_max + 1]]
+    cv = [Fraction(x) for x in c[: n_max + 1]]
+    if len(av) != n_max + 1 or len(bv) != n_max + 1 or len(cv) != n_max + 1:
+        raise InputError(f"sequences must cover indices 0..{n_max}")
+    if any(x < 0 for x in av):
+        raise InputError("deviation sequence has a negative entry")
+    running = Fraction(0)
+    for n in range(1, n_max + 1):
+        running += av[n - 1]
+        if running > n * bv[n]:
+            raise InputError(f"Cesaro bound violated at n={n}: mean {running / n} > {bv[n]}")
+    for n in range(1, n_max + 1):
+        if cv[n] > cv[n - 1]:
+            raise InputError(f"c is not decreasing at n={n}")
+
+    thresholds: list[int] = []
+    level_sets: list[IntegerIntervalSet] = []
+    prev_l = 0
+    for k in range(1, k_max + 1):
+        jk = IntegerIntervalSet.from_points(
+            j for j, x in enumerate(av) if x * k > 1
+        )
+        # minimal start so the normalized count stays <= 1/k through the window
+        lk = None
+        ok_from = n_max + 1
+        for n in range(n_max, -1, -1):
+            cnt = jk.count(n)
+            if n == 0:
+                good = cnt == 0
+            else:
+                good = cv[n] * cnt * k <= n * bv[n]
+            if good:
+                ok_from = n
+            else:
+                break
+        if ok_from <= n_max:
+            lk = max(ok_from, prev_l)
+        if lk is None:
+            break
+        thresholds.append(lk)
+        level_sets.append(jk)
+        prev_l = lk
+
+    pieces: list[tuple[int, int]] = []
+    for i, jk in enumerate(level_sets):
+        lo = thresholds[i]
+        hi = thresholds[i + 1] if i + 1 < len(thresholds) else n_max
+        pieces.extend(jk.clip(lo, hi).intervals)
+    return ExtractionResult(IntegerIntervalSet(pieces), thresholds, level_sets)
+
+
+def extraction(fn, a, b, c, n_max, k_max):
+    """(thresholds, level sets, exceptional set), or the InputError message."""
+    try:
+        res = fn(a, b, c, n_max, k_max)
+    except InputError as exc:
+        return str(exc)
+    return res.thresholds, res.level_sets, res.exceptional
+
+
+def random_deviation(rng):
+    kind = rng.choice(("zero", "zero", "unit", "at-least-one", "rational", "float", "int"))
+    if kind == "zero":
+        return rng.choice((0, 0.0, Fraction(0)))
+    if kind == "unit":
+        return Fraction(1, rng.randint(1, 40))       # a_j * k > 1 is strict at k = 1/a_j
+    if kind == "at-least-one":
+        return Fraction(rng.randint(3, 12), rng.randint(1, 3))
+    if kind == "rational":
+        return Fraction(rng.randint(1, 50), rng.randint(1, 500))
+    if kind == "float":
+        return rng.choice((0.5, 0.25, 0.1, 1.5, 1 / 3, 2.0))
+    return rng.randint(1, 3)
+
+
+def random_series(rng, n_max: int):
+    """a of mixed types, b just above the running means, c nonincreasing."""
+    a = [random_deviation(rng) for _ in range(n_max + 1)]
+    slack = rng.choice((Fraction(0), Fraction(1, rng.randint(1, 50)), Fraction(rng.randint(1, 4))))
+    b, total = [rng.choice((0, 1, Fraction(1, 2)))], Fraction(0)
+    for n in range(1, n_max + 1):
+        total += Fraction(a[n - 1])
+        bound = total / n + slack * Fraction(rng.randint(0, 8), 8)
+        # a float at or above the bound, on a 2^-10 grid, or the bound itself
+        b.append(math.ceil(bound * 1024) / 1024 if rng.random() < 0.3 else bound)
+    form = rng.choice(("harmonic", "log", "crossing", "steps", "const"))
+    if form == "harmonic":
+        c = [Fraction(1, n + 2) for n in range(n_max + 1)]
+    elif form == "log":
+        c = [1 / math.log(n + 2) for n in range(n_max + 1)]
+    elif form == "crossing":
+        # reaches 0 at n = t, negative after
+        t = rng.randint(1, n_max + 1)
+        c = [Fraction(t - n, t) for n in range(n_max + 1)]
+    elif form == "steps":
+        c = [max(3 - n // 40, -2) for n in range(n_max + 1)]
+    else:
+        c = [Fraction(1, 7)] * (n_max + 1)
+    return a, b, c
+
+
+class TestExtractorMatchesReference:
+    K_MAX = (1, 8, 32)
+
+    def check(self, a, b, c, n_max, k_max):
+        expected = extraction(reference_extract, a, b, c, n_max, k_max)
+        assert extraction(extract_exceptional, a, b, c, n_max, k_max) == expected
+        return expected
+
+    def test_random_series(self):
+        rng = random.Random(41)
+        seen = {"early-break": 0, "nonpositive-c": 0, "nonzero-threshold": 0}
+        for case in range(150):
+            n_max = rng.choice((0, 1, 2, rng.randint(3, 300), rng.randint(3, 300)))
+            a, b, c = random_series(rng, n_max)
+            for k_max in self.K_MAX:
+                thresholds, level_sets, _ = self.check(a, b, c, n_max, k_max)
+                seen["early-break"] += 0 < len(thresholds) < k_max
+                seen["nonzero-threshold"] += any(thresholds)
+            seen["nonpositive-c"] += Fraction(c[-1]) <= 0
+        assert all(seen.values()), seen
+
+    def test_exact_unit_values(self):
+        n_max = 60
+        a = [Fraction(1, 1 + j % 8) if j % 3 == 0 else 0 for j in range(n_max + 1)]
+        b = [1] * (n_max + 1)
+        c = [Fraction(1, n + 2) for n in range(n_max + 1)]
+        for k_max in self.K_MAX:
+            _, level_sets, _ = self.check(a, b, c, n_max, k_max)
+            # a_j = 1/k is not in J_k
+            for k, jk in enumerate(level_sets, 1):
+                assert all(a[j] * k > 1 for j in jk.iter_points())
+                assert all(j in jk for j in range(n_max + 1) if a[j] * k > 1)
+
+    def test_large_deviations_and_zero_series(self):
+        for n_max in (0, 1, 7, 200):
+            for a in ([0] * (n_max + 1), [Fraction(5, 2)] * (n_max + 1),
+                      [1.0, 0, 3] * (n_max // 3) + [1] * (n_max % 3 + 1)):
+                b = [3] * (n_max + 1)
+                for c in ([Fraction(1, n + 2) for n in range(n_max + 1)],
+                          [Fraction(10 - n, 10) for n in range(n_max + 1)], [0] * (n_max + 1)):
+                    for k_max in self.K_MAX:
+                        self.check(a, b, c, n_max, k_max)
+
+    def test_early_break(self):
+        # a large value near the end of the window fails at n_max from some k on
+        n_max = 100
+        a = [0] * n_max + [Fraction(1, 3)]
+        b = [Fraction(1, 300)] * (n_max + 1)
+        c = [1] * (n_max + 1)
+        thresholds, _, _ = self.check(a, b, c, n_max, 32)
+        assert len(thresholds) == 3
+
+    def test_one_point_window(self):
+        for a0, expected in ((0, [0] * 8), (Fraction(1, 8), [0] * 8), (Fraction(1, 4), [0] * 4),
+                             (2, [])):
+            thresholds, _, _ = self.check([a0], [1], [1], 0, 8)
+            assert thresholds == expected
+
+    def test_same_errors(self):
+        rng = random.Random(43)
+        kinds = set()
+        for case in range(60):
+            n_max = rng.randint(1, 120)
+            a, b, c = random_series(rng, n_max)
+            n = rng.randint(1, n_max)
+            corruption = case % 3
+            if corruption == 0:
+                a[n - 1] = -Fraction(1, rng.randint(1, 9))
+            elif corruption == 1:
+                b[n] = -Fraction(1, rng.randint(1, 9))
+            else:
+                c[n] = Fraction(c[n - 1]) + Fraction(1, rng.randint(1, 9))
+            expected = self.check(a, b, c, n_max, 8)
+            assert isinstance(expected, str)
+            kinds.add(expected.split(" ")[0])
+        assert kinds == {"deviation", "Cesaro", "c"}
 
 
 class TestBuildJk:

@@ -6,6 +6,7 @@ import pytest
 
 from chaconlab import checks
 from chaconlab.tower import (
+    DEFAULT_DEPTH_CAP,
     DepthExceededError,
     TowerAddress,
     apply_T,
@@ -20,7 +21,7 @@ from chaconlab.tower import (
     lth_return_time,
     lth_return_time_orbit,
 )
-from chaconlab.triadic import DomainError, TernaryWord, TriadicInterval, TriadicRational
+from chaconlab.triadic import DomainError, TernaryWord, TriadicInterval, TriadicRational, translate
 
 
 def T(num, den):
@@ -124,7 +125,6 @@ def stage_image(x, k):
     addr = locate(x, k)
     if addr.in_spacer_remainder or addr.level == height(k) - 1:
         return None
-    from chaconlab.triadic import translate
     target = level_interval(k, addr.level + 1).start
     return translate(x, target + addr.offset - x.as_fraction())
 
@@ -174,6 +174,44 @@ class TestApplyT:
     def test_inverse_of_zero_exceeds_depth(self):
         with pytest.raises(DepthExceededError):
             apply_T_inverse(TriadicRational(0, 0), depth_cap=20)
+        with pytest.raises(DepthExceededError, match=r"^T\^-1\(0/3\^0\) undefined within 64 stages$"):
+            apply_T_inverse(TriadicRational(0, 0))
+
+    def test_matches_per_stage_loop(self):
+        # the stage search as it was: locate afresh at every stage tried
+        def reference(x, step, depth_cap=DEFAULT_DEPTH_CAP):
+            for k in range(depth_cap + 1):
+                addr = locate(x, k)
+                edge = height(k) - 1 if step > 0 else 0
+                if addr.in_spacer_remainder or addr.level == edge:
+                    continue
+                target = level_interval(k, addr.level + step).start
+                return translate(x, target + addr.offset - x.as_fraction())
+            raise DepthExceededError(f"{'T' if step > 0 else 'T^-1'}({x}) undefined "
+                                     f"within {depth_cap} stages")
+
+        def outcome(fn, *args):
+            try:
+                return fn(*args)
+            except DepthExceededError as exc:
+                return str(exc)
+
+        rng = random.Random(23)
+        points = []
+        for _ in range(3000):
+            e = rng.randint(1, 40)
+            points.append(T(rng.randrange(3 ** e), 3 ** e))
+        # 1 - 3^-m resolves at stage m; past the cap it raises
+        points += [T(3 ** m - 1, 3 ** m) for m in range(1, 41)]
+        points += [T(3 ** m - 1, 3 ** m) for m in (64, 65, 70)]
+        points += [TriadicRational(0, 0), T(1, 3 ** 40), T(2, 3)]
+        for x in points:
+            assert outcome(apply_T, x) == outcome(reference, x, 1)
+            assert outcome(apply_T_inverse, x) == outcome(reference, x, -1)
+        for cap in (0, 1, 5):
+            for x in points[-50:]:
+                assert outcome(apply_T, x, cap) == outcome(reference, x, 1, cap)
+                assert outcome(apply_T_inverse, x, cap) == outcome(reference, x, -1, cap)
 
 
 class TestInducedDynamics:
