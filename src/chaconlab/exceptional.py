@@ -374,15 +374,13 @@ class BoundSpec:
 
     Forms: 'upper'  C * [h(n)] * (log n)^((log log n)^2 h(n))
            'lower'  C * (log n)^t
-           'power'  C * n^(1 - alpha)
-           'nlog'   C * n * (log n)^(-a)
     """
 
     form: str
     constant: float
     h: HFunction | None = None
     include_h_factor: bool = False
-    exponent: float = 0.0        # t, alpha, or a depending on form
+    exponent: float = 0.0        # t of the lower form
     provenance: str = "unspecified"
 
     def evaluate(self, n: int) -> float:
@@ -404,10 +402,6 @@ class BoundSpec:
                 return value
             if self.form == "lower":
                 return self.constant * ln ** self.exponent
-            if self.form == "power":
-                return self.constant * float(n) ** (1 - self.exponent)
-            if self.form == "nlog":
-                return self.constant * n * ln ** (-self.exponent)
         except OverflowError:
             return math.inf
         raise DomainError(f"unknown bound form {self.form!r}")

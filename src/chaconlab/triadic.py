@@ -1,8 +1,9 @@
-"""Exact arithmetic on triadic rationals, ternary words, and triadic interval sets.
+"""Exact triadic rationals, ternary words, and unions of triadic intervals.
 
 Everything here is exact: points of [0,1) with denominator a power of 3,
 their ternary digit expansions, and finite disjoint unions of half-open
-intervals with triadic endpoints.  No floating point anywhere.
+intervals with triadic endpoints, kept in canonical form as the input of
+the oracles.  No floating point anywhere.
 """
 
 from __future__ import annotations
@@ -82,18 +83,6 @@ class TriadicRational:
     def as_fraction(self) -> Fraction:
         return Fraction(self.numerator, 3 ** self.exponent)
 
-    def to_word(self, length: int | None = None) -> "TernaryWord":
-        """Ternary expansion 0.a1...am with m = length (>= exponent)."""
-        m = self.exponent if length is None else length
-        if m < self.exponent:
-            raise DomainError(f"length {m} < exponent {self.exponent}")
-        n = self.numerator * 3 ** (m - self.exponent)
-        digits = []
-        for _ in range(m):
-            n, d = divmod(n, 3)
-            digits.append(d)
-        return TernaryWord(tuple(reversed(digits)))
-
     def __str__(self) -> str:
         return f"{self.numerator}/3^{self.exponent}"
 
@@ -128,14 +117,6 @@ def normalize(numerator: int, exponent: int) -> TriadicRational:
     if numerator == 0:
         exponent = 0
     return TriadicRational(numerator, exponent)
-
-
-def translate(x: TriadicRational, d: Fraction | int) -> TriadicRational:
-    """x + d, exact.  d must have a power-of-3 denominator; result must stay in [0,1)."""
-    d = Fraction(d)
-    if not is_triadic(d):
-        raise DomainError(f"translation amount {d} is not triadic")
-    return TriadicRational.from_fraction(x.as_fraction() + d)
 
 
 @dataclass(frozen=True)
@@ -185,14 +166,6 @@ class TriadicInterval:
         if not 0 <= self.start < self.end <= 1:
             raise DomainError(f"bad interval [{self.start}, {self.end})")
 
-    @property
-    def length(self) -> Fraction:
-        return self.end - self.start
-
-    def __contains__(self, x) -> bool:
-        q = _coerce(x)
-        return self.start <= q < self.end
-
     def __str__(self) -> str:
         return f"[{self.start}, {self.end})"
 
@@ -214,21 +187,6 @@ class TriadicSet:
     def from_endpoints(cls, pairs: Iterable[tuple]) -> "TriadicSet":
         return cls(TriadicInterval(Fraction(a), Fraction(b)) for a, b in pairs)
 
-    @classmethod
-    def empty(cls) -> "TriadicSet":
-        return cls(())
-
-    @classmethod
-    def full(cls) -> "TriadicSet":
-        return cls((TriadicInterval(Fraction(0), Fraction(1)),))
-
-    def measure(self) -> Fraction:
-        return sum((iv.length for iv in self.intervals), Fraction(0))
-
-    def __contains__(self, x) -> bool:
-        q = _coerce(x)
-        return any(q in iv for iv in self.intervals)
-
     def __eq__(self, other) -> bool:
         return isinstance(other, TriadicSet) and self.intervals == other.intervals
 
@@ -237,36 +195,6 @@ class TriadicSet:
 
     def __bool__(self) -> bool:
         return bool(self.intervals)
-
-    def union(self, other: "TriadicSet") -> "TriadicSet":
-        return TriadicSet(self.intervals + other.intervals)
-
-    def intersection(self, other: "TriadicSet") -> "TriadicSet":
-        out = []
-        for a in self.intervals:
-            for b in other.intervals:
-                lo = max(a.start, b.start)
-                hi = min(a.end, b.end)
-                if lo < hi:
-                    out.append(TriadicInterval(lo, hi))
-        return TriadicSet(out)
-
-    def complement(self) -> "TriadicSet":
-        out = []
-        prev = Fraction(0)
-        for iv in self.intervals:
-            if prev < iv.start:
-                out.append(TriadicInterval(prev, iv.start))
-            prev = iv.end
-        if prev < 1:
-            out.append(TriadicInterval(prev, Fraction(1)))
-        return TriadicSet(out)
-
-    def difference(self, other: "TriadicSet") -> "TriadicSet":
-        return self.intersection(other.complement())
-
-    def symmetric_difference(self, other: "TriadicSet") -> "TriadicSet":
-        return self.difference(other).union(other.difference(self))
 
     def __str__(self) -> str:
         return " ∪ ".join(str(iv) for iv in self.intervals) if self.intervals else "∅"

@@ -9,7 +9,7 @@ import pytest
 
 from chaconlab.cli import EXIT_INPUT, EXIT_OK, EXIT_RESOURCE, dec12, main, parse_range
 from chaconlab.correlation import autocorrelation
-from chaconlab.tower import cell_width, locate
+from chaconlab.tower import locate
 from chaconlab.triadic import TriadicRational
 
 
@@ -320,7 +320,7 @@ class TestPointwise:
         assert code == EXIT_OK
         _, _, rows = csv_rows(text)
         offset = Fraction(int(rows[0][2]), int(rows[0][3]))
-        assert 0 <= offset < cell_width(3000)
+        assert 0 <= offset < Fraction(2, 3 ** 3001)
 
     def test_locate_past_int_digit_limit(self, tmp_path):
         # the level and the offset at k = 20000 have about 9,500 digits
@@ -345,6 +345,49 @@ class TestPointwise:
         for point in ("1/0", "0/0"):
             assert run(tmp_path, "apply-t", point)[0] == EXIT_INPUT
             assert run(tmp_path, "locate", point, "--k", "2")[0] == EXIT_INPUT
+
+    def test_apply_t_past_old_depth_cap(self, tmp_path):
+        # 1 - 3^-70 is the start of the stage-70 spacer piece; T lifts it onto
+        # the right copy's bottom level, 4/3^71
+        x = "2503155504993241601315571986085848/3^70"
+        code, text = run(tmp_path, "apply-t", x)
+        assert code == EXIT_OK
+        _, _, rows = csv_rows(text)
+        assert rows[0][1:3] == ["2503155504993241601315571986085848/3^70", "4/3^71"]
+        code, text = run(tmp_path, "apply-t", "4/3^71", "--n=-1")
+        assert code == EXIT_OK
+        assert csv_rows(text)[2][0][2] == x
+
+    def test_inverse_of_zero_is_resource_exit(self, tmp_path, capsys):
+        assert run(tmp_path, "apply-t", "0", "--n=-1")[0] == EXIT_RESOURCE
+        assert capsys.readouterr().err == "resource cap: T^-1(0/3^0) undefined at every stage\n"
+
+    def test_output_pinned(self, capsys):
+        # 1 - 3^-30 = 205891132094648/3^30; 0.21012 and 1/3^30 keep off 0 going back
+        commands = [
+            ["apply-t", "1/3^1"],
+            ["apply-t", "1/3^1", "--n=-1"],
+            ["apply-t", "5/3^4", "--n", "7"],
+            ["apply-t", "5/3^4", "--n=-7"],
+            ["apply-t", "0.1201", "--n", "40"],
+            ["apply-t", "0.21012", "--n=-40"],
+            ["apply-t", "0", "--n", "7"],
+            ["apply-t", "205891132094648/3^30"],
+            ["apply-t", "205891132094648/3^30", "--n=-1"],
+            ["apply-t", "1/3^30", "--n=-40"],
+            ["apply-t", "0.22", "--n", "40", "--format", "json"],
+            ["locate", "0.1", "--k", "3000"],
+            ["locate", "205891132094648/3^30", "--k", "30"],
+            ["locate", "0.21", "--k", "1"],
+            ["locate", "1/3^30", "--k", "40"],
+        ]
+        capsys.readouterr()
+        for argv in commands:
+            assert main(argv) == EXIT_OK, argv
+        out = capsys.readouterr().out
+        # recorded at commit 619d84d, the last one with the Fraction stage step
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
+            "3102dbf002de945cf63fb0601ea1640ff565cf91bcbc8e97dfd1b35c7a14f65d")
 
     def test_apply_t_power_cap(self, tmp_path):
         assert run(tmp_path, "apply-t", "1/3^1", "--n", "600", "--cap-n", "500")[0] == EXIT_RESOURCE

@@ -453,11 +453,6 @@ class TestBounds:
         spec = BoundSpec("upper", 1.0, h=HFunction.linear())
         assert math.isinf(spec.evaluate(1000))
 
-    def test_power_and_nlog_forms(self):
-        assert BoundSpec("power", 2.0, exponent=0.5).evaluate(100) == pytest.approx(20.0)
-        assert BoundSpec("nlog", 1.0, exponent=1.0).evaluate(100) == pytest.approx(
-            100 / math.log(100))
-
     def test_rejects_small_n_and_unknown_form(self):
         with pytest.raises(DomainError):
             BoundSpec("lower", 1.0, exponent=1.0).evaluate(2)
@@ -466,7 +461,7 @@ class TestBounds:
 
     def test_verify_count_directions(self):
         s = IntegerIntervalSet([(0, 9)])
-        up = verify_count(s, BoundSpec("nlog", 100.0, exponent=1.0), [10, 100])
+        up = verify_count(s, BoundSpec("lower", 100.0, exponent=1.0), [10, 100])
         assert up["pass"] and all(r["pass"] for r in up["grid"])
         low = verify_count(s, BoundSpec("lower", 1.0, exponent=1.0), [10, 100],
                            direction="lower")

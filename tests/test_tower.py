@@ -6,33 +6,35 @@ import pytest
 
 from chaconlab import checks
 from chaconlab.tower import (
-    DEFAULT_DEPTH_CAP,
     DepthExceededError,
     TowerAddress,
+    _level_start,
     apply_T,
     apply_T_inverse,
     apply_T_power,
-    cell_width,
-    first_return,
     height,
-    induced_map,
-    level_interval,
     locate,
-    lth_return_time,
-    lth_return_time_orbit,
 )
-from chaconlab.triadic import DomainError, TernaryWord, TriadicInterval, TriadicRational, translate
+from chaconlab.triadic import DomainError, TernaryWord, TriadicRational
 
 
 def T(num, den):
     return TriadicRational.from_fraction(Fraction(num, den))
 
 
+def cell_width(k):
+    return Fraction(2, 3 ** (k + 1))
+
+
+def level_start(k, j):
+    return Fraction(_level_start(k, j), 3 ** (k + 1))
+
+
 class TestTowerParams:
     def test_small_stages(self):
-        assert (height(0), cell_width(0)) == (1, Fraction(2, 3))
-        assert (height(1), cell_width(1)) == (4, Fraction(2, 9))
-        assert height(2) == 13
+        assert [height(k) for k in range(3)] == [1, 4, 13]
+        # stage 1: left copy, middle copy, spacer piece, right copy; ninths
+        assert [_level_start(1, j) for j in range(4)] == [0, 2, 6, 4]
 
     def test_height_recursion_and_closed_form(self):
         for k in range(1, 12):
@@ -46,28 +48,22 @@ class TestTowerParams:
 
 class TestLevelInterval:
     def test_examples(self):
-        assert (level_interval(1, 0).start, level_interval(1, 0).end) == (
-            Fraction(0), Fraction(2, 9))
-        assert (level_interval(1, 2).start, level_interval(1, 2).end) == (
-            Fraction(2, 3), Fraction(8, 9))
+        assert level_start(1, 0) == 0
+        assert level_start(1, 2) == Fraction(2, 3)
         # inserted spacer piece of stage 2 sits at level 2*h_1 = 8
-        assert (level_interval(2, 8).start, level_interval(2, 8).end) == (
-            Fraction(8, 9), Fraction(26, 27))
+        assert level_start(2, 8) == Fraction(8, 9)
 
     def test_rejects_out_of_range(self):
         with pytest.raises(DomainError):
-            level_interval(1, 4)
+            _level_start(1, 4)
+        with pytest.raises(DomainError):
+            _level_start(1, -1)
 
     def test_levels_and_reservoir_tile_unit_interval(self):
+        # level j is [s, s + 2) over 3^(k+1), the reservoir [3^(k+1) - 1, 3^(k+1))
         for k in range(7):
-            pieces = [level_interval(k, j) for j in range(height(k))]
-            pieces.append(TriadicInterval(1 - Fraction(1, 3 ** (k + 1)), Fraction(1)))
-            pieces.sort(key=lambda iv: iv.start)
-            assert pieces[0].start == 0
-            assert pieces[-1].end == 1
-            for a, b in zip(pieces, pieces[1:]):
-                assert a.end == b.start
-            assert sum((iv.length for iv in pieces), Fraction(0)) == 1
+            starts = sorted(_level_start(k, j) for j in range(height(k)))
+            assert starts == list(range(0, 3 ** (k + 1) - 1, 2))
 
 
 class TestLocate:
@@ -84,12 +80,11 @@ class TestLocate:
             x = TriadicRational.from_fraction(Fraction(rng.randrange(3 ** e), 3 ** e))
             k = rng.randint(0, 6)
             addr = locate(x, k)
-            if addr.in_spacer_remainder:
+            if addr.level is None:
                 assert x.as_fraction() >= 1 - Fraction(1, 3 ** (k + 1))
             else:
-                iv = level_interval(k, addr.level)
-                assert x.as_fraction() in iv
-                assert addr.offset == x.as_fraction() - iv.start
+                assert 0 <= addr.offset < cell_width(k)
+                assert addr.offset == x.as_fraction() - level_start(k, addr.level)
 
     def test_rejects_negative_stage(self):
         with pytest.raises(DomainError):
@@ -120,13 +115,13 @@ class TestLocate:
             assert locate(x, k) == reference(x, k)
 
 
-def stage_image(x, k):
-    """tau_k(x): the one-step translation at stage k, or None where undefined."""
+def stage_image(x, k, step=1):
+    """tau_k(x): the one-step translation at stage k (step = -1: backwards),
+    or None where undefined."""
     addr = locate(x, k)
-    if addr.in_spacer_remainder or addr.level == height(k) - 1:
+    if addr.level is None or addr.level == (height(k) - 1 if step > 0 else 0):
         return None
-    target = level_interval(k, addr.level + 1).start
-    return translate(x, target + addr.offset - x.as_fraction())
+    return TriadicRational.from_fraction(level_start(k, addr.level + step) + addr.offset)
 
 
 class TestApplyT:
@@ -172,93 +167,122 @@ class TestApplyT:
         assert checks.bijective(random.Random(17), 10_000)
 
     def test_inverse_of_zero_exceeds_depth(self):
-        with pytest.raises(DepthExceededError):
-            apply_T_inverse(TriadicRational(0, 0), depth_cap=20)
-        with pytest.raises(DepthExceededError, match=r"^T\^-1\(0/3\^0\) undefined within 64 stages$"):
+        with pytest.raises(DepthExceededError, match=r"^T\^-1\(0/3\^0\) undefined at every stage$"):
             apply_T_inverse(TriadicRational(0, 0))
+        with pytest.raises(DepthExceededError):
+            apply_T_power(T(2, 9), -2)
 
     def test_matches_per_stage_loop(self):
-        # the stage search as it was: locate afresh at every stage tried
-        def reference(x, step, depth_cap=DEFAULT_DEPTH_CAP):
-            for k in range(depth_cap + 1):
-                addr = locate(x, k)
-                edge = height(k) - 1 if step > 0 else 0
-                if addr.in_spacer_remainder or addr.level == edge:
-                    continue
-                target = level_interval(k, addr.level + step).start
-                return translate(x, target + addr.offset - x.as_fraction())
-            raise DepthExceededError(f"{'T' if step > 0 else 'T^-1'}({x}) undefined "
-                                     f"within {depth_cap} stages")
+        # the stage search as it was: locate afresh at every stage up to 200
+        def reference(x, step):
+            for k in range(201):
+                y = stage_image(x, k, step)
+                if y is not None:
+                    return y
+            raise DepthExceededError
 
         def outcome(fn, *args):
             try:
                 return fn(*args)
-            except DepthExceededError as exc:
-                return str(exc)
+            except DepthExceededError:
+                return DepthExceededError
 
         rng = random.Random(23)
         points = []
         for _ in range(3000):
             e = rng.randint(1, 40)
             points.append(T(rng.randrange(3 ** e), 3 ** e))
-        # 1 - 3^-m resolves at stage m; past the cap it raises
-        points += [T(3 ** m - 1, 3 ** m) for m in range(1, 41)]
-        points += [T(3 ** m - 1, 3 ** m) for m in (64, 65, 70)]
+        # 1 - 3^-m resolves at stage m, also past the old depth cap of 64
+        deep = [T(3 ** m - 1, 3 ** m) for m in (64, 65, 70)]
+        points += [T(3 ** m - 1, 3 ** m) for m in range(1, 41)] + deep
         points += [TriadicRational(0, 0), T(1, 3 ** 40), T(2, 3)]
         for x in points:
             assert outcome(apply_T, x) == outcome(reference, x, 1)
             assert outcome(apply_T_inverse, x) == outcome(reference, x, -1)
-        for cap in (0, 1, 5):
-            for x in points[-50:]:
-                assert outcome(apply_T, x, cap) == outcome(reference, x, 1, cap)
-                assert outcome(apply_T_inverse, x, cap) == outcome(reference, x, -1, cap)
+        for x in deep:
+            assert apply_T_inverse(apply_T(x)) == x
+
+
+def point(w, k):
+    """The point 0.w * width(A_k) of the base cell, for a ternary word w."""
+    return TriadicRational.from_fraction(w.to_rational().as_fraction() * cell_width(k))
+
+
+def return_times(x, k, count):
+    """The first `count` times at which iterating apply_T from x enters the base cell."""
+    times, y, n = [], x, 0
+    while len(times) < count:
+        y, n = apply_T(y), n + 1
+        if y.as_fraction() < cell_width(k):
+            times.append(n)
+    return times
+
+
+def first_return(w, k):
+    """Reference digit rule for the first-return time r_k of 0.w: a1 = 0
+    gives h_k, a1 = 1 gives h_k + 1, a1 = 2 reads on; trailing zeros end it."""
+    for d in w.digits:
+        if d < 2:
+            return height(k) + d
+    return height(k)
+
+
+def induced_map(w):
+    """Reference digit rule for the induced map S on the base cell."""
+    d = w.digits
+    if not d or d[0] == 0:
+        return TernaryWord((1,) + d[1:])
+    if d[0] == 1:
+        return TernaryWord((2,) + d[1:])
+    return TernaryWord((0,) + induced_map(TernaryWord(d[1:])).digits)
+
+
+def words(max_length):
+    for length in range(max_length + 1):
+        for digits in itertools.product((0, 1, 2), repeat=length):
+            yield TernaryWord(digits)
 
 
 class TestInducedDynamics:
     def test_first_return_examples(self):
         for k in (1, 2, 3):
             h = height(k)
-            assert first_return(TernaryWord.parse("0"), k) == h
-            assert first_return(TernaryWord.parse("1"), k) == h + 1
-            assert first_return(TernaryWord.parse("21"), k) == h + 1
-            assert first_return(TernaryWord(()), k) == h
+            assert return_times(point(TernaryWord.parse("0"), k), k, 1) == [h]
+            assert return_times(point(TernaryWord.parse("1"), k), k, 1) == [h + 1]
+            assert return_times(point(TernaryWord.parse("21"), k), k, 1) == [h + 1]
+            assert return_times(point(TernaryWord(()), k), k, 1) == [h]
 
     def test_induced_map_examples(self):
-        assert induced_map(TernaryWord.parse("01")) == TernaryWord.parse("11")
-        assert induced_map(TernaryWord.parse("1")) == TernaryWord.parse("2")
-        assert induced_map(TernaryWord.parse("21")) == TernaryWord.parse("02")
+        for k in (1, 2):
+            for w, image in (("01", "11"), ("1", "2"), ("21", "02")):
+                x = point(TernaryWord.parse(w), k)
+                y = apply_T_power(x, return_times(x, k, 1)[0])
+                assert y == point(TernaryWord.parse(image), k)
 
     def test_lth_return_time_examples(self):
         for k in (1, 2):
-            assert lth_return_time(TernaryWord.parse("1202"), 0, k) == 0
-            assert lth_return_time(TernaryWord.parse("0"), 1, k) == height(k)
-            assert lth_return_time(TernaryWord.parse("00"), 3, k) == 3 * height(k) + 1
+            assert return_times(point(TernaryWord.parse("1202"), k), k, 0) == []
+            assert return_times(point(TernaryWord.parse("0"), k), k, 1) == [height(k)]
+            assert return_times(point(TernaryWord.parse("00"), k), k, 3)[2] == 3 * height(k) + 1
 
     def test_recursion_matches_orbit_sum(self):
+        # t_l' as the orbit sum of first-return times along S-iterates
         for k in (1, 2):
-            for length in range(7):
-                for digits in itertools.product((0, 1, 2), repeat=length):
-                    w = TernaryWord(digits)
-                    total = 0
-                    cur = w
-                    for l in range(1, 82):
-                        total += first_return(cur, k)
-                        cur = induced_map(cur)
-                        assert lth_return_time(w, l, k) == total
-                    assert total == lth_return_time_orbit(w, 81, k)
+            for w in words(5):
+                times = return_times(point(w, k), k, 27)
+                total, cur = 0, w
+                for t in times:
+                    total += first_return(cur, k)
+                    cur = induced_map(cur)
+                    assert t == total, (k, w)
 
     def test_first_return_is_minimal(self):
-        # the word addresses the point x = 0.w * width(A_k) of the base cell
         for k in (1, 2):
-            w_cell = Fraction(2, 3 ** (k + 1))
-            for length in range(7):
-                for digits in itertools.product((0, 1, 2), repeat=length):
-                    w = TernaryWord(digits)
-                    r = first_return(w, k)
-                    x = TriadicRational.from_fraction(
-                        w.to_rational().as_fraction() * w_cell)
-                    y = x
-                    for j in range(1, r + 1):
-                        y = apply_T(y)
-                        inside = y.as_fraction() < w_cell
-                        assert inside == (j == r), (k, w, j)
+            w_cell = cell_width(k)
+            for w in words(6):
+                r = first_return(w, k)
+                y = point(w, k)
+                for j in range(1, r + 1):
+                    y = apply_T(y)
+                    inside = y.as_fraction() < w_cell
+                    assert inside == (j == r), (k, w, j)
