@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from typing import Iterable, Sequence
 
 from . import tower
@@ -28,19 +27,7 @@ class SizeError(RuntimeError):
 
 
 # ---------------------------------------------------------------------------
-# balanced ternary
-
-def balanced_ternary(l: int) -> tuple[int, ...]:
-    """Digits a_i in {-1, 0, +1} with l = sum a_i * 3^i, low order first."""
-    if l < 0:
-        raise DomainError(f"l = {l} < 0")
-    digits = []
-    while l:
-        r = (l + 1) % 3 - 1
-        digits.append(r)
-        l = (l - r) // 3
-    return tuple(digits)
-
+# balanced-ternary weights
 
 def compute_bl(l: int) -> int:
     """Support size b_l = 1 + the number of nonzero balanced-ternary digits of l."""
@@ -65,24 +52,6 @@ def support_weights(l_max: int) -> list[int]:
 # ---------------------------------------------------------------------------
 # supports
 
-class SupportIndex:
-    """The memo of the distributions d_l' computed at one stage k, keyed by l."""
-
-    def __init__(self, k: int):
-        self.h = tower.height(k)
-        self.dists: dict[int, ReturnDistribution] = {}
-
-
-_support_indices: dict[int, SupportIndex] = {}
-
-
-def support_index(k: int) -> SupportIndex:
-    idx = _support_indices.get(k)
-    if idx is None:
-        idx = _support_indices[k] = SupportIndex(k)
-    return idx
-
-
 def support(k: int, l: int) -> tuple[int, int]:
     """Support interval [s_l, t_l] of d_l at stage k, in closed form:
     s_l = l*h + (l - b_l + 1)/2 and t_l = l*h + (l + b_l - 1)/2, h = h_k.
@@ -102,7 +71,7 @@ def support(k: int, l: int) -> tuple[int, int]:
       [S+1-d, T-1+d], [S+1, T] and [S, T-1].
     In each case the hull is [S, T].
     """
-    return support_span(support_index(k).h, l, compute_bl(l))
+    return support_span(tower.height(k), l, compute_bl(l))
 
 
 def support_span(h: int, l: int, b: int) -> tuple[int, int]:
@@ -124,7 +93,7 @@ def _support_run(k: int, n_lo: int, n_hi: int) -> range:
     run starts at most floor(2*n_lo/(2h+1)) + 1 and ends after
     floor(2*n_hi/(2h+1)), each end a few steps from there.
     """
-    step = 2 * support_index(k).h + 1
+    step = 2 * tower.height(k) + 1
     lo = 2 * n_lo // step + 1
     while lo and support(k, lo - 1)[1] >= n_lo:
         lo -= 1
@@ -161,11 +130,15 @@ class ReturnDistribution:
     def support_size(self) -> int:
         return len(self.nums)
 
-    @cached_property
+    @property
     def masses(self) -> tuple[Fraction, ...]:
-        """The masses as reduced Fractions, built at most once per distribution."""
+        """The masses as reduced Fractions, built from nums on each read."""
         den = 2 * 3 ** self.e
         return tuple(Fraction(m, den) for m in self.nums)
+
+
+# every d_l' built so far, keyed by (k, l); it lives as long as the process
+_dists: dict[tuple[int, int], ReturnDistribution] = {}
 
 
 def compute_dl(k: int, l: int, max_l: int = DEFAULT_MAX_L) -> ReturnDistribution:
@@ -174,11 +147,10 @@ def compute_dl(k: int, l: int, max_l: int = DEFAULT_MAX_L) -> ReturnDistribution
         raise DomainError(f"l = {l} < 0")
     if l > max_l:
         raise SizeError(f"l = {l} exceeds cap {max_l}")
-    idx = support_index(k)
-    dist = idx.dists.get(l)
+    dist = _dists.get((k, l))
     if dist is not None:
         return dist
-    h = idx.h
+    h = tower.height(k)
     if l == 0:
         dist = ReturnDistribution(k, 0, 0, (2,), 0)
     elif l == 1:
@@ -203,7 +175,7 @@ def compute_dl(k: int, l: int, max_l: int = DEFAULT_MAX_L) -> ReturnDistribution
                 (compute_dl(k, q + 1, max_l), (2 * q + 1) * h + q),
             ]
             dist = _combine(k, l, pieces)
-    idx.dists[l] = dist
+    _dists[k, l] = dist
     return dist
 
 
@@ -262,11 +234,10 @@ def _series_numerators(k: int, n_lo: int, n_hi: int, max_n: int,
     return acc, e_max + k + 1
 
 
-def autocorrelation(k: int, n: int, max_n: int = DEFAULT_MAX_N,
-                    max_l: int = DEFAULT_MAX_L) -> Fraction:
+def autocorrelation(k: int, n: int) -> Fraction:
     """mu(A_k intersect T^-n A_k), exactly, via the integer sum over P_n."""
     n = abs(n)
-    return correlation_series(k, n, n, max_n, max_l)[0]
+    return correlation_series(k, n, n)[0]
 
 
 def cell_correlation(cells_a: Iterable[int], cells_b: Iterable[int], k: int, n: int) -> Fraction:
@@ -274,41 +245,32 @@ def cell_correlation(cells_a: Iterable[int], cells_b: Iterable[int], k: int, n: 
 
     Cells are given by their level numbers m, i.e. A = union of T^m A_k.
     """
-    return sum((autocorrelation(k, n + d) for d in _cell_offsets(cells_a, cells_b, k)),
-               Fraction(0))
-
-
-def _cell_offsets(cells_a: Iterable[int], cells_b: Iterable[int], k: int) -> list[int]:
-    """Level differences m1 - m2 over all cell pairs, each cell checked once."""
     cells_a, cells_b = list(cells_a), list(cells_b)
     h = tower.height(k)
     for m in cells_a + cells_b:
         if not 0 <= m < h:
             raise DomainError(f"cell {m} outside stage-{k} tower")
-    return [m1 - m2 for m1 in cells_a for m2 in cells_b]
+    return sum((autocorrelation(k, n + m1 - m2) for m1 in cells_a for m2 in cells_b),
+               Fraction(0))
 
 
-def cesaro(k: int, big_n: int, cells_a: Sequence[int] | None = None,
-           cells_b: Sequence[int] | None = None,
-           max_n: int = DEFAULT_MAX_N, max_l: int = DEFAULT_MAX_L) -> list[Fraction]:
+def cesaro(k: int, big_n: int, max_n: int = DEFAULT_MAX_N,
+           max_l: int = DEFAULT_MAX_L) -> list[Fraction]:
     """Running averages [C_1, ..., C_N], exact, in one pass, where C_M is
-    (1/M) sum_{n<M} |mu(A intersect T^-n B) - mu(A) mu(B)|; A = B = A_k by default."""
+    (1/M) sum_{n<M} |c_k(n) - mu(A_k)^2|."""
     if big_n < 1:
         raise DomainError(f"N = {big_n} < 1")
-    cells_a = [0] if cells_a is None else cells_a
-    offsets = _cell_offsets(cells_a, cells_a if cells_b is None else cells_b, k)
-    # c_k is even in n, so the series over |n + d| covers every term
-    corr, p = _series_numerators(
-        k, 0, max(max(abs(d), abs(big_n - 1 + d)) for d in offsets), max_n, max_l)
+    mu = mu_Ak(k)  # checks the stage before the caps
+    corr, p = _series_numerators(k, 0, big_n - 1, max_n, max_l)
     # every term over den = 3^max(p, 2k+2), so the running sum is an integer
     den = 3 ** max(p, 2 * k + 2)
     scale = den // 3 ** p
-    target = int(mu_Ak(k) ** 2 * len(offsets) * den)
+    target = int(mu ** 2 * den)
     total = 0
     averages = []
-    for n in range(big_n):
-        total += abs(scale * sum(corr[abs(n + d)] for d in offsets) - target)
-        averages.append(Fraction(total, den * (n + 1)))
+    for n, c in enumerate(corr, 1):
+        total += abs(scale * c - target)
+        averages.append(Fraction(total, den * n))
     return averages
 
 
@@ -343,4 +305,5 @@ def profile_gap(k: int, family: Iterable[tuple[int, int]]) -> Fraction:
 def H_value(k: int, l: int) -> Fraction:
     """Peak height H_l = D_l(0)."""
     d = compute_dl(k, l)
-    return d.masses[((2 * tower.height(k) + 1) * l + 1 - 2 * d.start) // 2]
+    i = ((2 * tower.height(k) + 1) * l + 1 - 2 * d.start) // 2
+    return Fraction(d.nums[i], 2 * 3 ** d.e)

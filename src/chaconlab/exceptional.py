@@ -16,6 +16,10 @@ from .correlation import autocorrelation, mu_Ak, support_span, support_weights
 from .triadic import DomainError
 
 
+# largest x that HFunction.inverse_ceil searches
+INVERSE_BOUND = 2.0 ** 512
+
+
 class InputError(ValueError):
     """A precondition on extractor input data failed; carries a witness."""
 
@@ -166,13 +170,13 @@ class HFunction:
             return cls.table(points)
         raise DomainError(f"unknown growth function {spec!r}")
 
-    def inverse_ceil(self, y: float, overflow_bound: float = 2.0 ** 512) -> int:
-        """Smallest integer x >= 1 with h(x) >= y; OverflowError past the bound."""
+    def inverse_ceil(self, y: float) -> int:
+        """Smallest integer x >= 1 with h(x) >= y; OverflowError past INVERSE_BOUND."""
         hi = 1
         while self(hi) < y:
             hi *= 2
-            if hi > overflow_bound:
-                raise OverflowError(f"h^-1({y}) exceeds {overflow_bound}")
+            if hi > INVERSE_BOUND:
+                raise OverflowError(f"h^-1({y}) exceeds {INVERSE_BOUND}")
         lo = hi // 2 if hi > 1 else 0
         while lo + 1 < hi:
             mid = (lo + hi) // 2
@@ -319,7 +323,6 @@ def build_Jk(k: int, h: HFunction, t_max: int) -> IntegerIntervalSet:
 class GlobalJ:
     """The global exceptional set on a finite window, layer by layer."""
 
-    window: int
     jset: IntegerIntervalSet
     layers: dict[int, IntegerIntervalSet]
     skipped: list[tuple[int, str]]     # (k, reason) for layers empty on the window
@@ -343,7 +346,7 @@ def build_J(k_max: int, h: HFunction, n_max: int) -> GlobalJ:
         jk = build_Jk(k, h, t_max)
         layers[k] = jk.fatten(hk).clip(g, n_max)
     total = IntegerIntervalSet(iv for layer in layers.values() for iv in layer.intervals)
-    return GlobalJ(n_max, total, layers, skipped)
+    return GlobalJ(total, layers, skipped)
 
 
 def enumerate_Ek(k: int, l_max: int) -> tuple[IntegerIntervalSet, int]:

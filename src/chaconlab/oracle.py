@@ -23,6 +23,8 @@ from .triadic import DomainError, TriadicSet
 
 DEFAULT_ORACLE_CAP = 500
 DEFAULT_FRAGMENT_CAP = 100_000
+DEPTH_CAP = 11            # deepest stage a pushforward piece may reach
+MAX_EXTRA_STAGES = 80     # stages past m before the correlation chain must settle
 
 
 class FragmentationError(RuntimeError):
@@ -59,11 +61,11 @@ def _sorted_levels(k: int) -> tuple[tuple[Fraction, ...], tuple[int, ...]]:
     return tuple(s for s, _ in pairs), tuple(j for _, j in pairs)
 
 
-def _image_pieces(a: Fraction, b: Fraction, k: int, depth_cap: int,
+def _image_pieces(a: Fraction, b: Fraction, k: int,
                   out: list[tuple[Fraction, Fraction]]) -> None:
     """Append the one-step image of [a, b), splitting at stage boundaries."""
-    if k > depth_cap:
-        raise FragmentationError(f"piece [{a}, {b}) unresolved at depth {depth_cap}")
+    if k > DEPTH_CAP:
+        raise FragmentationError(f"piece [{a}, {b}) unresolved at depth {DEPTH_CAP}")
     w = Fraction(2, 3 ** (k + 1))
     top = _h(k) - 1
     ss, jj = _sorted_levels(k)
@@ -75,7 +77,7 @@ def _image_pieces(a: Fraction, b: Fraction, k: int, depth_cap: int,
         lo, hi = max(a, s), min(b, s + w)
         if lo < hi:
             if j == top:
-                _image_pieces(lo, hi, k + 1, depth_cap, out)
+                _image_pieces(lo, hi, k + 1, out)
             else:
                 d = _lv_start(k, j + 1) - s
                 out.append((lo + d, hi + d))
@@ -83,7 +85,7 @@ def _image_pieces(a: Fraction, b: Fraction, k: int, depth_cap: int,
     # spacer remainder [1 - 3^-(k+1), 1)
     res = 1 - Fraction(1, 3 ** (k + 1))
     if b > res:
-        _image_pieces(max(a, res), b, k + 1, depth_cap, out)
+        _image_pieces(max(a, res), b, k + 1, out)
 
 
 @dataclass
@@ -101,11 +103,10 @@ class PushforwardState:
         return sum((b - a for a, b in self.pieces), Fraction(0))
 
 
-def pushforward_step(state: PushforwardState, depth_cap: int = 11,
-                     fragment_cap: int = DEFAULT_FRAGMENT_CAP) -> PushforwardState:
+def pushforward_step(state: PushforwardState) -> PushforwardState:
     out: list[tuple[Fraction, Fraction]] = []
     for a, b in state.pieces:
-        _image_pieces(a, b, 0, depth_cap, out)
+        _image_pieces(a, b, 0, out)
     out.sort()
     # coalesce touching pieces to keep fragmentation in check
     merged: list[tuple[Fraction, Fraction]] = []
@@ -114,7 +115,7 @@ def pushforward_step(state: PushforwardState, depth_cap: int = 11,
             merged[-1] = (merged[-1][0], max(merged[-1][1], b))
         else:
             merged.append((a, b))
-    if len(merged) > fragment_cap:
+    if len(merged) > DEFAULT_FRAGMENT_CAP:
         raise FragmentationError(f"{len(merged)} fragments after step {state.steps + 1}")
     return PushforwardState(merged, state.steps + 1)
 
@@ -146,9 +147,7 @@ def _shift_overlap(av: list[tuple[Fraction, Fraction]],
     return total
 
 
-def brute_correlation(a: TriadicSet, b: TriadicSet, n: int,
-                      cap: int = DEFAULT_ORACLE_CAP,
-                      max_extra_stages: int = 80) -> Fraction:
+def brute_correlation(a: TriadicSet, b: TriadicSet, n: int) -> Fraction:
     """mu(T^n A intersect B) = mu(A intersect T^-n B), exactly.
 
     At a stage m with h_m > n + 1, the n-step map is a plain translation of
@@ -164,17 +163,12 @@ def brute_correlation(a: TriadicSet, b: TriadicSet, n: int,
     """
     if n < 0:
         a, b, n = b, a, -n
-    if n > cap:
-        raise FragmentationError(f"n = {n} exceeds oracle cap {cap}")
+    if n > DEFAULT_ORACLE_CAP:
+        raise FragmentationError(f"n = {n} exceeds oracle cap {DEFAULT_ORACLE_CAP}")
     av = [(iv.start, iv.end) for iv in a.intervals]
     bv = [(iv.start, iv.end) for iv in b.intervals]
     if n == 0:
-        total = Fraction(0)
-        for pa, pb in av:
-            total += sum((min(pb, qb) - max(pa, qa)
-                          for qa, qb in bv if max(pa, qa) < min(pb, qb)),
-                         Fraction(0))
-        return total
+        return _shift_overlap(av, bv, 0, 0, 1)
 
     m = 1
     while _h(m) < n + 2:
@@ -224,9 +218,9 @@ def brute_correlation(a: TriadicSet, b: TriadicSet, n: int,
                 and history[-2] == 3 * history[-1] \
                 and history[-3] == 9 * history[-1]:
             break
-        if stage > m + max_extra_stages:
+        if stage > m + MAX_EXTRA_STAGES:
             raise FragmentationError(
-                f"chain contributions did not stabilize within {max_extra_stages} stages")
+                f"chain contributions did not stabilize within {MAX_EXTRA_STAGES} stages")
     return total + sum(history, Fraction(0)) + history[-1] / 2
 
 
@@ -320,12 +314,6 @@ class PhiPolynomial:
 
     coeffs: tuple[Fraction, ...]
 
-    def total(self) -> Fraction:
-        return sum(self.coeffs, Fraction(0))
-
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
 
 _phi_cache: dict[int, PhiPolynomial] = {
     0: PhiPolynomial((Fraction(1),)),
@@ -386,22 +374,13 @@ def precedes(f: PhiPolynomial, g: PhiPolynomial) -> bool:
     return True
 
 
-@lru_cache(maxsize=None)
-def _phi_center(i: int) -> Fraction:
-    """Value at the origin of phi^i applied to the unit box profile."""
-    # cell grid of width 1/2; cell j covers [j/2, (j+1)/2)
-    half = Fraction(1, 2)
-    start, vals = -1, [Fraction(1), Fraction(1)]
-    for _ in range(i):
-        padded = [Fraction(0)] + vals + [Fraction(0)]
-        vals = [half * ((padded[j - 1] if j - 1 >= 0 else Fraction(0))
-                        + (padded[j + 1] if j + 1 < len(padded) else Fraction(0)))
-                for j in range(len(padded))]
-        start -= 1
-    j = 0 - start
-    return vals[j] if 0 <= j < len(vals) else Fraction(0)
-
-
 def center_value(poly: PhiPolynomial) -> Fraction:
-    """Value at the origin of the profile the polynomial represents."""
-    return sum((c * _phi_center(i) for i, c in enumerate(poly.coeffs)), Fraction(0))
+    """Value at the origin of the profile the polynomial represents.
+
+    On cells [j/2, (j+1)/2) the unit box is 1 on cells -1 and 0, and phi
+    averages each cell's two neighbours, so phi^i of the box at the origin
+    is the chance that a +-1 walk of i steps from cell 0 ends in cell 0 or 1:
+    C(i, floor(i/2)) / 2^i.
+    """
+    return sum((c * Fraction(comb(i, i // 2), 2 ** i) for i, c in enumerate(poly.coeffs)),
+               Fraction(0))

@@ -86,18 +86,6 @@ class TriadicRational:
     def __str__(self) -> str:
         return f"{self.numerator}/3^{self.exponent}"
 
-    def __lt__(self, other):
-        return self.as_fraction() < _coerce(other)
-
-    def __le__(self, other):
-        return self.as_fraction() <= _coerce(other)
-
-    def __gt__(self, other):
-        return self.as_fraction() > _coerce(other)
-
-    def __ge__(self, other):
-        return self.as_fraction() >= _coerce(other)
-
 
 def _coerce(x) -> Fraction:
     if isinstance(x, TriadicRational):

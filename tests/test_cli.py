@@ -7,8 +7,10 @@ from fractions import Fraction
 
 import pytest
 
-from chaconlab.cli import EXIT_INPUT, EXIT_OK, EXIT_RESOURCE, dec12, main, parse_range
-from chaconlab.correlation import autocorrelation
+from chaconlab.cli import (
+    EXIT_INPUT, EXIT_OK, EXIT_RESOURCE, dec12, main, parse_range, parse_value)
+from chaconlab.correlation import autocorrelation, correlation_series
+from chaconlab.exceptional import InputError
 from chaconlab.tower import locate
 from chaconlab.triadic import TriadicRational
 
@@ -116,8 +118,8 @@ class TestCorr:
                          "--cap-n", "3000000", "--cap-l", "700000")
         assert code == EXIT_OK
         _, _, rows = csv_rows(text)
-        assert Fraction(int(rows[0][1]), int(rows[0][2])) == autocorrelation(
-            1, 3_000_000, max_n=3_000_000, max_l=700_000)
+        assert [Fraction(int(rows[0][1]), int(rows[0][2]))] == correlation_series(
+            1, 3_000_000, 3_000_000, 3_000_000, 700_000)
 
 
 class TestCesaro:
@@ -144,6 +146,34 @@ class TestCesaro:
         code, text = run(tmp_path, "cesaro", "--k", "1", "--N-max", "100", "--cap-l", "5")
         assert (code, text) == (EXIT_RESOURCE, "")
         assert capsys.readouterr().err == "resource cap: l = 6 exceeds cap 5\n"
+
+
+def test_series_output_pinned(capsys):
+    # exit code, stdout and stderr of corr, cesaro and dl: ranges across 0,
+    # both cap errors and dl ranges on three stages
+    commands = [
+        ["corr", "--k", "1", "--n=-40..60"],
+        ["corr", "--k", "2", "--n=-7..3", "--format", "json"],
+        ["corr", "--k", "3", "--n", "500..540"],
+        ["corr", "--k", "1", "--n=-600..10", "--cap-n", "500"],
+        ["corr", "--k", "1", "--n", "0..1000", "--cap-l", "5"],
+        ["cesaro", "--k", "1", "--N-max", "40"],
+        ["cesaro", "--k", "2", "--N-max", "30", "--format", "json"],
+        ["cesaro", "--k", "1", "--N-max", "50", "--cap-n", "20"],
+        ["dl", "--k", "1", "--l", "0..40"],
+        ["dl", "--k", "2", "--l", "100..110", "--seed", "3"],
+        ["dl", "--k", "3", "--l", "5..7", "--format", "json"],
+        ["dl", "--k", "1", "--l", "40..60", "--cap-l", "50"],
+    ]
+    capsys.readouterr()
+    digest = hashlib.sha256()
+    for argv in commands:
+        code = main(argv)
+        captured = capsys.readouterr()
+        digest.update(f"{code}\n{captured.out}{captured.err}".encode("utf-8"))
+    # recorded at commit e06cecc, before SupportIndex and the cached masses went
+    assert digest.hexdigest() == (
+        "10174d74d2f18d0222273ff98a75d825d0b9c66deb5a2698db622c8e6457313d")
 
 
 class TestJsetEset:
@@ -270,6 +300,31 @@ class TestExtract:
             assert code == EXIT_INPUT
             err = capsys.readouterr().err
             assert f"line {line}" in err and "repeated n = 1" in err
+
+    def test_cells_parse_as_fraction_does(self):
+        # an exact cell is read with int on each side of the slash; it must
+        # take the strings Fraction takes, with the same value, and reject the rest
+        def outcome(parse, text):
+            try:
+                return parse(text)
+            except (ZeroDivisionError, InputError):
+                return "zero denominator"
+            except ValueError as exc:
+                return f"ValueError: {exc}"
+
+        corpus = ["1 /3", "1/ 3", "1/-3", "1/+3", "-1/3", "+1/3", "1_0/3", "1/3_0",
+                  "1/0", "0/0", "-0/5", "x/3", "1/3/4", "/3", "1/", "-/3", "1__0/3",
+                  "_1/3", "1_/3", "- 1/3", "1.5/3", "1e3/2", "0x10", "007", "-12",
+                  "+4", "1_000", "inf", "nan", "", " 12 ", "٣/٤", "3/³",
+                  "1 /3", "9" * 5000]
+        rng = random.Random("cells")
+        corpus += ["".join(rng.choice("019_/+- \t٣") for _ in range(rng.randint(1, 6)))
+                   for _ in range(20_000)]
+        for text in corpus:
+            if "/" not in text and ("." in text or "e" in text.lower()):
+                continue
+            assert outcome(lambda t: parse_value(t, 1), text) == outcome(
+                lambda t: Fraction(t.strip()), text), text
 
     def test_output_pinned(self, tmp_path, capsys):
         # the extractor input form of the exceptional benchmark, on 2^11 points:

