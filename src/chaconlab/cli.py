@@ -60,28 +60,6 @@ def parse_point(text: str) -> TriadicRational:
             raise DomainError(f"zero denominator in point {text!r}") from None
 
 
-def parse_value(text: str, lineno: int) -> Fraction:
-    """An `extract` cell: p/q or an integer, exactly, or a binary64 literal
-    when the cell holds '.' or 'e'.  Accepts the strings Fraction(text)
-    accepts, with the same value, and rejects the others as it does."""
-    text = text.strip()
-    try:
-        if "/" not in text and ("." in text or "e" in text.lower()):
-            return Fraction(float(text))
-        num, slash, den = text.partition("/")
-        # Fraction takes no space beside the slash and no sign on q
-        if not slash or num[-1:].isdecimal() and den[:1].isdecimal():
-            try:
-                return Fraction(int(num), int(den)) if slash else Fraction(int(num))
-            except ValueError:
-                pass
-        # what int cannot read, Fraction rejects in its own words
-        return Fraction(text)
-    except (ZeroDivisionError, OverflowError):
-        # a zero denominator, or a float literal that overflows to infinity
-        raise InputError(f"line {lineno}: {text!r} is not a finite rational") from None
-
-
 class Output:
     """Collects rows and writes them as CSV or JSON, deterministically."""
 
@@ -200,6 +178,17 @@ def cmd_extract(args, out: Output) -> int:
     ns: dict[int, Fraction] = {}
     bs: dict[int, Fraction] = {}
     cs: dict[int, Fraction] = {}
+
+    def parse_value(text: str, lineno: int) -> Fraction:
+        text = text.strip()
+        try:
+            if "/" in text or ("." not in text and "e" not in text.lower()):
+                return Fraction(text)
+            return Fraction(float(text))
+        except (ZeroDivisionError, OverflowError):
+            # a zero denominator, or a float literal that overflows to infinity
+            raise InputError(f"line {lineno}: {text!r} is not a finite rational") from None
+
     with open(args.series, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.strip()

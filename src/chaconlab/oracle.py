@@ -21,8 +21,8 @@ from math import comb
 
 from .triadic import DomainError, TriadicSet
 
-DEFAULT_ORACLE_CAP = 500
-DEFAULT_FRAGMENT_CAP = 100_000
+ORACLE_CAP = 500
+FRAGMENT_CAP = 100_000
 DEPTH_CAP = 11            # deepest stage a pushforward piece may reach
 MAX_EXTRA_STAGES = 80     # stages past m before the correlation chain must settle
 
@@ -115,7 +115,7 @@ def pushforward_step(state: PushforwardState) -> PushforwardState:
             merged[-1] = (merged[-1][0], max(merged[-1][1], b))
         else:
             merged.append((a, b))
-    if len(merged) > DEFAULT_FRAGMENT_CAP:
+    if len(merged) > FRAGMENT_CAP:
         raise FragmentationError(f"{len(merged)} fragments after step {state.steps + 1}")
     return PushforwardState(merged, state.steps + 1)
 
@@ -163,8 +163,8 @@ def brute_correlation(a: TriadicSet, b: TriadicSet, n: int) -> Fraction:
     """
     if n < 0:
         a, b, n = b, a, -n
-    if n > DEFAULT_ORACLE_CAP:
-        raise FragmentationError(f"n = {n} exceeds oracle cap {DEFAULT_ORACLE_CAP}")
+    if n > ORACLE_CAP:
+        raise FragmentationError(f"n = {n} exceeds oracle cap {ORACLE_CAP}")
     av = [(iv.start, iv.end) for iv in a.intervals]
     bv = [(iv.start, iv.end) for iv in b.intervals]
     if n == 0:

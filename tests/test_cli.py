@@ -7,10 +7,8 @@ from fractions import Fraction
 
 import pytest
 
-from chaconlab.cli import (
-    EXIT_INPUT, EXIT_OK, EXIT_RESOURCE, dec12, main, parse_range, parse_value)
+from chaconlab.cli import EXIT_INPUT, EXIT_OK, EXIT_RESOURCE, dec12, main, parse_range
 from chaconlab.correlation import autocorrelation, correlation_series
-from chaconlab.exceptional import InputError
 from chaconlab.tower import locate
 from chaconlab.triadic import TriadicRational
 
@@ -300,31 +298,6 @@ class TestExtract:
             assert code == EXIT_INPUT
             err = capsys.readouterr().err
             assert f"line {line}" in err and "repeated n = 1" in err
-
-    def test_cells_parse_as_fraction_does(self):
-        # an exact cell is read with int on each side of the slash; it must
-        # take the strings Fraction takes, with the same value, and reject the rest
-        def outcome(parse, text):
-            try:
-                return parse(text)
-            except (ZeroDivisionError, InputError):
-                return "zero denominator"
-            except ValueError as exc:
-                return f"ValueError: {exc}"
-
-        corpus = ["1 /3", "1/ 3", "1/-3", "1/+3", "-1/3", "+1/3", "1_0/3", "1/3_0",
-                  "1/0", "0/0", "-0/5", "x/3", "1/3/4", "/3", "1/", "-/3", "1__0/3",
-                  "_1/3", "1_/3", "- 1/3", "1.5/3", "1e3/2", "0x10", "007", "-12",
-                  "+4", "1_000", "inf", "nan", "", " 12 ", "٣/٤", "3/³",
-                  "1 /3", "9" * 5000]
-        rng = random.Random("cells")
-        corpus += ["".join(rng.choice("019_/+- \t٣") for _ in range(rng.randint(1, 6)))
-                   for _ in range(20_000)]
-        for text in corpus:
-            if "/" not in text and ("." in text or "e" in text.lower()):
-                continue
-            assert outcome(lambda t: parse_value(t, 1), text) == outcome(
-                lambda t: Fraction(t.strip()), text), text
 
     def test_output_pinned(self, tmp_path, capsys):
         # the extractor input form of the exceptional benchmark, on 2^11 points:

@@ -108,7 +108,7 @@ class TestBruteCorrelation:
     def test_cap(self):
         a1 = base_cell(1)
         with pytest.raises(FragmentationError):
-            brute_correlation(a1, a1, oracle.DEFAULT_ORACLE_CAP + 1)
+            brute_correlation(a1, a1, oracle.ORACLE_CAP + 1)
 
 
 def test_imports_only_stdlib_and_triadic():
