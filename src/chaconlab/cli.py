@@ -60,6 +60,25 @@ def parse_point(text: str) -> TriadicRational:
             raise DomainError(f"zero denominator in point {text!r}") from None
 
 
+def _parse_value(text: str, lineno: int) -> Fraction:
+    """An extract cell as an exact rational.  A plain decimal p or p/q is read
+    by int, as Fraction reads it but without its regex; any other rational
+    literal by Fraction; a decimal point or exponent as the binary64 value."""
+    text = text.strip()
+    num, slash, den = text.partition("/")
+    try:
+        # isdecimal admits only digits both read; int would also take the
+        # signs, spaces and underscores that Fraction rejects beside the slash
+        if num.isdecimal() and (den.isdecimal() or not slash):
+            return Fraction(int(num), int(den) if slash else 1)
+        if slash or ("." not in text and "e" not in text.lower()):
+            return Fraction(text)
+        return Fraction(float(text))
+    except (ZeroDivisionError, OverflowError):
+        # a zero denominator, or a float literal that overflows to infinity
+        raise InputError(f"line {lineno}: {text!r} is not a finite rational") from None
+
+
 class Output:
     """Collects rows and writes them as CSV or JSON, deterministically."""
 
@@ -178,17 +197,6 @@ def cmd_extract(args, out: Output) -> int:
     ns: dict[int, Fraction] = {}
     bs: dict[int, Fraction] = {}
     cs: dict[int, Fraction] = {}
-
-    def parse_value(text: str, lineno: int) -> Fraction:
-        text = text.strip()
-        try:
-            if "/" in text or ("." not in text and "e" not in text.lower()):
-                return Fraction(text)
-            return Fraction(float(text))
-        except (ZeroDivisionError, OverflowError):
-            # a zero denominator, or a float literal that overflows to infinity
-            raise InputError(f"line {lineno}: {text!r} is not a finite rational") from None
-
     with open(args.series, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.strip()
@@ -200,11 +208,11 @@ def cmd_extract(args, out: Output) -> int:
             n = int(parts[0])
             if n in ns:
                 raise InputError(f"line {lineno}: repeated n = {n}")
-            ns[n] = parse_value(parts[1], lineno)
+            ns[n] = _parse_value(parts[1], lineno)
             if len(parts) > 2 and parts[2].strip():
-                bs[n] = parse_value(parts[2], lineno)
+                bs[n] = _parse_value(parts[2], lineno)
             if len(parts) > 3 and parts[3].strip():
-                cs[n] = parse_value(parts[3], lineno)
+                cs[n] = _parse_value(parts[3], lineno)
     if not ns:
         raise InputError(f"no data rows in {args.series}")
     n_max = max(ns)

@@ -42,11 +42,18 @@ def compute_bl(l: int) -> int:
 
 
 def support_weights(l_max: int) -> list[int]:
-    """[b_0, ..., b_l_max] by b_m = b_((m+1)//3) + [m % 3 != 0]."""
-    b = [1]
-    for m in range(1, l_max + 1):
-        b.append(b[(m + 1) // 3] + (m % 3 != 0))
-    return b
+    """[b_0, ..., b_l_max] by b_3q = b_q, b_(3q+1) = b_q + 1 and
+    b_(3q+2) = b_(q+1) + 1: each round triples the list b_0..b_(n-1) into
+    b_0..b_(3n-2) by three slice assignments."""
+    b = [1, 2]
+    while len(b) <= l_max:
+        up = [x + 1 for x in b]
+        tripled = [0] * (3 * len(b) - 1)
+        tripled[0::3] = b
+        tripled[1::3] = up
+        tripled[2::3] = up[1:]
+        b = tripled
+    return b[:l_max + 1]
 
 
 # ---------------------------------------------------------------------------

@@ -299,8 +299,12 @@ def build_Jk(k: int, h: HFunction, t_max: int) -> IntegerIntervalSet:
 
     Over each full index layer [3^N, 3^(N+1)] with 3^N <= t_max, the supports
     of all indices whose balanced-ternary weight stays under (log N)^2 h(N)
-    are collected.  Natural logarithm; the N = 1 layer has threshold 0 and
-    contributes nothing.
+    are collected.  Natural logarithm; the N = 1 layer has threshold 0 (nan
+    for loglog) and contributes nothing.
+
+    s_l and t_l both rise strictly with l, so one pass in index order merges
+    each selected support into the interval [lo, hi] it extends, or closes
+    that interval and opens the next.
     """
     if k < 1:
         raise DomainError(f"stage k must be >= 1, got {k}")
@@ -310,13 +314,20 @@ def build_Jk(k: int, h: HFunction, t_max: int) -> IntegerIntervalSet:
         top += 1
     weights = support_weights(3 ** top)
     pieces: list[tuple[int, int]] = []
+    lo, hi = 0, -2         # an empty interval that no support s_l >= 0 joins
     for big_n in range(1, top):
         threshold = math.log(big_n) ** 2 * h(big_n)
         if threshold > 0:
-            pieces.extend(support_span(hk, t, weights[t])
-                          for t in range(3 ** big_n, 3 ** (big_n + 1) + 1)
-                          if weights[t] < threshold)
-    return IntegerIntervalSet(pieces)
+            for l in range(3 ** big_n, 3 ** (big_n + 1) + 1):
+                b = weights[l]
+                if b < threshold:
+                    s, t = support_span(hk, l, b)
+                    if s > hi + 1:
+                        pieces.append((lo, hi))
+                        lo = s
+                    hi = t
+    pieces.append((lo, hi))
+    return IntegerIntervalSet(pieces[1:])    # without that empty interval
 
 
 @dataclass

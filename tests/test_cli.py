@@ -7,7 +7,15 @@ from fractions import Fraction
 
 import pytest
 
-from chaconlab.cli import EXIT_INPUT, EXIT_OK, EXIT_RESOURCE, dec12, main, parse_range
+from chaconlab.cli import (
+    EXIT_INPUT,
+    EXIT_OK,
+    EXIT_RESOURCE,
+    _parse_value,
+    dec12,
+    main,
+    parse_range,
+)
 from chaconlab.correlation import autocorrelation, correlation_series
 from chaconlab.tower import locate
 from chaconlab.triadic import TriadicRational
@@ -224,6 +232,30 @@ class TestJsetEset:
         assert payload["rows"] == []
         assert "skipped" in payload and payload["skipped"] != "none"
 
+    def test_output_pinned(self, capsys):
+        # exit code, stdout and stderr of layer jset on stages 1-3 for four
+        # growth functions, a global run with a skipped stage, JSON, a cap
+        # error, and eset on stages 1 and 3
+        commands = [["jset", "--k", str(k), "--h", h, "--N-max", str(n_max)]
+                    for k, n_max in ((1, 20000), (2, 40000), (3, 120000))
+                    for h in ("linear", "log", "loglog", "power:0.5")]
+        commands += [
+            ["jset", "--k", "4", "--N-max", "20000", "--global"],
+            ["jset", "--k", "2", "--h", "power:0.5", "--N-max", "5000", "--format", "json"],
+            ["jset", "--k", "1", "--N-max", "1000", "--cap-n", "100"],
+            ["eset", "--k", "1", "--l", "3000"],
+            ["eset", "--k", "3", "--l", "10..729", "--seed", "5"],
+        ]
+        capsys.readouterr()
+        digest = hashlib.sha256()
+        for argv in commands:
+            code = main(argv)
+            captured = capsys.readouterr()
+            digest.update(f"{code}\n{captured.out}{captured.err}".encode("utf-8"))
+        # recorded at commit 885c9bd, before build_Jk merged supports in one pass
+        assert digest.hexdigest() == (
+            "1f35fcc4e9f71e195449f487a1b4b8ecfe113ac5bafcdd80869a1df32b1b730f")
+
     def test_eset(self, tmp_path):
         code, text = run(tmp_path, "eset", "--k", "1", "--l", "30")
         assert code == EXIT_OK
@@ -235,7 +267,44 @@ class TestJsetEset:
         assert 8 not in points
 
 
+# extract cells that int and Fraction could read differently: spaces, signs
+# and underscores beside the slash, zero denominators, digits outside ASCII
+# (decimal or not), empty parts, and a numerator past the int str-digit limit
+CELL_CORPUS = ["0", "007/010", "1 /3", "1/ 3", "1/-3", "1/+3", "-1/3", "+1/3", "1_0/3",
+               "1/3_0", "1/0", "0/0", "1/00", "x/3", "1/3/4", "\u0663/4", "\uff11/\uff13",
+               "\u00b2/3", "/3", "3/", "7" * 5000]
+
+
+def extract_one_row(path, cell, capsys):
+    """Exit code, stdout and stderr of extract on the series a_0 = cell."""
+    path.write_text(f"n,a\n0,{cell}\n", encoding="utf-8")
+    capsys.readouterr()
+    code = main(["extract", str(path)])
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
 class TestExtract:
+    def test_cells_read_as_fraction_reads_them(self, tmp_path, capsys):
+        series = tmp_path / "series.csv"
+        for cell in CELL_CORPUS:
+            try:
+                value = Fraction(cell)
+            except ZeroDivisionError:
+                expected = (EXIT_INPUT, "",
+                            f"invalid input: line 2: {cell!r} is not a finite rational\n")
+            except ValueError as exc:
+                expected = (EXIT_INPUT, "", f"invalid input: {exc}\n")
+            else:
+                got = _parse_value(cell, 2)
+                assert type(got) is Fraction and got == value, cell
+                # a signed p/q is never plain decimal, so only Fraction reads it
+                expected = extract_one_row(
+                    series, f"{value.numerator:+d}/{value.denominator}", capsys)
+            assert extract_one_row(series, cell, capsys) == expected, cell[:20]
+        # the last cell is past the int str-digit limit
+        assert expected[0] == EXIT_INPUT and "4300" in expected[2]
+
     def test_spike_series(self, tmp_path):
         series = tmp_path / "series.csv"
         n_max = 256

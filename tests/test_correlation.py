@@ -61,6 +61,12 @@ class TestBalancedTernary:
         with pytest.raises(DomainError):
             compute_bl(-1)
 
+    def test_support_weights_match_digit_count(self):
+        reference = [compute_bl(l) for l in range(3 ** 9 + 2)]
+        sizes = set(range(801)) | {3 ** j + d for j in range(10) for d in (-1, 0, 1)}
+        for m in sorted(sizes):
+            assert co.support_weights(m) == reference[:m + 1], m
+
     def test_weight_ratio_bounds(self):
         for l in range(3, 3 ** 8):
             assert compute_bl(l) <= 4 * compute_bl(l // 3)

@@ -363,9 +363,13 @@ class TestBuildJk:
             build_Jk(0, HFunction.linear(), 100)
 
     def test_matches_mass_recursion_supports(self):
-        for h in (HFunction.linear(), HFunction.log(), HFunction.power(0.5)):
+        # loglog's N = 1 threshold is nan; the table's threshold takes 183 of
+        # the 487 indices of layer 5 and 1395 of the 1459 of layer 6
+        table = HFunction.table([(1.0, 1.0), (4.0, 2.0), (8.0, 3.0)])
+        for h in (HFunction.linear(), HFunction.log(), HFunction.power(0.5),
+                  HFunction.loglog(), table):
             for k in (1, 2, 3):
-                for t_max in (2, 8, 9, 80, 81, 300, 729):
+                for t_max in (2, 8, 9, 80, 81, 300, 729, 2187):
                     pieces = []
                     big_n = 1
                     while 3 ** big_n <= t_max:
