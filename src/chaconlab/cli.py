@@ -171,8 +171,7 @@ def cmd_jset(args, out: Output) -> int:
         meta["k_max"] = args.k
         meta["skipped"] = ";".join("%d:%s" % (k, r) for k, r in gj.skipped) or "none"
     else:
-        hk = tower.height(args.k)
-        jset = exceptional.build_Jk(args.k, h, args.n_max // hk + 3).clip(0, args.n_max)
+        jset = exceptional.build_Jk(args.k, h, args.n_max)
         meta["mode"] = "layer"
         meta["k"] = args.k
     rows = [[a, b, jset.count(b)] for a, b in jset.intervals]

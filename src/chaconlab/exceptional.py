@@ -294,31 +294,31 @@ def extract_exceptional(a: Sequence, b: Sequence, c: Sequence, n_max: int,
 # ---------------------------------------------------------------------------
 # Chacon-specific constructions
 
-def build_Jk(k: int, h: HFunction, t_max: int) -> IntegerIntervalSet:
-    """Exceptional times for the base cell at stage k.
+def build_Jk(k: int, h: HFunction, n_max: int) -> IntegerIntervalSet:
+    """Exceptional times for the base cell at stage k, on the window [0, n_max].
 
-    Over each full index layer [3^N, 3^(N+1)] with 3^N <= t_max, the supports
-    of all indices whose balanced-ternary weight stays under (log N)^2 h(N)
-    are collected.  Natural logarithm; the N = 1 layer has threshold 0 (nan
-    for loglog) and contributes nothing.
+    Over each index layer [3^N, 3^(N+1)], the supports of all indices whose
+    balanced-ternary weight stays under (log N)^2 h(N) are collected.
+    Natural logarithm; the N = 1 layer has threshold 0 (nan for loglog) and
+    contributes nothing.  Since s_l >= l*h_k, only l <= n_max // h_k can meet
+    the window.
 
     s_l and t_l both rise strictly with l, so one pass in index order merges
     each selected support into the interval [lo, hi] it extends, or closes
     that interval and opens the next.
     """
+    hk = tower.height(k)
     if k < 1:
         raise DomainError(f"stage k must be >= 1, got {k}")
-    hk = tower.height(k)
-    top = 1
-    while 3 ** top <= t_max:
-        top += 1
-    weights = support_weights(3 ** top)
+    l_max = n_max // hk
+    weights = support_weights(l_max)
     pieces: list[tuple[int, int]] = []
     lo, hi = 0, -2         # an empty interval that no support s_l >= 0 joins
-    for big_n in range(1, top):
+    big_n = 1
+    while 3 ** big_n <= l_max:
         threshold = math.log(big_n) ** 2 * h(big_n)
         if threshold > 0:
-            for l in range(3 ** big_n, 3 ** (big_n + 1) + 1):
+            for l in range(3 ** big_n, min(3 ** (big_n + 1), l_max) + 1):
                 b = weights[l]
                 if b < threshold:
                     s, t = support_span(hk, l, b)
@@ -326,8 +326,9 @@ def build_Jk(k: int, h: HFunction, t_max: int) -> IntegerIntervalSet:
                         pieces.append((lo, hi))
                         lo = s
                     hi = t
+        big_n += 1
     pieces.append((lo, hi))
-    return IntegerIntervalSet(pieces[1:])    # without that empty interval
+    return IntegerIntervalSet(pieces[1:]).clip(0, n_max)   # without that empty interval
 
 
 @dataclass
@@ -353,9 +354,7 @@ def build_J(k_max: int, h: HFunction, n_max: int) -> GlobalJ:
             skipped.append((k, f"cutoff g({k}) = {g} beyond window"))
             continue
         hk = tower.height(k)
-        t_max = n_max // hk + 3
-        jk = build_Jk(k, h, t_max)
-        layers[k] = jk.fatten(hk).clip(g, n_max)
+        layers[k] = build_Jk(k, h, n_max + hk).fatten(hk).clip(g, n_max)
     total = IntegerIntervalSet(iv for layer in layers.values() for iv in layer.intervals)
     return GlobalJ(total, layers, skipped)
 
@@ -461,8 +460,7 @@ def convergence_report(k: int, h: HFunction, n_range: Iterable[int]) -> list[Blo
     rows = []
     for big_n in n_range:
         lo, hi = 3 ** big_n, 3 ** (big_n + 1)
-        t_max = hi // tower.height(k) + 3
-        jk = build_Jk(k, h, t_max)
+        jk = build_Jk(k, h, hi)
         best: Fraction | None = None
         excluded = 0
         for n in range(lo, hi + 1):

@@ -3,8 +3,8 @@
 Three unrelated verification devices live here:
 
 * a pushforward simulator that evaluates the transformation on interval
-  sets directly from explicit per-stage stacking tables (no code shared
-  with tower.apply_T),
+  sets directly from the stacking rule, finding each level by its rank in
+  start order (no code shared with tower.apply_T),
 * exhaustive digit-word enumeration of the return-time distributions via
   the orbit sum of first-return times (no use of the mass recursion),
 * the smoothing-operator polynomials, the partial-sum order on them, and
@@ -13,13 +13,12 @@ Three unrelated verification devices live here:
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
 
-from .triadic import DomainError, TriadicSet
+from .triadic import DomainError, TriadicSet, _pow3_exponent
 
 ORACLE_CAP = 500
 FRAGMENT_CAP = 100_000
@@ -55,10 +54,17 @@ def _lv_start(m: int, j: int) -> Fraction:
     return _lv_start(m - 1, j - 2 * hp - 1) + 2 * w
 
 
-@lru_cache(maxsize=None)
-def _sorted_levels(k: int) -> tuple[tuple[Fraction, ...], tuple[int, ...]]:
-    pairs = sorted((_lv_start(k, j), j) for j in range(_h(k)))
-    return tuple(s for s, _ in pairs), tuple(j for _, j in pairs)
+def _level(m: int, i: int) -> int:
+    """The stage-m level of rank i in start order, which starts at
+    2i/3^(m+1): ranks 3p, 3p+1 and 3p+2 are the left, middle and right
+    copies of stage-(m-1) rank p, and rank 3h_(m-1) is the spacer."""
+    if m == 0:
+        return 0
+    hp = _h(m - 1)
+    p, r = divmod(i, 3)
+    if p == hp:
+        return 2 * hp
+    return _level(m - 1, p) + (0, hp, 2 * hp + 1)[r]
 
 
 def _image_pieces(a: Fraction, b: Fraction, k: int,
@@ -68,19 +74,15 @@ def _image_pieces(a: Fraction, b: Fraction, k: int,
         raise FragmentationError(f"piece [{a}, {b}) unresolved at depth {DEPTH_CAP}")
     w = Fraction(2, 3 ** (k + 1))
     top = _h(k) - 1
-    ss, jj = _sorted_levels(k)
-    i = bisect_right(ss, a) - 1
-    if i < 0 or ss[i] + w <= a:
-        i += 1
-    while i < len(ss) and ss[i] < b:
-        s, j = ss[i], jj[i]
+    i = a // w
+    while i <= top and i * w < b:
+        s, j = i * w, _level(k, i)
         lo, hi = max(a, s), min(b, s + w)
-        if lo < hi:
-            if j == top:
-                _image_pieces(lo, hi, k + 1, out)
-            else:
-                d = _lv_start(k, j + 1) - s
-                out.append((lo + d, hi + d))
+        if j == top:
+            _image_pieces(lo, hi, k + 1, out)
+        else:
+            d = _lv_start(k, j + 1) - s
+            out.append((lo + d, hi + d))
         i += 1
     # spacer remainder [1 - 3^-(k+1), 1)
     res = 1 - Fraction(1, 3 ** (k + 1))
@@ -181,15 +183,7 @@ def brute_correlation(a: TriadicSet, b: TriadicSet, n: int) -> Fraction:
 
     # resolution floor: stages at which all nested cells are finer than any
     # endpoint of A or B
-    floor = m + 4
-    for x, y in av + bv:
-        for q in (x, y):
-            e = 0
-            den = q.denominator
-            while den % 3 == 0:
-                den //= 3
-                e += 1
-            floor = max(floor, e + 4)
+    floor = 4 + max([m] + [_pow3_exponent(q.denominator) for iv in av + bv for q in iv])
 
     # unresolved sources: top-region levels, by distance from the top, plus
     # the spacer reservoir; each keeps exactly one child per stage

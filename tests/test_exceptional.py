@@ -350,11 +350,13 @@ class TestExtractorMatchesReference:
 
 class TestBuildJk:
     def test_first_layer_is_empty(self):
-        assert len(build_Jk(1, HFunction.linear(), 8)) == 0
+        # the window ends just below s_9 >= 9 h_1, where layer 2 starts
+        assert len(build_Jk(1, HFunction.linear(), 9 * height(1) - 1)) == 0
 
     def test_generous_threshold_takes_whole_layer(self):
+        # the window [0, t_27] holds layer 2 and ends below s_28
         h = HFunction("shift100", lambda x: x + 100)
-        jk = build_Jk(1, h, 9)
+        jk = build_Jk(1, h, support(1, 27)[1])
         manual = IntegerIntervalSet(support(1, t) for t in range(9, 28))
         assert jk == manual
 
@@ -369,21 +371,24 @@ class TestBuildJk:
         for h in (HFunction.linear(), HFunction.log(), HFunction.power(0.5),
                   HFunction.loglog(), table):
             for k in (1, 2, 3):
-                for t_max in (2, 8, 9, 80, 81, 300, 729, 2187):
-                    pieces = []
-                    big_n = 1
-                    while 3 ** big_n <= t_max:
-                        threshold = math.log(big_n) ** 2 * h(big_n)
-                        for t in range(3 ** big_n, 3 ** (big_n + 1) + 1):
-                            if compute_bl(t) < threshold:
-                                d = compute_dl(k, t)
-                                pieces.append((d.start, d.end))
-                        big_n += 1
-                    assert build_Jk(k, h, t_max) == IntegerIntervalSet(pieces), (h.name, k, t_max)
+                # every full layer up to 3^7; no support of a later index
+                # starts below s_6561 >= 3^8 h_k
+                pieces = []
+                for big_n in range(1, 8):
+                    threshold = math.log(big_n) ** 2 * h(big_n)
+                    for t in range(3 ** big_n, 3 ** (big_n + 1) + 1):
+                        if compute_bl(t) < threshold:
+                            d = compute_dl(k, t)
+                            pieces.append((d.start, d.end))
+                full = IntegerIntervalSet(pieces)
+                hk = height(k)
+                for t_max in (2, 8, 9, 80, 81, 300, 729, 2187, 6560):
+                    for n_max in (t_max * hk, t_max * hk + hk - 1):
+                        assert build_Jk(k, h, n_max) == full.clip(0, n_max), (h.name, k, n_max)
 
     def test_members_carry_positive_correlation(self):
-        jk = build_Jk(1, HFunction.linear(), 81)
-        pts = [n for n in jk.iter_points() if n <= 400]
+        jk = build_Jk(1, HFunction.linear(), 400)
+        pts = list(jk.iter_points())
         assert pts
         assert all(autocorrelation(1, n) > 0 for n in pts)
 
@@ -394,7 +399,7 @@ class TestBuildJ:
         layer = gj.layers[1]
         g1 = g_cutoff(HFunction.linear(), 1)
         assert all(a >= g1 for a, _ in layer.intervals)
-        jk = build_Jk(1, HFunction.linear(), 3 ** 9 // height(1) + 3)
+        jk = build_Jk(1, HFunction.linear(), 3 ** 9)
         for n in jk.iter_points():
             if g1 + height(1) <= n <= 3 ** 9 - height(1):
                 for i in range(-height(1), height(1) + 1):
@@ -490,6 +495,6 @@ class TestConvergenceReport:
     def test_excluded_counts_match_layer_set(self):
         h = HFunction.linear()
         rows = convergence_report(1, h, [4])
-        jk = build_Jk(1, h, rows[0].hi // height(1) + 3)
+        jk = build_Jk(1, h, rows[0].hi)
         assert rows[0].excluded == sum(
             1 for n in range(rows[0].lo, rows[0].hi + 1) if n in jk)

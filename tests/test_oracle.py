@@ -34,6 +34,13 @@ class TestPushforward:
         for k in range(6):
             for j in range(tower.height(k)):
                 assert oracle._lv_start(k, j) == Fraction(tower._level_start(k, j), 3 ** (k + 1))
+        # the levels fill [0, 1 - 3^-(k+1)) without gaps, so rank i starts at i w
+        for k in range(7):
+            w = Fraction(2, 3 ** (k + 1))
+            starts = {oracle._lv_start(k, j) for j in range(tower.height(k))}
+            assert starts == {i * w for i in range(tower.height(k))}
+            for i in range(tower.height(k)):
+                assert oracle._lv_start(k, oracle._level(k, i)) == i * w
 
     def test_preserves_measure_on_random_intervals(self):
         rng = random.Random(23)
@@ -70,6 +77,24 @@ class TestPushforward:
             x = TriadicRational.from_fraction(Fraction(a, 3 ** e))
             y = apply_T(x).as_fraction()
             assert any(lo <= y < hi for lo, hi in image)
+
+    def test_deep_pieces_keep_measure_and_follow_the_map(self):
+        # pieces ending 1-3 units below 2/3 (the top levels) or 1 (the spacer
+        # remainders) recurse to stages 6-11, most of them to 8-11
+        from chaconlab.tower import apply_T
+        from chaconlab.triadic import TriadicRational
+        rng = random.Random(31)
+        for _ in range(60):
+            e = rng.randint(8, 11)
+            lo_end = rng.random() < 0.5
+            b = (2 * 3 ** (e - 1) if lo_end else 3 ** e) - rng.randint(1, 3)
+            a = b - rng.randint(1, 9)
+            st = PushforwardState.of(TriadicSet.from_endpoints(
+                [(Fraction(a, 3 ** e), Fraction(b, 3 ** e))]))
+            st2 = pushforward_step(st)
+            assert st2.measure() == Fraction(b - a, 3 ** e)
+            y = apply_T(TriadicRational.from_fraction(Fraction(a, 3 ** e))).as_fraction()
+            assert any(lo <= y < hi for lo, hi in st2.pieces)
 
     def test_unresolvable_piece_raises(self):
         # [1 - 3^-12, 1) lies in the spacer remainder of every stage below 12
