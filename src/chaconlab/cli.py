@@ -18,7 +18,10 @@ import json
 import math
 import random
 import sys
+from contextlib import nullcontext
 from fractions import Fraction
+from itertools import islice
+from typing import Iterable, Iterator, Sequence
 
 from . import constants, correlation, exceptional, tower
 from .checks import SUITE
@@ -79,53 +82,93 @@ def _parse_value(text: str, lineno: int) -> Fraction:
         raise InputError(f"line {lineno}: {text!r} is not a finite rational") from None
 
 
+def _ratio(num: int, den: int) -> tuple[int, int, str]:
+    """num/den in lowest terms, and its decimal as dec12 prints it: int / int
+    is correctly rounded, so it is the same float."""
+    g = math.gcd(num, den)
+    return num // g, den // g, "%.12g" % (num / den)
+
+
+def _printable(rows: Iterable[Sequence], bound: int) -> Iterable[Sequence]:
+    """The rows, left lazy when bound, at least every cell, passes str.
+    Otherwise they are listed and every cell passed through str once, so
+    that an int past the int -> str digit limit fails before any output."""
+    try:
+        str(bound)
+    except ValueError:
+        rows = list(rows)
+        for row in rows:
+            for cell in row:
+                str(cell)
+    return rows
+
+
 class Output:
-    """Collects rows and writes them as CSV or JSON, deterministically."""
+    """Writes rows as CSV or JSON, deterministically."""
+
+    CSV_CHUNK = 4096   # rows formatted, joined and written at a time
 
     def __init__(self, fmt: str, out: str | None, seed: int):
         self.fmt = fmt
         self.out = out
         self.seed = seed
 
-    def emit_rows(self, header: list[str], rows: list[list], meta: dict) -> None:
+    def emit_rows(self, header: list[str], rows: Iterable[Sequence], meta: dict) -> None:
+        """CSV is written a chunk of rows at a time as the rows are made, so
+        every check of the command must come before the call."""
         if self.fmt == "csv":
-            lines = ["# seed=%d %s" % (self.seed, " ".join(
-                "%s=%s" % (k, meta[k]) for k in sorted(meta)))]
-            lines.append(",".join(header))
-            for row in rows:
-                lines.append(",".join(str(c) for c in row))
-            text = "\n".join(lines) + "\n"
+            self._write(self._csv_chunks(header, iter(rows), meta))
         else:
-            payload = dict(meta)
-            payload["seed"] = self.seed
-            payload["columns"] = header
-            payload["rows"] = rows
-            text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
-        self._write(text)
+            self.emit_json(dict(meta, columns=header, rows=list(rows)))
+
+    def _csv_chunks(self, header: list[str], rows: Iterator[Sequence],
+                    meta: dict) -> Iterator[str]:
+        lines = ["# seed=%d %s" % (self.seed, " ".join(
+            "%s=%s" % (k, meta[k]) for k in sorted(meta))), ",".join(header)]
+        line = ",".join(["%s"] * len(header))   # %s formats a cell as str does
+        while True:
+            lines += [line % tuple(row) for row in islice(rows, self.CSV_CHUNK)]
+            if not lines:
+                return
+            yield "\n".join(lines) + "\n"
+            lines = []
 
     def emit_json(self, payload: dict) -> None:
-        payload = dict(payload)
-        payload["seed"] = self.seed
-        self._write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+        self._write([json.dumps(dict(payload, seed=self.seed), sort_keys=True, indent=2) + "\n"])
 
-    def _write(self, text: str) -> None:
-        if self.out:
-            with open(self.out, "w", encoding="utf-8", newline="\n") as fh:
-                fh.write(text)
-        else:
-            sys.stdout.write(text)
+    def _write(self, chunks: Iterable[str]) -> None:
+        """The target is opened once the first chunk is made, so an error in
+        making it leaves no output and no file."""
+        chunks = iter(chunks)
+        first = next(chunks)
+        target = open(self.out, "w", encoding="utf-8", newline="\n") if self.out \
+            else nullcontext(sys.stdout)
+        with target as fh:
+            fh.write(first)
+            fh.writelines(chunks)
 
 
 # ---------------------------------------------------------------------------
 # subcommands
 
 def cmd_dl(args, out: Output) -> int:
-    rows = []
-    for l in parse_range(args.l):
-        d = correlation.compute_dl(args.k, l, max_l=args.cap_l)
-        for i, m in enumerate(d.masses):
-            rows.append([l, d.start + i, m.numerator, m.denominator, dec12(m)])
-    out.emit_rows(["l", "n", "num", "den", "decimal"], rows,
+    ls = parse_range(args.l)
+    # the first index's errors (l < 0, over the cap, a negative stage), then the
+    # first index over the cap: what building the rows in order would meet
+    correlation.compute_dl(args.k, ls[0], max_l=args.cap_l)
+    if ls[-1] > args.cap_l:
+        raise SizeError(f"l = {args.cap_l + 1} exceeds cap {args.cap_l}")
+
+    def rows() -> Iterator[tuple]:
+        for l in ls:
+            d = correlation.compute_dl(args.k, l, max_l=args.cap_l)
+            den = 2 * 3 ** d.e
+            for n, m in enumerate(d.nums, d.start):
+                yield (l, n) + _ratio(m, den)
+
+    # the last n, t_l, is the largest; every den 2 * 3^e is at most 6l + 2
+    bound = max(correlation.support(args.k, ls[-1])[1], 6 * ls[-1] + 2)
+    out.emit_rows(["l", "n", "num", "den", "decimal"], _printable(rows(), bound),
                   {"command": "dl", "k": args.k})
     return EXIT_OK
 
@@ -138,21 +181,20 @@ def cmd_corr(args, out: Output) -> int:
         raise SizeError(f"n = {abs(ns[0])} exceeds cap {args.cap_n}")
     # c_k is even in n: one series over |n| covers the whole range
     lo = 0 if ns[0] <= 0 <= ns[-1] else min(abs(ns[0]), abs(ns[-1]))
-    series = correlation.correlation_series(
-        args.k, lo, max(abs(ns[0]), abs(ns[-1])), args.cap_n, args.cap_l)
-    rows = []
-    for n in ns:
-        c = series[abs(n) - lo]
-        rows.append([n, c.numerator, c.denominator, dec12(c)])
-    out.emit_rows(["n", "num", "den", "decimal"], rows,
+    hi = max(abs(ns[0]), abs(ns[-1]))
+    nums, p = correlation.series_numerators(args.k, lo, hi, args.cap_n, args.cap_l)
+    den = 3 ** p
+    rows = ((n,) + _ratio(nums[abs(n) - lo], den) for n in ns)
+    out.emit_rows(["n", "num", "den", "decimal"], _printable(rows, max(den, hi)),
                   {"command": "corr", "k": args.k})
     return EXIT_OK
 
 
 def cmd_cesaro(args, out: Output) -> int:
-    averages = correlation.cesaro(args.k, args.n_max, max_n=args.cap_n, max_l=args.cap_l)
-    rows = [[n, c.numerator, c.denominator, dec12(c)] for n, c in enumerate(averages, 1)]
-    out.emit_rows(["N", "num", "den", "decimal"], rows,
+    totals, den = correlation.cesaro_totals(args.k, args.n_max, args.cap_n, args.cap_l)
+    rows = ((n,) + _ratio(t, den * n) for n, t in enumerate(totals, 1))
+    # every average is below 1, so den * N bounds every cell
+    out.emit_rows(["N", "num", "den", "decimal"], _printable(rows, den * args.n_max),
                   {"command": "cesaro", "k": args.k})
     return EXIT_OK
 

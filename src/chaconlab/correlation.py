@@ -13,7 +13,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from itertools import accumulate
+from typing import Iterable, Iterator, Sequence
 
 from . import tower
 from .triadic import DomainError
@@ -213,13 +214,13 @@ def mu_Ak(k: int) -> Fraction:
 def correlation_series(k: int, n_lo: int, n_hi: int, max_n: int = DEFAULT_MAX_N,
                        max_l: int = DEFAULT_MAX_L) -> list[Fraction]:
     """[c_k(n) for n in n_lo..n_hi], exactly, in one pass."""
-    nums, p = _series_numerators(k, n_lo, n_hi, max_n, max_l)
+    nums, p = series_numerators(k, n_lo, n_hi, max_n, max_l)
     den = 3 ** p
     return [Fraction(a, den) for a in nums]
 
 
-def _series_numerators(k: int, n_lo: int, n_hi: int, max_n: int,
-                       max_l: int) -> tuple[list[int], int]:
+def series_numerators(k: int, n_lo: int, n_hi: int, max_n: int,
+                      max_l: int) -> tuple[list[int], int]:
     """Integers a_n and p with c_k(n) = a_n / 3^p for n in n_lo..n_hi.
 
     c_k(n) = mu(A_k) * sum of d_l'(n) over l in P_n.  Every d_l' whose
@@ -265,20 +266,26 @@ def cesaro(k: int, big_n: int, max_n: int = DEFAULT_MAX_N,
            max_l: int = DEFAULT_MAX_L) -> list[Fraction]:
     """Running averages [C_1, ..., C_N], exact, in one pass, where C_M is
     (1/M) sum_{n<M} |c_k(n) - mu(A_k)^2|."""
+    totals, den = cesaro_totals(k, big_n, max_n, max_l)
+    return [Fraction(t, den * m) for m, t in enumerate(totals, 1)]
+
+
+def cesaro_totals(k: int, big_n: int, max_n: int,
+                  max_l: int) -> tuple[Iterator[int], int]:
+    """Integers T_1, ..., T_N and den with C_M = T_M / (den * M).
+
+    Every check runs, and the series is computed, at the call; the running
+    sums are formed as the iterator is read.
+    """
     if big_n < 1:
         raise DomainError(f"N = {big_n} < 1")
     mu = mu_Ak(k)  # checks the stage before the caps
-    corr, p = _series_numerators(k, 0, big_n - 1, max_n, max_l)
+    corr, p = series_numerators(k, 0, big_n - 1, max_n, max_l)
     # every term over den = 3^max(p, 2k+2), so the running sum is an integer
     den = 3 ** max(p, 2 * k + 2)
     scale = den // 3 ** p
     target = int(mu ** 2 * den)
-    total = 0
-    averages = []
-    for n, c in enumerate(corr, 1):
-        total += abs(scale * c - target)
-        averages.append(Fraction(total, den * n))
-    return averages
+    return accumulate(abs(scale * c - target) for c in corr), den
 
 
 # ---------------------------------------------------------------------------

@@ -301,7 +301,8 @@ def build_Jk(k: int, h: HFunction, n_max: int) -> IntegerIntervalSet:
     balanced-ternary weight stays under (log N)^2 h(N) are collected.
     Natural logarithm; the N = 1 layer has threshold 0 (nan for loglog) and
     contributes nothing.  Since s_l >= l*h_k, only l <= n_max // h_k can meet
-    the window.
+    the window; among those b_l - 1 is at most the bit length L of n_max // h_k,
+    so s_l = l*h_k + (l - b_l + 1)/2 <= n_max needs l*(2h_k + 1) <= 2*n_max + L.
 
     s_l and t_l both rise strictly with l, so one pass in index order merges
     each selected support into the interval [lo, hi] it extends, or closes
@@ -310,7 +311,7 @@ def build_Jk(k: int, h: HFunction, n_max: int) -> IntegerIntervalSet:
     hk = tower.height(k)
     if k < 1:
         raise DomainError(f"stage k must be >= 1, got {k}")
-    l_max = n_max // hk
+    l_max = (2 * n_max + (n_max // hk).bit_length()) // (2 * hk + 1)
     weights = support_weights(l_max)
     pieces: list[tuple[int, int]] = []
     lo, hi = 0, -2         # an empty interval that no support s_l >= 0 joins

@@ -7,16 +7,18 @@ from fractions import Fraction
 
 import pytest
 
+from chaconlab import correlation
 from chaconlab.cli import (
     EXIT_INPUT,
     EXIT_OK,
     EXIT_RESOURCE,
+    Output,
     _parse_value,
     dec12,
     main,
     parse_range,
 )
-from chaconlab.correlation import autocorrelation, correlation_series
+from chaconlab.correlation import autocorrelation, compute_dl, correlation_series, mu_Ak
 from chaconlab.tower import locate
 from chaconlab.triadic import TriadicRational
 
@@ -180,6 +182,132 @@ def test_series_output_pinned(capsys):
     # recorded at commit e06cecc, before SupportIndex and the cached masses went
     assert digest.hexdigest() == (
         "10174d74d2f18d0222273ff98a75d825d0b9c66deb5a2698db622c8e6457313d")
+
+
+CHUNK = Output.CSV_CHUNK
+
+
+def stdout_rows(capsys, argv):
+    """The data rows main prints for argv, as lists of cells."""
+    capsys.readouterr()
+    assert main(argv) == EXIT_OK
+    return [line.split(",") for line in capsys.readouterr().out.splitlines()[2:]]
+
+
+def fraction_row(*key, value):
+    return [str(x) for x in key] + [str(value.numerator), str(value.denominator),
+                                    dec12(value)]
+
+
+class TestRowsFromNumerators:
+    # each window crosses the CSV chunk size at least twice
+
+    def test_corr_matches_fractions(self, capsys):
+        lo, hi = -CHUNK - 50, 2 * CHUNK + 50
+        series = correlation_series(1, 0, hi)
+        assert 0 in series
+        expected = [fraction_row(n, value=series[abs(n)]) for n in range(lo, hi + 1)]
+        assert stdout_rows(capsys, ["corr", "--k", "1", f"--n={lo}..{hi}"]) == expected
+
+    def test_cesaro_matches_fractions(self, capsys):
+        big_n = 2 * CHUNK + 100
+        target = mu_Ak(1) ** 2
+        total, expected = Fraction(0), []
+        for m, c in enumerate(correlation_series(1, 0, big_n - 1), 1):
+            total += abs(c - target)
+            expected.append(fraction_row(m, value=total / m))
+        assert stdout_rows(capsys, ["cesaro", "--k", "1", "--N-max", str(big_n)]) == expected
+
+    def test_dl_matches_fractions(self, capsys):
+        expected = []
+        for l in range(2001):
+            d = compute_dl(2, l)
+            expected += [fraction_row(l, n, value=m) for n, m in enumerate(d.masses, d.start)]
+        assert len(expected) > 2 * CHUNK
+        assert stdout_rows(capsys, ["dl", "--k", "2", "--l", "0..2000"]) == expected
+
+    def test_csv_is_written_a_chunk_at_a_time(self, monkeypatch):
+        made, writes = [], []
+
+        def rows():
+            for i in range(3 * CHUNK + 5):
+                made.append(i)
+                yield i, i * i
+
+        class Sink:
+            # records how many rows were made at each write
+            def write(self, text):
+                writes.append((len(made), text))
+
+            def writelines(self, texts):
+                for text in texts:
+                    self.write(text)
+
+        monkeypatch.setattr(sys, "stdout", Sink())
+        Output("csv", None, 4).emit_rows(["a", "b"], rows(), {"command": "t"})
+        assert [n for n, _ in writes] == [CHUNK, 2 * CHUNK, 3 * CHUNK, 3 * CHUNK + 5]
+        assert "".join(text for _, text in writes) == "# seed=4 command=t\na,b\n" + "".join(
+            f"{i},{i * i}\n" for i in range(3 * CHUNK + 5))
+
+
+class TestOutFile:
+    def test_out_gets_the_bytes_of_stdout(self, tmp_path, capsys):
+        commands = [["corr", "--k", "1", f"--n=-100..{2 * CHUNK}"],
+                    ["cesaro", "--k", "2", "--N-max", str(CHUNK + 1)],
+                    ["dl", "--k", "1", "--l", "0..1500"],
+                    ["jset", "--k", "1", "--N-max", "200000"]]
+        path = tmp_path / "out.txt"
+        for argv in commands:
+            for fmt in ("csv", "json"):
+                full = argv + ["--format", fmt, "--seed", "11"]
+                capsys.readouterr()
+                assert main(full) == EXIT_OK
+                printed = capsys.readouterr().out
+                assert main(full + ["--out", str(path)]) == EXIT_OK
+                assert capsys.readouterr().out == ""
+                assert path.read_bytes() == printed.encode("utf-8"), full
+
+    def test_failing_dl_prints_nothing(self, tmp_path, capsys, monkeypatch):
+        calls = []
+        build = correlation.compute_dl
+        monkeypatch.setattr(correlation, "compute_dl",
+                            lambda *a, **kw: calls.append(a) or build(*a, **kw))
+        path = tmp_path / "out.txt"
+        cases = [(["dl", "--k", "1", "--l", "0..60001", "--cap-l", "60000"],
+                  EXIT_RESOURCE, "resource cap: l = 60001 exceeds cap 60000\n"),
+                 (["dl", "--k", "1", "--l", "70000..70001", "--cap-l", "60000"],
+                  EXIT_RESOURCE, "resource cap: l = 70000 exceeds cap 60000\n"),
+                 (["dl", "--k", "1", "--l=-3..5"], EXIT_INPUT, "invalid input: l = -3 < 0\n"),
+                 (["dl", "--k", "-1", "--l", "0..70000", "--cap-l", "60000"],
+                  EXIT_INPUT, "invalid input: stage -1 < 0\n")]
+        for argv, code, err in cases:
+            for extra in ([], ["--out", str(path)]):
+                calls.clear()
+                capsys.readouterr()
+                assert main(argv + extra) == code
+                assert capsys.readouterr() == ("", err)
+                assert not path.exists()
+                # the range is checked before anything past its first index is built
+                assert len(calls) <= 1, argv
+
+    def test_row_past_digit_limit_prints_nothing(self, tmp_path, capsys):
+        # at stage 1334 the n column passes 640 digits at l = 2209, more than
+        # a chunk of rows after l = 1000
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            first = sum(correlation.support(1334, l)[1] - correlation.support(1334, l)[0] + 1
+                        for l in range(1000, 2209))
+            assert first > CHUNK and len(str(correlation.support(1334, 2208)[1])) == 640
+            path = tmp_path / "out.txt"
+            for extra in ([], ["--out", str(path)]):
+                capsys.readouterr()
+                assert main(["dl", "--k", "1334", "--l", "1000..2209", *extra]) == EXIT_INPUT
+                out, err = capsys.readouterr()
+                assert out == "" and err.startswith("invalid input: Exceeds the limit (640 ")
+                assert not path.exists()
+        finally:
+            sys.set_int_max_str_digits(limit)
 
 
 class TestJsetEset:
