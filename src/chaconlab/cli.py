@@ -5,7 +5,9 @@ averages, exceptional sets and zero-correlation times, run the generic
 extractor on a CSV series, apply the transformation pointwise, and run the
 deterministic verification suite.  Output is CSV (comma, header row, LF,
 UTF-8, seed recorded in a leading comment line) or JSON with sorted keys;
-identical config and seed give byte-identical output.
+identical config and seed give byte-identical output.  Printed numbers are
+exact at any stage: Output lifts the int -> str digit limit while it writes,
+so the limit guards only the parsing of argv and of extract cells.
 
 Exit codes: 0 success, 1 verification failure, 2 invalid input, 3 resource
 cap exceeded.
@@ -89,22 +91,10 @@ def _ratio(num: int, den: int) -> tuple[int, int, str]:
     return num // g, den // g, "%.12g" % (num / den)
 
 
-def _printable(rows: Iterable[Sequence], bound: int) -> Iterable[Sequence]:
-    """The rows, left lazy when bound, at least every cell, passes str.
-    Otherwise they are listed and every cell passed through str once, so
-    that an int past the int -> str digit limit fails before any output."""
-    try:
-        str(bound)
-    except ValueError:
-        rows = list(rows)
-        for row in rows:
-            for cell in row:
-                str(cell)
-    return rows
-
-
 class Output:
-    """Writes rows as CSV or JSON, deterministically."""
+    """Writes rows as CSV or JSON, deterministically.  Every printed number
+    is the program's own, so the int -> str digit limit is lifted while it
+    writes and the caller's limit restored after."""
 
     CSV_CHUNK = 4096   # rows formatted, joined and written at a time
 
@@ -134,18 +124,27 @@ class Output:
             lines = []
 
     def emit_json(self, payload: dict) -> None:
-        self._write([json.dumps(dict(payload, seed=self.seed), sort_keys=True, indent=2) + "\n"])
+        self._write(self._json_chunks(payload))
 
-    def _write(self, chunks: Iterable[str]) -> None:
+    def _json_chunks(self, payload: dict) -> Iterator[str]:
+        # default=str prints any other cell as str, as %s does in CSV
+        yield json.dumps(dict(payload, seed=self.seed), sort_keys=True, indent=2,
+                         default=str) + "\n"
+
+    def _write(self, chunks: Iterator[str]) -> None:
         """The target is opened once the first chunk is made, so an error in
         making it leaves no output and no file."""
-        chunks = iter(chunks)
-        first = next(chunks)
-        target = open(self.out, "w", encoding="utf-8", newline="\n") if self.out \
-            else nullcontext(sys.stdout)
-        with target as fh:
-            fh.write(first)
-            fh.writelines(chunks)
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            first = next(chunks)
+            target = open(self.out, "w", encoding="utf-8", newline="\n") if self.out \
+                else nullcontext(sys.stdout)
+            with target as fh:
+                fh.write(first)
+                fh.writelines(chunks)
+        finally:
+            sys.set_int_max_str_digits(limit)
 
 
 # ---------------------------------------------------------------------------
@@ -166,9 +165,7 @@ def cmd_dl(args, out: Output) -> int:
             for n, m in enumerate(d.nums, d.start):
                 yield (l, n) + _ratio(m, den)
 
-    # the last n, t_l, is the largest; every den 2 * 3^e is at most 6l + 2
-    bound = max(correlation.support(args.k, ls[-1])[1], 6 * ls[-1] + 2)
-    out.emit_rows(["l", "n", "num", "den", "decimal"], _printable(rows(), bound),
+    out.emit_rows(["l", "n", "num", "den", "decimal"], rows(),
                   {"command": "dl", "k": args.k})
     return EXIT_OK
 
@@ -185,7 +182,7 @@ def cmd_corr(args, out: Output) -> int:
     nums, p = correlation.series_numerators(args.k, lo, hi, args.cap_n, args.cap_l)
     den = 3 ** p
     rows = ((n,) + _ratio(nums[abs(n) - lo], den) for n in ns)
-    out.emit_rows(["n", "num", "den", "decimal"], _printable(rows, max(den, hi)),
+    out.emit_rows(["n", "num", "den", "decimal"], rows,
                   {"command": "corr", "k": args.k})
     return EXIT_OK
 
@@ -193,8 +190,7 @@ def cmd_corr(args, out: Output) -> int:
 def cmd_cesaro(args, out: Output) -> int:
     totals, den = correlation.cesaro_totals(args.k, args.n_max, args.cap_n, args.cap_l)
     rows = ((n,) + _ratio(t, den * n) for n, t in enumerate(totals, 1))
-    # every average is below 1, so den * N bounds every cell
-    out.emit_rows(["N", "num", "den", "decimal"], _printable(rows, den * args.n_max),
+    out.emit_rows(["N", "num", "den", "decimal"], rows,
                   {"command": "cesaro", "k": args.k})
     return EXIT_OK
 
@@ -230,7 +226,7 @@ def cmd_eset(args, out: Output) -> int:
     rows = [[a, b, ek.count(b)] for a, b in ek.intervals]
     out.emit_rows(["lo", "hi", "count_cum"], rows,
                   {"command": "eset", "k": args.k, "l_max": l_max,
-                   "covered": covered, "count": len(ek)})
+                   "covered": covered, "count": ek.count(covered)})
     return EXIT_OK
 
 
@@ -295,7 +291,7 @@ def cmd_apply_t(args, out: Output) -> int:
     y = tower.apply_T_power(x, n)
     q = y.as_fraction()
     out.emit_rows(["n", "point", "image", "decimal"],
-                  [[n, str(x), str(y), dec12(q)]],
+                  [[n, x, y, dec12(q)]],
                   {"command": "apply-t"})
     return EXIT_OK
 
@@ -304,17 +300,11 @@ def cmd_locate(args, out: Output) -> int:
     x = parse_point(args.point)
     addr = tower.locate(x, args.k)
     level = "" if addr.level is None else addr.level
-    # a deep stage's numbers pass the int -> str limit; the stage loop costs more
-    limit = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)
-    try:
-        out.emit_rows(["k", "level", "offset_num", "offset_den", "decimal"],
-                      [[args.k, level, addr.offset.numerator, addr.offset.denominator,
-                        dec12(addr.offset)]],
-                      {"command": "locate",
-                       "region": "spacer_remainder" if addr.level is None else "level"})
-    finally:
-        sys.set_int_max_str_digits(limit)
+    out.emit_rows(["k", "level", "offset_num", "offset_den", "decimal"],
+                  [[args.k, level, addr.offset.numerator, addr.offset.denominator,
+                    dec12(addr.offset)]],
+                  {"command": "locate",
+                   "region": "spacer_remainder" if addr.level is None else "level"})
     return EXIT_OK
 
 

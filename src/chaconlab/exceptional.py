@@ -106,7 +106,11 @@ class HFunction:
         self._fn = fn
 
     def __call__(self, x: float) -> float:
-        return self._fn(x)
+        """h(x), or +inf where the increasing h overflows a float."""
+        try:
+            return self._fn(x)
+        except OverflowError:
+            return math.inf
 
     @classmethod
     def linear(cls) -> "HFunction":

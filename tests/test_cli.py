@@ -3,6 +3,7 @@ import json
 import math
 import random
 import sys
+from contextlib import contextmanager
 from fractions import Fraction
 
 import pytest
@@ -19,7 +20,8 @@ from chaconlab.cli import (
     parse_range,
 )
 from chaconlab.correlation import autocorrelation, compute_dl, correlation_series, mu_Ak
-from chaconlab.tower import locate
+from chaconlab.exceptional import HFunction, build_Jk
+from chaconlab.tower import apply_T_power, locate
 from chaconlab.triadic import TriadicRational
 
 
@@ -194,9 +196,12 @@ def stdout_rows(capsys, argv):
     return [line.split(",") for line in capsys.readouterr().out.splitlines()[2:]]
 
 
+def value_row(*key, value):
+    return [*key, value.numerator, value.denominator, dec12(value)]
+
+
 def fraction_row(*key, value):
-    return [str(x) for x in key] + [str(value.numerator), str(value.denominator),
-                                    dec12(value)]
+    return [str(c) for c in value_row(*key, value=value)]
 
 
 class TestRowsFromNumerators:
@@ -290,24 +295,97 @@ class TestOutFile:
                 # the range is checked before anything past its first index is built
                 assert len(calls) <= 1, argv
 
-    def test_row_past_digit_limit_prints_nothing(self, tmp_path, capsys):
+    def test_row_past_digit_limit_prints(self, tmp_path, capsys):
         # at stage 1334 the n column passes 640 digits at l = 2209, more than
         # a chunk of rows after l = 1000
+        expected = []
+        for l in range(1000, 2210):
+            d = compute_dl(1334, l)
+            expected += [fraction_row(l, n, value=m) for n, m in enumerate(d.masses, d.start)]
+        assert len(expected) > CHUNK and len(expected[-1][1]) > 640
+        argv = ["dl", "--k", "1334", "--l", "1000..2209"]
+        path = tmp_path / "out.txt"
+        with int_digit_limit(640):
+            capsys.readouterr()
+            assert main(argv) == EXIT_OK
+            printed = capsys.readouterr().out
+            assert main(argv + ["--out", str(path)]) == EXIT_OK
+            assert capsys.readouterr().out == ""
+            assert sys.get_int_max_str_digits() == 640
+        assert path.read_text(encoding="utf-8") == printed
+        assert [ln.split(",") for ln in printed.splitlines()[2:]] == expected
+
+    def test_digit_limit_is_restored(self, tmp_path, capsys, monkeypatch):
         limit = sys.get_int_max_str_digits()
-        sys.set_int_max_str_digits(640)
-        try:
-            first = sum(correlation.support(1334, l)[1] - correlation.support(1334, l)[0] + 1
-                        for l in range(1000, 2209))
-            assert first > CHUNK and len(str(correlation.support(1334, 2208)[1])) == 640
-            path = tmp_path / "out.txt"
-            for extra in ([], ["--out", str(path)]):
-                capsys.readouterr()
-                assert main(["dl", "--k", "1334", "--l", "1000..2209", *extra]) == EXIT_INPUT
-                out, err = capsys.readouterr()
-                assert out == "" and err.startswith("invalid input: Exceeds the limit (640 ")
-                assert not path.exists()
-        finally:
-            sys.set_int_max_str_digits(limit)
+        assert main(["dl", "--k", "1", "--l", "0..3"]) == EXIT_OK
+        assert main(["dl", "--k", "1", "--l", "0..3", "--out",
+                     str(tmp_path / "missing" / "out.txt")]) == EXIT_INPUT
+        assert main(["dl", "--k", "1", "--l", "0..60001", "--cap-l", "60000"]) == EXIT_RESOURCE
+        # a cap error raised while the rows are written
+        build = correlation.compute_dl
+        calls = []
+
+        def compute_dl_once(*a, **kw):
+            calls.append(a)
+            if len(calls) > 1:
+                raise correlation.SizeError("cap")
+            return build(*a, **kw)
+
+        monkeypatch.setattr(correlation, "compute_dl", compute_dl_once)
+        assert main(["dl", "--k", "1", "--l", "0..3"]) == EXIT_RESOURCE
+        assert len(calls) == 2
+        assert sys.get_int_max_str_digits() == limit
+
+
+@contextmanager
+def int_digit_limit(digits):
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(digits)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+class TestDeepStage:
+    # every cell below is exact past the default 4300-digit int -> str limit,
+    # which still holds while main runs
+
+    def expect(self, capsys, argv, expected):
+        for fmt in ("csv", "json"):
+            capsys.readouterr()
+            assert main(argv + ["--format", fmt]) == EXIT_OK
+            text = capsys.readouterr().out
+            with int_digit_limit(0):
+                if fmt == "csv":
+                    assert [ln.split(",") for ln in text.splitlines()[2:]] == [
+                        [str(c) for c in row] for row in expected]
+                else:
+                    assert json.loads(text)["rows"] == expected
+                assert max(len(str(c)) for row in expected for c in row) > 4300
+
+    def test_dl(self, capsys):
+        d = [compute_dl(9100, l) for l in (0, 1)]
+        self.expect(capsys, ["dl", "--k", "9100", "--l", "0..1"],
+                    [value_row(l, n, value=m) for l in (0, 1)
+                     for n, m in enumerate(d[l].masses, d[l].start)])
+
+    def test_corr(self, capsys):
+        self.expect(capsys, ["corr", "--k", "9100", "--n", "0..2"],
+                    [value_row(n, value=c)
+                     for n, c in enumerate(correlation_series(9100, 0, 2))])
+
+    def test_cesaro(self, capsys):
+        self.expect(capsys, ["cesaro", "--k", "4600", "--N-max", "3"],
+                    [value_row(m, value=c)
+                     for m, c in enumerate(correlation.cesaro(4600, 3), 1)])
+
+    def test_apply_t(self, capsys):
+        x = TriadicRational.parse("1/3^9100")
+        y = apply_T_power(x, -2)
+        with int_digit_limit(0):
+            expected = [[-2, str(x), str(y), dec12(y.as_fraction())]]
+        self.expect(capsys, ["apply-t", "1/3^9100", "--n=-2"], expected)
 
 
 class TestJsetEset:
@@ -383,6 +461,28 @@ class TestJsetEset:
         # recorded at commit 885c9bd, before build_Jk merged supports in one pass
         assert digest.hexdigest() == (
             "1f35fcc4e9f71e195449f487a1b4b8ecfe113ac5bafcdd80869a1df32b1b730f")
+
+    def test_eset_count_past_index_size(self, tmp_path):
+        for fmt in ("csv", "json"):
+            code, text = run(tmp_path, "eset", "--k", "45", "--l", "3", "--format", fmt)
+            assert code == EXIT_OK
+            if fmt == "json":
+                payload = json.loads(text)
+                assert payload["count"] == payload["rows"][-1][2] > sys.maxsize
+            else:
+                header_line, _, rows = csv_rows(text)
+                assert f" count={rows[-1][2]} " in header_line
+
+    def test_overflowing_power_is_infinite(self, tmp_path):
+        code, text = run(tmp_path, "jset", "--k", "1", "--h", "power:1e308", "--N-max", "100")
+        assert code == EXIT_OK
+        _, _, rows = csv_rows(text)
+        infinite = build_Jk(1, HFunction("inf", lambda x: math.inf), 100)
+        assert [(int(a), int(b)) for a, b, _ in rows] == list(infinite.intervals) != []
+        code, text = run(tmp_path, "jset", "--global", "--k", "3", "--h", "power:1e308",
+                         "--N-max", "100")
+        assert code == EXIT_OK
+        assert " skipped=none" in csv_rows(text)[0]
 
     def test_eset(self, tmp_path):
         code, text = run(tmp_path, "eset", "--k", "1", "--l", "30")

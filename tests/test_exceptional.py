@@ -410,6 +410,12 @@ class TestBuildJ:
         assert len(gj.jset) == 0
         assert gj.skipped and gj.skipped[0][0] == 1
 
+    def test_overflowing_power_cutoff(self):
+        h = HFunction.power(1e308)
+        assert h(2) == math.inf and h(1) == 1.0
+        assert [g_cutoff(h, k) for k in (1, 2, 3)] == [2, 2, 2]
+        assert build_J(3, h, 100).skipped == []
+
     def test_overflowing_inverse_skips_layer(self):
         gj = build_J(2, HFunction.log(), 3 ** 9)
         assert len(gj.jset) == 0
