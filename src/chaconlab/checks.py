@@ -79,9 +79,9 @@ def measure_preserved(rng, samples: int) -> bool:
         if a <= 2 * 3 ** (e - 1) <= b:
             # an interval whose closure meets 2/3 has an infinite image
             continue
-        st = oracle.PushforwardState.of(
+        image = oracle.pushforward_step(
             TriadicSet.from_endpoints([(Fraction(a, 3 ** e), Fraction(b, 3 ** e))]))
-        if oracle.pushforward_step(st).measure() != Fraction(b - a, 3 ** e):
+        if sum((hi - lo for lo, hi in image.intervals), Fraction(0)) != Fraction(b - a, 3 ** e):
             return False
     return True
 

@@ -55,16 +55,6 @@ def parse_range(text: str) -> range:
     return range(a, b + 1)
 
 
-def parse_point(text: str) -> TriadicRational:
-    try:
-        return TriadicRational.parse(text)
-    except (DomainError, ValueError):
-        try:
-            return TriadicRational.from_fraction(Fraction(text))
-        except ZeroDivisionError:
-            raise DomainError(f"zero denominator in point {text!r}") from None
-
-
 def _parse_value(text: str, lineno: int) -> Fraction:
     """An extract cell as an exact rational.  A plain decimal p or p/q is read
     by int, as Fraction reads it but without its regex; any other rational
@@ -284,7 +274,7 @@ def cmd_extract(args, out: Output) -> int:
 
 
 def cmd_apply_t(args, out: Output) -> int:
-    x = parse_point(args.point)
+    x = TriadicRational.parse(args.point)
     n = int(args.n) if args.n else 1
     if abs(n) > args.cap_n:
         raise SizeError(f"n = {n} exceeds cap {args.cap_n}")
@@ -297,7 +287,7 @@ def cmd_apply_t(args, out: Output) -> int:
 
 
 def cmd_locate(args, out: Output) -> int:
-    x = parse_point(args.point)
+    x = TriadicRational.parse(args.point)
     addr = tower.locate(x, args.k)
     level = "" if addr.level is None else addr.level
     out.emit_rows(["k", "level", "offset_num", "offset_den", "decimal"],

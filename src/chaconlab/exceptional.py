@@ -425,12 +425,12 @@ class BoundSpec:
         raise DomainError(f"unknown bound form {self.form!r}")
 
 
-def verify_count(iset: IntegerIntervalSet, spec: BoundSpec, grid: Sequence[int],
-                 direction: str = "upper") -> dict:
+def verify_count(iset: IntegerIntervalSet, spec: BoundSpec, grid: Sequence[int]) -> dict:
     """Compare exact window counts against the bound over a grid of n.
 
-    direction 'upper' checks count <= bound, 'lower' checks count >= bound.
-    Overflowed upper bounds pass trivially and are flagged.
+    The direction is the form's: 'upper' checks count <= bound, 'lower'
+    checks count >= bound.  Overflowed upper bounds pass trivially and are
+    flagged.
     """
     rows = []
     all_pass = True
@@ -438,12 +438,12 @@ def verify_count(iset: IntegerIntervalSet, spec: BoundSpec, grid: Sequence[int],
         bound = spec.evaluate(n)
         cnt = iset.count(n)
         overflow = math.isinf(bound)
-        ok = cnt <= bound if direction == "upper" else cnt >= bound
+        ok = cnt <= bound if spec.form == "upper" else cnt >= bound
         all_pass &= ok
         rows.append({"n": n, "count": cnt, "bound": bound, "pass": ok,
                      "overflow": overflow})
     return {"form": spec.form, "constant": spec.constant,
-            "provenance": spec.provenance, "direction": direction,
+            "provenance": spec.provenance, "direction": spec.form,
             "grid": rows, "pass": all_pass}
 
 

@@ -2,10 +2,11 @@
 
 Three unrelated verification devices live here:
 
-* a pushforward simulator that evaluates the transformation on interval
-  sets directly from the stacking rule, finding each level by its rank in
-  start order (no code shared with tower.apply_T),
-* exhaustive digit-word enumeration of the return-time distributions via
+* a pushforward simulator that maps a TriadicSet to its image directly
+  from the stacking rule, finding each level by its rank in start order
+  (no code shared with tower.apply_T), and the correlation of two
+  TriadicSets by level bookkeeping,
+* exhaustive digit-cell enumeration of the return-time distributions via
   the orbit sum of first-return times (no use of the mass recursion),
 * the smoothing-operator polynomials, the partial-sum order on them, and
   the lazy-walk polynomials they are compared against.
@@ -90,46 +91,25 @@ def _image_pieces(a: Fraction, b: Fraction, k: int,
         _image_pieces(max(a, res), b, k + 1, out)
 
 
-@dataclass
-class PushforwardState:
-    """Current image of an interval set under iterated forward steps."""
-
-    pieces: list[tuple[Fraction, Fraction]]
-    steps: int = 0
-
-    @classmethod
-    def of(cls, a: TriadicSet) -> "PushforwardState":
-        return cls([(iv.start, iv.end) for iv in a.intervals])
-
-    def measure(self) -> Fraction:
-        return sum((b - a for a, b in self.pieces), Fraction(0))
-
-
-def pushforward_step(state: PushforwardState) -> PushforwardState:
+def pushforward_step(a: TriadicSet) -> TriadicSet:
+    """The image T(A) of an interval set, one step forward."""
     out: list[tuple[Fraction, Fraction]] = []
-    for a, b in state.pieces:
-        _image_pieces(a, b, 0, out)
-    out.sort()
-    # coalesce touching pieces to keep fragmentation in check
-    merged: list[tuple[Fraction, Fraction]] = []
-    for a, b in out:
-        if merged and a <= merged[-1][1]:
-            merged[-1] = (merged[-1][0], max(merged[-1][1], b))
-        else:
-            merged.append((a, b))
-    if len(merged) > FRAGMENT_CAP:
-        raise FragmentationError(f"{len(merged)} fragments after step {state.steps + 1}")
-    return PushforwardState(merged, state.steps + 1)
+    for lo, hi in a.intervals:
+        _image_pieces(lo, hi, 0, out)
+    image = TriadicSet.from_endpoints(out)
+    if len(image.intervals) > FRAGMENT_CAP:
+        raise FragmentationError(f"{len(image.intervals)} fragments in one step")
+    return image
 
 
-def _trace(intervals: list[tuple[Fraction, Fraction]], lo: Fraction,
+def _trace(intervals: tuple[tuple[Fraction, Fraction], ...], lo: Fraction,
            hi: Fraction) -> list[tuple[Fraction, Fraction]]:
     return [(max(a, lo), min(b, hi)) for a, b in intervals
             if max(a, lo) < min(b, hi)]
 
 
-def _shift_overlap(av: list[tuple[Fraction, Fraction]],
-                   bv: list[tuple[Fraction, Fraction]],
+def _shift_overlap(av: tuple[tuple[Fraction, Fraction], ...],
+                   bv: tuple[tuple[Fraction, Fraction], ...],
                    src: Fraction, dst: Fraction, w: Fraction) -> Fraction:
     """measure(((A restricted to [src, src+w)) + dst - src) intersect B
     restricted to [dst, dst+w))."""
@@ -167,8 +147,7 @@ def brute_correlation(a: TriadicSet, b: TriadicSet, n: int) -> Fraction:
         a, b, n = b, a, -n
     if n > ORACLE_CAP:
         raise FragmentationError(f"n = {n} exceeds oracle cap {ORACLE_CAP}")
-    av = [(iv.start, iv.end) for iv in a.intervals]
-    bv = [(iv.start, iv.end) for iv in b.intervals]
+    av, bv = a.intervals, b.intervals
     if n == 0:
         return _shift_overlap(av, bv, 0, 0, 1)
 

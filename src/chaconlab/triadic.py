@@ -1,9 +1,9 @@
-"""Exact triadic rationals, ternary words, and unions of triadic intervals.
+"""Exact triadic rationals and unions of triadic intervals.
 
 Everything here is exact: points of [0,1) with denominator a power of 3,
-their ternary digit expansions, and finite disjoint unions of half-open
-intervals with triadic endpoints, kept in canonical form as the input of
-the oracles.  No floating point anywhere.
+and finite disjoint unions of half-open intervals with triadic endpoints,
+kept in canonical form as what the oracles take and return.  No floating
+point anywhere.
 """
 
 from __future__ import annotations
@@ -27,11 +27,6 @@ def _pow3_exponent(n: int) -> int | None:
         n //= 3
         e += 1
     return e if n == 1 else None
-
-
-def is_triadic(q: Fraction) -> bool:
-    """True if q has a power-of-3 denominator."""
-    return _pow3_exponent(q.denominator) is not None
 
 
 @dataclass(frozen=True, order=False)
@@ -68,29 +63,27 @@ class TriadicRational:
 
     @classmethod
     def parse(cls, text: str) -> "TriadicRational":
-        """Parse 'p/3^m', a bare integer numerator of 3^0, or '0.a1a2...' ternary."""
+        """Parse 'p/3^m', a bare integer numerator of 3^0, '0.a1a2...' in base
+        3, or else any literal that Fraction reads."""
         text = text.strip()
         m = re.fullmatch(r"(\d+)\s*/\s*3\^(\d+)", text)
         if m:
             return normalize(int(m.group(1)), int(m.group(2)))
         m = re.fullmatch(r"0\.([012]+)", text)
         if m:
-            return TernaryWord.parse(text).to_rational()
+            return normalize(int(m.group(1), 3), len(m.group(1)))
         if re.fullmatch(r"\d+", text):
             return normalize(int(text), 0)
-        raise DomainError(f"cannot parse triadic rational {text!r}")
+        try:
+            return cls.from_fraction(Fraction(text))
+        except ZeroDivisionError:
+            raise DomainError(f"zero denominator in point {text!r}") from None
 
     def as_fraction(self) -> Fraction:
         return Fraction(self.numerator, 3 ** self.exponent)
 
     def __str__(self) -> str:
         return f"{self.numerator}/3^{self.exponent}"
-
-
-def _coerce(x) -> Fraction:
-    if isinstance(x, TriadicRational):
-        return x.as_fraction()
-    return Fraction(x)
 
 
 def normalize(numerator: int, exponent: int) -> TriadicRational:
@@ -107,97 +100,32 @@ def normalize(numerator: int, exponent: int) -> TriadicRational:
     return TriadicRational(numerator, exponent)
 
 
-@dataclass(frozen=True)
-class TernaryWord:
-    """A finite word over {0,1,2} denoting 0.a1a2...am (implicit trailing zeros)."""
-
-    digits: tuple[int, ...]
-
-    def __post_init__(self):
-        if any(d not in (0, 1, 2) for d in self.digits):
-            raise DomainError(f"digits outside {{0,1,2}}: {self.digits}")
-
-    @classmethod
-    def parse(cls, text: str) -> "TernaryWord":
-        text = text.strip()
-        if text.startswith("0."):
-            text = text[2:]
-        if text and not re.fullmatch(r"[012]+", text):
-            raise DomainError(f"cannot parse ternary word {text!r}")
-        return cls(tuple(int(c) for c in text))
-
-    def to_rational(self) -> TriadicRational:
-        n = 0
-        for d in self.digits:
-            n = 3 * n + d
-        return normalize(n, len(self.digits))
-
-    def __len__(self) -> int:
-        return len(self.digits)
-
-    def __str__(self) -> str:
-        return "0." + "".join(str(d) for d in self.digits)
-
-
-@dataclass(frozen=True)
-class TriadicInterval:
-    """Half-open interval [start, end) with triadic endpoints, 0 <= start < end <= 1."""
-
-    start: Fraction
-    end: Fraction
-
-    def __post_init__(self):
-        object.__setattr__(self, "start", _coerce(self.start))
-        object.__setattr__(self, "end", _coerce(self.end))
-        if not (is_triadic(self.start) and is_triadic(self.end)):
-            raise DomainError(f"non-triadic endpoints [{self.start}, {self.end})")
-        if not 0 <= self.start < self.end <= 1:
-            raise DomainError(f"bad interval [{self.start}, {self.end})")
-
-    def __str__(self) -> str:
-        return f"[{self.start}, {self.end})"
-
-
 class TriadicSet:
-    """Finite disjoint union of triadic intervals, kept sorted and merged.
+    """Finite disjoint union of half-open triadic intervals [a, b).
 
-    Canonical form: intervals sorted by start, pairwise disjoint, with
-    nonempty gaps between consecutive intervals (adjacent ones are merged),
-    so structural equality is set equality.
+    `intervals` is a tuple of (Fraction, Fraction) pairs sorted by start,
+    with a nonempty gap between neighbours (touching ones are merged), so
+    equal sets have equal tuples.  Build it with from_endpoints.
     """
 
     __slots__ = ("intervals",)
 
-    def __init__(self, intervals: Iterable[TriadicInterval] = ()):
-        self.intervals: tuple[TriadicInterval, ...] = _merge(intervals)
+    def __init__(self, intervals: tuple[tuple[Fraction, Fraction], ...]):
+        self.intervals = intervals
 
     @classmethod
     def from_endpoints(cls, pairs: Iterable[tuple]) -> "TriadicSet":
-        return cls(TriadicInterval(Fraction(a), Fraction(b)) for a, b in pairs)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, TriadicSet) and self.intervals == other.intervals
-
-    def __hash__(self) -> int:
-        return hash(self.intervals)
-
-    def __bool__(self) -> bool:
-        return bool(self.intervals)
-
-    def __str__(self) -> str:
-        return " ∪ ".join(str(iv) for iv in self.intervals) if self.intervals else "∅"
-
-    __repr__ = __str__
-
-
-def _merge(intervals: Iterable[TriadicInterval]) -> tuple[TriadicInterval, ...]:
-    ivs = sorted(intervals, key=lambda iv: (iv.start, iv.end))
-    out: list[TriadicInterval] = []
-    for iv in ivs:
-        if out and iv.start <= out[-1].end:
-            if iv.end > out[-1].end:
-                out[-1] = TriadicInterval(out[-1].start, iv.end)
-        else:
-            out.append(iv)
-    return tuple(out)
-
+        """The union of [a, b) over the pairs, each with triadic endpoints
+        and 0 <= a < b <= 1."""
+        out: list[tuple[Fraction, Fraction]] = []
+        for a, b in sorted((Fraction(a), Fraction(b)) for a, b in pairs):
+            if _pow3_exponent(a.denominator) is None or _pow3_exponent(b.denominator) is None:
+                raise DomainError(f"non-triadic endpoints [{a}, {b})")
+            if not 0 <= a < b <= 1:
+                raise DomainError(f"bad interval [{a}, {b})")
+            if out and a <= out[-1][1]:
+                if b > out[-1][1]:
+                    out[-1] = (out[-1][0], b)
+            else:
+                out.append((a, b))
+        return cls(tuple(out))

@@ -671,6 +671,20 @@ class TestPointwise:
             assert run(tmp_path, "apply-t", point)[0] == EXIT_INPUT
             assert run(tmp_path, "locate", point, "--k", "2")[0] == EXIT_INPUT
 
+    def test_bad_point_messages(self, tmp_path, capsys):
+        # a p/3^m literal out of [0,1) is reported as such, not re-read as a
+        # plain fraction; only text of no triadic form falls back to Fraction
+        for point, message in (
+                ("1/3^0", "value 1/3^0 is not in [0,1)"),
+                ("3/3^1", "value 3/3^1 is not in [0,1)"),
+                ("zebra", "Invalid literal for Fraction: 'zebra'"),
+                ("1/0", "zero denominator in point '1/0'"),
+                ("0/0", "zero denominator in point '0/0'"),
+                ("1/2", "1/2 does not have a power-of-3 denominator")):
+            for argv in (["apply-t", point], ["locate", point, "--k", "1"]):
+                assert run(tmp_path, *argv) == (EXIT_INPUT, "")
+                assert capsys.readouterr().err == f"invalid input: {message}\n"
+
     def test_apply_t_past_old_depth_cap(self, tmp_path):
         # 1 - 3^-70 is the start of the stage-70 spacer piece; T lifts it onto
         # the right copy's bottom level, 4/3^71

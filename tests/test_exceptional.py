@@ -475,13 +475,18 @@ class TestBounds:
             BoundSpec("mystery", 1.0).evaluate(10)
 
     def test_verify_count_directions(self):
+        # the form sets the direction: the upper form checks count <= bound,
+        # the lower form count >= bound; the window holds 10 times
         s = IntegerIntervalSet([(0, 9)])
-        up = verify_count(s, BoundSpec("lower", 100.0, exponent=1.0), [10, 100])
+        one = HFunction("one", lambda x: 1.0)
+        up = verify_count(s, BoundSpec("upper", 100.0, h=one), [10, 100])
         assert up["pass"] and all(r["pass"] for r in up["grid"])
-        low = verify_count(s, BoundSpec("lower", 1.0, exponent=1.0), [10, 100],
-                           direction="lower")
-        assert low["pass"]
+        assert up["direction"] == "upper"
         assert [r["count"] for r in up["grid"]] == [10, 10]
+        assert not verify_count(s, BoundSpec("upper", 1.0, h=one), [10])["pass"]
+        low = verify_count(s, BoundSpec("lower", 1.0, exponent=1.0), [10, 100])
+        assert low["pass"] and low["direction"] == "lower"
+        assert not verify_count(s, BoundSpec("lower", 100.0, exponent=1.0), [10])["pass"]
 
     def test_verify_count_flags_overflow(self):
         s = IntegerIntervalSet([(0, 5)])

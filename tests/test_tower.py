@@ -15,7 +15,7 @@ from chaconlab.tower import (
     height,
     locate,
 )
-from chaconlab.triadic import DomainError, TernaryWord, TriadicRational
+from chaconlab.triadic import DomainError, TriadicRational
 
 
 def T(num, den):
@@ -204,8 +204,12 @@ class TestApplyT:
 
 
 def point(w, k):
-    """The point 0.w * width(A_k) of the base cell, for a ternary word w."""
-    return TriadicRational.from_fraction(w.to_rational().as_fraction() * cell_width(k))
+    """The point 0.w * width(A_k) of the base cell, for a tuple w of digits
+    0, 1 and 2."""
+    value = Fraction(0)
+    for d in reversed(w):
+        value = (value + d) / 3
+    return TriadicRational.from_fraction(value * cell_width(k))
 
 
 def return_times(x, k, count):
@@ -221,7 +225,7 @@ def return_times(x, k, count):
 def first_return(w, k):
     """Reference digit rule for the first-return time r_k of 0.w: a1 = 0
     gives h_k, a1 = 1 gives h_k + 1, a1 = 2 reads on; trailing zeros end it."""
-    for d in w.digits:
+    for d in w:
         if d < 2:
             return height(k) + d
     return height(k)
@@ -229,41 +233,39 @@ def first_return(w, k):
 
 def induced_map(w):
     """Reference digit rule for the induced map S on the base cell."""
-    d = w.digits
-    if not d or d[0] == 0:
-        return TernaryWord((1,) + d[1:])
-    if d[0] == 1:
-        return TernaryWord((2,) + d[1:])
-    return TernaryWord((0,) + induced_map(TernaryWord(d[1:])).digits)
+    if not w or w[0] == 0:
+        return (1,) + w[1:]
+    if w[0] == 1:
+        return (2,) + w[1:]
+    return (0,) + induced_map(w[1:])
 
 
 def words(max_length):
     for length in range(max_length + 1):
-        for digits in itertools.product((0, 1, 2), repeat=length):
-            yield TernaryWord(digits)
+        yield from itertools.product((0, 1, 2), repeat=length)
 
 
 class TestInducedDynamics:
     def test_first_return_examples(self):
         for k in (1, 2, 3):
             h = height(k)
-            assert return_times(point(TernaryWord.parse("0"), k), k, 1) == [h]
-            assert return_times(point(TernaryWord.parse("1"), k), k, 1) == [h + 1]
-            assert return_times(point(TernaryWord.parse("21"), k), k, 1) == [h + 1]
-            assert return_times(point(TernaryWord(()), k), k, 1) == [h]
+            assert return_times(point((0,), k), k, 1) == [h]
+            assert return_times(point((1,), k), k, 1) == [h + 1]
+            assert return_times(point((2, 1), k), k, 1) == [h + 1]
+            assert return_times(point((), k), k, 1) == [h]
 
     def test_induced_map_examples(self):
         for k in (1, 2):
-            for w, image in (("01", "11"), ("1", "2"), ("21", "02")):
-                x = point(TernaryWord.parse(w), k)
+            for w, image in (((0, 1), (1, 1)), ((1,), (2,)), ((2, 1), (0, 2))):
+                x = point(w, k)
                 y = apply_T_power(x, return_times(x, k, 1)[0])
-                assert y == point(TernaryWord.parse(image), k)
+                assert y == point(image, k)
 
     def test_lth_return_time_examples(self):
         for k in (1, 2):
-            assert return_times(point(TernaryWord.parse("1202"), k), k, 0) == []
-            assert return_times(point(TernaryWord.parse("0"), k), k, 1) == [height(k)]
-            assert return_times(point(TernaryWord.parse("00"), k), k, 3)[2] == 3 * height(k) + 1
+            assert return_times(point((1, 2, 0, 2), k), k, 0) == []
+            assert return_times(point((0,), k), k, 1) == [height(k)]
+            assert return_times(point((0, 0), k), k, 3)[2] == 3 * height(k) + 1
 
     def test_recursion_matches_orbit_sum(self):
         # t_l' as the orbit sum of first-return times along S-iterates

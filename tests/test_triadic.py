@@ -5,14 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chaconlab.triadic import (
-    DomainError,
-    TernaryWord,
-    TriadicInterval,
-    TriadicRational,
-    TriadicSet,
-    normalize,
-)
+from chaconlab.triadic import DomainError, TriadicRational, TriadicSet, normalize
 
 
 def T(num, den):
@@ -59,19 +52,24 @@ class TestTriadicRational:
 
 
 class TestTernaryWord:
+    # '0.a1a2...' literals, read in base 3
     def test_parse_and_value(self):
-        assert TernaryWord.parse("0.12").to_rational() == T(5, 9)
-        assert TernaryWord.parse("0.2").to_rational() == T(2, 3)
+        assert TriadicRational.parse("0.12") == T(5, 9)
+        assert TriadicRational.parse("0.2") == T(2, 3)
+        assert TriadicRational.parse("0.2100") == T(7, 9)
 
     def test_rejects_bad_digits(self):
+        # not a base-3 literal, so read as the decimal 13/100
         with pytest.raises(DomainError):
-            TernaryWord((0, 3))
-        with pytest.raises(DomainError):
-            TernaryWord.parse("0.13")
+            TriadicRational.parse("0.13")
 
-    @given(st.lists(st.integers(0, 2), max_size=40))
+    @given(st.lists(st.integers(0, 2), min_size=1, max_size=40))
     def test_word_rational_round_trip(self, digits):
-        x = TernaryWord(tuple(digits)).to_rational()
+        x = TriadicRational.parse("0." + "".join(map(str, digits)))
+        value = Fraction(0)
+        for d in reversed(digits):
+            value = (value + d) / 3
+        assert x.as_fraction() == value
         n = x.numerator * 3 ** (len(digits) - x.exponent)
         expansion = []
         for _ in digits:
@@ -82,14 +80,20 @@ class TestTernaryWord:
 
 class TestTriadicSet:
     def test_interval_validation(self):
-        with pytest.raises(DomainError):
-            TriadicInterval(Fraction(2, 3), Fraction(1, 3))
-        with pytest.raises(DomainError):
-            TriadicInterval(Fraction(0), Fraction(1, 2))
+        for pair in ((Fraction(2, 3), Fraction(1, 3)),   # reversed
+                     (Fraction(1, 3), Fraction(1, 3)),   # empty
+                     (Fraction(0), Fraction(1, 2)),      # non-triadic end
+                     (Fraction(1, 6), Fraction(1, 3)),   # non-triadic start
+                     (Fraction(2, 3), Fraction(4, 3)),   # past 1
+                     (Fraction(-1, 3), Fraction(1, 3))):  # below 0
+            with pytest.raises(DomainError):
+                TriadicSet.from_endpoints([(Fraction(0), Fraction(1, 9)), pair])
 
     def test_adjacent_intervals_merge(self):
-        a = TriadicSet.from_endpoints([(0, Fraction(1, 3)), (Fraction(1, 3), Fraction(2, 3))])
-        assert a.intervals == (TriadicInterval(Fraction(0), Fraction(2, 3)),)
+        a = TriadicSet.from_endpoints([(Fraction(1, 3), Fraction(2, 3)), (0, Fraction(1, 3)),
+                                       (Fraction(7, 9), 1), (Fraction(8, 9), Fraction(26, 27))])
+        assert a.intervals == ((Fraction(0), Fraction(2, 3)), (Fraction(7, 9), Fraction(1)))
+        assert TriadicSet.from_endpoints([]).intervals == ()
 
 
 def test_set_algebra_agrees_with_membership_brute_force():
@@ -106,9 +110,9 @@ def test_set_algebra_agrees_with_membership_brute_force():
             pairs.append((a, rng.randrange(a + 1, scale + 1)))
         s = TriadicSet.from_endpoints((Fraction(a, scale), Fraction(b, scale)) for a, b in pairs)
         mask = [False] * scale
-        for iv in s.intervals:
-            for p in range(int(iv.start * scale), int(iv.end * scale)):
+        for lo, hi in s.intervals:
+            for p in range(int(lo * scale), int(hi * scale)):
                 mask[p] = True
         assert mask == [any(a <= p < b for a, b in pairs) for p in range(scale)]
-        for u, v in zip(s.intervals, s.intervals[1:]):
-            assert u.end < v.start
+        for (_, u_end), (v_start, _) in zip(s.intervals, s.intervals[1:]):
+            assert u_end < v_start
