@@ -1,12 +1,13 @@
 """Return-time distributions, their supports, profiles, and correlation sums.
 
 The normalized l-th return-time distribution d_l' is computed exactly by the
-three-branch recursion on l (base cases l = 0, 1), with masses shifted by
-amounts linear in the tower height h_k.  Support endpoints have a closed
-form in l, h_k and the balanced-ternary weight of l, so membership queries
-never materialize masses and finding the indices that meet a window of
-times costs the window's width, not its offset.  The L1 estimates on the
-centered profiles D_l are integer sums over the same numerators.
+three-branch recursion on l, walked over the ternary digits of l.  One memo
+keyed by l holds its stage-free shape; at stage k it starts at l*h_k plus a
+stage-free offset.  Support endpoints have a closed form in l, h_k and the
+balanced-ternary weight of l, so membership queries never materialize masses
+and finding the indices that meet a window of times costs the window's
+width, not its offset.  The L1 estimates on the centered profiles D_l are
+integer sums over the same numerators.
 """
 
 from __future__ import annotations
@@ -67,8 +68,8 @@ def support(k: int, l: int) -> tuple[int, int]:
     Proof.  b_0 = 1, b_1 = 2, b_3q = b_q, b_(3q+1) = b_q + 1 and
     b_(3q+2) = b_(q+1) + 1, so by induction |b_(m+1) - b_m| = 1 (the step
     from 3q+1 to 3q+2 is b_(q+1) - b_q) and b_m = m + 1 mod 2.  Induct on l
-    along compute_dl's recursion, where the support of d_l' is the hull of
-    its pieces; write d_m + c for d_m' shifted by c, which spans
+    along the three-branch recursion of `_step`, where the support of d_l'
+    is the hull of its pieces; write d_m + c for d_m' shifted by c, which spans
     [s_m + c, t_m + c].  The form holds at l = 0 and 1.  For l = 3q + r >= 2
     let S, T be the form at l and d = (1 + b_q - b_(q+1))/2, in {0, 1}.
     r = 0: b_l = b_q; the one piece d_q + 2qh + q spans [S, T].
@@ -120,11 +121,10 @@ class ReturnDistribution:
 
     Mass i is nums[i] / (2 * 3^e): every mass of d_l' has a denominator
     dividing 2 * 3^e, so the recursion and the correlation sums over l are
-    integer sums.  The un-normalized d_l is (2 / 3^(k+1)) times d_l'.  All
-    masses are positive; they sum to 1.
+    integer sums.  The un-normalized d_l at stage k is (2 / 3^(k+1)) times
+    d_l'.  All masses are positive; they sum to 1.
     """
 
-    k: int
     l: int
     start: int
     nums: tuple[int, ...]
@@ -145,60 +145,67 @@ class ReturnDistribution:
         return tuple(Fraction(m, den) for m in self.nums)
 
 
-# every d_l' built so far, keyed by (k, l); it lives as long as the process
-_dists: dict[tuple[int, int], ReturnDistribution] = {}
+# (o_l, nums, e) of every d_l' built so far, keyed by l; it lives as long as the process
+Shape = tuple[int, tuple[int, ...], int]
+_shapes: dict[int, Shape] = {0: (0, (2,), 0), 1: (0, (1, 1), 0)}
 
 
 def compute_dl(k: int, l: int, max_l: int = DEFAULT_MAX_L) -> ReturnDistribution:
-    """d_l' at stage k by the memoized three-branch recursion."""
+    """d_l' at stage k: the memoized shape (o_l, nums, e) of l, starting at l*h_k + o_l."""
+    o, nums, e = _shape(l, max_l)
+    return ReturnDistribution(l, l * tower.height(k) + o, nums, e)
+
+
+def _shape(l: int, max_l: int = DEFAULT_MAX_L) -> Shape:
+    """(o_l, nums, e) of d_l', without recursion: the walk l -> l // 3 stops at
+    the first m with m and m + 1 both known (at worst m = 0).  Going back up,
+    each pair (3q + r, 3q + r + 1) of the walk is built from the pair (q, q + 1)
+    below it."""
     if l < 0:
         raise DomainError(f"l = {l} < 0")
     if l > max_l:
         raise SizeError(f"l = {l} exceeds cap {max_l}")
-    dist = _dists.get((k, l))
-    if dist is not None:
-        return dist
-    h = tower.height(k)
-    if l == 0:
-        dist = ReturnDistribution(k, 0, 0, (2,), 0)
-    elif l == 1:
-        dist = ReturnDistribution(k, 1, h, (1, 1), 0)
-    else:
-        q, r = divmod(l, 3)
-        if r == 0:
-            prev = compute_dl(k, q, max_l)
-            shift = 2 * q * h + q
-            dist = ReturnDistribution(k, l, prev.start + shift, prev.nums, prev.e)
-        elif r == 1:
-            pieces = [
-                (compute_dl(k, q, max_l), (2 * q + 1) * h + q),
-                (compute_dl(k, q, max_l), (2 * q + 1) * h + q + 1),
-                (compute_dl(k, q + 1, max_l), 2 * q * h + q),
-            ]
-            dist = _combine(k, l, pieces)
-        else:
-            pieces = [
-                (compute_dl(k, q, max_l), (2 * q + 2) * h + q + 1),
-                (compute_dl(k, q + 1, max_l), (2 * q + 1) * h + q + 1),
-                (compute_dl(k, q + 1, max_l), (2 * q + 1) * h + q),
-            ]
-            dist = _combine(k, l, pieces)
-    _dists[k, l] = dist
-    return dist
+    if l in _shapes:
+        return _shapes[l]
+    walk = []
+    while l not in _shapes or l + 1 not in _shapes:
+        walk.append(l)
+        l //= 3
+    for m in reversed(walk):
+        for x in (m, m + 1):
+            if x not in _shapes:
+                _shapes[x] = _step(x)
+    return _shapes[walk[0]]
 
 
-def _combine(k: int, l: int, pieces: Sequence[tuple[ReturnDistribution, int]]) -> ReturnDistribution:
-    """One third of each shifted piece, summed: a piece of exponent e_p is
-    scaled by 3^(e - e_p) to the common exponent e, and the third makes e + 1."""
-    e = max(p.e for p, _ in pieces)
-    lo = min(p.start + shift for p, shift in pieces)
-    hi = max(p.end + shift for p, shift in pieces)
-    acc = [0] * (hi - lo + 1)
-    for p, shift in pieces:
-        scale = 3 ** (e - p.e)
-        for i, m in enumerate(p.nums, p.start + shift - lo):
+def _step(l: int) -> Shape:
+    """The shape of l = 3q + r >= 2 from the known shapes of q and q + 1.
+
+    The pieces are those of `support`'s proof.  Written as l*h + o, each
+    start loses every multiple of h, which leaves the offsets below; o_l is
+    the hull of the pieces."""
+    q, r = divmod(l, 3)
+    o, nums, e = _shapes[q]
+    if r == 0:
+        return o + q, nums, e
+    o1, nums1, e1 = _shapes[q + 1]
+    if r == 1:
+        return _combine([(o + q, nums, e), (o + q + 1, nums, e), (o1 + q, nums1, e1)])
+    return _combine([(o + q + 1, nums, e), (o1 + q + 1, nums1, e1), (o1 + q, nums1, e1)])
+
+
+def _combine(pieces: Sequence[Shape]) -> Shape:
+    """One third of each piece (offset, nums, e_p), summed over their hull: a
+    piece of exponent e_p is scaled by 3^(e - e_p) to the common exponent e,
+    and the third makes e + 1."""
+    e = max(p_e for _, _, p_e in pieces)
+    lo = min(o for o, _, _ in pieces)
+    acc = [0] * (max(o + len(nums) for o, nums, _ in pieces) - lo)
+    for o, nums, p_e in pieces:
+        scale = 3 ** (e - p_e)
+        for i, m in enumerate(nums, o - lo):
             acc[i] += m * scale
-    return ReturnDistribution(k, l, lo, tuple(acc), e + 1)
+    return lo, tuple(acc), e + 1
 
 
 # ---------------------------------------------------------------------------
@@ -262,14 +269,6 @@ def cell_correlation(cells_a: Iterable[int], cells_b: Iterable[int], k: int, n: 
                Fraction(0))
 
 
-def cesaro(k: int, big_n: int, max_n: int = DEFAULT_MAX_N,
-           max_l: int = DEFAULT_MAX_L) -> list[Fraction]:
-    """Running averages [C_1, ..., C_N], exact, in one pass, where C_M is
-    (1/M) sum_{n<M} |c_k(n) - mu(A_k)^2|."""
-    totals, den = cesaro_totals(k, big_n, max_n, max_l)
-    return [Fraction(t, den * m) for m, t in enumerate(totals, 1)]
-
-
 def cesaro_totals(k: int, big_n: int, max_n: int,
                   max_l: int) -> tuple[Iterator[int], int]:
     """Integers T_1, ..., T_N and den with C_M = T_M / (den * M).
@@ -291,33 +290,32 @@ def cesaro_totals(k: int, big_n: int, max_n: int,
 # ---------------------------------------------------------------------------
 # profiles
 
-def profile_gap(k: int, family: Iterable[tuple[int, int]]) -> Fraction:
+def profile_gap(family: Iterable[tuple[int, int]]) -> Fraction:
     """Integral of max - min over the profiles D_l(. - i/2), (l, i) in family.
 
     D_l is the even step function of d_l' re-centered about the origin on
-    half-width cells [j/2, (j+1)/2): each mass covers two consecutive cells.
+    half-width cells [j/2, (j+1)/2): each mass covers two consecutive cells,
+    and at every stage the first cell of D_l(. - i/2) is 2*o_l - l - 1 + i.
     Over the largest exponent e in the family every cell value is an integer
     over 2 * 3^e, so the cell sum is an integer and the integral is that sum
     over 4 * 3^e.  For two profiles this is their L1 distance.
     """
-    h = tower.height(k)
     members = []
     for l, i in family:
-        d = compute_dl(k, l)
-        members.append((d, 2 * d.start - 1 - (2 * h + 1) * l + i))
-    e = max(d.e for d, _ in members)
-    lo = min(first for _, first in members)
-    hi = max(first + 2 * d.support_size for d, first in members)
+        o, nums, e = _shape(l)
+        members.append((nums, e, 2 * o - l - 1 + i))
+    e_max = max(e for _, e, _ in members)
+    lo = min(first for _, _, first in members)
+    hi = max(first + 2 * len(nums) for nums, _, first in members)
     rows = []
-    for d, first in members:
-        scale = 3 ** (e - d.e)
-        cells = [v for m in d.nums for v in (m * scale,) * 2]
+    for nums, e, first in members:
+        scale = 3 ** (e_max - e)
+        cells = [v for m in nums for v in (m * scale,) * 2]
         rows.append([0] * (first - lo) + cells + [0] * (hi - first - len(cells)))
-    return Fraction(sum(max(col) - min(col) for col in zip(*rows)), 4 * 3 ** e)
+    return Fraction(sum(max(col) - min(col) for col in zip(*rows)), 4 * 3 ** e_max)
 
 
-def H_value(k: int, l: int) -> Fraction:
-    """Peak height H_l = D_l(0)."""
-    d = compute_dl(k, l)
-    i = ((2 * tower.height(k) + 1) * l + 1 - 2 * d.start) // 2
-    return Fraction(d.nums[i], 2 * 3 ** d.e)
+def H_value(l: int) -> Fraction:
+    """Peak height H_l = D_l(0), the mass of d_l' at (l + 1 - 2*o_l) // 2."""
+    o, nums, e = _shape(l)
+    return Fraction(nums[(l + 1 - 2 * o) // 2], 2 * 3 ** e)

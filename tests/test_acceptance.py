@@ -124,12 +124,12 @@ def test_criterion_07_frozen_constants():
     ok = checks.frozen_constants_reproduce()
     for l in range(3 ** 7):
         b = compute_bl(l)
-        ok &= H_value(1, l) ** 2 * b <= fr.c1_sq
-        ok &= profile_gap(1, [(l + 1, 0), (l, 0)]) ** 2 * b <= fr.c2_sq
+        ok &= H_value(l) ** 2 * b <= fr.c1_sq
+        ok &= profile_gap([(l + 1, 0), (l, 0)]) ** 2 * b <= fr.c2_sq
     for l in range(3 ** 4):
         b = compute_bl(l)
         for p in range(1, 5):
-            g = profile_gap(1, [(l + j, i) for j in range(3) for i in range(-p, p + 1)])
+            g = profile_gap([(l + j, i) for j in range(3) for i in range(-p, p + 1)])
             ok &= g * g * b <= fr.c3_sq * p * p
     assert report(7, "frozen-constants", ok)
 

@@ -21,7 +21,7 @@ from chaconlab.cli import (
 )
 from chaconlab.correlation import autocorrelation, compute_dl, correlation_series, mu_Ak
 from chaconlab.exceptional import HFunction, build_Jk
-from chaconlab.tower import apply_T_power, locate
+from chaconlab.tower import apply_T_power, height, locate
 from chaconlab.triadic import TriadicRational
 
 
@@ -130,6 +130,26 @@ class TestCorr:
         _, _, rows = csv_rows(text)
         assert [Fraction(int(rows[0][1]), int(rows[0][2]))] == correlation_series(
             1, 3_000_000, 3_000_000, 3_000_000, 700_000)
+
+    def test_far_window_renormalizes_to_next_stage(self, capsys):
+        # a d_l' build that recursed once per ternary digit of l would pass the
+        # recursion limit here; each row must satisfy the stage-renormalization
+        # identity c_1(n) = sum of c_2(n + b - a) over a, b in {0, h_1, 2h_1 + 1}
+        n0, cap = 3 ** 1000, str(10 ** 600)
+        capsys.readouterr()
+        assert main(["corr", "--k", "1", "--n", f"{n0}..{n0 + 20}",
+                     "--cap-n", cap, "--cap-l", cap]) == EXIT_OK
+        out, err = capsys.readouterr()
+        rows = [ln.split(",") for ln in out.splitlines()[2:]]
+        assert err == "" and len(rows) == 21
+        assert sum(num != "0" for _, num, _, _ in rows) == 20
+        h = height(1)
+        shifts = [b - a for a in (0, h, 2 * h + 1) for b in (0, h, 2 * h + 1)]
+        lo, hi = n0 + min(shifts), n0 + 20 + max(shifts)
+        c2 = correlation_series(2, lo, hi, hi, hi)
+        for i, (n, num, den, _) in enumerate(rows):
+            assert int(n) == n0 + i
+            assert Fraction(int(num), int(den)) == sum(c2[n0 + i + s - lo] for s in shifts)
 
 
 class TestCesaro:
@@ -376,9 +396,11 @@ class TestDeepStage:
                      for n, c in enumerate(correlation_series(9100, 0, 2))])
 
     def test_cesaro(self, capsys):
+        totals, den = correlation.cesaro_totals(4600, 3, correlation.DEFAULT_MAX_N,
+                                                correlation.DEFAULT_MAX_L)
         self.expect(capsys, ["cesaro", "--k", "4600", "--N-max", "3"],
-                    [value_row(m, value=c)
-                     for m, c in enumerate(correlation.cesaro(4600, 3), 1)])
+                    [value_row(m, value=Fraction(t, den * m))
+                     for m, t in enumerate(totals, 1)])
 
     def test_apply_t(self, capsys):
         x = TriadicRational.parse("1/3^9100")

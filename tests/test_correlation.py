@@ -1,5 +1,7 @@
+import ast
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -8,7 +10,7 @@ from chaconlab.correlation import (
     SizeError,
     autocorrelation,
     cell_correlation,
-    cesaro,
+    cesaro_totals,
     compute_bl,
     compute_dl,
     correlation_series,
@@ -73,6 +75,38 @@ class TestBalancedTernary:
             assert compute_bl(l) <= 4 * compute_bl(l // 3 + 1)
 
 
+def recursive_dl(k, l, memo):
+    """(start, nums, e) of d_l' at stage k by the three-branch recursion on
+    (k, l) with its shifts in h_k, memoized in memo: the build the
+    stage-free digit walk replaced."""
+    if (k, l) in memo:
+        return memo[k, l]
+    h = height(k)
+    if l < 2:
+        memo[k, l] = (l * h, (2,) if l == 0 else (1, 1), 0)
+        return memo[k, l]
+    q, r = divmod(l, 3)
+    if r == 0:
+        start, nums, e = recursive_dl(k, q, memo)
+        memo[k, l] = (start + 2 * q * h + q, nums, e)
+        return memo[k, l]
+    if r == 1:
+        pieces = [(q, (2 * q + 1) * h + q), (q, (2 * q + 1) * h + q + 1), (q + 1, 2 * q * h + q)]
+    else:
+        pieces = [(q, (2 * q + 2) * h + q + 1), (q + 1, (2 * q + 1) * h + q + 1),
+                  (q + 1, (2 * q + 1) * h + q)]
+    placed = [(recursive_dl(k, m, memo), shift) for m, shift in pieces]
+    e = max(p[2] for p, _ in placed)
+    lo = min(p[0] + shift for p, shift in placed)
+    hi = max(p[0] + len(p[1]) + shift for p, shift in placed)
+    acc = [0] * (hi - lo)
+    for (start, nums, p_e), shift in placed:
+        for i, m in enumerate(nums, start + shift - lo):
+            acc[i] += m * 3 ** (e - p_e)
+    memo[k, l] = (lo, tuple(acc), e + 1)
+    return memo[k, l]
+
+
 class TestComputeDl:
     def test_base_cases(self):
         d0 = compute_dl(1, 0)
@@ -101,6 +135,29 @@ class TestComputeDl:
     def test_normalization_and_shape(self):
         assert checks.dl_normalized_unimodal(500)
         assert all(m > 0 for l in range(500) for m in compute_dl(1, l).masses)
+
+    def test_matches_recursive_build(self):
+        rng = random.Random(16)
+        memo = {}
+        for k in (0, 1, 2, 3, 5):
+            for l in list(range(3 ** 7)) + [rng.randrange(3 ** 40) for _ in range(200)]:
+                d = compute_dl(k, l, max_l=3 ** 40)
+                assert (d.start, d.nums, d.e) == recursive_dl(k, l, memo), (k, l)
+
+    def test_one_memo_for_every_stage(self):
+        for l in (0, 1, 2, 5, 3 ** 7 + 4, 3 ** 30 + 17):
+            assert compute_dl(1, l, max_l=l).nums is compute_dl(3, l, max_l=l).nums
+
+    def test_no_function_calls_itself(self):
+        # a build that recursed once per ternary digit of l ran past the
+        # interpreter's recursion limit near l = 3^1000
+        tree = ast.parse(Path(co.__file__).read_text(encoding="utf-8"))
+        recursive = [
+            fn.name for fn in ast.walk(tree)
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and any(isinstance(call, ast.Call) and isinstance(call.func, ast.Name)
+                    and call.func.id == fn.name for call in ast.walk(fn))]
+        assert recursive == []
 
 
 class TestSupport:
@@ -272,7 +329,7 @@ class TestCorrelationSeries:
         with pytest.raises(SizeError, match="l = 6 exceeds cap 5"):
             correlation_series(1, 0, 1000, max_l=5)
         with pytest.raises(SizeError, match="l = 6 exceeds cap 5"):
-            cesaro(1, 1000, max_l=5)
+            cesaro_totals(1, 1000, co.DEFAULT_MAX_N, 5)
         n = 3_000_000
         assert correlation_series(1, n, n, max_n=n, max_l=n) == [
             reference_correlation(1, n, max_l=n)]
@@ -303,42 +360,48 @@ class TestCellCorrelation:
             cell_correlation([4], [0], 1, 0)
 
 
+def cesaro_last(k, big_n):
+    """C_N = T_N / (den * N), the last running average of cesaro_totals."""
+    totals, den = cesaro_totals(k, big_n, co.DEFAULT_MAX_N, co.DEFAULT_MAX_L)
+    return Fraction(list(totals)[-1], den * big_n)
+
+
 class TestCesaro:
     def test_single_term(self):
         for k in (1, 2):
-            assert cesaro(k, 1)[-1] == mu_Ak(k) * (1 - mu_Ak(k))
+            assert cesaro_last(k, 1) == mu_Ak(k) * (1 - mu_Ak(k))
 
     def test_five_terms_exact(self):
         # n=1..3 have zero correlation, n=4 contributes |1/9 - 4/81|
-        assert cesaro(1, 5)[-1] == Fraction(31, 405)
+        assert cesaro_last(1, 5) == Fraction(31, 405)
 
     def test_nonnegative(self):
         for big_n in (1, 3, 10):
-            assert cesaro(1, big_n)[-1] >= 0
+            assert cesaro_last(1, big_n) >= 0
 
     def test_rejects_empty_average(self):
         with pytest.raises(DomainError):
-            cesaro(1, 0)
+            cesaro_totals(1, 0, co.DEFAULT_MAX_N, co.DEFAULT_MAX_L)
 
 
 class TestProfiles:
     def test_base_profile_is_unit_box(self):
         d = compute_dl(1, 0)
         assert (d.start, d.masses) == (0, (Fraction(1),))
-        assert H_value(1, 0) == 1
+        assert H_value(0) == 1
         # height 1, width 1: shifted by a whole unit it no longer overlaps itself
-        assert profile_gap(1, [(0, 0), (0, 2)]) == 2
+        assert profile_gap([(0, 0), (0, 2)]) == 2
 
     def test_three_step_profile(self):
-        assert H_value(1, 2) == Fraction(2, 3)
+        assert H_value(2) == Fraction(2, 3)
         assert compute_dl(1, 2).masses == (Fraction(1, 6), Fraction(2, 3), Fraction(1, 6))
 
     def test_index_tripling_fixes_profile(self):
         for l in range(1, 100):
-            assert profile_gap(1, [(3 * l, 0), (l, 0)]) == 0
+            assert profile_gap([(3 * l, 0), (l, 0)]) == 0
 
     def test_adjacent_l1_distance(self):
-        assert profile_gap(1, [(1, 0), (0, 0)]) == 1
+        assert profile_gap([(1, 0), (0, 0)]) == 1
 
     def test_even_and_normalized(self):
         h = height(1)
@@ -352,7 +415,7 @@ class TestProfiles:
 
     def test_half_shift_bounded_by_peak(self):
         for l in range(3 ** 5):
-            assert profile_gap(1, [(l, 0), (l, 1)]) <= H_value(1, l)
+            assert profile_gap([(l, 0), (l, 1)]) <= H_value(l)
 
     def test_envelope_contains_intermediate_profiles(self):
         # max - min over the family grows on a cell exactly where D_q leaves
@@ -360,9 +423,9 @@ class TestProfiles:
         for l in range(3 ** 4):
             for p in range(1, 5):
                 family = [(l + j, i) for j in range(2) for i in range(-p, p + 1)]
-                gap = profile_gap(1, family)
+                gap = profile_gap(family)
                 for q in range(l * 3 ** p, (l + 1) * 3 ** p):
-                    assert profile_gap(1, family + [(q, 0)]) == gap
+                    assert profile_gap(family + [(q, 0)]) == gap
 
     def test_gap_matches_reference_cells(self):
         def reference_gap(k, family):
@@ -387,4 +450,5 @@ class TestProfiles:
                 families += [[(l + j, i) for j in range(3) for i in range(-p, p + 1)]
                              for p in (1, 2)]
                 for family in families:
-                    assert profile_gap(k, family) == reference_gap(k, family)
+                    # one profile serves every stage
+                    assert profile_gap(family) == reference_gap(k, family)

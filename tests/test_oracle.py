@@ -224,7 +224,7 @@ class TestPhiPolynomials:
 
     def test_center_value_matches_profile_peak(self):
         for l in range(120):
-            assert center_value(phi_repr(l)) == H_value(1, l)
+            assert center_value(phi_repr(l)) == H_value(l)
 
     def test_walk_poly_is_binomial(self):
         f2 = walk_poly(2)
