@@ -275,7 +275,7 @@ def cmd_extract(args, out: Output) -> int:
 
 def cmd_apply_t(args, out: Output) -> int:
     x = TriadicRational.parse(args.point)
-    n = int(args.n) if args.n else 1
+    n = int(args.n)
     if abs(n) > args.cap_n:
         raise SizeError(f"n = {n} exceeds cap {args.cap_n}")
     y = tower.apply_T_power(x, n)

@@ -2,9 +2,9 @@
 
 The stage-k tower has h_k = (3^(k+1)-1)/2 levels of width 2*3^-(k+1); the
 leftover spacer reservoir is [1 - 3^-(k+1), 1).  The map T translates each
-level onto the one above it, and is evaluated at a triadic point by finding
-the smallest stage at which the point is neither on the top level nor in
-the spacer reservoir.
+level onto the one above it, so T^n carries level j onto level j + n.  T^n is
+evaluated at a triadic point in one walk over the stages: at the first stage
+where the point has a level j with 0 <= j + n < h_k, it is one translation.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from .triadic import DomainError, TriadicRational, normalize
 
 
 class DepthExceededError(RuntimeError):
-    """The point sits on an edge level at every stage: only T^-1(0) does."""
+    """T^n(x) is undefined at every stage: its orbit passes back through 0."""
 
 
 def height(k: int) -> int:
@@ -103,38 +103,35 @@ def locate(x: TriadicRational, k: int) -> TowerAddress:
     return TowerAddress(k, level, Fraction(offset, 3 ** max(k + 1, x.exponent)))
 
 
-def _step(x: TriadicRational, up: int, name: str) -> TriadicRational:
-    """x moved one level up (up = 1) or down (up = -1) at the first stage where
-    its level has a neighbour that way, in one walk over the stages.
+def apply_T_power(x: TriadicRational, n: int) -> TriadicRational:
+    """T^n(x) as one translation, found in one walk over the stages.
 
-    For x = p/3^m the walk stops by stage max(m, 1).  At a stage k >= max(m, 1)
+    T^n carries level j of the stage-k tower onto level j + n whenever
+    0 <= j + n < h_k, the same way at every stage, so the walk stops at the
+    first stage where x has such a level j.
+
+    Let x = p/3^m and let s be least with h_s >= |n|.  At a stage k >= max(m, 1)
     the offset of x in its stage-(k-1) cell is 0 or 3^-k, so x lies in the left
-    or middle copy, or at the start of the spacer piece: never on the top
-    level, which closes the right copy, nor in the reservoir
-    [1 - 3^-(k+1), 1).  Level 0 is [0, 2*3^-(k+1)), below every x >= 3^-m,
-    so only x = 0 stays on an edge level at every stage, and only for T^-1.
+    copy (offset 0, the same level at every later stage), in the middle copy
+    (j >= h_(k-1)) or at the start of the spacer piece (j = 2h_(k-1)).  As
+    2h_(k-1) = h_k - h_(k-1) - 1, from stage max(m, 1, s + 1) on, where
+    h_k > 3|n|, j + n lies in [0, h_k) unless x is on a level j < -n of the
+    left copy.  Then T^-j(x) = 0, and T^-1(0) is undefined at every stage.
     """
     m = x.exponent
-    for k, h, level, offset in islice(_addresses(x), max(m, 1) + 1):
-        if level is None or level == (h - 1 if up > 0 else 0):
-            continue
-        e = max(k + 1, m)
-        return normalize(_level_start(k, level + up) * 3 ** (e - k - 1) + offset, e)
-    raise DepthExceededError(f"{name}({x}) undefined at every stage")
+    for k, h, level, offset in _addresses(x):
+        if level is not None and 0 <= level + n < h:
+            e = max(k + 1, m)
+            return normalize(_level_start(k, level + n) * 3 ** (e - k - 1) + offset, e)
+        if k >= max(m, 1) and h > 3 * abs(n):
+            raise DepthExceededError(f"T^-1({TriadicRational(0, 0)}) undefined at every stage")
 
 
 def apply_T(x: TriadicRational) -> TriadicRational:
     """One forward step of the Chacon transformation at a triadic point."""
-    return _step(x, 1, "T")
+    return apply_T_power(x, 1)
 
 
 def apply_T_inverse(x: TriadicRational) -> TriadicRational:
     """One backward step; x = 0 has no preimage and raises DepthExceededError."""
-    return _step(x, -1, "T^-1")
-
-
-def apply_T_power(x: TriadicRational, n: int) -> TriadicRational:
-    step = apply_T if n >= 0 else apply_T_inverse
-    for _ in range(abs(n)):
-        x = step(x)
-    return x
+    return apply_T_power(x, -1)

@@ -1,10 +1,13 @@
 import hashlib
 import json
 import math
+import os
 import random
+import subprocess
 import sys
 from contextlib import contextmanager
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -721,8 +724,31 @@ class TestPointwise:
         assert rows[0][2] == x
 
     def test_inverse_of_zero_is_resource_exit(self, tmp_path, capsys):
-        assert run(tmp_path, "apply-t", "0", "--n=-1")[0] == EXIT_RESOURCE
-        assert capsys.readouterr().err == "resource cap: T^-1(0/3^0) undefined at every stage\n"
+        # T(0) = 2/3^2, so going back two steps from 2/3^2 fails at 0 as well
+        for argv in (["0", "--n=-1"], ["2/3^2", "--n=-2"]):
+            assert run(tmp_path, "apply-t", *argv)[0] == EXIT_RESOURCE
+            assert capsys.readouterr().err == "resource cap: T^-1(0/3^0) undefined at every stage\n"
+
+    def test_large_power_is_one_walk(self):
+        # inside the default cap of 3^14; 3,000,000 single steps would run for
+        # many seconds, where one walk stops at stage 14
+        src = str(Path(correlation.__file__).parents[1])
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+
+        def apply_t(point, n):
+            proc = subprocess.run(
+                [sys.executable, "-m", "chaconlab.cli", "apply-t", point, f"--n={n}"],
+                capture_output=True, text=True, timeout=10, env=env)
+            assert proc.returncode == EXIT_OK, proc.stderr
+            return proc.stdout.splitlines()[2].split(",")[2]
+
+        assert apply_t("1/3^1", 3_000_000) == "7081793/3^15"
+        assert apply_t("7081793/3^15", -3_000_000) == "1/3^1"
+
+    def test_empty_power_is_invalid(self, tmp_path, capsys):
+        assert run(tmp_path, "apply-t", "1/3^1", "--n", "") == (EXIT_INPUT, "")
+        assert capsys.readouterr().err.startswith("invalid input: ")
 
     def test_output_pinned(self, capsys):
         # 1 - 3^-30 = 205891132094648/3^30; 0.21012 and 1/3^30 keep off 0 going back

@@ -124,6 +124,15 @@ def stage_image(x, k, step=1):
     return TriadicRational.from_fraction(level_start(k, addr.level + step) + addr.offset)
 
 
+def stepwise_power(x, n):
+    """T^n(x) by |n| single steps of apply_T or apply_T_inverse: the loop the
+    one-walk power replaced."""
+    step = apply_T if n >= 0 else apply_T_inverse
+    for _ in range(abs(n)):
+        x = step(x)
+    return x
+
+
 class TestApplyT:
     def test_examples(self):
         assert apply_T(T(1, 3)) == T(7, 9)
@@ -139,16 +148,28 @@ class TestApplyT:
 
     def test_power_is_additive(self):
         rng = random.Random(11)
+        cases = []
         for _ in range(60):
             e = rng.randint(1, 8)
             x = TriadicRational.from_fraction(Fraction(rng.randrange(3 ** e), 3 ** e))
-            a, b = rng.randint(-5, 5), rng.randint(0, 5)
+            cases.append((x, rng.randint(-5, 5), rng.randint(0, 5)))
+        # powers up to 3^13 either way, where the walk ends past stage 13
+        big = 3 ** 13
+        for _ in range(300):
+            e = rng.randint(1, 30)
+            x = TriadicRational.from_fraction(Fraction(rng.randrange(3 ** e), 3 ** e))
+            cases.append((x, rng.randint(-big, big), rng.randint(-big, big)))
+        cases += [(T(1, 3 ** 20), a, b) for a in (big, -big) for b in (big, -big)]
+        compared = 0
+        for x, a, b in cases:
             try:
                 lhs = apply_T_power(x, a + b)
                 rhs = apply_T_power(apply_T_power(x, a), b)
             except DepthExceededError:
                 continue  # orbit passed through 0 going backwards
-            assert lhs == rhs
+            assert lhs == rhs, (x, a, b)
+            compared += 1
+        assert compared >= 300
 
     def test_stages_are_consistent(self):
         rng = random.Random(3)
@@ -169,7 +190,8 @@ class TestApplyT:
     def test_inverse_of_zero_exceeds_depth(self):
         with pytest.raises(DepthExceededError, match=r"^T\^-1\(0/3\^0\) undefined at every stage$"):
             apply_T_inverse(TriadicRational(0, 0))
-        with pytest.raises(DepthExceededError):
+        # T(0) = 2/9, so T^-2(2/9) fails at T^-1(0) with the same message
+        with pytest.raises(DepthExceededError, match=r"^T\^-1\(0/3\^0\) undefined at every stage$"):
             apply_T_power(T(2, 9), -2)
 
     def test_matches_per_stage_loop(self):
@@ -201,6 +223,32 @@ class TestApplyT:
             assert outcome(apply_T_inverse, x) == outcome(reference, x, -1)
         for x in deep:
             assert apply_T_inverse(apply_T(x)) == x
+
+    def test_matches_stepwise_power(self):
+        def outcome(x, n, fn):
+            try:
+                return fn(x, n)
+            except DepthExceededError as exc:
+                return DepthExceededError, str(exc)
+
+        rng = random.Random(29)
+        cases = []
+        for _ in range(1000):
+            e = rng.randint(0, 40)
+            x = T(rng.randrange(3 ** e), 3 ** e)
+            cases.append((x, rng.randint(-400, 400)))
+        # every p/3^e near 0, where backward orbits reach 0
+        near_zero = {T(p, 3 ** e) for e in range(12) for p in range(min(60, 3 ** e))}
+        cases += [(x, n) for x in sorted(near_zero, key=str)
+                  for n in (1, -1, -2, -5, -30, -100, 7, 100)]
+        failed = 0
+        for x, n in cases:
+            got = outcome(x, n, apply_T_power)
+            assert got == outcome(x, n, stepwise_power), (x, n)
+            if isinstance(got, tuple):
+                assert n < 0 and got[1] == "T^-1(0/3^0) undefined at every stage"
+                failed += 1
+        assert failed > 0
 
 
 def point(w, k):
