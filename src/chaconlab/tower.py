@@ -124,7 +124,7 @@ def apply_T_power(x: TriadicRational, n: int) -> TriadicRational:
             e = max(k + 1, m)
             return normalize(_level_start(k, level + n) * 3 ** (e - k - 1) + offset, e)
         if k >= max(m, 1) and h > 3 * abs(n):
-            raise DepthExceededError(f"T^-1({TriadicRational(0, 0)}) undefined at every stage")
+            raise DepthExceededError("T^-1(0/3^0) undefined at every stage")
 
 
 def apply_T(x: TriadicRational) -> TriadicRational:
