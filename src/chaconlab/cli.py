@@ -11,6 +11,14 @@ so the limit guards only the parsing of argv and of extract cells.
 
 Exit codes: 0 success, 1 verification failure, 2 invalid input, 3 resource
 cap exceeded.
+
+Every resource cap lives here, where outside input enters; the library takes
+none.  --cap-l bounds the index l of dl, corr, cesaro and eset, and --cap-n
+the time n of corr, cesaro, jset and apply-t.  The stage k of dl, corr,
+cesaro, jset, eset and locate, and the m of a p/3^m point, are bounded by
+triadic.MAX_STAGE.  Each check runs where the computation would first meet
+its value, so the first error a command reports is the one that computation
+would have raised.
 """
 
 from __future__ import annotations
@@ -27,16 +35,19 @@ from typing import Iterable, Iterator, Sequence
 
 from . import constants, correlation, exceptional, tower
 from .checks import SUITE
-from .correlation import SizeError
 from .exceptional import HFunction, InputError
 from .oracle import FragmentationError
 from .tower import DepthExceededError
-from .triadic import DomainError, TriadicRational
+from .triadic import MAX_STAGE, DomainError, SizeError, TriadicRational
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
 EXIT_INPUT = 2
 EXIT_RESOURCE = 3
+
+# the defaults of --cap-l and --cap-n
+DEFAULT_MAX_L = 3 ** 12
+DEFAULT_MAX_N = 3 ** 14
 
 
 def dec12(x: Fraction) -> str:
@@ -138,19 +149,48 @@ class Output:
 
 
 # ---------------------------------------------------------------------------
+# caps
+
+def _cap(name: str, lo: int, hi: int, cap: int) -> None:
+    """Refuse the run lo..hi if it passes cap, naming its first value over it."""
+    if hi > cap:
+        raise SizeError(f"{name} = {max(lo, cap + 1)} exceeds cap {cap}")
+
+
+def _stage(k: int) -> int:
+    """k, if it is within the stage bound.  A negative stage is left to the
+    library, which refuses it where the computation first meets it."""
+    if k > MAX_STAGE:
+        raise SizeError(f"stage {k} exceeds cap {MAX_STAGE}")
+    return k
+
+
+def _check_series(args, lo: int, hi: int) -> None:
+    """The caps of the c_k series over lo..hi in the order computing it meets
+    them: the window, the stage, then the first d_l' of its support run past
+    --cap-l.  An empty run builds none."""
+    _cap("n", lo, hi, args.cap_n)
+    run = correlation.support_run(_stage(args.k), lo, hi)
+    if run:
+        _cap("l", run[0], run[-1], args.cap_l)
+
+
+# ---------------------------------------------------------------------------
 # subcommands
 
 def cmd_dl(args, out: Output) -> int:
     ls = parse_range(args.l)
     # the first index's errors (l < 0, over the cap, a negative stage), then the
     # first index over the cap: what building the rows in order would meet
-    correlation.compute_dl(args.k, ls[0], max_l=args.cap_l)
-    if ls[-1] > args.cap_l:
-        raise SizeError(f"l = {args.cap_l + 1} exceeds cap {args.cap_l}")
+    if ls[0] < 0:
+        raise DomainError(f"l = {ls[0]} < 0")
+    _cap("l", ls[0], ls[0], args.cap_l)
+    tower.height(_stage(args.k))
+    _cap("l", ls[0], ls[-1], args.cap_l)
 
     def rows() -> Iterator[tuple]:
         for l in ls:
-            d = correlation.compute_dl(args.k, l, max_l=args.cap_l)
+            d = correlation.compute_dl(args.k, l)
             den = 2 * 3 ** d.e
             for n, m in enumerate(d.nums, d.start):
                 yield (l, n) + _ratio(m, den)
@@ -164,12 +204,12 @@ def cmd_corr(args, out: Output) -> int:
     ns = parse_range(args.n)
     # a cap error names the first row over the cap: this one, or else the
     # first n over it in the series below
-    if abs(ns[0]) > args.cap_n:
-        raise SizeError(f"n = {abs(ns[0])} exceeds cap {args.cap_n}")
+    _cap("n", abs(ns[0]), abs(ns[0]), args.cap_n)
     # c_k is even in n: one series over |n| covers the whole range
     lo = 0 if ns[0] <= 0 <= ns[-1] else min(abs(ns[0]), abs(ns[-1]))
     hi = max(abs(ns[0]), abs(ns[-1]))
-    nums, p = correlation.series_numerators(args.k, lo, hi, args.cap_n, args.cap_l)
+    _check_series(args, lo, hi)
+    nums, p = correlation.series_numerators(args.k, lo, hi)
     den = 3 ** p
     rows = ((n,) + _ratio(nums[abs(n) - lo], den) for n in ns)
     out.emit_rows(["n", "num", "den", "decimal"], rows,
@@ -178,7 +218,12 @@ def cmd_corr(args, out: Output) -> int:
 
 
 def cmd_cesaro(args, out: Output) -> int:
-    totals, den = correlation.cesaro_totals(args.k, args.n_max, args.cap_n, args.cap_l)
+    # the checks of cesaro_totals in its order: N, the stage, then the series
+    if args.n_max < 1:
+        raise DomainError(f"N = {args.n_max} < 1")
+    correlation.mu_Ak(_stage(args.k))
+    _check_series(args, 0, args.n_max - 1)
+    totals, den = correlation.cesaro_totals(args.k, args.n_max)
     rows = ((n,) + _ratio(t, den * n) for n, t in enumerate(totals, 1))
     out.emit_rows(["N", "num", "den", "decimal"], rows,
                   {"command": "cesaro", "k": args.k})
@@ -188,9 +233,9 @@ def cmd_cesaro(args, out: Output) -> int:
 def cmd_jset(args, out: Output) -> int:
     if args.n_max < 0:
         raise DomainError(f"N-max = {args.n_max} < 0")
-    if args.n_max > args.cap_n:
-        raise SizeError(f"n = {args.n_max} exceeds cap {args.cap_n}")
+    _cap("n", args.n_max, args.n_max, args.cap_n)
     h = HFunction.parse(args.h)
+    _stage(args.k)
     meta: dict = {"command": "jset", "h": args.h, "n_max": args.n_max}
     if args.global_set:
         gj = exceptional.build_J(args.k, h, args.n_max)
@@ -209,10 +254,12 @@ def cmd_jset(args, out: Output) -> int:
 
 
 def cmd_eset(args, out: Output) -> int:
-    l_max = max(parse_range(args.l))
-    if l_max > args.cap_l:
-        raise SizeError(f"l = {l_max} exceeds cap {args.cap_l}")
-    ek, covered = exceptional.enumerate_Ek(args.k, l_max)
+    l_max = parse_range(args.l)[-1]   # max() would walk the whole range
+    _cap("l", l_max, l_max, args.cap_l)
+    # enumerate_Ek's first check, then the stage
+    if l_max < 0:
+        raise DomainError(f"l = {l_max} < 0")
+    ek, covered = exceptional.enumerate_Ek(_stage(args.k), l_max)
     rows = [[a, b, ek.count(b)] for a, b in ek.intervals]
     out.emit_rows(["lo", "hi", "count_cum"], rows,
                   {"command": "eset", "k": args.k, "l_max": l_max,
@@ -288,7 +335,7 @@ def cmd_apply_t(args, out: Output) -> int:
 
 def cmd_locate(args, out: Output) -> int:
     x = TriadicRational.parse(args.point)
-    addr = tower.locate(x, args.k)
+    addr = tower.locate(x, _stage(args.k))
     level = "" if addr.level is None else addr.level
     out.emit_rows(["k", "level", "offset_num", "offset_den", "decimal"],
                   [[args.k, level, addr.offset.numerator, addr.offset.denominator,
@@ -328,29 +375,31 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact computations for a rank-one cutting-and-stacking map.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser) -> None:
+    def common(p: argparse.ArgumentParser, cap_l: bool = False, cap_n: bool = False) -> None:
         p.add_argument("--format", choices=("csv", "json"), default="csv")
         p.add_argument("--out", default=None)
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--cap-l", type=int, default=correlation.DEFAULT_MAX_L)
-        p.add_argument("--cap-n", type=int, default=correlation.DEFAULT_MAX_N)
+        if cap_l:
+            p.add_argument("--cap-l", type=int, default=DEFAULT_MAX_L)
+        if cap_n:
+            p.add_argument("--cap-n", type=int, default=DEFAULT_MAX_N)
 
     p = sub.add_parser("dl", help="return-time distribution masses")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--l", required=True, help="index or range A..B")
-    common(p)
+    common(p, cap_l=True)
     p.set_defaults(fn=cmd_dl)
 
     p = sub.add_parser("corr", help="autocorrelation series")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--n", required=True, help="time or range A..B")
-    common(p)
+    common(p, cap_l=True, cap_n=True)
     p.set_defaults(fn=cmd_corr)
 
     p = sub.add_parser("cesaro", help="running Cesaro averages of deviations")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--N-max", dest="n_max", type=int, required=True)
-    common(p)
+    common(p, cap_l=True, cap_n=True)
     p.set_defaults(fn=cmd_cesaro)
 
     p = sub.add_parser("jset", help="exceptional time sets")
@@ -359,13 +408,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--h", default="linear")
     p.add_argument("--N-max", dest="n_max", type=int, required=True)
     p.add_argument("--global", dest="global_set", action="store_true")
-    common(p)
+    common(p, cap_n=True)
     p.set_defaults(fn=cmd_jset)
 
     p = sub.add_parser("eset", help="zero-correlation times")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--l", required=True, help="index bound or range")
-    common(p)
+    common(p, cap_l=True)
     p.set_defaults(fn=cmd_eset)
 
     p = sub.add_parser("extract", help="generic exceptional-set extractor")
@@ -381,7 +430,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("apply-t", help="apply the map at a triadic point")
     p.add_argument("point", help="p/3^m, 0.a1a2..., or a plain fraction")
     p.add_argument("--n", default="1", help="power (may be negative)")
-    common(p)
+    common(p, cap_n=True)
     p.set_defaults(fn=cmd_apply_t)
 
     p = sub.add_parser("locate", help="tower address of a point")

@@ -7,7 +7,8 @@ stage-free offset.  Support endpoints have a closed form in l, h_k and the
 balanced-ternary weight of l, so membership queries never materialize masses
 and finding the indices that meet a window of times costs the window's
 width, not its offset.  The L1 estimates on the centered profiles D_l are
-integer sums over the same numerators.
+integer sums over the same numerators.  Nothing here caps the size of its
+input: the command line does, before it calls in.
 """
 
 from __future__ import annotations
@@ -19,13 +20,6 @@ from typing import Iterable, Iterator, Sequence
 
 from . import tower
 from .triadic import DomainError
-
-DEFAULT_MAX_L = 3 ** 12
-DEFAULT_MAX_N = 3 ** 14
-
-
-class SizeError(RuntimeError):
-    """A requested index exceeds the configured resource cap."""
 
 
 # ---------------------------------------------------------------------------
@@ -92,10 +86,10 @@ def find_Pn(k: int, n: int) -> list[int]:
     """All l with d_l(n) > 0.  The set is a contiguous run of indices."""
     if n < 0:
         raise DomainError(f"n = {n} < 0")
-    return list(_support_run(k, n, n))
+    return list(support_run(k, n, n))
 
 
-def _support_run(k: int, n_lo: int, n_hi: int) -> range:
+def support_run(k: int, n_lo: int, n_hi: int) -> range:
     """All l whose support [s_l, t_l] meets [n_lo, n_hi], a contiguous run.
 
     s_l <= l*(2h+1)/2 <= t_l and both rise by h or h + 1 per step, so the
@@ -150,21 +144,19 @@ Shape = tuple[int, tuple[int, ...], int]
 _shapes: dict[int, Shape] = {0: (0, (2,), 0), 1: (0, (1, 1), 0)}
 
 
-def compute_dl(k: int, l: int, max_l: int = DEFAULT_MAX_L) -> ReturnDistribution:
+def compute_dl(k: int, l: int) -> ReturnDistribution:
     """d_l' at stage k: the memoized shape (o_l, nums, e) of l, starting at l*h_k + o_l."""
-    o, nums, e = _shape(l, max_l)
+    o, nums, e = _shape(l)
     return ReturnDistribution(l, l * tower.height(k) + o, nums, e)
 
 
-def _shape(l: int, max_l: int = DEFAULT_MAX_L) -> Shape:
+def _shape(l: int) -> Shape:
     """(o_l, nums, e) of d_l', without recursion: the walk l -> l // 3 stops at
     the first m with m and m + 1 both known (at worst m = 0).  Going back up,
     each pair (3q + r, 3q + r + 1) of the walk is built from the pair (q, q + 1)
     below it."""
     if l < 0:
         raise DomainError(f"l = {l} < 0")
-    if l > max_l:
-        raise SizeError(f"l = {l} exceeds cap {max_l}")
     if l in _shapes:
         return _shapes[l]
     walk = []
@@ -218,16 +210,14 @@ def mu_Ak(k: int) -> Fraction:
     return Fraction(2, 3 ** (k + 1))
 
 
-def correlation_series(k: int, n_lo: int, n_hi: int, max_n: int = DEFAULT_MAX_N,
-                       max_l: int = DEFAULT_MAX_L) -> list[Fraction]:
+def correlation_series(k: int, n_lo: int, n_hi: int) -> list[Fraction]:
     """[c_k(n) for n in n_lo..n_hi], exactly, in one pass."""
-    nums, p = series_numerators(k, n_lo, n_hi, max_n, max_l)
+    nums, p = series_numerators(k, n_lo, n_hi)
     den = 3 ** p
     return [Fraction(a, den) for a in nums]
 
 
-def series_numerators(k: int, n_lo: int, n_hi: int, max_n: int,
-                      max_l: int) -> tuple[list[int], int]:
+def series_numerators(k: int, n_lo: int, n_hi: int) -> tuple[list[int], int]:
     """Integers a_n and p with c_k(n) = a_n / 3^p for n in n_lo..n_hi.
 
     c_k(n) = mu(A_k) * sum of d_l'(n) over l in P_n.  Every d_l' whose
@@ -236,9 +226,7 @@ def series_numerators(k: int, n_lo: int, n_hi: int, max_n: int,
     """
     if n_lo < 0:
         raise DomainError(f"n = {n_lo} < 0")
-    if n_hi > max_n:
-        raise SizeError(f"n = {max(n_lo, max_n + 1)} exceeds cap {max_n}")
-    dists = [compute_dl(k, l, max_l) for l in _support_run(k, n_lo, n_hi)]
+    dists = [compute_dl(k, l) for l in support_run(k, n_lo, n_hi)]
     e_max = max((d.e for d in dists), default=0)
     acc = [0] * (n_hi - n_lo + 1)
     for d in dists:
@@ -269,8 +257,7 @@ def cell_correlation(cells_a: Iterable[int], cells_b: Iterable[int], k: int, n: 
                Fraction(0))
 
 
-def cesaro_totals(k: int, big_n: int, max_n: int,
-                  max_l: int) -> tuple[Iterator[int], int]:
+def cesaro_totals(k: int, big_n: int) -> tuple[Iterator[int], int]:
     """Integers T_1, ..., T_N and den with C_M = T_M / (den * M).
 
     Every check runs, and the series is computed, at the call; the running
@@ -278,8 +265,8 @@ def cesaro_totals(k: int, big_n: int, max_n: int,
     """
     if big_n < 1:
         raise DomainError(f"N = {big_n} < 1")
-    mu = mu_Ak(k)  # checks the stage before the caps
-    corr, p = series_numerators(k, 0, big_n - 1, max_n, max_l)
+    mu = mu_Ak(k)
+    corr, p = series_numerators(k, 0, big_n - 1)
     # every term over den = 3^max(p, 2k+2), so the running sum is an integer
     den = 3 ** max(p, 2 * k + 2)
     scale = den // 3 ** p

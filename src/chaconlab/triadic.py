@@ -18,6 +18,16 @@ class DomainError(ValueError):
     """Raised when a value leaves [0,1) or an input violates a precondition."""
 
 
+class SizeError(RuntimeError):
+    """A requested value exceeds a resource cap.  Only the parsing of input
+    raises it: the command line and TriadicRational.parse."""
+
+
+# the deepest stage k a command takes, and the largest m of a p/3^m point: the
+# work of each grows with 3^k or 3^m, which a short argument can make unbounded
+MAX_STAGE = 20000
+
+
 def _pow3_exponent(n: int) -> int | None:
     """Return e with n == 3**e, or None if n is not a power of 3."""
     if n < 1:
@@ -63,12 +73,15 @@ class TriadicRational:
 
     @classmethod
     def parse(cls, text: str) -> "TriadicRational":
-        """Parse 'p/3^m', a bare integer numerator of 3^0, '0.a1a2...' in base
-        3, or else any literal that Fraction reads."""
+        """Parse 'p/3^m' with m <= MAX_STAGE, a bare integer numerator of 3^0,
+        '0.a1a2...' in base 3, or else any literal that Fraction reads."""
         text = text.strip()
         m = re.fullmatch(r"(\d+)\s*/\s*3\^(\d+)", text)
         if m:
-            return normalize(int(m.group(1)), int(m.group(2)))
+            numerator, exponent = int(m.group(1)), int(m.group(2))
+            if exponent > MAX_STAGE:
+                raise SizeError(f"m = {exponent} exceeds cap {MAX_STAGE}")
+            return normalize(numerator, exponent)
         m = re.fullmatch(r"0\.([012]+)", text)
         if m:
             return normalize(int(m.group(1), 3), len(m.group(1)))

@@ -1,15 +1,18 @@
 import hashlib
+import io
 import json
 import math
 import os
 import random
 import subprocess
 import sys
-from contextlib import contextmanager
+from contextlib import contextmanager, redirect_stderr, redirect_stdout
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chaconlab import correlation
 from chaconlab.cli import (
@@ -25,7 +28,16 @@ from chaconlab.cli import (
 from chaconlab.correlation import autocorrelation, compute_dl, correlation_series, mu_Ak
 from chaconlab.exceptional import HFunction, build_Jk
 from chaconlab.tower import apply_T_power, height, locate
-from chaconlab.triadic import TriadicRational
+from chaconlab.triadic import MAX_STAGE, SizeError, TriadicRational
+
+
+def chacon(*argv, timeout):
+    """Exit code, stdout and stderr of the command in a fresh interpreter."""
+    src = str(Path(correlation.__file__).parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    return subprocess.run([sys.executable, "-m", "chaconlab.cli", *argv],
+                          capture_output=True, text=True, timeout=timeout, env=env)
 
 
 def run(tmp_path, *argv):
@@ -132,7 +144,7 @@ class TestCorr:
         assert code == EXIT_OK
         _, _, rows = csv_rows(text)
         assert [Fraction(int(rows[0][1]), int(rows[0][2]))] == correlation_series(
-            1, 3_000_000, 3_000_000, 3_000_000, 700_000)
+            1, 3_000_000, 3_000_000)
 
     def test_far_window_renormalizes_to_next_stage(self, capsys):
         # a d_l' build that recursed once per ternary digit of l would pass the
@@ -149,7 +161,7 @@ class TestCorr:
         h = height(1)
         shifts = [b - a for a in (0, h, 2 * h + 1) for b in (0, h, 2 * h + 1)]
         lo, hi = n0 + min(shifts), n0 + 20 + max(shifts)
-        c2 = correlation_series(2, lo, hi, hi, hi)
+        c2 = correlation_series(2, lo, hi)
         for i, (n, num, den, _) in enumerate(rows):
             assert int(n) == n0 + i
             assert Fraction(int(num), int(den)) == sum(c2[n0 + i + s - lo] for s in shifts)
@@ -351,7 +363,7 @@ class TestOutFile:
         def compute_dl_once(*a, **kw):
             calls.append(a)
             if len(calls) > 1:
-                raise correlation.SizeError("cap")
+                raise SizeError("cap")
             return build(*a, **kw)
 
         monkeypatch.setattr(correlation, "compute_dl", compute_dl_once)
@@ -399,8 +411,7 @@ class TestDeepStage:
                      for n, c in enumerate(correlation_series(9100, 0, 2))])
 
     def test_cesaro(self, capsys):
-        totals, den = correlation.cesaro_totals(4600, 3, correlation.DEFAULT_MAX_N,
-                                                correlation.DEFAULT_MAX_L)
+        totals, den = correlation.cesaro_totals(4600, 3)
         self.expect(capsys, ["cesaro", "--k", "4600", "--N-max", "3"],
                     [value_row(m, value=Fraction(t, den * m))
                      for m, t in enumerate(totals, 1)])
@@ -437,6 +448,12 @@ class TestJsetEset:
             code, _ = run(tmp_path, "jset", "--k", "1", "--N-max", "1000",
                           "--cap-n", "100", *extra)
             assert code == EXIT_RESOURCE
+
+    def test_wide_index_range_exits_at_once(self):
+        # the top of the range is read, not found by a walk over 10^12 indices
+        proc = chacon("eset", "--k", "1", "--l", "0..1000000000000", timeout=10)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (
+            EXIT_RESOURCE, "", "resource cap: l = 1000000000000 exceeds cap 531441\n")
 
     def test_negative_bounds_are_invalid(self, tmp_path, capsys):
         for argv in (["eset", "--k", "1", "--l=-5"], ["eset", "--k", "1", "--l=-1"],
@@ -732,14 +749,8 @@ class TestPointwise:
     def test_large_power_is_one_walk(self):
         # inside the default cap of 3^14; 3,000,000 single steps would run for
         # many seconds, where one walk stops at stage 14
-        src = str(Path(correlation.__file__).parents[1])
-        env = {**os.environ,
-               "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
-
         def apply_t(point, n):
-            proc = subprocess.run(
-                [sys.executable, "-m", "chaconlab.cli", "apply-t", point, f"--n={n}"],
-                capture_output=True, text=True, timeout=10, env=env)
+            proc = chacon("apply-t", point, f"--n={n}", timeout=10)
             assert proc.returncode == EXIT_OK, proc.stderr
             return proc.stdout.splitlines()[2].split(",")[2]
 
@@ -786,6 +797,84 @@ class TestPointwise:
         assert main(["frobnicate"]) == EXIT_INPUT
 
 
+class TestStageBound:
+    # with no stage bound each of these, and apply-t 1/3^100000000, ran past a
+    # 10 s timeout: dl, corr, cesaro, eset and layer jset build 3^(k+1), global
+    # jset and locate walk k stages, and apply-t builds 3^m
+    PAST = [["dl", "--k", "100000000", "--l", "1"],
+            ["corr", "--k", "100000000", "--n", "5"],
+            ["cesaro", "--k", "100000000", "--N-max", "3"],
+            ["jset", "--k", "100000000", "--N-max", "10"],
+            ["jset", "--k", "100000000", "--N-max", "10", "--global"],
+            ["eset", "--k", "100000000", "--l", "3"],
+            ["locate", "0.1", "--k", "100000000"]]
+
+    def test_unbounded_runs_exit_at_once(self):
+        for argv in self.PAST:
+            proc = chacon(*argv, timeout=10)
+            assert (proc.returncode, proc.stdout, proc.stderr) == (
+                EXIT_RESOURCE, "", f"resource cap: stage 100000000 exceeds cap {MAX_STAGE}\n"), argv
+        proc = chacon("apply-t", "1/3^100000000", timeout=10)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (
+            EXIT_RESOURCE, "", f"resource cap: m = 100000000 exceeds cap {MAX_STAGE}\n")
+
+    def test_bound_is_inclusive(self, capsys):
+        past = MAX_STAGE + 1
+        cases = [([str(past) if a == "100000000" else a for a in argv], f"stage {past}")
+                 for argv in self.PAST]
+        cases += [(["apply-t", f"1/3^{past}"], f"m = {past}"),
+                  (["locate", f"1/3^{past}", "--k", "1"], f"m = {past}")]
+        for argv, name in cases:
+            capsys.readouterr()
+            assert main(argv) == EXIT_RESOURCE, argv
+            assert capsys.readouterr() == ("", f"resource cap: {name} exceeds cap {MAX_STAGE}\n")
+        # every command answers at the bound with a small window; the slowest,
+        # jset --global, builds 3^(2k+2) for each of the k stages it skips
+        bound = str(MAX_STAGE)
+        for argv in (["dl", "--k", bound, "--l", "0..3"],
+                     ["corr", "--k", bound, "--n", "0..30"],
+                     ["cesaro", "--k", bound, "--N-max", "30"],
+                     ["jset", "--k", bound, "--N-max", "10"],
+                     ["jset", "--k", bound, "--N-max", "10", "--global"],
+                     ["eset", "--k", bound, "--l", "30"],
+                     ["locate", "0.1", "--k", bound],
+                     ["locate", f"1/3^{bound}", "--k", "3"],
+                     ["apply-t", f"1/3^{bound}", "--n=-5"]):
+            proc = chacon(*argv, timeout=20)
+            assert (proc.returncode, proc.stderr) == (EXIT_OK, ""), argv
+
+
+class TestCapOptions:
+    # --cap-l and --cap-n are declared only where a command reads them
+    DECLARED = {"dl": "l", "corr": "ln", "cesaro": "ln", "jset": "n", "eset": "l",
+                "apply-t": "n", "extract": "", "verify": "", "locate": ""}
+
+    def test_each_cap_only_where_read(self, tmp_path, capsys):
+        series = tmp_path / "series.csv"
+        series.write_text("n,a\n0,0\n1,1\n", encoding="utf-8")
+        valid = {"dl": ["dl", "--k", "1", "--l", "0..3"],
+                 "corr": ["corr", "--k", "1", "--n", "0..30"],
+                 "cesaro": ["cesaro", "--k", "1", "--N-max", "30"],
+                 "jset": ["jset", "--k", "1", "--N-max", "30"],
+                 "eset": ["eset", "--k", "1", "--l", "30"],
+                 "apply-t": ["apply-t", "1/3^1"],
+                 "extract": ["extract", str(series)],
+                 "verify": ["verify", "--suite", "all"],
+                 "locate": ["locate", "0.1", "--k", "1"]}
+        assert valid.keys() == self.DECLARED.keys()
+        for command, argv in valid.items():
+            for cap in "ln":
+                capsys.readouterr()
+                code = main(argv + [f"--cap-{cap}", "1000"])
+                out, err = capsys.readouterr()
+                if cap in self.DECLARED[command]:
+                    assert (code, err) == (EXIT_OK, ""), (command, cap)
+                else:
+                    # refused while parsing, before verify would run its suite
+                    assert (code, out) == (EXIT_INPUT, ""), (command, cap)
+                    assert err.endswith(f"error: unrecognized arguments: --cap-{cap} 1000\n")
+
+
 class TestVerify:
     def test_suite_passes_and_is_deterministic(self, tmp_path):
         code, first = run(tmp_path, "verify", "--suite", "all", "--seed", "7")
@@ -800,3 +889,70 @@ class TestVerify:
     def test_unknown_suite_is_invalid(self, tmp_path):
         code, _ = run(tmp_path, "verify", "--suite", "bogus")
         assert code == EXIT_INPUT
+
+
+# ---------------------------------------------------------------------------
+# any argv ends in output or in a clean exit 2 or 3; every window is small,
+# or else past a cap or the stage bound, so that no case starts large work
+
+# the valid values are drawn more often, so that most cases reach the engine
+PAST = st.sampled_from([MAX_STAGE + 1, 10 ** 8])
+STAGES = st.one_of(st.integers(1, 4), st.integers(0, 4), st.integers(-3, -1), PAST).map(str)
+VALUES = st.one_of(st.integers(0, 60), st.integers(0, 60), st.integers(-5, -1),
+                   st.just(10 ** 8))
+WINDOWS = st.one_of(
+    VALUES.map(str),
+    st.tuples(VALUES, VALUES).map(lambda ab: f"{ab[0]}..{ab[1]}"),
+    st.tuples(VALUES, VALUES).map(lambda ab: f"{min(ab)}..{max(ab)}"),
+    st.sampled_from(["", "x", "3..", "..3", "1..2..3", "2.5", "-"]))
+POINTS = st.one_of(
+    st.builds("{}/3^{}".format, st.integers(0, 800), st.one_of(st.integers(0, 6), PAST)),
+    st.text("012", min_size=1, max_size=8).map("0.{}".format),
+    st.sampled_from(["0", "1", "2/9", "1/2", "1/0", "0/0", "1/3^", "0.3", "zebra", ""]))
+GROWTH = st.sampled_from(["linear", "log", "loglog", "power:0.5", "power:nan", "bogus"])
+
+
+@st.composite
+def argvs(draw, series):
+    command = draw(st.sampled_from(sorted(TestCapOptions.DECLARED)))
+    argv = {
+        "dl": lambda: ["--k", draw(STAGES), "--l", draw(WINDOWS)],
+        "corr": lambda: ["--k", draw(STAGES), f"--n={draw(WINDOWS)}"],
+        "cesaro": lambda: ["--k", draw(STAGES), f"--N-max={draw(VALUES)}"],
+        "jset": lambda: ["--k", draw(STAGES), f"--N-max={draw(VALUES)}", "--h", draw(GROWTH)]
+        + draw(st.sampled_from([[], ["--global"]])),
+        "eset": lambda: ["--k", draw(STAGES), f"--l={draw(WINDOWS)}"],
+        "extract": lambda: [draw(st.sampled_from(series))],
+        # never a valid argv, so that no case runs the whole suite
+        "verify": lambda: ["--suite", draw(st.sampled_from(["bogus", "", "ALL"]))],
+        "apply-t": lambda: [draw(POINTS), f"--n={draw(VALUES)}"],
+        "locate": lambda: [draw(POINTS), "--k", draw(STAGES)],
+    }[command]()
+    for cap in "ln":
+        # also on the commands that do not read it, which refuse it
+        if draw(st.booleans()):
+            argv.append(f"--cap-{cap}={draw(st.integers(-2, 60))}")
+    return [command, *argv, "--format", draw(st.sampled_from(["csv", "json"]))]
+
+
+def test_any_argv_exits_cleanly(tmp_path):
+    series = []
+    for name, body in (("ok", "n,a\n0,0\n1,1/3\n2,0\n"), ("gap", "n,a\n0,0\n2,1\n"),
+                       ("bad", "n,a\n0,1/0\n")):
+        series.append(str(tmp_path / f"{name}.csv"))
+        Path(series[-1]).write_text(body, encoding="utf-8")
+    series += [str(tmp_path / "absent.csv"), str(tmp_path)]
+
+    @settings(max_examples=400, deadline=None)
+    @given(argvs(series))
+    def check(argv):
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(argv)
+        assert code in (EXIT_OK, EXIT_INPUT, EXIT_RESOURCE)
+        if code != EXIT_OK:
+            assert out.getvalue() == "" and err.getvalue() != ""
+        if code == EXIT_RESOURCE:
+            assert err.getvalue().startswith("resource cap: ")
+
+    check()

@@ -7,7 +7,6 @@ import pytest
 
 from chaconlab import checks, correlation as co
 from chaconlab.correlation import (
-    SizeError,
     autocorrelation,
     cell_correlation,
     cesaro_totals,
@@ -129,8 +128,13 @@ class TestComputeDl:
     def test_rejects_bad_index(self):
         with pytest.raises(DomainError):
             compute_dl(1, -1)
-        with pytest.raises(SizeError):
-            compute_dl(1, 100, max_l=50)
+
+    def test_far_index_needs_no_cap(self):
+        # d_3q' is d_q' moved by q: at l = 3^1000 it is d_1' on its closed-form support
+        l = 3 ** 1000
+        d = compute_dl(1, l)
+        assert (d.nums, d.e) == ((1, 1), 0)
+        assert (d.start, d.end) == support(1, l)
 
     def test_normalization_and_shape(self):
         assert checks.dl_normalized_unimodal(500)
@@ -141,12 +145,12 @@ class TestComputeDl:
         memo = {}
         for k in (0, 1, 2, 3, 5):
             for l in list(range(3 ** 7)) + [rng.randrange(3 ** 40) for _ in range(200)]:
-                d = compute_dl(k, l, max_l=3 ** 40)
+                d = compute_dl(k, l)
                 assert (d.start, d.nums, d.e) == recursive_dl(k, l, memo), (k, l)
 
     def test_one_memo_for_every_stage(self):
         for l in (0, 1, 2, 5, 3 ** 7 + 4, 3 ** 30 + 17):
-            assert compute_dl(1, l, max_l=l).nums is compute_dl(3, l, max_l=l).nums
+            assert compute_dl(1, l).nums is compute_dl(3, l).nums
 
     def test_no_function_calls_itself(self):
         # a build that recursed once per ternary digit of l ran past the
@@ -250,16 +254,15 @@ class TestFindPn:
     def test_far_runs_match_mass_recursion(self):
         # near 3^30 the run holds exactly the l whose d_l' covers n
         rng = random.Random(30)
-        cap = 3 ** 31
         for _ in range(50):
             k = rng.choice((0, 1, 2, 3))
             n = 3 ** 30 + rng.randrange(3 ** 20)
 
             def covers(l):
-                d = compute_dl(k, l, max_l=cap)
+                d = compute_dl(k, l)
                 return d.start <= n <= d.end
 
-            run = co._support_run(k, n, n)
+            run = co.support_run(k, n, n)
             assert all(covers(l) for l in run)
             assert not covers(run.start - 1) and not covers(run.stop)
 
@@ -295,9 +298,11 @@ class TestAutocorrelation:
         for n in (0, 4, 9, 13):
             assert autocorrelation(1, -n) == autocorrelation(1, n)
 
-    def test_cap(self):
-        with pytest.raises(SizeError):
-            autocorrelation(1, co.DEFAULT_MAX_N + 1)
+    def test_far_point_needs_no_cap(self):
+        n = 3 ** 30 + 7
+        h = height(2)
+        assert autocorrelation(2, n) == reference_correlation(2, n) == sum(
+            autocorrelation(3, n + b - a) for a in (0, h, 2 * h + 1) for b in (0, h, 2 * h + 1))
 
     def test_rejects_negative_stage(self):
         with pytest.raises(DomainError):
@@ -306,11 +311,11 @@ class TestAutocorrelation:
             mu_Ak(-2)
 
 
-def reference_correlation(k, n, max_l=co.DEFAULT_MAX_L):
+def reference_correlation(k, n):
     """c_k(n) as a per-n Fraction sum over the masses of each d_l' covering n."""
     total = Fraction(0)
     for l in find_Pn(k, n):
-        d = compute_dl(k, l, max_l)
+        d = compute_dl(k, l)
         total += d.masses[n - d.start]
     return mu_Ak(k) * total
 
@@ -328,16 +333,18 @@ class TestCorrelationSeries:
                 reference_correlation(k, n) for n in range(gap, gap + 401)]
             assert correlation_series(k, gap, gap) == [0]
 
-    def test_cap_and_domain(self):
-        with pytest.raises(SizeError):
-            correlation_series(1, 0, 1000, max_n=500)
-        with pytest.raises(SizeError, match="l = 6 exceeds cap 5"):
-            correlation_series(1, 0, 1000, max_l=5)
-        with pytest.raises(SizeError, match="l = 6 exceeds cap 5"):
-            cesaro_totals(1, 1000, co.DEFAULT_MAX_N, 5)
+    def test_far_window_and_domain(self):
+        # each value satisfies the stage-renormalization identity
+        # c_1(n) = sum of c_2(n + b - a) over a, b in {0, h_1, 2h_1 + 1}
+        n0, h = 3 ** 100, height(1)
+        shifts = [b - a for a in (0, h, 2 * h + 1) for b in (0, h, 2 * h + 1)]
+        lo = n0 + min(shifts)
+        c2 = correlation_series(2, lo, n0 + 20 + max(shifts))
+        series = correlation_series(1, n0, n0 + 20)
+        assert series == [sum(c2[n + s - lo] for s in shifts) for n in range(n0, n0 + 21)]
+        assert any(series)
         n = 3_000_000
-        assert correlation_series(1, n, n, max_n=n, max_l=n) == [
-            reference_correlation(1, n, max_l=n)]
+        assert correlation_series(1, n, n) == [reference_correlation(1, n)]
         with pytest.raises(DomainError):
             correlation_series(1, -1, 10)
 
@@ -367,7 +374,7 @@ class TestCellCorrelation:
 
 def cesaro_last(k, big_n):
     """C_N = T_N / (den * N), the last running average of cesaro_totals."""
-    totals, den = cesaro_totals(k, big_n, co.DEFAULT_MAX_N, co.DEFAULT_MAX_L)
+    totals, den = cesaro_totals(k, big_n)
     return Fraction(list(totals)[-1], den * big_n)
 
 
@@ -386,7 +393,7 @@ class TestCesaro:
 
     def test_rejects_empty_average(self):
         with pytest.raises(DomainError):
-            cesaro_totals(1, 0, co.DEFAULT_MAX_N, co.DEFAULT_MAX_L)
+            cesaro_totals(1, 0)
 
 
 class TestProfiles:
@@ -457,3 +464,20 @@ class TestProfiles:
                 for family in families:
                     # one profile serves every stage
                     assert profile_gap(family) == reference_gap(k, family)
+
+
+def test_only_input_parsing_raises_size_error():
+    # resource caps live where outside input enters: the command line and the
+    # parsing of a point; the library computes whatever it is asked
+    raisers = []
+    for path in sorted(Path(co.__file__).parent.glob("*.py")):
+        if path.name in ("cli.py", "triadic.py"):
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        raisers += [
+            f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+            if isinstance(node, ast.Raise) and node.exc is not None
+            and any(isinstance(name, ast.Name) and name.id == "SizeError"
+                    or isinstance(name, ast.Attribute) and name.attr == "SizeError"
+                    for name in ast.walk(node.exc))]
+    assert raisers == []

@@ -5,7 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chaconlab.triadic import DomainError, TriadicRational, TriadicSet, normalize
+from chaconlab.triadic import (
+    MAX_STAGE,
+    DomainError,
+    SizeError,
+    TriadicRational,
+    TriadicSet,
+    normalize,
+)
 
 
 def T(num, den):
@@ -45,6 +52,13 @@ class TestTriadicRational:
         assert TriadicRational.parse("0.12") == T(5, 9)
         with pytest.raises(DomainError):
             TriadicRational.parse("1/2")
+
+    def test_parse_bounds_the_exponent(self):
+        # checked before 3^m is built, so m = 10^8 answers at once
+        assert TriadicRational.parse(f"1/3^{MAX_STAGE}") == TriadicRational(1, MAX_STAGE)
+        for m in (MAX_STAGE + 1, 10 ** 8):
+            with pytest.raises(SizeError, match=f"^m = {m} exceeds cap {MAX_STAGE}$"):
+                TriadicRational.parse(f"1/3^{m}")
 
     def test_str_round_trip(self):
         x = T(7, 27)
