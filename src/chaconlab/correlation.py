@@ -119,7 +119,6 @@ class ReturnDistribution:
     d_l'.  All masses are positive; they sum to 1.
     """
 
-    l: int
     start: int
     nums: tuple[int, ...]
     e: int
@@ -147,7 +146,7 @@ _shapes: dict[int, Shape] = {0: (0, (2,), 0), 1: (0, (1, 1), 0)}
 def compute_dl(k: int, l: int) -> ReturnDistribution:
     """d_l' at stage k: the memoized shape (o_l, nums, e) of l, starting at l*h_k + o_l."""
     o, nums, e = _shape(l)
-    return ReturnDistribution(l, l * tower.height(k) + o, nums, e)
+    return ReturnDistribution(l * tower.height(k) + o, nums, e)
 
 
 def _shape(l: int) -> Shape:

@@ -62,9 +62,6 @@ class IntegerIntervalSet:
     def __eq__(self, other) -> bool:
         return isinstance(other, IntegerIntervalSet) and self.intervals == other.intervals
 
-    def __hash__(self) -> int:
-        return hash(self.intervals)
-
     def count(self, n: int) -> int:
         """|set intersect [0, n]| (the set never holds negatives here)."""
         i = bisect_right(self._starts, n) - 1
@@ -193,7 +190,9 @@ class HFunction:
 
 def g_cutoff(h: HFunction, k: int) -> int:
     """g(k): the integer ceiling of h^-1(3^(2k+2))."""
-    return h.inverse_ceil(float(3 ** (2 * k + 2)))
+    # 3^647 is the least power of 3 past the largest float, and every larger
+    # one overflows with the same message, so no layer builds a longer power
+    return h.inverse_ceil(float(3 ** min(2 * k + 2, 647)))
 
 
 # ---------------------------------------------------------------------------

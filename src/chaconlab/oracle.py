@@ -5,11 +5,15 @@ Three unrelated verification devices live here:
 * a pushforward simulator that maps a TriadicSet to its image directly
   from the stacking rule, finding each level by its rank in start order
   (no code shared with tower.apply_T), and the correlation of two
-  TriadicSets by level bookkeeping,
+  TriadicSets by one resolution rule: stage by stage, each unresolved level
+  splits into its three copies one stage deeper, the reservoir adds the
+  spacer level, and a copy p resolves as one interval overlap when p + n
+  is still a level of that stage,
 * exhaustive digit-cell enumeration of the return-time distributions via
   the orbit sum of first-return times (no use of the mass recursion),
-* the smoothing-operator polynomials, the partial-sum order on them, and
-  the lazy-walk polynomials they are compared against.
+* the smoothing-operator polynomials as coefficient tuples, the
+  partial-sum order on them, and the lazy-walk polynomials they are
+  compared against.
 """
 
 from __future__ import annotations
@@ -17,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import zip_longest
 from math import comb
 
 from .triadic import DomainError, TriadicSet, _pow3_exponent
@@ -132,16 +137,17 @@ def _shift_overlap(av: tuple[tuple[Fraction, Fraction], ...],
 def brute_correlation(a: TriadicSet, b: TriadicSet, n: int) -> Fraction:
     """mu(T^n A intersect B) = mu(A intersect T^-n B), exactly.
 
-    At a stage m with h_m > n + 1, the n-step map is a plain translation of
-    level j onto level j + n for every level that stays inside the stack, so
-    those contributions are direct interval overlaps.  The levels within n
-    of the top, and the spacer reservoir, resolve one stage deeper: two of
-    the three thirds of a top-region level land low enough to translate, and
-    only the right third stays unresolved, at the same distance from the
-    top.  The unresolved remainder thus shrinks by a factor 3 per stage and
-    its contributions become exactly geometric once every nested cell has
-    passed below the resolution of A and B; the tail is summed in closed
-    form after the ratio is observed exact on consecutive stages.
+    One rule, applied stage by stage from the single stage-0 level: each
+    unresolved stage-s level j splits into its stage-(s+1) copies j, j + h_s
+    and j + 2h_s + 1, and the spacer reservoir adds the spacer level 2h_s.
+    A copy p with p + n < h_(s+1) resolves: T^n translates it onto level
+    p + n, so it contributes one direct interval overlap.  Every other copy
+    stays unresolved.  Once h_s >= n only the right copy of each unresolved
+    level stays, at the same distance from the top, so the unresolved
+    remainder shrinks by a factor 3 per stage; its contributions become
+    exactly geometric once every nested cell has passed below the resolution
+    of A and B, and the tail is summed in closed form after the ratio is
+    observed exact on consecutive stages.
     """
     if n < 0:
         a, b, n = b, a, -n
@@ -154,47 +160,33 @@ def brute_correlation(a: TriadicSet, b: TriadicSet, n: int) -> Fraction:
     m = 1
     while _h(m) < n + 2:
         m += 1
-    h = _h(m)
-    w = Fraction(2, 3 ** (m + 1))
-    total = Fraction(0)
-    for j in range(h - n):
-        total += _shift_overlap(av, bv, _lv_start(m, j), _lv_start(m, j + n), w)
-
     # resolution floor: stages at which all nested cells are finer than any
     # endpoint of A or B
     floor = 4 + max([m] + [_pow3_exponent(q.denominator) for iv in av + bv for q in iv])
 
-    # unresolved sources: top-region levels, by distance from the top, plus
-    # the spacer reservoir; each keeps exactly one child per stage
-    jobs = list(range(h - n, h))
-    history: list[Fraction] = []
-    stage = m
+    unresolved = [0]
+    history: list[Fraction] = []   # the overlap resolved at each stage
+    stage = 0
     while True:
-        hs, ws = _h(stage), Fraction(2, 3 ** (stage + 2))
-        hn = _h(stage + 1)
+        hs, hn, ws = _h(stage), _h(stage + 1), Fraction(2, 3 ** (stage + 2))
+        copies = [p for j in unresolved for p in (j, j + hs, j + 2 * hs + 1)] + [2 * hs]
         chi = Fraction(0)
-        new_jobs = []
-        for j in jobs:
-            for p in (j, j + hs):
-                if p + n < hn:
-                    chi += _shift_overlap(av, bv, _lv_start(stage + 1, p),
-                                          _lv_start(stage + 1, p + n), ws)
-            new_jobs.append(j + 2 * hs + 1)
-        # reservoir: the spacer level resolves, the deeper reservoir stays
-        sp = 2 * hs
-        chi += _shift_overlap(av, bv, _lv_start(stage + 1, sp),
-                              _lv_start(stage + 1, sp + n), ws)
+        unresolved = []
+        for p in copies:
+            if p + n < hn:
+                chi += _shift_overlap(av, bv, _lv_start(stage + 1, p),
+                                      _lv_start(stage + 1, p + n), ws)
+            else:
+                unresolved.append(p)
         history.append(chi)
-        jobs = new_jobs
         stage += 1
-        if stage >= floor and len(history) >= 3 \
-                and history[-2] == 3 * history[-1] \
+        if stage >= floor and history[-2] == 3 * history[-1] \
                 and history[-3] == 9 * history[-1]:
             break
         if stage > m + MAX_EXTRA_STAGES:
             raise FragmentationError(
                 f"chain contributions did not stabilize within {MAX_EXTRA_STAGES} stages")
-    return total + sum(history, Fraction(0)) + history[-1] / 2
+    return sum(history, Fraction(0)) + history[-1] / 2
 
 
 # ---------------------------------------------------------------------------
@@ -204,10 +196,15 @@ def brute_correlation(a: TriadicSet, b: TriadicSet, n: int) -> Fraction:
 class EnumeratedDistribution:
     """d_l' from the digit-cell enumeration: masses on [start, start+len-1]."""
 
-    k: int
-    l: int
     start: int
     masses: tuple[Fraction, ...]
+
+
+# the row of remaining index m = 3q + s (s = 1, 2) under next digit a, as
+# (x, y, z) in _DL_ROWS[s - 1][a]: the time advances by (2q + x) h + q + y and
+# the index becomes q + z
+_DL_ROWS = (((1, 0, 0), (1, 1, 0), (0, 0, 1)),
+            ((2, 1, 0), (1, 1, 1), (1, 0, 1)))
 
 
 def brute_dl(k: int, l: int) -> EnumeratedDistribution:
@@ -257,44 +254,28 @@ def brute_dl(k: int, l: int) -> EnumeratedDistribution:
         elif a is None:
             third = Fraction(1, 3) * mass
             stack.extend((d, shift, m, third) for d in (0, 1, 2))
-        elif s == 1:
-            if a == 0:
-                stack.append((None, shift + (2 * q + 1) * h + q, q, mass))
-            elif a == 1:
-                stack.append((None, shift + (2 * q + 1) * h + q + 1, q, mass))
-            else:
-                stack.append((None, shift + 2 * q * h + q, q + 1, mass))
         else:
-            if a == 0:
-                stack.append((None, shift + (2 * q + 2) * h + q + 1, q, mass))
-            elif a == 1:
-                stack.append((None, shift + (2 * q + 1) * h + q + 1, q + 1, mass))
-            else:
-                stack.append((None, shift + (2 * q + 1) * h + q, q + 1, mass))
+            x, y, z = _DL_ROWS[s - 1][a]
+            stack.append((None, shift + (2 * q + x) * h + q + y, q + z, mass))
 
     lo, hi = min(dist), max(dist)
     if set(dist) != set(range(lo, hi + 1)):
         raise DomainError(f"enumerated support of d_{l}' is not an integer interval")
-    return EnumeratedDistribution(k, l, lo, tuple(dist[n] for n in range(lo, hi + 1)))
+    return EnumeratedDistribution(lo, tuple(dist[n] for n in range(lo, hi + 1)))
 
 
 # ---------------------------------------------------------------------------
 # smoothing polynomials, partial-sum order, lazy-walk polynomials
 
-@dataclass(frozen=True)
-class PhiPolynomial:
-    """Coefficients c_0..c_m of sum c_i phi^i, phi the half-step smoothing operator."""
-
-    coeffs: tuple[Fraction, ...]
-
-
-_phi_cache: dict[int, PhiPolynomial] = {
-    0: PhiPolynomial((Fraction(1),)),
-    1: PhiPolynomial((Fraction(0), Fraction(1))),
+# coefficient tuples (c_0, ..., c_m) of sum c_i phi^i, phi the half-step
+# smoothing operator
+_phi_cache: dict[int, tuple[Fraction, ...]] = {
+    0: (Fraction(1),),
+    1: (Fraction(0), Fraction(1)),
 }
 
 
-def phi_repr(l: int) -> PhiPolynomial:
+def phi_repr(l: int) -> tuple[Fraction, ...]:
     """The unique smoothing-polynomial representation of the profile D_l."""
     if l < 0:
         raise DomainError(f"l = {l} < 0")
@@ -311,43 +292,37 @@ def phi_repr(l: int) -> PhiPolynomial:
     return poly
 
 
-def _mix(shifted: PhiPolynomial, plain: PhiPolynomial) -> PhiPolynomial:
+def _mix(shifted: tuple[Fraction, ...], plain: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
     """(2/3) phi * shifted + (1/3) plain."""
     two_thirds = Fraction(2, 3)
     third = Fraction(1, 3)
-    a = (Fraction(0),) + tuple(two_thirds * c for c in shifted.coeffs)
-    b = tuple(third * c for c in plain.coeffs)
-    n = max(len(a), len(b))
-    a += (Fraction(0),) * (n - len(a))
-    b += (Fraction(0),) * (n - len(b))
-    return PhiPolynomial(tuple(x + y for x, y in zip(a, b)))
+    return tuple(two_thirds * x + third * y
+                 for x, y in zip_longest((0,) + shifted, plain, fillvalue=0))
 
 
-def walk_poly(n: int) -> PhiPolynomial:
+def walk_poly(n: int) -> tuple[Fraction, ...]:
     """((1/3) phi + (2/3))^n, the lazy-walk smoothing polynomial F_n."""
     third = Fraction(1, 3)
     two_thirds = Fraction(2, 3)
-    return PhiPolynomial(tuple(comb(n, i) * third ** i * two_thirds ** (n - i)
-                               for i in range(n + 1)))
+    return tuple(comb(n, i) * third ** i * two_thirds ** (n - i) for i in range(n + 1))
 
 
-def precedes(f: PhiPolynomial, g: PhiPolynomial) -> bool:
+def precedes(f: tuple[Fraction, ...], g: tuple[Fraction, ...]) -> bool:
     """Partial-sum order: every coefficient prefix sum of f is <= that of g.
 
     For unit-total polynomials this pushes mass toward higher smoothing
     powers, so f precedes g implies center(f) <= center(g).
     """
-    n = max(len(f.coeffs), len(g.coeffs))
     sf = sg = Fraction(0)
-    for i in range(n):
-        sf += f.coeffs[i] if i < len(f.coeffs) else 0
-        sg += g.coeffs[i] if i < len(g.coeffs) else 0
+    for x, y in zip_longest(f, g, fillvalue=0):
+        sf += x
+        sg += y
         if sf > sg:
             return False
     return True
 
 
-def center_value(poly: PhiPolynomial) -> Fraction:
+def center_value(poly: tuple[Fraction, ...]) -> Fraction:
     """Value at the origin of the profile the polynomial represents.
 
     On cells [j/2, (j+1)/2) the unit box is 1 on cells -1 and 0, and phi
@@ -355,5 +330,5 @@ def center_value(poly: PhiPolynomial) -> Fraction:
     is the chance that a +-1 walk of i steps from cell 0 ends in cell 0 or 1:
     C(i, floor(i/2)) / 2^i.
     """
-    return sum((c * Fraction(comb(i, i // 2), 2 ** i) for i, c in enumerate(poly.coeffs)),
+    return sum((c * Fraction(comb(i, i // 2), 2 ** i) for i, c in enumerate(poly)),
                Fraction(0))

@@ -57,7 +57,6 @@ class TowerAddress:
     [1 - 3^-(k+1), 1); offset is then measured from that interval's start.
     """
 
-    k: int
     level: int | None
     offset: Fraction
 
@@ -100,7 +99,7 @@ def locate(x: TriadicRational, k: int) -> TowerAddress:
     if k < 0:
         raise DomainError(f"stage {k} < 0")
     _, _, level, offset = next(islice(_addresses(x), k, None))
-    return TowerAddress(k, level, Fraction(offset, 3 ** max(k + 1, x.exponent)))
+    return TowerAddress(level, Fraction(offset, 3 ** max(k + 1, x.exponent)))
 
 
 def apply_T_power(x: TriadicRational, n: int) -> TriadicRational:

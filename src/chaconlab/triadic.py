@@ -74,7 +74,8 @@ class TriadicRational:
     @classmethod
     def parse(cls, text: str) -> "TriadicRational":
         """Parse 'p/3^m' with m <= MAX_STAGE, a bare integer numerator of 3^0,
-        '0.a1a2...' in base 3, or else any literal that Fraction reads."""
+        '0.a1a2...' in base 3, a zero with a decimal exponent, or else any
+        literal that Fraction reads."""
         text = text.strip()
         m = re.fullmatch(r"(\d+)\s*/\s*3\^(\d+)", text)
         if m:
@@ -87,6 +88,16 @@ class TriadicRational:
             return normalize(int(m.group(1), 3), len(m.group(1)))
         if re.fullmatch(r"\d+", text):
             return normalize(int(text), 0)
+        m = re.fullmatch(r"[-+]?(?=\d|\.\d)(\d*|\d+(?:_\d+)*)(?:\.(\d*|\d+(?:_\d+)*))?"
+                         r"[eE][-+]?\d+(?:_\d+)*", text)
+        if m:
+            # Fraction's decimal-exponent form: a decimal times 10^e is triadic
+            # only as an integer, so in [0,1) only as 0; read before Fraction
+            # would build 10^e
+            if any(int(d) for d in (m.group(1) + (m.group(2) or "")).replace("_", "")):
+                raise DomainError(f"decimal-exponent point {text!r} is not 0, "
+                                  "the only such point of [0,1)")
+            return TriadicRational(0, 0)
         try:
             return cls.from_fraction(Fraction(text))
         except ZeroDivisionError:

@@ -727,6 +727,18 @@ class TestPointwise:
                 assert run(tmp_path, *argv) == (EXIT_INPUT, "")
                 assert capsys.readouterr().err == f"invalid input: {message}\n"
 
+    def test_decimal_exponent_points_exit_at_once(self):
+        # Fraction would build 10^e before the point is rejected: 10.4 s for
+        # locate 1e10000000, past 20 s for apply-t 1e100000000
+        for argv in (["locate", "--k", "1", "1e10000000"], ["apply-t", "1e100000000"]):
+            proc = chacon(*argv, timeout=10)
+            assert (proc.returncode, proc.stdout) == (EXIT_INPUT, ""), argv
+            assert proc.stderr == (f"invalid input: decimal-exponent point {argv[-1]!r} "
+                                   "is not 0, the only such point of [0,1)\n")
+        proc = chacon("apply-t", "0e100000000", timeout=10)
+        assert (proc.returncode, proc.stdout.splitlines()[2]) == (
+            EXIT_OK, "1,0/3^0,2/3^2,0.222222222222")
+
     def test_apply_t_past_old_depth_cap(self, tmp_path):
         # 1 - 3^-70 is the start of the stage-70 spacer piece; T lifts it onto
         # the right copy's bottom level, 4/3^71
@@ -828,8 +840,9 @@ class TestStageBound:
             capsys.readouterr()
             assert main(argv) == EXIT_RESOURCE, argv
             assert capsys.readouterr() == ("", f"resource cap: {name} exceeds cap {MAX_STAGE}\n")
-        # every command answers at the bound with a small window; the slowest,
-        # jset --global, builds 3^(2k+2) for each of the k stages it skips
+        # every command answers at the bound with a small window; jset
+        # --global computes a cutoff for each of the k layers, from a power
+        # of 3 that stops growing at the first to overflow a float
         bound = str(MAX_STAGE)
         for argv in (["dl", "--k", bound, "--l", "0..3"],
                      ["corr", "--k", bound, "--n", "0..30"],

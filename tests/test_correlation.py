@@ -154,19 +154,19 @@ class TestComputeDl:
 
     def test_no_function_calls_itself(self):
         # a build that recursed once per ternary digit of l ran past the
-        # interpreter's recursion limit near l = 3^1000; the oracles are
-        # independent ground truth and keep their recursive form
+        # interpreter's recursion limit near l = 3^1000; these oracle
+        # functions are independent ground truth and keep their recursive form
+        by_design = {"oracle.py:_lv_start", "oracle.py:_level", "oracle.py:_image_pieces",
+                     "oracle.py:phi_repr"}
         recursive = []
         for path in sorted(Path(co.__file__).parent.glob("*.py")):
-            if path.name == "oracle.py":
-                continue
             tree = ast.parse(path.read_text(encoding="utf-8"))
             recursive += [
                 f"{path.name}:{fn.name}" for fn in ast.walk(tree)
                 if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
                 and any(isinstance(call, ast.Call) and isinstance(call.func, ast.Name)
                         and call.func.id == fn.name for call in ast.walk(fn))]
-        assert recursive == []
+        assert [name for name in recursive if name not in by_design] == []
 
 
 class TestSupport:

@@ -107,6 +107,23 @@ class TestHFunction:
         assert g_cutoff(HFunction.linear(), 1) == 81
         assert g_cutoff(HFunction.linear(), 2) == 729
 
+    def test_g_cutoff_matches_uncapped_power(self):
+        # g_cutoff builds no power past 3^647, the first past the largest
+        # float; 3^(2k+2) itself gives the same value or the same overflow
+        def outcome(cutoff, h, k):
+            try:
+                return cutoff(h, k)
+            except OverflowError as exc:
+                return str(exc)
+
+        def uncapped(h, k):
+            return h.inverse_ceil(float(3 ** (2 * k + 2)))
+
+        for spec in ("linear", "log", "loglog", "power:0.5", "power:1e-300"):
+            h = HFunction.parse(spec)
+            for k in (159, 160, 161, 322, 323, 646, 647, 20000):
+                assert outcome(g_cutoff, h, k) == outcome(uncapped, h, k), (spec, k)
+
 
 class TestExtractor:
     def test_zero_sequence(self):

@@ -7,11 +7,10 @@ from pathlib import Path
 
 import pytest
 
-from chaconlab import checks, oracle, tower
+from chaconlab import checks, correlation, oracle, tower
 from chaconlab.correlation import compute_bl, H_value
 from chaconlab.oracle import (
     FragmentationError,
-    PhiPolynomial,
     brute_correlation,
     brute_dl,
     center_value,
@@ -20,7 +19,7 @@ from chaconlab.oracle import (
     pushforward_step,
     walk_poly,
 )
-from chaconlab.triadic import DomainError, TriadicSet
+from chaconlab.triadic import DomainError, TriadicSet, _pow3_exponent
 
 
 def base_cell(k):
@@ -29,6 +28,52 @@ def base_cell(k):
 
 def measure(a):
     return sum((hi - lo for lo, hi in a.intervals), Fraction(0))
+
+
+def random_set(rng):
+    """A union of 1-3 intervals on the grid 3^-e, e drawn from 2..5."""
+    e = rng.randint(2, 5)
+    ends = sorted(rng.sample(range(3 ** e + 1), 2 * rng.randint(1, 3)))
+    return TriadicSet.from_endpoints([(Fraction(p, 3 ** e), Fraction(q, 3 ** e))
+                                      for p, q in zip(ends[::2], ends[1::2])])
+
+
+def chain_correlation(a, b, n):
+    """mu(A intersect T^-n B) by a translation sum over the levels of the
+    first stage m with h_m >= n + 2, then a chain of the levels within n of
+    the top and a reservoir case, one stage at a time: the three cases the
+    single resolution rule of brute_correlation replaced."""
+    if n < 0:
+        a, b, n = b, a, -n
+    av, bv = a.intervals, b.intervals
+    if n == 0:
+        return oracle._shift_overlap(av, bv, 0, 0, 1)
+    m = 1
+    while oracle._h(m) < n + 2:
+        m += 1
+    h, w = oracle._h(m), Fraction(2, 3 ** (m + 1))
+    total = sum((oracle._shift_overlap(av, bv, oracle._lv_start(m, j),
+                                       oracle._lv_start(m, j + n), w)
+                 for j in range(h - n)), Fraction(0))
+    floor = 4 + max([m] + [_pow3_exponent(q.denominator) for iv in av + bv for q in iv])
+    jobs, history, stage = list(range(h - n, h)), [], m
+    while True:
+        hs, hn, ws = oracle._h(stage), oracle._h(stage + 1), Fraction(2, 3 ** (stage + 2))
+        chi = Fraction(0)
+        for j in jobs:
+            for p in (j, j + hs):
+                if p + n < hn:
+                    chi += oracle._shift_overlap(av, bv, oracle._lv_start(stage + 1, p),
+                                                 oracle._lv_start(stage + 1, p + n), ws)
+        sp = 2 * hs
+        chi += oracle._shift_overlap(av, bv, oracle._lv_start(stage + 1, sp),
+                                     oracle._lv_start(stage + 1, sp + n), ws)
+        history.append(chi)
+        jobs = [j + 2 * hs + 1 for j in jobs]
+        stage += 1
+        if stage >= floor and len(history) >= 3 \
+                and history[-2] == 3 * history[-1] and history[-3] == 9 * history[-1]:
+            return total + sum(history, Fraction(0)) + history[-1] / 2
 
 
 class TestPushforward:
@@ -129,6 +174,29 @@ class TestBruteCorrelation:
             c = brute_correlation(a, b, n)
             assert 0 <= c <= Fraction(2, 9)  # the measure of a; b has 1/3
 
+    def test_matches_engine_on_cell_unions(self):
+        rng = random.Random(37)
+        for k in (1, 2, 3):
+            w = Fraction(2, 3 ** (k + 1))
+
+            def union(cells):
+                return TriadicSet.from_endpoints(
+                    [(oracle._lv_start(k, m), oracle._lv_start(k, m) + w) for m in cells])
+
+            for _ in range(15):
+                cells_a = rng.sample(range(tower.height(k)), rng.randint(1, 3))
+                cells_b = rng.sample(range(tower.height(k)), rng.randint(1, 3))
+                n = rng.randint(-40, 200)
+                assert brute_correlation(union(cells_a), union(cells_b), n) == \
+                    correlation.cell_correlation(cells_a, cells_b, k, n), (k, cells_a, cells_b, n)
+
+    def test_matches_chain_on_general_sets(self):
+        rng = random.Random(41)
+        for _ in range(60):
+            a, b, n = random_set(rng), random_set(rng), rng.randint(-30, 120)
+            assert brute_correlation(a, b, n) == chain_correlation(a, b, n), (
+                a.intervals, b.intervals, n)
+
     def test_cap(self):
         a1 = base_cell(1)
         with pytest.raises(FragmentationError):
@@ -189,19 +257,19 @@ class TestBruteDl:
 
 class TestPhiPolynomials:
     def test_base_representations(self):
-        assert phi_repr(0).coeffs == (Fraction(1),)
-        assert phi_repr(1).coeffs == (Fraction(0), Fraction(1))
-        assert phi_repr(2).coeffs == (Fraction(1, 3), Fraction(0), Fraction(2, 3))
+        assert phi_repr(0) == (Fraction(1),)
+        assert phi_repr(1) == (Fraction(0), Fraction(1))
+        assert phi_repr(2) == (Fraction(1, 3), Fraction(0), Fraction(2, 3))
 
     def test_coefficients_sum_to_one(self):
         for l in range(3 ** 5 + 1):
-            assert sum(phi_repr(l).coeffs) == 1
+            assert sum(phi_repr(l)) == 1
 
     def test_degree_is_support_size_minus_one(self):
         for l in range(3 ** 5 + 1):
             poly = phi_repr(l)
-            assert len(poly.coeffs) - 1 == compute_bl(l) - 1
-            assert poly.coeffs[-1] != 0
+            assert len(poly) - 1 == compute_bl(l) - 1
+            assert poly[-1] != 0
 
     def test_center_value_matches_smoothed_box(self):
         # phi^i applied to the unit box step by step, the loop the closed form
@@ -219,7 +287,7 @@ class TestPhiPolynomials:
             return vals[j] if 0 <= j < len(vals) else Fraction(0)
 
         for i in range(61):
-            unit = PhiPolynomial((Fraction(0),) * i + (Fraction(1),))
+            unit = (Fraction(0),) * i + (Fraction(1),)
             assert center_value(unit) == smoothed_box_center(i) == Fraction(comb(i, i // 2), 2 ** i)
 
     def test_center_value_matches_profile_peak(self):
@@ -228,8 +296,8 @@ class TestPhiPolynomials:
 
     def test_walk_poly_is_binomial(self):
         f2 = walk_poly(2)
-        assert f2.coeffs == (Fraction(4, 9), Fraction(4, 9), Fraction(1, 9))
-        assert all(sum(walk_poly(n).coeffs) == 1 for n in range(8))
+        assert f2 == (Fraction(4, 9), Fraction(4, 9), Fraction(1, 9))
+        assert all(sum(walk_poly(n)) == 1 for n in range(8))
 
     def test_precedes_examples(self):
         assert precedes(phi_repr(0), phi_repr(0))

@@ -68,10 +68,10 @@ class TestLevelInterval:
 
 class TestLocate:
     def test_examples(self):
-        assert locate(T(1, 3), 1) == TowerAddress(1, 1, Fraction(1, 9))
+        assert locate(T(1, 3), 1) == TowerAddress(1, Fraction(1, 9))
         for k in range(5):
-            assert locate(TriadicRational(0, 0), k) == TowerAddress(k, 0, Fraction(0))
-        assert locate(T(25, 27), 1) == TowerAddress(1, None, Fraction(1, 27))
+            assert locate(TriadicRational(0, 0), k) == TowerAddress(0, Fraction(0))
+        assert locate(T(25, 27), 1) == TowerAddress(None, Fraction(1, 27))
 
     def test_matches_level_intervals(self):
         rng = random.Random(2)
@@ -105,7 +105,7 @@ class TestLocate:
                 else:
                     third, offset = divmod(offset, w)
                     level += (0, hp, 2 * hp + 1)[third]
-            return TowerAddress(k, level, offset)
+            return TowerAddress(level, offset)
 
         rng = random.Random(5)
         for _ in range(3000):

@@ -60,6 +60,19 @@ class TestTriadicRational:
             with pytest.raises(SizeError, match=f"^m = {m} exceeds cap {MAX_STAGE}$"):
                 TriadicRational.parse(f"1/3^{m}")
 
+    def test_parse_decimal_exponents(self):
+        # only a zero with a decimal exponent is a point of [0,1); every other
+        # such literal is refused by name, and text outside Fraction's
+        # decimal-exponent grammar still reaches Fraction
+        for text in ("0e5", "-0e5", ".0E-3", "0.000e7", "+0_0e1_0", "0e100000000"):
+            assert TriadicRational.parse(text) == TriadicRational(0, 0), text
+        for text in ("1e-1", "3e0", "-1e5", "0.5E2", "1.e5", "1e100000000"):
+            with pytest.raises(DomainError, match=f"^decimal-exponent point '{text}' is not 0"):
+                TriadicRational.parse(text)
+        for text in ("zebra", "1_e5", "1e", "e5"):
+            with pytest.raises(ValueError, match=f"^Invalid literal for Fraction: '{text}'$"):
+                TriadicRational.parse(text)
+
     def test_str_round_trip(self):
         x = T(7, 27)
         assert TriadicRational.parse(str(x)) == x
