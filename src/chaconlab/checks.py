@@ -121,13 +121,19 @@ def power_of_two_series(n_max: int) -> tuple[list, list, list]:
 
 
 def contract_holds(res, a, b, c, n_max: int) -> bool:
-    """From l_k on, a_n > 1/k is exceptional and c_n * count(n) * k <= n * b_n."""
+    """From l_k on, a_n > 1/k is exceptional and c_n * count(n) * k <= n * b_n.
+
+    Both inequalities are cross-multiplied on the numerators and the positive
+    denominators of the exact terms, so no Fraction is built per step.
+    """
     for k in range(1, len(res.thresholds) + 1):
         lk = res.thresholds[k - 1]
         hi = res.thresholds[k] if k < len(res.thresholds) else n_max + 1
-        if any(n not in res.exceptional and a[n] * k > 1 for n in range(lk, n_max + 1)):
+        if any(a[n].numerator * k > a[n].denominator and n not in res.exceptional
+               for n in range(lk, n_max + 1)):
             return False
-        if any(c[n] * res.exceptional.count(n) * k > n * b[n] for n in range(max(lk, 1), hi)):
+        if any(c[n].numerator * res.exceptional.count(n) * k * b[n].denominator
+               > n * b[n].numerator * c[n].denominator for n in range(max(lk, 1), hi)):
             return False
     return True
 

@@ -8,7 +8,10 @@ Three unrelated verification devices live here:
   TriadicSets by one resolution rule: stage by stage, each unresolved level
   splits into its three copies one stage deeper, the reservoir adds the
   spacer level, and a copy p resolves as one interval overlap when p + n
-  is still a level of that stage,
+  is still a level of that stage; at stage s the overlaps are integer
+  lengths on the grid 3^-max(F, s + 2), 3^-F the finest endpoint grid of
+  the two sets, and each stage's sum becomes one Fraction (_lv_start gives
+  the level starts of stage k as numerators over 3^(k+1)),
 * exhaustive digit-cell enumeration of the return-time distributions via
   the orbit sum of first-return times (no use of the mass recursion),
 * the smoothing-operator polynomials as coefficient tuples, the
@@ -44,20 +47,20 @@ def _h(m: int) -> int:
 
 
 @lru_cache(maxsize=200_000)
-def _lv_start(m: int, j: int) -> Fraction:
-    """Left endpoint of level j of the stage-m stack, from the construction
-    rule (left copy, middle copy, spacer, right copy)."""
+def _lv_start(m: int, j: int) -> int:
+    """Left endpoint of level j of the stage-m stack, as its numerator over
+    3^(m+1), from the construction rule (left copy, middle copy, spacer,
+    right copy)."""
     if m == 0:
-        return Fraction(0)
+        return 0
     hp = _h(m - 1)
-    w = Fraction(2, 3 ** (m + 1))
     if j < hp:
-        return _lv_start(m - 1, j)
+        return 3 * _lv_start(m - 1, j)
     if j < 2 * hp:
-        return _lv_start(m - 1, j - hp) + w
+        return 3 * _lv_start(m - 1, j - hp) + 2
     if j == 2 * hp:
-        return 1 - Fraction(1, 3 ** m)
-    return _lv_start(m - 1, j - 2 * hp - 1) + 2 * w
+        return 3 ** (m + 1) - 3
+    return 3 * _lv_start(m - 1, j - 2 * hp - 1) + 4
 
 
 def _level(m: int, i: int) -> int:
@@ -87,7 +90,7 @@ def _image_pieces(a: Fraction, b: Fraction, k: int,
         if j == top:
             _image_pieces(lo, hi, k + 1, out)
         else:
-            d = _lv_start(k, j + 1) - s
+            d = Fraction(_lv_start(k, j + 1) - 2 * i, 3 ** (k + 1))
             out.append((lo + d, hi + d))
         i += 1
     # spacer remainder [1 - 3^-(k+1), 1)
@@ -107,31 +110,39 @@ def pushforward_step(a: TriadicSet) -> TriadicSet:
     return image
 
 
-def _trace(intervals: tuple[tuple[Fraction, Fraction], ...], lo: Fraction,
-           hi: Fraction) -> list[tuple[Fraction, Fraction]]:
+def _trace(intervals: tuple[tuple[int, int], ...], lo: int,
+           hi: int) -> list[tuple[int, int]]:
     return [(max(a, lo), min(b, hi)) for a, b in intervals
             if max(a, lo) < min(b, hi)]
 
 
-def _shift_overlap(av: tuple[tuple[Fraction, Fraction], ...],
-                   bv: tuple[tuple[Fraction, Fraction], ...],
-                   src: Fraction, dst: Fraction, w: Fraction) -> Fraction:
+def _shift_overlap(av: tuple[tuple[int, int], ...], bv: tuple[tuple[int, int], ...],
+                   src: int, dst: int, w: int) -> int:
     """measure(((A restricted to [src, src+w)) + dst - src) intersect B
-    restricted to [dst, dst+w))."""
+    restricted to [dst, dst+w)), all on one grid."""
     at = _trace(av, src, src + w)
     if not at:
-        return Fraction(0)
+        return 0
     bt = _trace(bv, dst, dst + w)
     if not bt:
-        return Fraction(0)
+        return 0
     d = dst - src
-    total = Fraction(0)
+    total = 0
     for pa, pb in at:
         for qa, qb in bt:
             lo, hi = max(pa + d, qa), min(pb + d, qb)
             if lo < hi:
                 total += hi - lo
     return total
+
+
+def _on_grid(intervals: tuple[tuple[Fraction, Fraction], ...],
+             g: int) -> tuple[tuple[int, int], ...]:
+    """The intervals' endpoints as numerators over 3^g; each denominator
+    divides 3^g."""
+    scale = 3 ** g
+    return tuple((a.numerator * (scale // a.denominator), b.numerator * (scale // b.denominator))
+                 for a, b in intervals)
 
 
 def brute_correlation(a: TriadicSet, b: TriadicSet, n: int) -> Fraction:
@@ -148,37 +159,46 @@ def brute_correlation(a: TriadicSet, b: TriadicSet, n: int) -> Fraction:
     exactly geometric once every nested cell has passed below the resolution
     of A and B, and the tail is summed in closed form after the ratio is
     observed exact on consecutive stages.
+
+    Overlaps are integer lengths: at stage s, A, B, the level starts and
+    the width 2/3^(s+2) lie on the grid 3^-G, G = max(F, s + 2) with 3^-F
+    the finest endpoint grid of A and B, and each stage's sum becomes one
+    Fraction over 3^G.  At n = 0 the one overlap is taken on the grid 3^-F.
     """
     if n < 0:
         a, b, n = b, a, -n
     if n > ORACLE_CAP:
         raise FragmentationError(f"n = {n} exceeds oracle cap {ORACLE_CAP}")
-    av, bv = a.intervals, b.intervals
+    fine = max((_pow3_exponent(q.denominator) for iv in a.intervals + b.intervals for q in iv),
+               default=0)
     if n == 0:
-        return _shift_overlap(av, bv, 0, 0, 1)
+        return Fraction(_shift_overlap(_on_grid(a.intervals, fine), _on_grid(b.intervals, fine),
+                                       0, 0, 3 ** fine), 3 ** fine)
 
     m = 1
     while _h(m) < n + 2:
         m += 1
     # resolution floor: stages at which all nested cells are finer than any
     # endpoint of A or B
-    floor = 4 + max([m] + [_pow3_exponent(q.denominator) for iv in av + bv for q in iv])
+    floor = 4 + max(m, fine)
 
     unresolved = [0]
     history: list[Fraction] = []   # the overlap resolved at each stage
     stage = 0
     while True:
-        hs, hn, ws = _h(stage), _h(stage + 1), Fraction(2, 3 ** (stage + 2))
+        grid = max(fine, stage + 2)
+        av, bv = _on_grid(a.intervals, grid), _on_grid(b.intervals, grid)
+        hs, hn, scale = _h(stage), _h(stage + 1), 3 ** (grid - stage - 2)
         copies = [p for j in unresolved for p in (j, j + hs, j + 2 * hs + 1)] + [2 * hs]
-        chi = Fraction(0)
+        chi = 0
         unresolved = []
         for p in copies:
             if p + n < hn:
-                chi += _shift_overlap(av, bv, _lv_start(stage + 1, p),
-                                      _lv_start(stage + 1, p + n), ws)
+                chi += _shift_overlap(av, bv, _lv_start(stage + 1, p) * scale,
+                                      _lv_start(stage + 1, p + n) * scale, 2 * scale)
             else:
                 unresolved.append(p)
-        history.append(chi)
+        history.append(Fraction(chi, 3 ** grid))
         stage += 1
         if stage >= floor and history[-2] == 3 * history[-1] \
                 and history[-3] == 9 * history[-1]:

@@ -899,6 +899,13 @@ class TestVerify:
         assert code == EXIT_OK
         assert first == second
 
+    def test_suite_output_is_pinned(self):
+        proc = chacon("verify", "--suite", "all", "--seed", "7", timeout=120)
+        assert (proc.returncode, proc.stderr) == (EXIT_OK, "")
+        # recorded at commit 4b97af2, the last one with Fraction overlaps in the oracle
+        assert hashlib.sha256(proc.stdout.encode("utf-8")).hexdigest() == (
+            "3231edecd3cf589c1389e1d4e13264715e9c4e16c21d8ab9133f6a9a5de328b8")
+
     def test_unknown_suite_is_invalid(self, tmp_path):
         code, _ = run(tmp_path, "verify", "--suite", "bogus")
         assert code == EXIT_INPUT

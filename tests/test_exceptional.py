@@ -146,6 +146,25 @@ class TestExtractor:
                    for e in range(13) if 2 ** e >= l2)
         assert checks.contract_holds(res, a, b, c, n_max)
 
+    def test_contract_fails_without_an_exceptional_point(self):
+        # a_16 = 1 > 1/2 from l_2 on, so dropping 16 breaks the first inequality
+        n_max = 2 ** 12
+        a, b, c = checks.power_of_two_series(n_max)
+        res = extract_exceptional(a, b, c, n_max, k_max=6)
+        assert res.thresholds[1] <= 16
+        kept = IntegerIntervalSet.from_points(p for p in res.exceptional.iter_points() if p != 16)
+        res = ExtractionResult(kept, res.thresholds, res.level_sets)
+        assert not checks.contract_holds(res, a, b, c, n_max)
+
+    def test_contract_fails_with_thresholds_at_zero(self):
+        # every power of two stays exceptional, but at n = 1 the count bound
+        # of the last k reads c_1 * 1 * 6 = 6/log 3 > 1 * b_1 = 2
+        n_max = 2 ** 12
+        a, b, c = checks.power_of_two_series(n_max)
+        res = extract_exceptional(a, b, c, n_max, k_max=6)
+        res = ExtractionResult(res.exceptional, [0] * len(res.thresholds), res.level_sets)
+        assert not checks.contract_holds(res, a, b, c, n_max)
+
     def test_vanishing_sequence_gives_finite_level_sets(self):
         n_max = 800
         a = [Fraction(1, j + 1) for j in range(n_max + 1)]

@@ -30,9 +30,9 @@ def measure(a):
     return sum((hi - lo for lo, hi in a.intervals), Fraction(0))
 
 
-def random_set(rng):
-    """A union of 1-3 intervals on the grid 3^-e, e drawn from 2..5."""
-    e = rng.randint(2, 5)
+def random_set(rng, lo=2, hi=5):
+    """A union of 1-3 intervals on the grid 3^-e, e drawn from lo..hi."""
+    e = rng.randint(lo, hi)
     ends = sorted(rng.sample(range(3 ** e + 1), 2 * rng.randint(1, 3)))
     return TriadicSet.from_endpoints([(Fraction(p, 3 ** e), Fraction(q, 3 ** e))
                                       for p, q in zip(ends[::2], ends[1::2])])
@@ -42,7 +42,9 @@ def chain_correlation(a, b, n):
     """mu(A intersect T^-n B) by a translation sum over the levels of the
     first stage m with h_m >= n + 2, then a chain of the levels within n of
     the top and a reservoir case, one stage at a time: the three cases the
-    single resolution rule of brute_correlation replaced."""
+    single resolution rule of brute_correlation replaced.  The clipping in
+    _shift_overlap is plain arithmetic, so here it runs on the Fraction
+    endpoints themselves, not on brute_correlation's integer grid."""
     if n < 0:
         a, b, n = b, a, -n
     av, bv = a.intervals, b.intervals
@@ -51,9 +53,11 @@ def chain_correlation(a, b, n):
     m = 1
     while oracle._h(m) < n + 2:
         m += 1
+    def start(k, j):
+        return Fraction(oracle._lv_start(k, j), 3 ** (k + 1))
+
     h, w = oracle._h(m), Fraction(2, 3 ** (m + 1))
-    total = sum((oracle._shift_overlap(av, bv, oracle._lv_start(m, j),
-                                       oracle._lv_start(m, j + n), w)
+    total = sum((oracle._shift_overlap(av, bv, start(m, j), start(m, j + n), w)
                  for j in range(h - n)), Fraction(0))
     floor = 4 + max([m] + [_pow3_exponent(q.denominator) for iv in av + bv for q in iv])
     jobs, history, stage = list(range(h - n, h)), [], m
@@ -63,11 +67,10 @@ def chain_correlation(a, b, n):
         for j in jobs:
             for p in (j, j + hs):
                 if p + n < hn:
-                    chi += oracle._shift_overlap(av, bv, oracle._lv_start(stage + 1, p),
-                                                 oracle._lv_start(stage + 1, p + n), ws)
+                    chi += oracle._shift_overlap(av, bv, start(stage + 1, p),
+                                                 start(stage + 1, p + n), ws)
         sp = 2 * hs
-        chi += oracle._shift_overlap(av, bv, oracle._lv_start(stage + 1, sp),
-                                     oracle._lv_start(stage + 1, sp + n), ws)
+        chi += oracle._shift_overlap(av, bv, start(stage + 1, sp), start(stage + 1, sp + n), ws)
         history.append(chi)
         jobs = [j + 2 * hs + 1 for j in jobs]
         stage += 1
@@ -78,17 +81,18 @@ def chain_correlation(a, b, n):
 
 class TestPushforward:
     def test_level_table_matches_tower(self):
-        # two independent constructions of the stacking table
+        # two independent constructions of the stacking table, both as
+        # numerators over 3^(k+1)
         for k in range(6):
             for j in range(tower.height(k)):
-                assert oracle._lv_start(k, j) == Fraction(tower._level_start(k, j), 3 ** (k + 1))
-        # the levels fill [0, 1 - 3^-(k+1)) without gaps, so rank i starts at i w
+                assert oracle._lv_start(k, j) == tower._level_start(k, j)
+        # the levels fill [0, 1 - 3^-(k+1)) without gaps, so rank i starts at
+        # 2i/3^(k+1)
         for k in range(7):
-            w = Fraction(2, 3 ** (k + 1))
             starts = {oracle._lv_start(k, j) for j in range(tower.height(k))}
-            assert starts == {i * w for i in range(tower.height(k))}
+            assert starts == {2 * i for i in range(tower.height(k))}
             for i in range(tower.height(k)):
-                assert oracle._lv_start(k, oracle._level(k, i)) == i * w
+                assert oracle._lv_start(k, oracle._level(k, i)) == 2 * i
 
     def test_preserves_measure_on_random_intervals(self):
         rng = random.Random(23)
@@ -180,8 +184,8 @@ class TestBruteCorrelation:
             w = Fraction(2, 3 ** (k + 1))
 
             def union(cells):
-                return TriadicSet.from_endpoints(
-                    [(oracle._lv_start(k, m), oracle._lv_start(k, m) + w) for m in cells])
+                starts = [Fraction(oracle._lv_start(k, m), 3 ** (k + 1)) for m in cells]
+                return TriadicSet.from_endpoints([(s, s + w) for s in starts])
 
             for _ in range(15):
                 cells_a = rng.sample(range(tower.height(k)), rng.randint(1, 3))
@@ -196,6 +200,16 @@ class TestBruteCorrelation:
             a, b, n = random_set(rng), random_set(rng), rng.randint(-30, 120)
             assert brute_correlation(a, b, n) == chain_correlation(a, b, n), (
                 a.intervals, b.intervals, n)
+
+    def test_matches_chain_on_fine_grids(self):
+        # endpoints on 3^-6..3^-9 are finer than the level grid of the first
+        # stages, so those stages clip on the sets' own grid
+        rng = random.Random(43)
+        for _ in range(12):
+            a, b = random_set(rng, 6, 9), random_set(rng, 6, 9)
+            for n in (0, rng.randint(-40, -1), rng.randint(1, 90)):
+                assert brute_correlation(a, b, n) == chain_correlation(a, b, n), (
+                    a.intervals, b.intervals, n)
 
     def test_cap(self):
         a1 = base_cell(1)
