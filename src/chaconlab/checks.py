@@ -20,28 +20,29 @@ SMALL_DL_TABLE = {0: (0, (Fraction(1),)), 1: (4, (Fraction(1, 2), Fraction(1, 2)
 
 
 def small_dl_table() -> bool:
-    dists = {l: correlation.compute_dl(1, l) for l in SMALL_DL_TABLE}
-    return {l: (d.start, d.masses) for l, d in dists.items()} == SMALL_DL_TABLE
+    dists = correlation.dl_run(1, 0, max(SMALL_DL_TABLE))
+    return {l: (dists[l].start, dists[l].masses) for l in SMALL_DL_TABLE} == SMALL_DL_TABLE
 
 
 def dl_matches_oracle(ks, l_max: int) -> bool:
     """Digit-cell enumeration agrees with the recursion for l <= l_max."""
-    pairs = ((oracle.brute_dl(k, l), correlation.compute_dl(k, l))
-             for k in ks for l in range(l_max + 1))
+    pairs = ((oracle.brute_dl(k, l), d)
+             for k in ks for l, d in enumerate(correlation.dl_run(k, 0, l_max)))
     return all((b.start, b.masses) == (d.start, d.masses) for b, d in pairs)
 
 
 def corr_matches_oracle(ks, n_max: int) -> bool:
     """Level bookkeeping on A_k agrees with the recursion for n <= n_max."""
     cell = {k: TriadicSet.from_endpoints([(Fraction(0), correlation.mu_Ak(k))]) for k in ks}
-    return all(oracle.brute_correlation(cell[k], cell[k], n) == correlation.autocorrelation(k, n)
+    series = {k: correlation.correlation_series(k, 0, n_max) for k in ks}
+    return all(oracle.brute_correlation(cell[k], cell[k], n) == series[k][n]
                for k in ks for n in range(n_max + 1))
 
 
 def dl_normalized_unimodal(l_bound: int) -> bool:
     """Each d_l' at stage 1, l < l_bound, sums to 1, is palindromic and unimodal."""
-    for l in range(l_bound):
-        m = correlation.compute_dl(1, l).masses
+    for d in correlation.dl_run(1, 0, l_bound - 1):
+        m = d.masses
         peak = max(range(len(m)), key=lambda i: m[i])
         if not (sum(m) == 1 and m == tuple(reversed(m))
                 and all(x <= y for x, y in zip(m[:peak], m[1:peak + 1]))
@@ -54,7 +55,7 @@ def support_sizes(dl_bound: int, index_bound: int) -> bool:
     """At stage 1, |supp d_l'| = b_l for l < dl_bound; for l < index_bound the closed-form
     support is the mass recursion's [start, end] and |b_l - b_(l+1)| = 1."""
     bl = correlation.compute_bl
-    dists = [correlation.compute_dl(1, l) for l in range(max(dl_bound, index_bound))]
+    dists = correlation.dl_run(1, 0, max(dl_bound, index_bound) - 1)
     return (all(dists[l].support_size == bl(l) for l in range(dl_bound))
             and all(correlation.support(1, l) == (dists[l].start, dists[l].end)
                     and abs(bl(l) - bl(l + 1)) == 1 for l in range(index_bound)))
@@ -104,10 +105,11 @@ def frozen_constants_reproduce() -> bool:
 def zero_correlation_times(l_max: int, rng, samples: int) -> bool:
     """c_1 vanishes on E_1 and, at `samples` random covered times, only there."""
     ek, covered = exceptional.enumerate_Ek(1, l_max)
-    ok = all(correlation.autocorrelation(1, n) == 0 for n in ek.iter_points())
+    corr, _ = correlation.series_numerators(1, 0, covered - 1)
+    ok = all(corr[n] == 0 for n in ek.iter_points())
     for _ in range(samples):
         n = rng.randrange(covered)
-        if n not in ek and correlation.autocorrelation(1, n) == 0:
+        if n not in ek and corr[n] == 0:
             return False
     return ok
 

@@ -189,8 +189,7 @@ def cmd_dl(args, out: Output) -> int:
     _cap("l", ls[0], ls[-1], args.cap_l)
 
     def rows() -> Iterator[tuple]:
-        for l in ls:
-            d = correlation.compute_dl(args.k, l)
+        for l, d in zip(ls, correlation.dl_run(args.k, ls[0], ls[-1])):
             den = 2 * 3 ** d.e
             for n, m in enumerate(d.nums, d.start):
                 yield (l, n) + _ratio(m, den)

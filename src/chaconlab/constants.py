@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .correlation import H_value, compute_bl, profile_gap
+from .correlation import H_value, compute_bl, dl_run, profile_gap
 
 HEADROOM = Fraction(121, 100)     # (1.1)^2, applied to squared maxima
 
@@ -59,19 +59,22 @@ def _first_max(values: dict) -> tuple:
 
 def sweep_c1_sq(l_bound: int) -> tuple[Fraction, int]:
     """Exact max of H_l^2 b_l over l < l_bound, with its argmax."""
-    return _first_max({l: H_value(l) ** 2 * compute_bl(l) for l in range(l_bound)})
+    run = dl_run(0, 0, l_bound - 1)
+    return _first_max({l: H_value(l, run) ** 2 * compute_bl(l) for l in range(l_bound)})
 
 
 def sweep_c2_sq(l_bound: int) -> tuple[Fraction, int]:
     """Exact max of |D_{l+1} - D_l|_1^2 b_l over l < l_bound."""
-    return _first_max({l: profile_gap([(l + 1, 0), (l, 0)]) ** 2 * compute_bl(l)
+    run = dl_run(0, 0, l_bound)
+    return _first_max({l: profile_gap([(l + 1, 0), (l, 0)], run) ** 2 * compute_bl(l)
                        for l in range(l_bound)})
 
 
 def sweep_c3_sq(l_bound: int, p_bound: int) -> tuple[Fraction, tuple[int, int]]:
     """Exact max of gap(l, p)^2 b_l / p^2 over the sweep window, where gap(l, p)
     is the envelope gap of D_{l+j}(. - i/2), 0 <= j <= 2, -p <= i <= p."""
+    run = dl_run(0, 0, l_bound + 1)
     return _first_max({
-        (l, p): profile_gap([(l + j, i) for j in range(3) for i in range(-p, p + 1)]) ** 2
+        (l, p): profile_gap([(l + j, i) for j in range(3) for i in range(-p, p + 1)], run) ** 2
         * compute_bl(l) / (p * p)
         for l in range(l_bound) for p in range(1, p_bound + 1)})

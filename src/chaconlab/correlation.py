@@ -1,22 +1,28 @@
 """Return-time distributions, their supports, profiles, and correlation sums.
 
 The normalized l-th return-time distribution d_l' is computed exactly by the
-three-branch recursion on l, walked over the ternary digits of l.  One memo
-keyed by l holds its stage-free shape; at stage k it starts at l*h_k plus a
-stage-free offset.  Support endpoints have a closed form in l, h_k and the
-balanced-ternary weight of l, so membership queries never materialize masses
-and finding the indices that meet a window of times costs the window's
-width, not its offset.  The L1 estimates on the centered profiles D_l are
-integer sums over the same numerators.  Nothing here caps the size of its
-input: the command line does, before it calls in.
+three-branch recursion on l.  Its masses and an offset o_l do not depend on
+the stage: at stage k it starts at l*h_k + o_l.  A contiguous run of these
+shapes is built at once, level by level up from the run of the l // 3 below
+it, with each shape's masses packed into one integer, one limb per mass, so
+that a piece of the recursion and a term of a correlation sum are each one
+shifted add.  Nothing is kept once the call returns.  Support endpoints
+have a closed form in l, h_k and the balanced-ternary weight of l, so
+membership queries never materialize masses and finding the indices that
+meet a window of times costs the window's width, not its offset.  The L1
+estimates on the centered profiles D_l are integer sums over the same
+numerators.  Nothing here caps the size of its input: the command line
+does, before it calls in.
 """
 
 from __future__ import annotations
 
+import sys
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from . import tower
 from .triadic import DomainError
@@ -62,7 +68,7 @@ def support(k: int, l: int) -> tuple[int, int]:
     Proof.  b_0 = 1, b_1 = 2, b_3q = b_q, b_(3q+1) = b_q + 1 and
     b_(3q+2) = b_(q+1) + 1, so by induction |b_(m+1) - b_m| = 1 (the step
     from 3q+1 to 3q+2 is b_(q+1) - b_q) and b_m = m + 1 mod 2.  Induct on l
-    along the three-branch recursion of `_step`, where the support of d_l'
+    along the three-branch recursion of `_shape_run`, where the support of d_l'
     is the hull of its pieces; write d_m + c for d_m' shifted by c, which spans
     [s_m + c, t_m + c].  The form holds at l = 0 and 1.  For l = 3q + r >= 2
     let S, T be the form at l and d = (1 + b_q - b_(q+1))/2, in {0, 1}.
@@ -138,65 +144,93 @@ class ReturnDistribution:
         return tuple(Fraction(m, den) for m in self.nums)
 
 
-# (o_l, nums, e) of every d_l' built so far, keyed by l; it lives as long as the process
-Shape = tuple[int, tuple[int, ...], int]
-_shapes: dict[int, Shape] = {0: (0, (2,), 0), 1: (0, (1, 1), 0)}
+# (o_l, packed, e_l, len_l): d_l' starts at l*h_k + o_l at every stage k, and
+# its mass i is limb i of packed (bits i*w to (i+1)*w - 1) over 2 * 3^e_l
+Shape = tuple[int, int, int, int]
+
+
+def _shape_run(a: int, b: int) -> tuple[list[Shape], int]:
+    """The shapes of d_a', ..., d_b' and their limb width w, without recursion.
+
+    The run [a, b] is built from the run [a // 3, ceil(b / 3)], which holds
+    the q and q + 1 that each l = 3q + r reads, and so on down to a run
+    inside the bases l = 0, 1 (l = 1 = 3*0 + 1 would read itself).  The
+    pieces and the hull are those of `support`'s proof: with
+    d = o_(q+1) - o_q in {0, 1}, the pieces of r = 1 start 0, 1 and d limbs
+    above o_l = o_q + q, and those of r = 2 start 1 - d, 1 and 0 limbs above
+    o_l = o_(q+1) + q, so each piece is one shifted add.  The pieces are
+    scaled to the larger exponent e of q and q + 1, and a third of each
+    makes e + 1.  So e rises by at most 1 per level, and every mass, and
+    every sum of masses that `series_numerators` forms, is at most
+    2 * 3^levels: w is that many bits, rounded up to a multiple of 64.  Only
+    two levels of shapes are held at a time.
+    """
+    runs = [(a, b)]
+    while b > 1:
+        a, b = a // 3, -(-b // 3)
+        runs.append((a, b))
+    w = -(-(2 * 3 ** (len(runs) - 1)).bit_length() // 64) * 64
+    twice = 1 + (1 << w)          # a piece and the same piece one limb up
+    base = [(0, 2, 0, 1), (0, twice, 0, 2)]
+    lo, hi = runs.pop()
+    shapes = base[lo:hi + 1]
+    for a, b in reversed(runs):
+        level = []
+        for l in range(a, b + 1):
+            q, r = divmod(l, 3)
+            o, p, e, n = shapes[q - lo]
+            if r == 0:
+                level.append((o + q, p, e, n))
+                continue
+            if l == 1:
+                level.append(base[1])
+                continue
+            o1, p1, e1, n1 = shapes[q + 1 - lo]
+            if e > e1:
+                p1 *= 3 ** (e - e1)
+            elif e1 > e:
+                p, e = p * 3 ** (e1 - e), e1
+            if r == 1:
+                level.append((o + q, p * twice + (p1 << w * (o1 - o)), e + 1, n + 1))
+            else:
+                level.append((o1 + q, (p << w * (1 + o - o1)) + p1 * twice, e + 1, n1 + 1))
+        shapes, lo = level, a
+    return shapes, w
+
+
+def _limbs(packed: int, first: int, count: int, w: int) -> list[int]:
+    """Limbs first .. first + count - 1 of packed, w bits each, lowest first;
+    a limb below limb 0 reads 0."""
+    if first < 0:
+        packed, first = packed << w * -first, 0
+    size = w // 8
+    end = (first + count) * size
+    raw = memoryview(packed.to_bytes(max(end, (packed.bit_length() + 7) // 8), "little"))
+    raw = raw[first * size:end]
+    if w > 64:
+        return [int.from_bytes(raw[i:i + size], "little") for i in range(0, len(raw), size)]
+    limbs = array("Q")
+    limbs.frombytes(raw)
+    if sys.byteorder == "big":
+        limbs.byteswap()
+    return limbs.tolist()
+
+
+def dl_run(k: int, a: int, b: int) -> list[ReturnDistribution]:
+    """[d_a', ..., d_b'] at stage k, built as one run: d_l' starts at l*h_k + o_l."""
+    if a < 0:
+        raise DomainError(f"l = {a} < 0")
+    h = tower.height(k)
+    if b < a:
+        return []
+    shapes, w = _shape_run(a, b)
+    return [ReturnDistribution(l * h + o, tuple(_limbs(p, 0, n, w)), e)
+            for l, (o, p, e, n) in enumerate(shapes, a)]
 
 
 def compute_dl(k: int, l: int) -> ReturnDistribution:
-    """d_l' at stage k: the memoized shape (o_l, nums, e) of l, starting at l*h_k + o_l."""
-    o, nums, e = _shape(l)
-    return ReturnDistribution(l * tower.height(k) + o, nums, e)
-
-
-def _shape(l: int) -> Shape:
-    """(o_l, nums, e) of d_l', without recursion: the walk l -> l // 3 stops at
-    the first m with m and m + 1 both known (at worst m = 0).  Going back up,
-    each pair (3q + r, 3q + r + 1) of the walk is built from the pair (q, q + 1)
-    below it."""
-    if l < 0:
-        raise DomainError(f"l = {l} < 0")
-    if l in _shapes:
-        return _shapes[l]
-    walk = []
-    while l not in _shapes or l + 1 not in _shapes:
-        walk.append(l)
-        l //= 3
-    for m in reversed(walk):
-        for x in (m, m + 1):
-            if x not in _shapes:
-                _shapes[x] = _step(x)
-    return _shapes[walk[0]]
-
-
-def _step(l: int) -> Shape:
-    """The shape of l = 3q + r >= 2 from the known shapes of q and q + 1.
-
-    The pieces are those of `support`'s proof.  Written as l*h + o, each
-    start loses every multiple of h, which leaves the offsets below; o_l is
-    the hull of the pieces."""
-    q, r = divmod(l, 3)
-    o, nums, e = _shapes[q]
-    if r == 0:
-        return o + q, nums, e
-    o1, nums1, e1 = _shapes[q + 1]
-    if r == 1:
-        return _combine([(o + q, nums, e), (o + q + 1, nums, e), (o1 + q, nums1, e1)])
-    return _combine([(o + q + 1, nums, e), (o1 + q + 1, nums1, e1), (o1 + q, nums1, e1)])
-
-
-def _combine(pieces: Sequence[Shape]) -> Shape:
-    """One third of each piece (offset, nums, e_p), summed over their hull: a
-    piece of exponent e_p is scaled by 3^(e - e_p) to the common exponent e,
-    and the third makes e + 1."""
-    e = max(p_e for _, _, p_e in pieces)
-    lo = min(o for o, _, _ in pieces)
-    acc = [0] * (max(o + len(nums) for o, nums, _ in pieces) - lo)
-    for o, nums, p_e in pieces:
-        scale = 3 ** (e - p_e)
-        for i, m in enumerate(nums, o - lo):
-            acc[i] += m * scale
-    return lo, tuple(acc), e + 1
+    """d_l' at stage k, a run of one index."""
+    return dl_run(k, l, l)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -219,21 +253,31 @@ def correlation_series(k: int, n_lo: int, n_hi: int) -> list[Fraction]:
 def series_numerators(k: int, n_lo: int, n_hi: int) -> tuple[list[int], int]:
     """Integers a_n and p with c_k(n) = a_n / 3^p for n in n_lo..n_hi.
 
-    c_k(n) = mu(A_k) * sum of d_l'(n) over l in P_n.  Every d_l' whose
-    support meets the window is scattered into one integer array over the
-    largest exponent E among them, so that p = E + k + 1.
+    c_k(n) = mu(A_k) * sum of d_l'(n) over l in P_n.  The run of every d_l'
+    whose support meets the window is built at once; each packed shape is
+    scaled to the largest exponent E of the run, so that p = E + k + 1, and
+    the shapes are summed pairwise, as a balanced tree of shifted adds, over
+    the limbs of their times.  Each limb sum is at most 2 * 3^E, since
+    c_k(n) <= mu(A_k), so no limb carries into the next.
     """
     if n_lo < 0:
         raise DomainError(f"n = {n_lo} < 0")
-    dists = [compute_dl(k, l) for l in support_run(k, n_lo, n_hi)]
-    e_max = max((d.e for d in dists), default=0)
-    acc = [0] * (n_hi - n_lo + 1)
-    for d in dists:
-        scale = 3 ** (e_max - d.e)
-        lo = max(d.start, n_lo)
-        for i, m in enumerate(d.nums[lo - d.start:n_hi - d.start + 1], lo - n_lo):
-            acc[i] += m * scale
-    return acc, e_max + k + 1
+    width = n_hi - n_lo + 1
+    run = support_run(k, n_lo, n_hi)
+    if not run:
+        return [0] * width, k + 1
+    pieces, w = _shape_run(run[0], run[-1])
+    h = tower.height(k)
+    e_max = max(e for _, _, e, _ in pieces)
+    # (first time, masses over 2 * 3^E) of each shape, bound to the same name
+    # so that the shapes are freed before the pairwise sums of neighbours
+    pieces = [(l * h + o, p * 3 ** (e_max - e)) for l, (o, p, e, _) in enumerate(pieces, run[0])]
+    while len(pieces) > 1:
+        merged = [(s, p + (p1 << w * (s1 - s)))
+                  for (s, p), (s1, p1) in zip(pieces[::2], pieces[1::2])]
+        pieces = merged + pieces[len(merged) * 2:]
+    (start, total), = pieces
+    return _limbs(total, n_lo - start, width, w), e_max + k + 1
 
 
 def autocorrelation(k: int, n: int) -> Fraction:
@@ -276,7 +320,11 @@ def cesaro_totals(k: int, big_n: int) -> tuple[Iterator[int], int]:
 # ---------------------------------------------------------------------------
 # profiles
 
-def profile_gap(family: Iterable[tuple[int, int]]) -> Fraction:
+# d_l' at stage 0 looked up by l: a `dl_run` from 0, or a dict of some indices
+Run = Sequence[ReturnDistribution] | Mapping[int, ReturnDistribution]
+
+
+def profile_gap(family: Iterable[tuple[int, int]], run: Run | None = None) -> Fraction:
     """Integral of max - min over the profiles D_l(. - i/2), (l, i) in family.
 
     D_l is the even step function of d_l' re-centered about the origin on
@@ -284,12 +332,14 @@ def profile_gap(family: Iterable[tuple[int, int]]) -> Fraction:
     and at every stage the first cell of D_l(. - i/2) is 2*o_l - l - 1 + i.
     Over the largest exponent e in the family every cell value is an integer
     over 2 * 3^e, so the cell sum is an integer and the integral is that sum
-    over 4 * 3^e.  For two profiles this is their L1 distance.
+    over 4 * 3^e.  For two profiles this is their L1 distance.  run[l] is d_l'
+    at stage 0 for each l of the family; without it each one is built here.
     """
-    members = []
-    for l, i in family:
-        o, nums, e = _shape(l)
-        members.append((nums, e, 2 * o - l - 1 + i))
+    family = list(family)
+    if run is None:
+        run = {l: compute_dl(0, l) for l in {l for l, _ in family}}
+    # at stage 0, h = 1, so o_l = start - l
+    members = [(run[l].nums, run[l].e, 2 * run[l].start - 3 * l - 1 + i) for l, i in family]
     e_max = max(e for _, e, _ in members)
     lo = min(first for _, _, first in members)
     hi = max(first + 2 * len(nums) for nums, _, first in members)
@@ -301,7 +351,8 @@ def profile_gap(family: Iterable[tuple[int, int]]) -> Fraction:
     return Fraction(sum(max(col) - min(col) for col in zip(*rows)), 4 * 3 ** e_max)
 
 
-def H_value(l: int) -> Fraction:
-    """Peak height H_l = D_l(0), the mass of d_l' at (l + 1 - 2*o_l) // 2."""
-    o, nums, e = _shape(l)
-    return Fraction(nums[(l + 1 - 2 * o) // 2], 2 * 3 ** e)
+def H_value(l: int, run: Run | None = None) -> Fraction:
+    """Peak height H_l = D_l(0), the mass of d_l' at (l + 1 - 2*o_l) // 2.
+    run[l], if given, is d_l' at stage 0, as for `profile_gap`."""
+    d = compute_dl(0, l) if run is None else run[l]
+    return Fraction(d.nums[(3 * l + 1 - 2 * d.start) // 2], 2 * 3 ** d.e)

@@ -12,7 +12,7 @@ from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
 from . import tower
-from .correlation import autocorrelation, mu_Ak, support_span, support_weights
+from .correlation import mu_Ak, series_numerators, support_span, support_weights
 from .triadic import DomainError
 
 
@@ -458,21 +458,26 @@ class BlockDeviation:
 def convergence_report(k: int, h: HFunction, n_range: Iterable[int]) -> list[BlockDeviation]:
     """Per-block maxima of |c_k(n) - mu(A_k)^2| over times outside J_k.
 
-    Blocks are [3^N, 3^(N+1)] for N in n_range.
+    Blocks are [3^N, 3^(N+1)] for N in n_range.  Each block reads one
+    correlation series; every deviation is an integer over 3^max(p, 2k+2).
     """
     target = mu_Ak(k) ** 2
     rows = []
     for big_n in n_range:
         lo, hi = 3 ** big_n, 3 ** (big_n + 1)
         jk = build_Jk(k, h, hi)
-        best: Fraction | None = None
+        corr, p = series_numerators(k, lo, hi)
+        den = 3 ** max(p, 2 * k + 2)
+        scale, goal = den // 3 ** p, int(target * den)
+        best: int | None = None
         excluded = 0
-        for n in range(lo, hi + 1):
+        for n, c in enumerate(corr, lo):
             if n in jk:
                 excluded += 1
                 continue
-            dev = abs(autocorrelation(k, n) - target)
+            dev = abs(scale * c - goal)
             if best is None or dev > best:
                 best = dev
-        rows.append(BlockDeviation(big_n, lo, hi, best, excluded))
+        rows.append(BlockDeviation(big_n, lo, hi, None if best is None else Fraction(best, den),
+                                   excluded))
     return rows

@@ -356,19 +356,16 @@ class TestOutFile:
         assert main(["dl", "--k", "1", "--l", "0..3", "--out",
                      str(tmp_path / "missing" / "out.txt")]) == EXIT_INPUT
         assert main(["dl", "--k", "1", "--l", "0..60001", "--cap-l", "60000"]) == EXIT_RESOURCE
-        # a cap error raised while the rows are written
-        build = correlation.compute_dl
+        # a cap error raised while the rows are written: dl reads its range as one run
         calls = []
 
-        def compute_dl_once(*a, **kw):
+        def dl_run_failing(*a, **kw):
             calls.append(a)
-            if len(calls) > 1:
-                raise SizeError("cap")
-            return build(*a, **kw)
+            raise SizeError("cap")
 
-        monkeypatch.setattr(correlation, "compute_dl", compute_dl_once)
+        monkeypatch.setattr(correlation, "dl_run", dl_run_failing)
         assert main(["dl", "--k", "1", "--l", "0..3"]) == EXIT_RESOURCE
-        assert len(calls) == 2
+        assert calls == [(1, 0, 3)]
         assert sys.get_int_max_str_digits() == limit
 
 

@@ -1,9 +1,13 @@
 import ast
 import random
+import sys
+from contextlib import contextmanager
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chaconlab import checks, correlation as co
 from chaconlab.correlation import (
@@ -13,11 +17,13 @@ from chaconlab.correlation import (
     compute_bl,
     compute_dl,
     correlation_series,
+    dl_run,
     find_Pn,
     mu_Ak,
     profile_gap,
     support,
     H_value,
+    series_numerators,
 )
 from chaconlab.tower import height
 from chaconlab.triadic import DomainError
@@ -148,9 +154,18 @@ class TestComputeDl:
                 d = compute_dl(k, l)
                 assert (d.start, d.nums, d.e) == recursive_dl(k, l, memo), (k, l)
 
-    def test_one_memo_for_every_stage(self):
+    def test_no_cache_outlives_a_call(self):
+        # the shapes of a run live only as long as the call that builds them
+        def held():
+            return {name: len(value) for name, value in vars(co).items()
+                    if not name.startswith("__") and isinstance(value, (dict, list, set))}
+
+        before = held()
+        series_numerators(1, 0, 3 ** 9)
         for l in (0, 1, 2, 5, 3 ** 7 + 4, 3 ** 30 + 17):
-            assert compute_dl(1, l).nums is compute_dl(3, l).nums
+            assert compute_dl(1, l).nums == compute_dl(3, l).nums
+        assert held() == before
+        assert not [name for name, value in vars(co).items() if hasattr(value, "cache_info")]
 
     def test_no_function_calls_itself(self):
         # a build that recursed once per ternary digit of l ran past the
@@ -167,6 +182,52 @@ class TestComputeDl:
                 and any(isinstance(call, ast.Call) and isinstance(call.func, ast.Name)
                         and call.func.id == fn.name for call in ast.walk(fn))]
         assert [name for name in recursive if name not in by_design] == []
+
+
+@contextmanager
+def recursion_limit(limit):
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(max(old, limit))
+    try:
+        yield
+    finally:
+        sys.setrecursionlimit(old)
+
+
+def recursive_run(k, a, b, memo):
+    return [recursive_dl(k, l, memo) for l in range(a, b + 1)]
+
+
+class TestDlRun:
+    def test_runs_straddling_powers_of_three(self):
+        # l = 3^m - 1 = 3q + 2 reads q + 1 = 3^(m-1), the first index of one more digit
+        memo = {}
+        for k in (0, 1, 2, 3):
+            for m in range(1, 16):
+                run = dl_run(k, 3 ** m - 2, 3 ** m + 1)
+                assert [(d.start, d.nums, d.e) for d in run] == recursive_run(
+                    k, 3 ** m - 2, 3 ** m + 1, memo), (k, m)
+
+    def test_far_runs_need_wide_limbs(self):
+        # l = (3^(m+1) - 1)/2 has every ternary digit 1, so e_l = m, and its
+        # peak mass passes 64 bits at m = 43; a run near 3^1000 is a thousand
+        # levels above the bases
+        all_ones = (3 ** 44 - 1) // 2
+        memo = {}
+        with recursion_limit(10_000):
+            for centre in (3 ** 40, all_ones, 3 ** 1000, 3 ** 1000 + all_ones):
+                for k in (1, 2):
+                    run = dl_run(k, centre - 2, centre + 2)
+                    assert [(d.start, d.nums, d.e) for d in run] == recursive_run(
+                        k, centre - 2, centre + 2, memo), (k, centre)
+        assert max(compute_dl(1, all_ones).nums) >= 2 ** 64
+
+    def test_empty_and_bad_runs(self):
+        assert dl_run(1, 5, 4) == []
+        with pytest.raises(DomainError):
+            dl_run(1, -1, 3)
+        with pytest.raises(DomainError):
+            dl_run(-1, 0, 3)
 
 
 class TestSupport:
@@ -347,6 +408,45 @@ class TestCorrelationSeries:
         assert correlation_series(1, n, n) == [reference_correlation(1, n)]
         with pytest.raises(DomainError):
             correlation_series(1, -1, 10)
+
+
+def fraction_series(k, n_lo, n_hi):
+    """c_k(n) for n in n_lo..n_hi as a per-l Fraction sum over the recursive
+    build of every d_l' near the window."""
+    memo, step = {}, 2 * height(k) + 1
+    total = [Fraction(0)] * (n_hi - n_lo + 1)
+    for l in range(max(0, (2 * n_lo - 200) // step), (2 * n_hi + 200) // step + 2):
+        start, nums, e = recursive_dl(k, l, memo)
+        for n, m in enumerate(nums, start):
+            if n_lo <= n <= n_hi:
+                total[n - n_lo] += Fraction(m, 2 * 3 ** e)
+    return [mu_Ak(k) * t for t in total]
+
+
+class TestSeriesAgainstFractionSum:
+    def test_window_inside_a_gap(self):
+        for k, l in ((1, 1), (1, 3 ** 20), (2, 3 ** 20 + 3), (3, 3 ** 40)):
+            lo, hi = support(k, l)[1] + 1, support(k, l + 1)[0] - 1
+            assert lo <= hi and co.support_run(k, lo, hi) == range(0)
+            expected = fraction_series(k, lo, hi)
+            assert correlation_series(k, lo, hi) == expected and not any(expected)
+
+    def test_window_starting_mid_support(self):
+        for k, l in ((1, 4), (1, 3 ** 20 + 5), (2, (3 ** 31 - 1) // 2), (3, 3 ** 40 + 13)):
+            s, t = support(k, l)
+            assert t - s >= 2
+            assert correlation_series(k, s + 1, s + 60) == fraction_series(k, s + 1, s + 60)
+
+    def test_window_of_width_one(self):
+        for k, n in ((1, 0), (1, 4), (1, 3 ** 20 + 7), (2, 3 ** 41), (3, 3 ** 50 + 2)):
+            assert correlation_series(k, n, n) == fraction_series(k, n, n)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 4), st.one_of(st.integers(0, 3 ** 9), st.integers(3 ** 30, 3 ** 45)),
+           st.integers(1, 120))
+    def test_any_window(self, k, n_lo, width):
+        assert correlation_series(k, n_lo, n_lo + width - 1) == fraction_series(
+            k, n_lo, n_lo + width - 1)
 
 
 class TestCellCorrelation:
