@@ -9,10 +9,12 @@ that a piece of the recursion and a term of a correlation sum are each one
 shifted add.  Nothing is kept once the call returns.  Support endpoints
 have a closed form in l, h_k and the balanced-ternary weight of l, so
 membership queries never materialize masses and finding the indices that
-meet a window of times costs the window's width, not its offset.  The L1
-estimates on the centered profiles D_l are integer sums over the same
-numerators.  Nothing here caps the size of its input: the command line
-does, before it calls in.
+meet a window of times costs the window's width, not its offset.  The
+deviation |c_k(n) - mu(A_k)^2| that defines the exceptional sets is one
+series of integers over a common denominator, which the Cesaro totals and
+the block report both read.  The L1 estimates on the centered profiles D_l
+are integer sums over the numerators of one stage-0 run.  Nothing here caps
+the size of its input: the command line does, before it calls in.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from . import tower
 from .triadic import DomainError
@@ -228,11 +230,6 @@ def dl_run(k: int, a: int, b: int) -> list[ReturnDistribution]:
             for l, (o, p, e, n) in enumerate(shapes, a)]
 
 
-def compute_dl(k: int, l: int) -> ReturnDistribution:
-    """d_l' at stage k, a run of one index."""
-    return dl_run(k, l, l)[0]
-
-
 # ---------------------------------------------------------------------------
 # correlations
 
@@ -300,31 +297,34 @@ def cell_correlation(cells_a: Iterable[int], cells_b: Iterable[int], k: int, n: 
                Fraction(0))
 
 
-def cesaro_totals(k: int, big_n: int) -> tuple[Iterator[int], int]:
-    """Integers T_1, ..., T_N and den with C_M = T_M / (den * M).
+def deviation_numerators(k: int, n_lo: int, n_hi: int) -> tuple[Iterator[int], int]:
+    """Integers d_n and den with |c_k(n) - mu(A_k)^2| = d_n / den for n in n_lo..n_hi.
 
-    Every check runs, and the series is computed, at the call; the running
-    sums are formed as the iterator is read.
+    den = 3^max(p, 2k+2), with p that of `series_numerators`, so that both
+    c_k(n) and mu(A_k)^2 are integers over it.  Every check runs, and the
+    series is computed, at the call; each d_n is formed as it is read.
     """
-    if big_n < 1:
-        raise DomainError(f"N = {big_n} < 1")
     mu = mu_Ak(k)
-    corr, p = series_numerators(k, 0, big_n - 1)
-    # every term over den = 3^max(p, 2k+2), so the running sum is an integer
+    corr, p = series_numerators(k, n_lo, n_hi)
     den = 3 ** max(p, 2 * k + 2)
     scale = den // 3 ** p
     target = int(mu ** 2 * den)
-    return accumulate(abs(scale * c - target) for c in corr), den
+    return (abs(scale * c - target) for c in corr), den
+
+
+def cesaro_totals(k: int, big_n: int) -> tuple[Iterator[int], int]:
+    """Integers T_1, ..., T_N and den with C_M = T_M / (den * M): the running
+    sums of `deviation_numerators` over 0..N-1, formed as the iterator is read."""
+    if big_n < 1:
+        raise DomainError(f"N = {big_n} < 1")
+    devs, den = deviation_numerators(k, 0, big_n - 1)
+    return accumulate(devs), den
 
 
 # ---------------------------------------------------------------------------
 # profiles
 
-# d_l' at stage 0 looked up by l: a `dl_run` from 0, or a dict of some indices
-Run = Sequence[ReturnDistribution] | Mapping[int, ReturnDistribution]
-
-
-def profile_gap(family: Iterable[tuple[int, int]], run: Run | None = None) -> Fraction:
+def profile_gap(family: Iterable[tuple[int, int]], run: Sequence[ReturnDistribution]) -> Fraction:
     """Integral of max - min over the profiles D_l(. - i/2), (l, i) in family.
 
     D_l is the even step function of d_l' re-centered about the origin on
@@ -332,12 +332,9 @@ def profile_gap(family: Iterable[tuple[int, int]], run: Run | None = None) -> Fr
     and at every stage the first cell of D_l(. - i/2) is 2*o_l - l - 1 + i.
     Over the largest exponent e in the family every cell value is an integer
     over 2 * 3^e, so the cell sum is an integer and the integral is that sum
-    over 4 * 3^e.  For two profiles this is their L1 distance.  run[l] is d_l'
-    at stage 0 for each l of the family; without it each one is built here.
+    over 4 * 3^e.  For two profiles this is their L1 distance.  run is
+    `dl_run(0, 0, L)` for an L no less than any l of the family.
     """
-    family = list(family)
-    if run is None:
-        run = {l: compute_dl(0, l) for l in {l for l, _ in family}}
     # at stage 0, h = 1, so o_l = start - l
     members = [(run[l].nums, run[l].e, 2 * run[l].start - 3 * l - 1 + i) for l, i in family]
     e_max = max(e for _, e, _ in members)
@@ -351,8 +348,8 @@ def profile_gap(family: Iterable[tuple[int, int]], run: Run | None = None) -> Fr
     return Fraction(sum(max(col) - min(col) for col in zip(*rows)), 4 * 3 ** e_max)
 
 
-def H_value(l: int, run: Run | None = None) -> Fraction:
-    """Peak height H_l = D_l(0), the mass of d_l' at (l + 1 - 2*o_l) // 2.
-    run[l], if given, is d_l' at stage 0, as for `profile_gap`."""
-    d = compute_dl(0, l) if run is None else run[l]
+def H_value(l: int, run: Sequence[ReturnDistribution]) -> Fraction:
+    """Peak height H_l = D_l(0), the mass of d_l' at (l + 1 - 2*o_l) // 2;
+    run is `dl_run(0, 0, L)` for an L >= l, as for `profile_gap`."""
+    d = run[l]
     return Fraction(d.nums[(3 * l + 1 - 2 * d.start) // 2], 2 * 3 ** d.e)

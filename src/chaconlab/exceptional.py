@@ -12,7 +12,7 @@ from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
 from . import tower
-from .correlation import mu_Ak, series_numerators, support_span, support_weights
+from .correlation import deviation_numerators, support_span, support_weights
 from .triadic import DomainError
 
 
@@ -250,10 +250,9 @@ def extract_exceptional(a: Sequence, b: Sequence, c: Sequence, n_max: int,
     # cap_0 = 0 turns cnt * k <= cap_0 into cnt == 0
     caps = [0] + [n * b_num[n] * c_den[n] // (b_den[n] * c_num[n]) if c_num[n] > 0 else math.inf
                   for n in range(1, n_max + 1)]
-    # (first k with a_j * k > 1, j) for every j that enters some level set,
-    # popped from the end in increasing order
-    entries = sorted(((x.denominator // x.numerator + 1, j)
-                      for j, x in enumerate(av) if x.numerator), reverse=True)
+    # (first k with a_j * k > 1, j) for every j that enters some level set
+    firsts = [(x.denominator // x.numerator + 1, j) for j, x in enumerate(av) if x.numerator]
+    entries = sorted(firsts, reverse=True)     # popped from the end in increasing order
 
     thresholds: list[int] = []
     level_sets: list[IntegerIntervalSet] = []
@@ -286,12 +285,12 @@ def extract_exceptional(a: Sequence, b: Sequence, c: Sequence, n_max: int,
         level_sets.append(jk)
         prev_l = lk
 
-    pieces: list[tuple[int, int]] = []
-    for i, jk in enumerate(level_sets):
-        lo = thresholds[i]
-        hi = thresholds[i + 1] if i + 1 < len(thresholds) else n_max
-        pieces.extend(jk.clip(lo, hi).intervals)
-    return ExtractionResult(IntegerIntervalSet(pieces), thresholds, level_sets)
+    # J is the union of J_k clipped to [l_k, l_(k+1)] (the last to n_max); the
+    # level sets are nested, so j is in J exactly when it is in J_K for the
+    # largest K with l_K <= j
+    exceptional = IntegerIntervalSet.from_points(
+        j for first, j in firsts if first <= bisect_right(thresholds, j))
+    return ExtractionResult(exceptional, thresholds, level_sets)
 
 
 # ---------------------------------------------------------------------------
@@ -459,25 +458,15 @@ def convergence_report(k: int, h: HFunction, n_range: Iterable[int]) -> list[Blo
     """Per-block maxima of |c_k(n) - mu(A_k)^2| over times outside J_k.
 
     Blocks are [3^N, 3^(N+1)] for N in n_range.  Each block reads one
-    correlation series; every deviation is an integer over 3^max(p, 2k+2).
+    `deviation_numerators` series.
     """
-    target = mu_Ak(k) ** 2
     rows = []
     for big_n in n_range:
         lo, hi = 3 ** big_n, 3 ** (big_n + 1)
         jk = build_Jk(k, h, hi)
-        corr, p = series_numerators(k, lo, hi)
-        den = 3 ** max(p, 2 * k + 2)
-        scale, goal = den // 3 ** p, int(target * den)
-        best: int | None = None
-        excluded = 0
-        for n, c in enumerate(corr, lo):
-            if n in jk:
-                excluded += 1
-                continue
-            dev = abs(scale * c - goal)
-            if best is None or dev > best:
-                best = dev
+        devs, den = deviation_numerators(k, lo, hi)
+        kept = [dev for n, dev in enumerate(devs, lo) if n not in jk]
+        best = max(kept, default=None)
         rows.append(BlockDeviation(big_n, lo, hi, None if best is None else Fraction(best, den),
-                                   excluded))
+                                   hi - lo + 1 - len(kept)))
     return rows

@@ -26,6 +26,7 @@ from chaconlab import checks, constants, exceptional as ex
 from chaconlab.cli import main
 from chaconlab.correlation import (
     compute_bl,
+    dl_run,
     find_Pn,
     profile_gap,
     support,
@@ -122,14 +123,15 @@ def test_criterion_06_pn_bounds():
 def test_criterion_07_frozen_constants():
     fr = constants.FROZEN
     ok = checks.frozen_constants_reproduce()
+    run = dl_run(0, 0, 3 ** 7)
     for l in range(3 ** 7):
         b = compute_bl(l)
-        ok &= H_value(l) ** 2 * b <= fr.c1_sq
-        ok &= profile_gap([(l + 1, 0), (l, 0)]) ** 2 * b <= fr.c2_sq
+        ok &= H_value(l, run) ** 2 * b <= fr.c1_sq
+        ok &= profile_gap([(l + 1, 0), (l, 0)], run) ** 2 * b <= fr.c2_sq
     for l in range(3 ** 4):
         b = compute_bl(l)
         for p in range(1, 5):
-            g = profile_gap([(l + j, i) for j in range(3) for i in range(-p, p + 1)])
+            g = profile_gap([(l + j, i) for j in range(3) for i in range(-p, p + 1)], run)
             ok &= g * g * b <= fr.c3_sq * p * p
     assert report(7, "frozen-constants", ok)
 

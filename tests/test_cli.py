@@ -25,7 +25,7 @@ from chaconlab.cli import (
     main,
     parse_range,
 )
-from chaconlab.correlation import autocorrelation, compute_dl, correlation_series, mu_Ak
+from chaconlab.correlation import autocorrelation, correlation_series, dl_run, mu_Ak
 from chaconlab.exceptional import HFunction, build_Jk
 from chaconlab.tower import apply_T_power, height, locate
 from chaconlab.triadic import MAX_STAGE, SizeError, TriadicRational
@@ -260,8 +260,7 @@ class TestRowsFromNumerators:
 
     def test_dl_matches_fractions(self, capsys):
         expected = []
-        for l in range(2001):
-            d = compute_dl(2, l)
+        for l, d in enumerate(dl_run(2, 0, 2000)):
             expected += [fraction_row(l, n, value=m) for n, m in enumerate(d.masses, d.start)]
         assert len(expected) > 2 * CHUNK
         assert stdout_rows(capsys, ["dl", "--k", "2", "--l", "0..2000"]) == expected
@@ -309,8 +308,8 @@ class TestOutFile:
 
     def test_failing_dl_prints_nothing(self, tmp_path, capsys, monkeypatch):
         calls = []
-        build = correlation.compute_dl
-        monkeypatch.setattr(correlation, "compute_dl",
+        build = correlation.dl_run
+        monkeypatch.setattr(correlation, "dl_run",
                             lambda *a, **kw: calls.append(a) or build(*a, **kw))
         path = tmp_path / "out.txt"
         cases = [(["dl", "--k", "1", "--l", "0..60001", "--cap-l", "60000"],
@@ -327,15 +326,17 @@ class TestOutFile:
                 assert main(argv + extra) == code
                 assert capsys.readouterr() == ("", err)
                 assert not path.exists()
-                # the range is checked before anything past its first index is built
-                assert len(calls) <= 1, argv
+                # the whole range is checked before its run is built
+                assert calls == [], argv
+        capsys.readouterr()
+        assert main(["dl", "--k", "1", "--l", "0..3"]) == EXIT_OK
+        assert calls == [(1, 0, 3)]
 
     def test_row_past_digit_limit_prints(self, tmp_path, capsys):
         # at stage 1334 the n column passes 640 digits at l = 2209, more than
         # a chunk of rows after l = 1000
         expected = []
-        for l in range(1000, 2210):
-            d = compute_dl(1334, l)
+        for l, d in enumerate(dl_run(1334, 1000, 2209), 1000):
             expected += [fraction_row(l, n, value=m) for n, m in enumerate(d.masses, d.start)]
         assert len(expected) > CHUNK and len(expected[-1][1]) > 640
         argv = ["dl", "--k", "1334", "--l", "1000..2209"]
@@ -397,7 +398,7 @@ class TestDeepStage:
                 assert max(len(str(c)) for row in expected for c in row) > 4300
 
     def test_dl(self, capsys):
-        d = [compute_dl(9100, l) for l in (0, 1)]
+        d = dl_run(9100, 0, 1)
         self.expect(capsys, ["dl", "--k", "9100", "--l", "0..1"],
                     [value_row(l, n, value=m) for l in (0, 1)
                      for n, m in enumerate(d[l].masses, d[l].start)])

@@ -1,22 +1,25 @@
 import ast
+import importlib
+import pkgutil
 import random
 import sys
 from contextlib import contextmanager
 from fractions import Fraction
+from itertools import accumulate
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chaconlab import checks, correlation as co
+from chaconlab import checks, cli, correlation as co
 from chaconlab.correlation import (
     autocorrelation,
     cell_correlation,
     cesaro_totals,
     compute_bl,
-    compute_dl,
     correlation_series,
+    deviation_numerators,
     dl_run,
     find_Pn,
     mu_Ak,
@@ -113,59 +116,78 @@ def recursive_dl(k, l, memo):
 
 
 class TestComputeDl:
+    """d_l' one index at a time, each read as the run dl_run(k, l, l)."""
+
     def test_base_cases(self):
-        d0 = compute_dl(1, 0)
+        d0, d1 = dl_run(1, 0, 1)
         assert (d0.start, d0.masses) == (0, (Fraction(1),))
-        d1 = compute_dl(1, 1)
         assert (d1.start, d1.masses) == (4, (Fraction(1, 2), Fraction(1, 2)))
 
     def test_small_table(self):
         for k in (1, 2):
             h = height(k)
-            d2 = compute_dl(k, 2)
+            d2, d3, d4 = dl_run(k, 2, 4)
             assert (d2.start, d2.masses) == (
                 2 * h, (Fraction(1, 6), Fraction(2, 3), Fraction(1, 6)))
-            d3 = compute_dl(k, 3)
             assert (d3.start, d3.masses) == (3 * h + 1, (Fraction(1, 2), Fraction(1, 2)))
-            d4 = compute_dl(k, 4)
             assert (d4.start, d4.masses) == (
                 4 * h + 1, (Fraction(2, 9), Fraction(5, 9), Fraction(2, 9)))
 
     def test_rejects_bad_index(self):
         with pytest.raises(DomainError):
-            compute_dl(1, -1)
+            dl_run(1, -1, -1)
 
     def test_far_index_needs_no_cap(self):
         # d_3q' is d_q' moved by q: at l = 3^1000 it is d_1' on its closed-form support
         l = 3 ** 1000
-        d = compute_dl(1, l)
+        d = dl_run(1, l, l)[0]
         assert (d.nums, d.e) == ((1, 1), 0)
         assert (d.start, d.end) == support(1, l)
 
     def test_normalization_and_shape(self):
         assert checks.dl_normalized_unimodal(500)
-        assert all(m > 0 for l in range(500) for m in compute_dl(1, l).masses)
+        assert all(m > 0 for d in dl_run(1, 0, 499) for m in d.masses)
 
     def test_matches_recursive_build(self):
         rng = random.Random(16)
         memo = {}
         for k in (0, 1, 2, 3, 5):
-            for l in list(range(3 ** 7)) + [rng.randrange(3 ** 40) for _ in range(200)]:
-                d = compute_dl(k, l)
+            for l, d in enumerate(dl_run(k, 0, 3 ** 7 - 1)):
+                assert (d.start, d.nums, d.e) == recursive_dl(k, l, memo), (k, l)
+            for l in [rng.randrange(3 ** 40) for _ in range(200)]:
+                d = dl_run(k, l, l)[0]
                 assert (d.start, d.nums, d.e) == recursive_dl(k, l, memo), (k, l)
 
-    def test_no_cache_outlives_a_call(self):
-        # the shapes of a run live only as long as the call that builds them
+    def test_no_cache_outlives_a_call(self, tmp_path, capsys):
+        # what a call builds lives only as long as the call, in every module;
+        # the oracle keeps two caches by design, one of them an lru_cache
+        kept = {"chaconlab.oracle._phi_cache"}
+        modules = [importlib.import_module(f"chaconlab.{info.name}")
+                   for info in pkgutil.iter_modules([str(Path(co.__file__).parent)])]
+
         def held():
-            return {name: len(value) for name, value in vars(co).items()
+            return {f"{m.__name__}.{name}": len(value)
+                    for m in modules for name, value in vars(m).items()
                     if not name.startswith("__") and isinstance(value, (dict, list, set))}
 
+        series = tmp_path / "series.csv"
+        a, b, c = checks.power_of_two_series(300)
+        series.write_text("n,a,b,c\n" + "".join(
+            f"{n},{a[n]},{b[n]},{c[n]}\n" for n in range(301)), encoding="utf-8")
         before = held()
         series_numerators(1, 0, 3 ** 9)
         for l in (0, 1, 2, 5, 3 ** 7 + 4, 3 ** 30 + 17):
-            assert compute_dl(1, l).nums == compute_dl(3, l).nums
-        assert held() == before
-        assert not [name for name, value in vars(co).items() if hasattr(value, "cache_info")]
+            assert dl_run(1, l, l)[0].nums == dl_run(3, l, l)[0].nums
+        for argv in (["verify", "--suite", "all", "--seed", "7"],
+                     ["jset", "--k", "2", "--global", "--N-max", "3000"],
+                     ["eset", "--k", "1", "--l", "300"],
+                     ["extract", str(series)]):
+            assert cli.main(argv) == cli.EXIT_OK, argv
+        capsys.readouterr()
+        grown = {name for name, size in held().items() if size != before.get(name)}
+        assert grown <= kept
+        assert [f"{m.__name__}.{name}" for m in modules for name, value in vars(m).items()
+                if hasattr(value, "cache_info")] == ["chaconlab.oracle._lv_start"]
 
     def test_no_function_calls_itself(self):
         # a build that recursed once per ternary digit of l ran past the
@@ -220,7 +242,7 @@ class TestDlRun:
                     run = dl_run(k, centre - 2, centre + 2)
                     assert [(d.start, d.nums, d.e) for d in run] == recursive_run(
                         k, centre - 2, centre + 2, memo), (k, centre)
-        assert max(compute_dl(1, all_ones).nums) >= 2 ** 64
+        assert max(dl_run(1, all_ones, all_ones)[0].nums) >= 2 ** 64
 
     def test_empty_and_bad_runs(self):
         assert dl_run(1, 5, 4) == []
@@ -240,8 +262,7 @@ class TestSupport:
 
     def test_matches_mass_recursion(self):
         for k in (1, 2):
-            for l in range(300):
-                d = compute_dl(k, l)
+            for l, d in enumerate(dl_run(k, 0, 299)):
                 assert support(k, l) == (d.start, d.end)
                 assert d.support_size == compute_bl(l)
 
@@ -318,14 +339,10 @@ class TestFindPn:
         for _ in range(50):
             k = rng.choice((0, 1, 2, 3))
             n = 3 ** 30 + rng.randrange(3 ** 20)
-
-            def covers(l):
-                d = compute_dl(k, l)
-                return d.start <= n <= d.end
-
             run = co.support_run(k, n, n)
-            assert all(covers(l) for l in run)
-            assert not covers(run.start - 1) and not covers(run.stop)
+            before, *inside, after = dl_run(k, run.start - 1, run.stop)
+            assert all(d.start <= n <= d.end for d in inside)
+            assert before.end < n < after.start
 
     def test_size_upper_bound(self):
         # |P_n| < b_m / (h_k - 1/2) + 1 for every m in P_n
@@ -374,11 +391,9 @@ class TestAutocorrelation:
 
 def reference_correlation(k, n):
     """c_k(n) as a per-n Fraction sum over the masses of each d_l' covering n."""
-    total = Fraction(0)
-    for l in find_Pn(k, n):
-        d = compute_dl(k, l)
-        total += d.masses[n - d.start]
-    return mu_Ak(k) * total
+    pn = find_Pn(k, n)
+    run = dl_run(k, pn[0], pn[-1]) if pn else []
+    return mu_Ak(k) * sum((d.masses[n - d.start] for d in run), Fraction(0))
 
 
 class TestCorrelationSeries:
@@ -495,30 +510,56 @@ class TestCesaro:
         with pytest.raises(DomainError):
             cesaro_totals(1, 0)
 
+    def test_running_sums_of_the_deviations(self):
+        for k in (1, 2, 3):
+            totals, den = cesaro_totals(k, 400)
+            running = accumulate(abs(c - mu_Ak(k) ** 2) for c in correlation_series(k, 0, 399))
+            assert [Fraction(t, den) for t in totals] == list(running), k
+
+
+class TestDeviationNumerators:
+    def test_matches_fraction_reference(self):
+        # at the origin, from inside a gap of the supports, and near 3^30
+        for k in (1, 2, 3):
+            gap = next(n for n in range(1000, 3 ** 8) if not find_Pn(k, n))
+            for lo, hi in ((0, 400), (gap, gap + 400), (3 ** 30, 3 ** 30 + 400)):
+                devs, den = deviation_numerators(k, lo, hi)
+                _, p = series_numerators(k, lo, hi)
+                assert den == 3 ** max(p, 2 * k + 2)
+                assert [Fraction(d, den) for d in devs] == [
+                    abs(c - mu_Ak(k) ** 2) for c in correlation_series(k, lo, hi)], (k, lo)
+
+    def test_checks_run_at_the_call(self):
+        with pytest.raises(DomainError):
+            deviation_numerators(-1, 0, 3)
+        with pytest.raises(DomainError):
+            deviation_numerators(1, -1, 3)
+
 
 class TestProfiles:
     def test_base_profile_is_unit_box(self):
-        d = compute_dl(1, 0)
+        run = dl_run(0, 0, 0)
+        d = dl_run(1, 0, 0)[0]
         assert (d.start, d.masses) == (0, (Fraction(1),))
-        assert H_value(0) == 1
+        assert H_value(0, run) == 1
         # height 1, width 1: shifted by a whole unit it no longer overlaps itself
-        assert profile_gap([(0, 0), (0, 2)]) == 2
+        assert profile_gap([(0, 0), (0, 2)], run) == 2
 
     def test_three_step_profile(self):
-        assert H_value(2) == Fraction(2, 3)
-        assert compute_dl(1, 2).masses == (Fraction(1, 6), Fraction(2, 3), Fraction(1, 6))
+        assert H_value(2, dl_run(0, 0, 2)) == Fraction(2, 3)
+        assert dl_run(1, 2, 2)[0].masses == (Fraction(1, 6), Fraction(2, 3), Fraction(1, 6))
 
     def test_index_tripling_fixes_profile(self):
+        run = dl_run(0, 0, 297)
         for l in range(1, 100):
-            assert profile_gap([(3 * l, 0), (l, 0)]) == 0
+            assert profile_gap([(3 * l, 0), (l, 0)], run) == 0
 
     def test_adjacent_l1_distance(self):
-        assert profile_gap([(1, 0), (0, 0)]) == 1
+        assert profile_gap([(1, 0), (0, 0)], dl_run(0, 0, 1)) == 1
 
     def test_even_and_normalized(self):
         h = height(1)
-        for l in range(300):
-            d = compute_dl(1, l)
+        for l, d in enumerate(dl_run(1, 0, 299)):
             assert sum(d.masses) == 1
             assert d.masses == tuple(reversed(d.masses))
             # centered: D_l lives on [2 start - 1 - (2h+1) l, 2 end + 1 - (2h+1) l] / 2,
@@ -526,25 +567,27 @@ class TestProfiles:
             assert d.start + d.end == (2 * h + 1) * l
 
     def test_half_shift_bounded_by_peak(self):
+        run = dl_run(0, 0, 3 ** 5 - 1)
         for l in range(3 ** 5):
-            assert profile_gap([(l, 0), (l, 1)]) <= H_value(l)
+            assert profile_gap([(l, 0), (l, 1)], run) <= H_value(l, run)
 
     def test_envelope_contains_intermediate_profiles(self):
         # max - min over the family grows on a cell exactly where D_q leaves
         # the envelope, so the gaps are equal iff D_q lies inside it everywhere
+        run = dl_run(0, 0, 3 ** 8 - 1)
         for l in range(3 ** 4):
             for p in range(1, 5):
                 family = [(l + j, i) for j in range(2) for i in range(-p, p + 1)]
-                gap = profile_gap(family)
+                gap = profile_gap(family, run)
                 for q in range(l * 3 ** p, (l + 1) * 3 ** p):
-                    assert profile_gap(family + [(q, 0)]) == gap
+                    assert profile_gap(family + [(q, 0)], run) == gap
 
     def test_gap_matches_reference_cells(self):
-        def reference_gap(k, family):
+        def reference_gap(k, dists, family):
             h = height(k)
             profiles = []
             for l, i in family:
-                d = compute_dl(k, l)
+                d = dists[l]
                 first = 2 * d.start - 1 - (2 * h + 1) * l + i
                 vals = [v for m in d.masses for v in (m, m)]
                 profiles.append({first + j: v for j, v in enumerate(vals)})
@@ -556,14 +599,16 @@ class TestProfiles:
                 total += max(vals) - min(vals)
             return total / 2
 
+        run = dl_run(0, 0, 244)
         for k in (1, 2):
+            dists = dl_run(k, 0, 244)
             for l in range(243):
                 families = [[(l + 1, 0), (l, 0)]]
                 families += [[(l + j, i) for j in range(3) for i in range(-p, p + 1)]
                              for p in (1, 2)]
                 for family in families:
                     # one profile serves every stage
-                    assert profile_gap(family) == reference_gap(k, family)
+                    assert profile_gap(family, run) == reference_gap(k, dists, family)
 
 
 def test_only_input_parsing_raises_size_error():

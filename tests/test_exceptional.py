@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from chaconlab import checks
-from chaconlab.correlation import autocorrelation, compute_bl, compute_dl, support
+from chaconlab.correlation import autocorrelation, compute_bl, dl_run, support
 from chaconlab.exceptional import (
     BoundSpec,
     ExtractionResult,
@@ -404,9 +404,10 @@ class TestBuildJk:
         # loglog's N = 1 threshold is nan; the table's threshold takes 183 of
         # the 487 indices of layer 5 and 1395 of the 1459 of layer 6
         table = HFunction.table([(1.0, 1.0), (4.0, 2.0), (8.0, 3.0)])
+        runs = {k: dl_run(k, 0, 3 ** 8) for k in (1, 2, 3)}
         for h in (HFunction.linear(), HFunction.log(), HFunction.power(0.5),
                   HFunction.loglog(), table):
-            for k in (1, 2, 3):
+            for k, dists in runs.items():
                 # every full layer up to 3^7; no support of a later index
                 # starts below s_6561 >= 3^8 h_k
                 pieces = []
@@ -414,8 +415,7 @@ class TestBuildJk:
                     threshold = math.log(big_n) ** 2 * h(big_n)
                     for t in range(3 ** big_n, 3 ** (big_n + 1) + 1):
                         if compute_bl(t) < threshold:
-                            d = compute_dl(k, t)
-                            pieces.append((d.start, d.end))
+                            pieces.append((dists[t].start, dists[t].end))
                 full = IntegerIntervalSet(pieces)
                 hk = height(k)
                 for t_max in (2, 8, 9, 80, 81, 300, 729, 2187, 6560):
@@ -482,7 +482,7 @@ class TestEnumerateEk:
     def test_matches_mass_recursion_supports(self):
         for k in (0, 1, 2, 3):
             for l_max in (0, 1, 5, 30, 243, 1000):
-                dists = [compute_dl(k, l) for l in range(l_max + 1)]
+                dists = dl_run(k, 0, l_max)
                 gaps = IntegerIntervalSet((d.end + 1, e.start - 1)
                                           for d, e in zip(dists, dists[1:]))
                 assert enumerate_Ek(k, l_max) == (gaps, dists[-1].start)

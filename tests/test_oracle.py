@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from chaconlab import checks, correlation, oracle, tower
-from chaconlab.correlation import compute_bl, H_value
+from chaconlab.correlation import compute_bl, dl_run, H_value
 from chaconlab.oracle import (
     FragmentationError,
     brute_correlation,
@@ -305,8 +305,9 @@ class TestPhiPolynomials:
             assert center_value(unit) == smoothed_box_center(i) == Fraction(comb(i, i // 2), 2 ** i)
 
     def test_center_value_matches_profile_peak(self):
+        run = dl_run(0, 0, 119)
         for l in range(120):
-            assert center_value(phi_repr(l)) == H_value(l)
+            assert center_value(phi_repr(l)) == H_value(l, run)
 
     def test_walk_poly_is_binomial(self):
         f2 = walk_poly(2)
