@@ -89,7 +89,8 @@ def measure_preserved(rng, samples: int) -> bool:
 
 def majorized(l_max: int) -> bool:
     """phi_l precedes, and peaks no higher than, the (b_l - 1)-step lazy walk."""
-    pairs = ((oracle.phi_repr(l), oracle.walk_poly(correlation.compute_bl(l) - 1))
+    phis = oracle.phi_run(l_max)
+    pairs = ((phis[l], oracle.walk_poly(correlation.compute_bl(l) - 1))
              for l in range(1, l_max + 1))
     return all(oracle.precedes(phi, walk) and oracle.center_value(phi) <= oracle.center_value(walk)
                for phi, walk in pairs)

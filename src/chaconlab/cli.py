@@ -37,7 +37,6 @@ from . import constants, correlation, exceptional, tower
 from .checks import SUITE
 from .exceptional import HFunction, InputError
 from .oracle import FragmentationError
-from .tower import DepthExceededError
 from .triadic import MAX_STAGE, DomainError, SizeError, TriadicRational
 
 EXIT_OK = 0
@@ -450,7 +449,7 @@ def main(argv: list[str] | None = None) -> int:
     out = Output(args.format, args.out, args.seed)
     try:
         return args.fn(args, out)
-    except (SizeError, FragmentationError, DepthExceededError, OverflowError) as exc:
+    except (SizeError, FragmentationError, OverflowError) as exc:
         print(f"resource cap: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
     except (DomainError, InputError, ValueError, OSError) as exc:

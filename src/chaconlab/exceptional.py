@@ -5,6 +5,7 @@ and evaluation of the growth bounds against exact window counts.
 
 from __future__ import annotations
 
+import heapq
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
@@ -28,29 +29,39 @@ class InputError(ValueError):
 # integer interval sets
 
 class IntegerIntervalSet:
-    """Sorted disjoint union of inclusive integer intervals [a, b]."""
+    """Sorted disjoint union of inclusive integer intervals [a, b].
+
+    The constructor takes its intervals in order of their starts and merges
+    them in one pass: [a, b] opens a new piece when a > hi + 1, for the open
+    piece [lo, hi], and otherwise extends it to max(hi, b), so touching,
+    overlapping and nested neighbours become one piece.  Empty intervals
+    (a > b) are skipped; a start below lo raises DomainError.
+    """
 
     __slots__ = ("intervals", "_starts", "_cum")
 
     def __init__(self, intervals: Iterable[tuple[int, int]] = ()):
-        merged: list[list[int]] = []
-        for a, b in sorted(intervals):
+        pieces: list[tuple[int, int]] = []
+        lo = hi = None
+        for a, b in intervals:
             if a > b:
                 continue
-            if merged and a <= merged[-1][1] + 1:
-                merged[-1][1] = max(merged[-1][1], b)
-            else:
-                merged.append([a, b])
-        self.intervals: tuple[tuple[int, int], ...] = tuple((a, b) for a, b in merged)
+            if hi is None or a > hi + 1:
+                if hi is not None:
+                    pieces.append((lo, hi))
+                lo, hi = a, b
+            elif a < lo:
+                raise DomainError(f"interval [{a}, {b}] starts below the piece [{lo}, {hi}]")
+            elif b > hi:
+                hi = b
+        if hi is not None:
+            pieces.append((lo, hi))
+        self.intervals: tuple[tuple[int, int], ...] = tuple(pieces)
         self._starts = [a for a, _ in self.intervals]
         cum = [0]
         for a, b in self.intervals:
             cum.append(cum[-1] + b - a + 1)
         self._cum = cum
-
-    @classmethod
-    def from_points(cls, points: Iterable[int]) -> "IntegerIntervalSet":
-        return cls((p, p) for p in points)
 
     def __contains__(self, n: int) -> bool:
         i = bisect_right(self._starts, n) - 1
@@ -69,10 +80,6 @@ class IntegerIntervalSet:
             return 0
         a, b = self.intervals[i]
         return self._cum[i] + min(n, b) - a + 1
-
-    def fatten(self, radius: int) -> "IntegerIntervalSet":
-        """Close under n -> n + i for |i| <= radius, clipped at 0."""
-        return IntegerIntervalSet((max(a - radius, 0), b + radius) for a, b in self.intervals)
 
     def clip(self, lo: int, hi: int) -> "IntegerIntervalSet":
         return IntegerIntervalSet(
@@ -250,22 +257,17 @@ def extract_exceptional(a: Sequence, b: Sequence, c: Sequence, n_max: int,
     # cap_0 = 0 turns cnt * k <= cap_0 into cnt == 0
     caps = [0] + [n * b_num[n] * c_den[n] // (b_den[n] * c_num[n]) if c_num[n] > 0 else math.inf
                   for n in range(1, n_max + 1)]
-    # (first k with a_j * k > 1, j) for every j that enters some level set
+    # (first k with a_j * k > 1, j) for every j that enters some level set, in j order
     firsts = [(x.denominator // x.numerator + 1, j) for j, x in enumerate(av) if x.numerator]
-    entries = sorted(firsts, reverse=True)     # popped from the end in increasing order
 
     thresholds: list[int] = []
     level_sets: list[IntegerIntervalSet] = []
-    members: list[int] = []        # J_k, increasing
     jk = IntegerIntervalSet()
     prev_l = 0
     for k in range(1, k_max + 1):
-        fresh = []
-        while entries and entries[-1][0] <= k:
-            fresh.append(entries.pop()[1])
-        if fresh:
-            members = sorted(members + fresh)
-            jk = IntegerIntervalSet.from_points(members)
+        members = [j for first, j in firsts if first <= k]     # J_k, increasing
+        if len(members) > len(jk):
+            jk = IntegerIntervalSet((j, j) for j in members)
         # minimal start so the normalized count stays <= 1/k through the
         # window: walk the members down from the top; cnt = |J_k ∩ [0, n]|
         # is constant on [members[cnt - 1], hi], and cnt = 0 always passes
@@ -288,8 +290,8 @@ def extract_exceptional(a: Sequence, b: Sequence, c: Sequence, n_max: int,
     # J is the union of J_k clipped to [l_k, l_(k+1)] (the last to n_max); the
     # level sets are nested, so j is in J exactly when it is in J_K for the
     # largest K with l_K <= j
-    exceptional = IntegerIntervalSet.from_points(
-        j for first, j in firsts if first <= bisect_right(thresholds, j))
+    exceptional = IntegerIntervalSet(
+        (j, j) for first, j in firsts if first <= bisect_right(thresholds, j))
     return ExtractionResult(exceptional, thresholds, level_sets)
 
 
@@ -306,32 +308,27 @@ def build_Jk(k: int, h: HFunction, n_max: int) -> IntegerIntervalSet:
     the window; among those b_l - 1 is at most the bit length L of n_max // h_k,
     so s_l = l*h_k + (l - b_l + 1)/2 <= n_max needs l*(2h_k + 1) <= 2*n_max + L.
 
-    s_l and t_l both rise strictly with l, so one pass in index order merges
-    each selected support into the interval [lo, hi] it extends, or closes
-    that interval and opens the next.
+    s_l rises strictly with l, so the selected supports, in index order, are
+    in the start order that IntegerIntervalSet merges in one pass.
     """
     hk = tower.height(k)
     if k < 1:
         raise DomainError(f"stage k must be >= 1, got {k}")
     l_max = (2 * n_max + (n_max // hk).bit_length()) // (2 * hk + 1)
     weights = support_weights(l_max)
-    pieces: list[tuple[int, int]] = []
-    lo, hi = 0, -2         # an empty interval that no support s_l >= 0 joins
-    big_n = 1
-    while 3 ** big_n <= l_max:
-        threshold = math.log(big_n) ** 2 * h(big_n)
-        if threshold > 0:
-            for l in range(3 ** big_n, min(3 ** (big_n + 1), l_max) + 1):
-                b = weights[l]
-                if b < threshold:
-                    s, t = support_span(hk, l, b)
-                    if s > hi + 1:
-                        pieces.append((lo, hi))
-                        lo = s
-                    hi = t
-        big_n += 1
-    pieces.append((lo, hi))
-    return IntegerIntervalSet(pieces[1:]).clip(0, n_max)   # without that empty interval
+
+    def selected():
+        big_n = 1
+        while 3 ** big_n <= l_max:
+            threshold = math.log(big_n) ** 2 * h(big_n)
+            if threshold > 0:
+                for l in range(3 ** big_n, min(3 ** (big_n + 1), l_max) + 1):
+                    b = weights[l]
+                    if b < threshold:
+                        yield support_span(hk, l, b)
+            big_n += 1
+
+    return IntegerIntervalSet(selected()).clip(0, n_max)
 
 
 @dataclass
@@ -344,7 +341,9 @@ class GlobalJ:
 
 
 def build_J(k_max: int, h: HFunction, n_max: int) -> GlobalJ:
-    """Union over stages of the fattened, cutoff-truncated stage sets."""
+    """Union over stages of the stage sets J_k, each widened by h_k on both
+    sides and cut to [g(k), n_max].  The layers' intervals meet the
+    constructor in start order through one heap merge."""
     layers: dict[int, IntegerIntervalSet] = {}
     skipped: list[tuple[int, str]] = []
     for k in range(1, k_max + 1):
@@ -357,8 +356,9 @@ def build_J(k_max: int, h: HFunction, n_max: int) -> GlobalJ:
             skipped.append((k, f"cutoff g({k}) = {g} beyond window"))
             continue
         hk = tower.height(k)
-        layers[k] = build_Jk(k, h, n_max + hk).fatten(hk).clip(g, n_max)
-    total = IntegerIntervalSet(iv for layer in layers.values() for iv in layer.intervals)
+        jk = build_Jk(k, h, n_max + hk)
+        layers[k] = IntegerIntervalSet((a - hk, b + hk) for a, b in jk.intervals).clip(g, n_max)
+    total = IntegerIntervalSet(heapq.merge(*(layer.intervals for layer in layers.values())))
     return GlobalJ(total, layers, skipped)
 
 

@@ -287,29 +287,26 @@ def brute_dl(k: int, l: int) -> EnumeratedDistribution:
 # ---------------------------------------------------------------------------
 # smoothing polynomials, partial-sum order, lazy-walk polynomials
 
-# coefficient tuples (c_0, ..., c_m) of sum c_i phi^i, phi the half-step
-# smoothing operator
-_phi_cache: dict[int, tuple[Fraction, ...]] = {
-    0: (Fraction(1),),
-    1: (Fraction(0), Fraction(1)),
-}
+def phi_run(l_max: int) -> list[tuple[Fraction, ...]]:
+    """The unique smoothing-polynomial representations of the profiles
+    D_0 .. D_l_max, as coefficient tuples (c_0, ..., c_m) of sum c_i phi^i,
+    phi the half-step smoothing operator.
 
-
-def phi_repr(l: int) -> tuple[Fraction, ...]:
-    """The unique smoothing-polynomial representation of the profile D_l."""
-    if l < 0:
-        raise DomainError(f"l = {l} < 0")
-    if l in _phi_cache:
-        return _phi_cache[l]
-    q, r = divmod(l, 3)
-    if r == 0:
-        poly = phi_repr(q)
-    elif r == 1:
-        poly = _mix(phi_repr(q), phi_repr(q + 1))
-    else:
-        poly = _mix(phi_repr(q + 1), phi_repr(q))
-    _phi_cache[l] = poly
-    return poly
+    D_l for l = 3q + r reads D_q and D_(q+1), both below l once l >= 2, so
+    one forward loop builds the run.
+    """
+    if l_max < 0:
+        raise DomainError(f"l = {l_max} < 0")
+    run = [(Fraction(1),), (Fraction(0), Fraction(1))]
+    for l in range(2, l_max + 1):
+        q, r = divmod(l, 3)
+        if r == 0:
+            run.append(run[q])
+        elif r == 1:
+            run.append(_mix(run[q], run[q + 1]))
+        else:
+            run.append(_mix(run[q + 1], run[q]))
+    return run[: l_max + 1]
 
 
 def _mix(shifted: tuple[Fraction, ...], plain: tuple[Fraction, ...]) -> tuple[Fraction, ...]:

@@ -16,10 +16,6 @@ from itertools import islice
 from .triadic import DomainError, TriadicRational, normalize
 
 
-class DepthExceededError(RuntimeError):
-    """T^n(x) is undefined at every stage: its orbit passes back through 0."""
-
-
 def height(k: int) -> int:
     """Tower height h_k = (3^(k+1) - 1) // 2."""
     if k < 0:
@@ -123,7 +119,7 @@ def apply_T_power(x: TriadicRational, n: int) -> TriadicRational:
             e = max(k + 1, m)
             return normalize(_level_start(k, level + n) * 3 ** (e - k - 1) + offset, e)
         if k >= max(m, 1) and h > 3 * abs(n):
-            raise DepthExceededError("T^-1(0/3^0) undefined at every stage")
+            raise DomainError("T^-1(0/3^0) undefined at every stage")
 
 
 def apply_T(x: TriadicRational) -> TriadicRational:
@@ -132,5 +128,5 @@ def apply_T(x: TriadicRational) -> TriadicRational:
 
 
 def apply_T_inverse(x: TriadicRational) -> TriadicRational:
-    """One backward step; x = 0 has no preimage and raises DepthExceededError."""
+    """One backward step; x = 0 has no preimage and raises DomainError."""
     return apply_T_power(x, -1)

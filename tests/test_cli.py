@@ -4,6 +4,7 @@ import json
 import math
 import os
 import random
+import shlex
 import subprocess
 import sys
 from contextlib import contextmanager, redirect_stderr, redirect_stdout
@@ -14,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chaconlab import correlation
+from chaconlab import checks, correlation
 from chaconlab.cli import (
     EXIT_INPUT,
     EXIT_OK,
@@ -219,6 +220,23 @@ def test_series_output_pinned(capsys):
     # recorded at commit e06cecc, before SupportIndex and the cached masses went
     assert digest.hexdigest() == (
         "10174d74d2f18d0222273ff98a75d825d0b9c66deb5a2698db622c8e6457313d")
+
+
+def test_readme_commands_run(tmp_path, capsys):
+    # every `chacon ...` line of the README's command-line block answers
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    commands = [shlex.split(line, comments=True)[1:] for line in block.splitlines()
+                if line.startswith("chacon ")]
+    series = tmp_path / "series.csv"
+    a, b, c = checks.power_of_two_series(300)
+    series.write_text("n,a,b,c\n" + "".join(
+        f"{n},{a[n]},{b[n]},{c[n]}\n" for n in range(301)), encoding="utf-8")
+    assert len(commands) == 10
+    for argv in commands:
+        argv = [str(series) if arg == "series.csv" else arg for arg in argv]
+        assert main(argv) == EXIT_OK, argv
+        assert capsys.readouterr().out, argv
 
 
 CHUNK = Output.CSV_CHUNK
@@ -750,11 +768,12 @@ class TestPointwise:
         _, _, rows = csv_rows(text)
         assert rows[0][2] == x
 
-    def test_inverse_of_zero_is_resource_exit(self, tmp_path, capsys):
-        # T(0) = 2/3^2, so going back two steps from 2/3^2 fails at 0 as well
+    def test_inverse_of_zero_is_invalid_input(self, tmp_path, capsys):
+        # T(0) = 2/3^2, so going back two steps from 2/3^2 fails at 0 as well;
+        # no stage defines T^-1(0), so no larger cap could answer
         for argv in (["0", "--n=-1"], ["2/3^2", "--n=-2"]):
-            assert run(tmp_path, "apply-t", *argv)[0] == EXIT_RESOURCE
-            assert capsys.readouterr().err == "resource cap: T^-1(0/3^0) undefined at every stage\n"
+            assert run(tmp_path, "apply-t", *argv)[0] == EXIT_INPUT
+            assert capsys.readouterr().err == "invalid input: T^-1(0/3^0) undefined at every stage\n"
 
     def test_large_power_is_one_walk(self):
         # inside the default cap of 3^14; 3,000,000 single steps would run for

@@ -160,8 +160,7 @@ class TestComputeDl:
 
     def test_no_cache_outlives_a_call(self, tmp_path, capsys):
         # what a call builds lives only as long as the call, in every module;
-        # the oracle keeps two caches by design, one of them an lru_cache
-        kept = {"chaconlab.oracle._phi_cache"}
+        # the oracle keeps one cache by design, an lru_cache
         modules = [importlib.import_module(f"chaconlab.{info.name}")
                    for info in pkgutil.iter_modules([str(Path(co.__file__).parent)])]
 
@@ -185,7 +184,7 @@ class TestComputeDl:
             assert cli.main(argv) == cli.EXIT_OK, argv
         capsys.readouterr()
         grown = {name for name, size in held().items() if size != before.get(name)}
-        assert grown <= kept
+        assert not grown, grown
         assert [f"{m.__name__}.{name}" for m in modules for name, value in vars(m).items()
                 if hasattr(value, "cache_info")] == ["chaconlab.oracle._lv_start"]
 
@@ -193,8 +192,7 @@ class TestComputeDl:
         # a build that recursed once per ternary digit of l ran past the
         # interpreter's recursion limit near l = 3^1000; these oracle
         # functions are independent ground truth and keep their recursive form
-        by_design = {"oracle.py:_lv_start", "oracle.py:_level", "oracle.py:_image_pieces",
-                     "oracle.py:phi_repr"}
+        by_design = {"oracle.py:_lv_start", "oracle.py:_level", "oracle.py:_image_pieces"}
         recursive = []
         for path in sorted(Path(co.__file__).parent.glob("*.py")):
             tree = ast.parse(path.read_text(encoding="utf-8"))

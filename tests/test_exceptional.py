@@ -26,7 +26,7 @@ from chaconlab.triadic import DomainError
 
 class TestIntegerIntervalSet:
     def test_merge_and_count(self):
-        s = IntegerIntervalSet([(5, 7), (8, 10), (1, 2), (20, 20)])
+        s = IntegerIntervalSet([(1, 2), (5, 7), (8, 10), (20, 20)])
         assert s.intervals == ((1, 2), (5, 10), (20, 20))
         assert len(s) == 9
         assert s.count(0) == 0
@@ -39,14 +39,13 @@ class TestIntegerIntervalSet:
         assert 2 not in s and 6 not in s and 10 not in s
 
     def test_from_points(self):
-        assert IntegerIntervalSet.from_points([4, 2, 3, 8]).intervals == ((2, 4), (8, 8))
+        assert IntegerIntervalSet((p, p) for p in [2, 3, 4, 8]).intervals == ((2, 4), (8, 8))
 
     def test_fatten_truncate_clip(self):
         s = IntegerIntervalSet([(2, 3), (10, 11)])
-        assert s.fatten(2).intervals == ((0, 5), (8, 13))
         assert s.clip(3, 11).intervals == ((3, 3), (10, 11))
         assert s.clip(3, 10).intervals == ((3, 3), (10, 10))
-        assert IntegerIntervalSet(s.intervals + ((4, 9),)).intervals == ((2, 11),)
+        assert IntegerIntervalSet([(2, 3), (4, 9), (10, 11)]).intervals == ((2, 11),)
 
     def test_truncation_only_changes_the_prefix(self):
         s = IntegerIntervalSet([(2, 8), (15, 20), (30, 31)])
@@ -58,6 +57,58 @@ class TestIntegerIntervalSet:
     def test_iter_points(self):
         s = IntegerIntervalSet([(1, 3), (7, 7)])
         assert list(s.iter_points()) == [1, 2, 3, 7]
+
+
+    def test_one_merge_matches_point_sets(self):
+        # seeded intervals in start order, against the set of their points;
+        # top is the end of the open piece, the largest end so far
+        rng = random.Random(57)
+        kinds = dict.fromkeys(("nested", "touching", "overlapping", "empty", "negative"), 0)
+        for _ in range(500):
+            intervals, points, top = [], set(), None
+            a = rng.randint(-25, 15)
+            for _ in range(rng.randint(0, 10)):
+                a += rng.choice((0, 1, 2, 4, 9))
+                b = a + rng.randint(-2, 10)
+                if top is not None and a <= top + 1 and rng.random() < 0.4:
+                    a = top + 1               # touch the open piece
+                    b = a + rng.randint(0, 4)
+                if b < a:
+                    kinds["empty"] += 1
+                elif top is not None and a == top + 1:
+                    kinds["touching"] += 1
+                elif top is not None and a <= top:
+                    kinds["nested" if b < top else "overlapping"] += 1
+                kinds["negative"] += a < 0 <= b
+                intervals.append((a, b))
+                points.update(range(a, b + 1))
+                if a <= b:
+                    top = b if top is None else max(top, b)
+            s = IntegerIntervalSet(intervals)
+            pieces = s.intervals
+            assert all(a <= b for a, b in pieces)
+            assert all(b + 1 < a2 for (_, b), (a2, _) in zip(pieces, pieces[1:]))
+            assert set(s.iter_points()) == points
+            assert len(s) == len(points)
+            window = range(-30, (top or 0) + 4)
+            assert [n in s for n in window] == [n in points for n in window]
+            nonneg = s.clip(0, (top or 0) + 3)
+            assert [nonneg.count(n) for n in window] == [
+                sum(0 <= p <= n for p in points) for n in window]
+            for _ in range(3):
+                lo = rng.randint(-30, (top or 0) + 3)
+                hi = rng.randint(lo - 2, (top or 0) + 5)
+                cut = s.clip(lo, hi)
+                assert set(cut.iter_points()) == {p for p in points if lo <= p <= hi}
+                assert cut == IntegerIntervalSet((p, p) for p in sorted(cut.iter_points()))
+        assert all(kinds.values()), kinds
+
+    def test_start_below_the_open_piece_is_rejected(self):
+        for intervals in ([(5, 9), (3, 4)], [(0, 3), (6, 8), (5, 5)], [(-2, -1), (-4, 0)]):
+            with pytest.raises(DomainError):
+                IntegerIntervalSet(intervals)
+        # a start inside the open piece is in order, wherever it ends
+        assert IntegerIntervalSet([(0, 10), (3, 4), (2, 12)]).intervals == ((0, 12),)
 
 
 class TestHFunction:
@@ -152,7 +203,7 @@ class TestExtractor:
         a, b, c = checks.power_of_two_series(n_max)
         res = extract_exceptional(a, b, c, n_max, k_max=6)
         assert res.thresholds[1] <= 16
-        kept = IntegerIntervalSet.from_points(p for p in res.exceptional.iter_points() if p != 16)
+        kept = IntegerIntervalSet((p, p) for p in res.exceptional.iter_points() if p != 16)
         res = ExtractionResult(kept, res.thresholds, res.level_sets)
         assert not checks.contract_holds(res, a, b, c, n_max)
 
@@ -224,8 +275,8 @@ def reference_extract(a, b, c, n_max: int, k_max: int = 32) -> ExtractionResult:
     level_sets: list[IntegerIntervalSet] = []
     prev_l = 0
     for k in range(1, k_max + 1):
-        jk = IntegerIntervalSet.from_points(
-            j for j, x in enumerate(av) if x * k > 1
+        jk = IntegerIntervalSet(
+            (j, j) for j, x in enumerate(av) if x * k > 1
         )
         # minimal start so the normalized count stays <= 1/k through the window
         lk = None
@@ -440,6 +491,22 @@ class TestBuildJ:
             if g1 + height(1) <= n <= 3 ** 9 - height(1):
                 for i in range(-height(1), height(1) + 1):
                     assert n + i in gj.jset
+
+    def test_layers_and_union_match_point_sets(self):
+        # each layer is J_k on [0, N + h_k], widened by h_k and cut to
+        # [g(k), N]; the global set is the union of the layers
+        h, n_max = HFunction.linear(), 3 ** 9
+        gj = build_J(4, h, n_max)
+        assert sorted(gj.layers) == [1, 2, 3] and [k for k, _ in gj.skipped] == [4]
+        union = set()
+        for k, layer in gj.layers.items():
+            hk, g = height(k), g_cutoff(h, k)
+            widened = {n + i for n in build_Jk(k, h, n_max + hk).iter_points()
+                       for i in range(-hk, hk + 1)}
+            points = {n for n in widened if g <= n <= n_max}
+            assert set(layer.iter_points()) == points, k
+            union |= points
+        assert set(gj.jset.iter_points()) == union
 
     def test_window_below_cutoff_is_empty(self):
         gj = build_J(1, HFunction.linear(), 80)

@@ -14,7 +14,7 @@ from chaconlab.oracle import (
     brute_correlation,
     brute_dl,
     center_value,
-    phi_repr,
+    phi_run,
     precedes,
     pushforward_step,
     walk_poly,
@@ -271,17 +271,17 @@ class TestBruteDl:
 
 class TestPhiPolynomials:
     def test_base_representations(self):
-        assert phi_repr(0) == (Fraction(1),)
-        assert phi_repr(1) == (Fraction(0), Fraction(1))
-        assert phi_repr(2) == (Fraction(1, 3), Fraction(0), Fraction(2, 3))
+        assert phi_run(2) == [(Fraction(1),), (Fraction(0), Fraction(1)),
+                              (Fraction(1, 3), Fraction(0), Fraction(2, 3))]
+        assert phi_run(0) == [(Fraction(1),)]
+        with pytest.raises(DomainError):
+            phi_run(-1)
 
     def test_coefficients_sum_to_one(self):
-        for l in range(3 ** 5 + 1):
-            assert sum(phi_repr(l)) == 1
+        assert all(sum(poly) == 1 for poly in phi_run(3 ** 5))
 
     def test_degree_is_support_size_minus_one(self):
-        for l in range(3 ** 5 + 1):
-            poly = phi_repr(l)
+        for l, poly in enumerate(phi_run(3 ** 5)):
             assert len(poly) - 1 == compute_bl(l) - 1
             assert poly[-1] != 0
 
@@ -306,8 +306,8 @@ class TestPhiPolynomials:
 
     def test_center_value_matches_profile_peak(self):
         run = dl_run(0, 0, 119)
-        for l in range(120):
-            assert center_value(phi_repr(l)) == H_value(l, run)
+        for l, poly in enumerate(phi_run(119)):
+            assert center_value(poly) == H_value(l, run)
 
     def test_walk_poly_is_binomial(self):
         f2 = walk_poly(2)
@@ -315,15 +315,17 @@ class TestPhiPolynomials:
         assert all(sum(walk_poly(n)) == 1 for n in range(8))
 
     def test_precedes_examples(self):
-        assert precedes(phi_repr(0), phi_repr(0))
-        assert precedes(phi_repr(1), phi_repr(0))
-        assert not precedes(phi_repr(0), phi_repr(1))
+        d0, d1 = phi_run(1)
+        assert precedes(d0, d0)
+        assert precedes(d1, d0)
+        assert not precedes(d0, d1)
 
     def test_partial_sum_order_is_not_total_on_adjacent_indices(self):
         # D_2 mixes a degree-0 term into a degree-2 polynomial, so its first
         # prefix sum exceeds that of D_1; neither direction holds.  Frozen.
-        assert not precedes(phi_repr(2), phi_repr(1))
-        assert not precedes(phi_repr(1), phi_repr(2))
+        _, d1, d2 = phi_run(2)
+        assert not precedes(d2, d1)
+        assert not precedes(d1, d2)
 
     def test_majorized_by_lazy_walk(self):
         assert checks.majorized(120)

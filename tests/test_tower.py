@@ -6,7 +6,6 @@ import pytest
 
 from chaconlab import checks
 from chaconlab.tower import (
-    DepthExceededError,
     TowerAddress,
     _level_start,
     apply_T,
@@ -165,7 +164,7 @@ class TestApplyT:
             try:
                 lhs = apply_T_power(x, a + b)
                 rhs = apply_T_power(apply_T_power(x, a), b)
-            except DepthExceededError:
+            except DomainError:
                 continue  # orbit passed through 0 going backwards
             assert lhs == rhs, (x, a, b)
             compared += 1
@@ -188,10 +187,10 @@ class TestApplyT:
         assert checks.bijective(random.Random(17), 10_000)
 
     def test_inverse_of_zero_exceeds_depth(self):
-        with pytest.raises(DepthExceededError, match=r"^T\^-1\(0/3\^0\) undefined at every stage$"):
+        with pytest.raises(DomainError, match=r"^T\^-1\(0/3\^0\) undefined at every stage$"):
             apply_T_inverse(TriadicRational(0, 0))
         # T(0) = 2/9, so T^-2(2/9) fails at T^-1(0) with the same message
-        with pytest.raises(DepthExceededError, match=r"^T\^-1\(0/3\^0\) undefined at every stage$"):
+        with pytest.raises(DomainError, match=r"^T\^-1\(0/3\^0\) undefined at every stage$"):
             apply_T_power(T(2, 9), -2)
 
     def test_matches_per_stage_loop(self):
@@ -201,13 +200,13 @@ class TestApplyT:
                 y = stage_image(x, k, step)
                 if y is not None:
                     return y
-            raise DepthExceededError
+            raise DomainError
 
         def outcome(fn, *args):
             try:
                 return fn(*args)
-            except DepthExceededError:
-                return DepthExceededError
+            except DomainError:
+                return DomainError
 
         rng = random.Random(23)
         points = []
@@ -228,8 +227,8 @@ class TestApplyT:
         def outcome(x, n, fn):
             try:
                 return fn(x, n)
-            except DepthExceededError as exc:
-                return DepthExceededError, str(exc)
+            except DomainError as exc:
+                return DomainError, str(exc)
 
         rng = random.Random(29)
         cases = []
