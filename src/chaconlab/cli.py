@@ -24,20 +24,17 @@ would have raised.
 from __future__ import annotations
 
 import argparse
-import json
 import math
-import random
 import sys
 from contextlib import nullcontext
 from fractions import Fraction
 from itertools import islice
 from typing import Iterable, Iterator, Sequence
 
-from . import constants, correlation, exceptional, tower
-from .checks import SUITE
-from .exceptional import HFunction, InputError
-from .oracle import FragmentationError
-from .triadic import MAX_STAGE, DomainError, SizeError, TriadicRational
+# only what dl, corr and cesaro run: every other command imports the rest of
+# what it runs, once, as it starts
+from . import correlation, tower
+from .triadic import MAX_STAGE, DomainError, InputError, SizeError, TriadicRational
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -91,6 +88,21 @@ def _ratio(num: int, den: int) -> tuple[int, int, str]:
     return num // g, den // g, "%.12g" % (num / den)
 
 
+class _Cells(dict):
+    """num -> _ratio(num, den) for one den, made at the first lookup of each
+    num and kept for the command.  The numerators of a corr or dl window
+    repeat, so each distinct one is reduced and formatted once; the rows look
+    their cells up as Output writes them."""
+
+    def __init__(self, den: int):
+        super().__init__()
+        self.den = den
+
+    def __missing__(self, num: int) -> tuple[int, int, str]:
+        cells = self[num] = _ratio(num, self.den)
+        return cells
+
+
 class Output:
     """Writes rows as CSV or JSON, deterministically.  Every printed number
     is the program's own, so the int -> str digit limit is lifted while it
@@ -127,6 +139,7 @@ class Output:
         self._write(self._json_chunks(payload))
 
     def _json_chunks(self, payload: dict) -> Iterator[str]:
+        import json
         # default=str prints any other cell as str, as %s does in CSV
         yield json.dumps(dict(payload, seed=self.seed), sort_keys=True, indent=2,
                          default=str) + "\n"
@@ -188,10 +201,13 @@ def cmd_dl(args, out: Output) -> int:
     _cap("l", ls[0], ls[-1], args.cap_l)
 
     def rows() -> Iterator[tuple]:
+        tables: dict[int, _Cells] = {}    # by the exponent e of d_l'
         for l, d in zip(ls, correlation.dl_run(args.k, ls[0], ls[-1])):
-            den = 2 * 3 ** d.e
+            cells = tables.get(d.e)
+            if cells is None:
+                cells = tables[d.e] = _Cells(2 * 3 ** d.e)
             for n, m in enumerate(d.nums, d.start):
-                yield (l, n) + _ratio(m, den)
+                yield (l, n) + cells[m]
 
     out.emit_rows(["l", "n", "num", "den", "decimal"], rows(),
                   {"command": "dl", "k": args.k})
@@ -208,8 +224,8 @@ def cmd_corr(args, out: Output) -> int:
     hi = max(abs(ns[0]), abs(ns[-1]))
     _check_series(args, lo, hi)
     nums, p = correlation.series_numerators(args.k, lo, hi)
-    den = 3 ** p
-    rows = ((n,) + _ratio(nums[abs(n) - lo], den) for n in ns)
+    cells = _Cells(3 ** p)
+    rows = ((n,) + cells[nums[abs(n) - lo]] for n in ns)
     out.emit_rows(["n", "num", "den", "decimal"], rows,
                   {"command": "corr", "k": args.k})
     return EXIT_OK
@@ -222,6 +238,7 @@ def cmd_cesaro(args, out: Output) -> int:
     correlation.mu_Ak(_stage(args.k))
     _check_series(args, 0, args.n_max - 1)
     totals, den = correlation.cesaro_totals(args.k, args.n_max)
+    # a running mean rarely repeats: each row is reduced and formatted anew
     rows = ((n,) + _ratio(t, den * n) for n, t in enumerate(totals, 1))
     out.emit_rows(["N", "num", "den", "decimal"], rows,
                   {"command": "cesaro", "k": args.k})
@@ -229,10 +246,11 @@ def cmd_cesaro(args, out: Output) -> int:
 
 
 def cmd_jset(args, out: Output) -> int:
+    from . import exceptional
     if args.n_max < 0:
         raise DomainError(f"N-max = {args.n_max} < 0")
     _cap("n", args.n_max, args.n_max, args.cap_n)
-    h = HFunction.parse(args.h)
+    h = exceptional.HFunction.parse(args.h)
     _stage(args.k)
     meta: dict = {"command": "jset", "h": args.h, "n_max": args.n_max}
     if args.global_set:
@@ -252,6 +270,7 @@ def cmd_jset(args, out: Output) -> int:
 
 
 def cmd_eset(args, out: Output) -> int:
+    from . import exceptional
     l_max = parse_range(args.l)[-1]   # max() would walk the whole range
     _cap("l", l_max, l_max, args.cap_l)
     # enumerate_Ek's first check, then the stage
@@ -266,6 +285,7 @@ def cmd_eset(args, out: Output) -> int:
 
 
 def cmd_extract(args, out: Output) -> int:
+    from . import exceptional
     ns: dict[int, Fraction] = {}
     bs: dict[int, Fraction] = {}
     cs: dict[int, Fraction] = {}
@@ -344,6 +364,10 @@ def cmd_locate(args, out: Output) -> int:
 
 
 def cmd_verify(args, out: Output) -> int:
+    import random
+
+    from . import constants
+    from .checks import SUITE
     rng = random.Random(args.seed)
     checks = [{"name": name, "pass": bool(check(rng)), "detail": detail}
               for name, detail, check in SUITE]
@@ -449,7 +473,7 @@ def main(argv: list[str] | None = None) -> int:
     out = Output(args.format, args.out, args.seed)
     try:
         return args.fn(args, out)
-    except (SizeError, FragmentationError, OverflowError) as exc:
+    except (SizeError, OverflowError) as exc:   # oracle.FragmentationError too
         print(f"resource cap: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
     except (DomainError, InputError, ValueError, OSError) as exc:

@@ -10,16 +10,15 @@ checked without square roots.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .correlation import H_value, compute_bl, dl_run, profile_gap
 
 HEADROOM = Fraction(121, 100)     # (1.1)^2, applied to squared maxima
 
 
-@dataclass(frozen=True)
-class FrozenConstants:
+class FrozenConstants(NamedTuple):
     """Frozen constants; *_sq fields are exact squares including headroom."""
 
     c1_sq: Fraction        # peak height:        H_l^2 b_l <= c1_sq

@@ -21,10 +21,9 @@ from __future__ import annotations
 
 import sys
 from array import array
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from . import tower
 from .triadic import DomainError
@@ -117,8 +116,7 @@ def support_run(k: int, n_lo: int, n_hi: int) -> range:
 # ---------------------------------------------------------------------------
 # mass recursion
 
-@dataclass(frozen=True)
-class ReturnDistribution:
+class ReturnDistribution(NamedTuple):
     """Exact normalized distribution d_l' on [start, start+len(nums)-1].
 
     Mass i is nums[i] / (2 * 3^e): every mass of d_l' has a denominator

@@ -8,21 +8,17 @@ from __future__ import annotations
 import heapq
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from . import tower
 from .correlation import deviation_numerators, support_span, support_weights
-from .triadic import DomainError
+# InputError is defined beside DomainError, and importable from here too
+from .triadic import DomainError, InputError
 
 
 # largest x that HFunction.inverse_ceil searches
 INVERSE_BOUND = 2.0 ** 512
-
-
-class InputError(ValueError):
-    """A precondition on extractor input data failed; carries a witness."""
 
 
 # ---------------------------------------------------------------------------
@@ -205,8 +201,7 @@ def g_cutoff(h: HFunction, k: int) -> int:
 # ---------------------------------------------------------------------------
 # generic extractor
 
-@dataclass
-class ExtractionResult:
+class ExtractionResult(NamedTuple):
     exceptional: IntegerIntervalSet
     thresholds: list[int]          # l_k for k = 1 .. len(thresholds)
     level_sets: list[IntegerIntervalSet]  # J_k for the same k range
@@ -331,8 +326,7 @@ def build_Jk(k: int, h: HFunction, n_max: int) -> IntegerIntervalSet:
     return IntegerIntervalSet(selected()).clip(0, n_max)
 
 
-@dataclass
-class GlobalJ:
+class GlobalJ(NamedTuple):
     """The global exceptional set on a finite window, layer by layer."""
 
     jset: IntegerIntervalSet
@@ -384,8 +378,7 @@ def enumerate_Ek(k: int, l_max: int) -> tuple[IntegerIntervalSet, int]:
 # ---------------------------------------------------------------------------
 # bounds and verification reports
 
-@dataclass(frozen=True)
-class BoundSpec:
+class BoundSpec(NamedTuple):
     """An evaluable growth bound with explicit constants.
 
     Forms: 'upper'  C * [h(n)] * (log n)^((log log n)^2 h(n))
@@ -445,8 +438,7 @@ def verify_count(iset: IntegerIntervalSet, spec: BoundSpec, grid: Sequence[int])
             "grid": rows, "pass": all_pass}
 
 
-@dataclass(frozen=True)
-class BlockDeviation:
+class BlockDeviation(NamedTuple):
     N: int
     lo: int
     hi: int

@@ -21,13 +21,13 @@ Three unrelated verification devices live here:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import zip_longest
 from math import comb
+from typing import NamedTuple
 
-from .triadic import DomainError, TriadicSet, _pow3_exponent
+from .triadic import DomainError, SizeError, TriadicSet, _pow3_exponent
 
 ORACLE_CAP = 500
 FRAGMENT_CAP = 100_000
@@ -35,8 +35,9 @@ DEPTH_CAP = 11            # deepest stage a pushforward piece may reach
 MAX_EXTRA_STAGES = 80     # stages past m before the correlation chain must settle
 
 
-class FragmentationError(RuntimeError):
-    """The interval pushforward exceeded the fragment budget."""
+class FragmentationError(SizeError):
+    """The interval pushforward exceeded the fragment budget.  A SizeError, so
+    the command line reports it as a resource cap."""
 
 
 # ---------------------------------------------------------------------------
@@ -212,8 +213,7 @@ def brute_correlation(a: TriadicSet, b: TriadicSet, n: int) -> Fraction:
 # ---------------------------------------------------------------------------
 # digit-cell enumeration of return distributions
 
-@dataclass(frozen=True)
-class EnumeratedDistribution:
+class EnumeratedDistribution(NamedTuple):
     """d_l' from the digit-cell enumeration: masses on [start, start+len-1]."""
 
     start: int

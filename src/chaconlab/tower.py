@@ -9,9 +9,9 @@ where the point has a level j with 0 <= j + n < h_k, it is one translation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
+from typing import NamedTuple
 
 from .triadic import DomainError, TriadicRational, normalize
 
@@ -45,8 +45,7 @@ def _level_start(k: int, j: int) -> int:
     return start
 
 
-@dataclass(frozen=True)
-class TowerAddress:
+class TowerAddress(NamedTuple):
     """Position of a point in the stage-k tower.
 
     level is None when the point sits in the spacer reservoir

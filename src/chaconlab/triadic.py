@@ -9,7 +9,6 @@ point anywhere.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
@@ -18,9 +17,14 @@ class DomainError(ValueError):
     """Raised when a value leaves [0,1) or an input violates a precondition."""
 
 
+class InputError(ValueError):
+    """A precondition on extractor input data failed; carries a witness."""
+
+
 class SizeError(RuntimeError):
-    """A requested value exceeds a resource cap.  Only the parsing of input
-    raises it: the command line and TriadicRational.parse."""
+    """A requested value exceeds a resource cap.  The parsing of input raises
+    it (the command line and TriadicRational.parse), and so does an oracle
+    past one of its budgets, as the subclass FragmentationError."""
 
 
 # the deepest stage k a command takes, and the largest m of a p/3^m point: the
@@ -39,27 +43,46 @@ def _pow3_exponent(n: int) -> int | None:
     return e if n == 1 else None
 
 
-@dataclass(frozen=True, order=False)
 class TriadicRational:
     """A point numerator/3**exponent of [0,1), kept in canonical form.
 
     Canonical means the numerator is not divisible by 3 unless the value is
-    exactly 0 (then numerator == 0 and exponent == 0).
+    exactly 0 (then numerator == 0 and exponent == 0).  Immutable, hashable
+    and unordered: equal points compare and hash equal.  Not a tuple, whose <
+    would order points by numerator first, which is not their order in [0,1).
     """
 
-    numerator: int
-    exponent: int
+    __slots__ = ("numerator", "exponent")
 
-    def __post_init__(self):
-        if self.numerator < 0 or self.exponent < 0:
-            raise DomainError(f"negative components: {self.numerator}/3^{self.exponent}")
-        if self.numerator >= 3 ** self.exponent:
-            raise DomainError(f"value {self.numerator}/3^{self.exponent} is not in [0,1)")
-        if self.numerator == 0:
-            if self.exponent != 0:
+    def __init__(self, numerator: int, exponent: int):
+        if numerator < 0 or exponent < 0:
+            raise DomainError(f"negative components: {numerator}/3^{exponent}")
+        if numerator >= 3 ** exponent:
+            raise DomainError(f"value {numerator}/3^{exponent} is not in [0,1)")
+        if numerator == 0:
+            if exponent != 0:
                 raise DomainError("zero must be written 0/3^0")
-        elif self.numerator % 3 == 0:
-            raise DomainError(f"{self.numerator}/3^{self.exponent} is not canonical")
+        elif numerator % 3 == 0:
+            raise DomainError(f"{numerator}/3^{exponent} is not canonical")
+        object.__setattr__(self, "numerator", numerator)
+        object.__setattr__(self, "exponent", exponent)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.numerator == other.numerator and self.exponent == other.exponent
+
+    def __hash__(self) -> int:
+        return hash((self.numerator, self.exponent))
+
+    def __repr__(self) -> str:
+        return f"TriadicRational(numerator={self.numerator!r}, exponent={self.exponent!r})"
 
     @classmethod
     def from_fraction(cls, q: Fraction | int) -> "TriadicRational":

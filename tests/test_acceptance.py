@@ -14,11 +14,13 @@ exact regression fixture, then reports FAIL for the criterion as stated:
 """
 
 import math
+import os
 import random
 import subprocess
 import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -34,6 +36,14 @@ from chaconlab.correlation import (
 )
 from chaconlab.exceptional import BoundSpec, HFunction
 from chaconlab.tower import height
+
+
+def chacon_env():
+    """The environment of test_cli.chacon: the package's src/ first on
+    PYTHONPATH, so a subprocess imports the package under test."""
+    src = str(Path(ex.__file__).parents[1])
+    return {**os.environ,
+            "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
 
 
 def report(num, name, ok, detail=""):
@@ -235,7 +245,7 @@ def test_criterion_13_deterministic_verification(tmp_path):
         proc = subprocess.run(
             [sys.executable, "-m", "chaconlab.cli", "verify", "--suite", "all",
              "--seed", "7", "--out", str(out)],
-            capture_output=True, text=True)
+            capture_output=True, text=True, env=chacon_env())
         assert proc.returncode == 0, proc.stderr
         outputs.append(out.read_bytes())
     ok = outputs[0] == outputs[1] and b'"pass": true' in outputs[0]

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chaconlab import checks, correlation
+from chaconlab import checks, correlation, oracle
 from chaconlab.cli import (
     EXIT_INPUT,
     EXIT_OK,
@@ -32,13 +32,43 @@ from chaconlab.tower import apply_T_power, height, locate
 from chaconlab.triadic import MAX_STAGE, SizeError, TriadicRational
 
 
+def chacon_env():
+    """The environment with the package's src/ first on PYTHONPATH."""
+    src = str(Path(correlation.__file__).parents[1])
+    return {**os.environ,
+            "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+
+
 def chacon(*argv, timeout):
     """Exit code, stdout and stderr of the command in a fresh interpreter."""
-    src = str(Path(correlation.__file__).parents[1])
-    env = {**os.environ,
-           "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
     return subprocess.run([sys.executable, "-m", "chaconlab.cli", *argv],
-                          capture_output=True, text=True, timeout=timeout, env=env)
+                          capture_output=True, text=True, timeout=timeout, env=chacon_env())
+
+
+class TestLeanStart:
+    # a command imports only what it runs: dataclasses would pull in inspect,
+    # ast, dis and tokenize, and the verify stack is verify's alone
+
+    def loaded_after(self, *argv):
+        """The modules loaded once main has run argv in a fresh interpreter."""
+        probe = ("import sys\nfrom chaconlab.cli import main\n"
+                 "assert main(sys.argv[1:]) == 0\nprint(*sys.modules)")
+        proc = subprocess.run([sys.executable, "-c", probe, *argv, "--out", os.devnull],
+                              capture_output=True, text=True, timeout=60, env=chacon_env())
+        assert proc.returncode == 0, proc.stderr
+        return set(proc.stdout.split())
+
+    def test_dl_loads_no_verify_stack(self):
+        loaded = self.loaded_after("dl", "--k", "1", "--l", "0")
+        assert "chaconlab.correlation" in loaded
+        assert loaded.isdisjoint({"dataclasses", "inspect", "chaconlab.exceptional",
+                                  "chaconlab.checks", "chaconlab.oracle",
+                                  "chaconlab.constants"})
+
+    def test_jset_loads_no_oracle(self):
+        loaded = self.loaded_after("jset", "--k", "1", "--N-max", "1000")
+        assert "chaconlab.exceptional" in loaded
+        assert loaded.isdisjoint({"dataclasses", "chaconlab.oracle", "chaconlab.checks"})
 
 
 def run(tmp_path, *argv):
@@ -261,11 +291,19 @@ class TestRowsFromNumerators:
     # each window crosses the CSV chunk size at least twice
 
     def test_corr_matches_fractions(self, capsys):
+        # a window through 0, where values repeat often, and a far one, where
+        # they hardly repeat
         lo, hi = -CHUNK - 50, 2 * CHUNK + 50
         series = correlation_series(1, 0, hi)
         assert 0 in series
         expected = [fraction_row(n, value=series[abs(n)]) for n in range(lo, hi + 1)]
         assert stdout_rows(capsys, ["corr", "--k", "1", f"--n={lo}..{hi}"]) == expected
+        lo, hi, cap = 3 ** 30, 3 ** 30 + 20000, str(3 ** 31)
+        series = correlation_series(1, lo, hi)
+        assert len(set(series)) > len(series) * 9 // 10
+        expected = [fraction_row(n, value=c) for n, c in enumerate(series, lo)]
+        assert stdout_rows(capsys, ["corr", "--k", "1", f"--n={lo}..{hi}",
+                                    "--cap-n", cap, "--cap-l", cap]) == expected
 
     def test_cesaro_matches_fractions(self, capsys):
         big_n = 2 * CHUNK + 100
@@ -926,6 +964,16 @@ class TestVerify:
     def test_unknown_suite_is_invalid(self, tmp_path):
         code, _ = run(tmp_path, "verify", "--suite", "bogus")
         assert code == EXIT_INPUT
+
+    def test_oracle_budget_is_a_resource_cap(self, capsys, monkeypatch):
+        # an oracle past its fragment budget exits 3, and the report is not written
+        def check(rng):
+            raise oracle.FragmentationError("12 fragments in one step")
+
+        monkeypatch.setattr(checks, "SUITE", [("budget", "an oracle past its budget", check)])
+        capsys.readouterr()
+        assert main(["verify", "--suite", "all"]) == EXIT_RESOURCE
+        assert capsys.readouterr() == ("", "resource cap: 12 fragments in one step\n")
 
 
 # ---------------------------------------------------------------------------

@@ -122,6 +122,7 @@ class TestComputeDl:
         d0, d1 = dl_run(1, 0, 1)
         assert (d0.start, d0.masses) == (0, (Fraction(1),))
         assert (d1.start, d1.masses) == (4, (Fraction(1, 2), Fraction(1, 2)))
+        assert repr(d1) == "ReturnDistribution(start=4, nums=(1, 1), e=0)"
 
     def test_small_table(self):
         for k in (1, 2):

@@ -71,6 +71,7 @@ class TestLocate:
         for k in range(5):
             assert locate(TriadicRational(0, 0), k) == TowerAddress(0, Fraction(0))
         assert locate(T(25, 27), 1) == TowerAddress(None, Fraction(1, 27))
+        assert repr(locate(T(1, 3), 1)) == "TowerAddress(level=1, offset=Fraction(1, 9))"
 
     def test_matches_level_intervals(self):
         rng = random.Random(2)

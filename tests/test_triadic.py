@@ -77,6 +77,34 @@ class TestTriadicRational:
         x = T(7, 27)
         assert TriadicRational.parse(str(x)) == x
 
+    def test_equal_points_compare_and_hash_equal(self):
+        x, y = TriadicRational(7, 3), normalize(21, 4)
+        assert x == y and hash(x) == hash(y) and len({x, y}) == 1
+        assert x != TriadicRational(8, 3) and x != (7, 3)
+        assert repr(x) == "TriadicRational(numerator=7, exponent=3)"
+
+    def test_immutable_and_unordered(self):
+        x = TriadicRational(1, 1)
+        with pytest.raises(AttributeError):
+            x.numerator = 2
+        with pytest.raises(AttributeError):
+            x.scale = 2
+        # lexicographic order on (numerator, exponent) would put 2/3^1 below 1/3^2
+        with pytest.raises(TypeError):
+            x < TriadicRational(1, 2)
+        assert (x.numerator, x.exponent) == (1, 1)
+
+    def test_validation_messages(self):
+        cases = [((-1, 0), "negative components: -1/3^0"),
+                 ((1, -1), "negative components: 1/3^-1"),
+                 ((9, 2), "value 9/3^2 is not in [0,1)"),
+                 ((0, 2), "zero must be written 0/3^0"),
+                 ((3, 2), "3/3^2 is not canonical")]
+        for (num, exp), message in cases:
+            with pytest.raises(DomainError) as exc:
+                TriadicRational(num, exp)
+            assert str(exc.value) == message
+
 
 class TestTernaryWord:
     # '0.a1a2...' literals, read in base 3
