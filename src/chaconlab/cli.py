@@ -263,9 +263,8 @@ def cmd_jset(args, out: Output) -> int:
         jset = exceptional.build_Jk(args.k, h, args.n_max)
         meta["mode"] = "layer"
         meta["k"] = args.k
-    rows = [[a, b, jset.count(b)] for a, b in jset.intervals]
     meta["count"] = jset.count(args.n_max)
-    out.emit_rows(["lo", "hi", "count_cum"], rows, meta)
+    out.emit_rows(["lo", "hi", "count_cum"], jset.counted(), meta)
     return EXIT_OK
 
 
@@ -277,8 +276,7 @@ def cmd_eset(args, out: Output) -> int:
     if l_max < 0:
         raise DomainError(f"l = {l_max} < 0")
     ek, covered = exceptional.enumerate_Ek(_stage(args.k), l_max)
-    rows = [[a, b, ek.count(b)] for a, b in ek.intervals]
-    out.emit_rows(["lo", "hi", "count_cum"], rows,
+    out.emit_rows(["lo", "hi", "count_cum"], ek.counted(),
                   {"command": "eset", "k": args.k, "l_max": l_max,
                    "covered": covered, "count": ek.count(covered)})
     return EXIT_OK

@@ -9,10 +9,11 @@ import heapq
 import math
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
-from typing import Callable, Iterable, NamedTuple, Sequence
+from itertools import accumulate, islice
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from . import tower
-from .correlation import deviation_numerators, support_span, support_weights
+from .correlation import deviation_numerators, support_weights
 # InputError is defined beside DomainError, and importable from here too
 from .triadic import DomainError, InputError
 
@@ -54,10 +55,7 @@ class IntegerIntervalSet:
             pieces.append((lo, hi))
         self.intervals: tuple[tuple[int, int], ...] = tuple(pieces)
         self._starts = [a for a, _ in self.intervals]
-        cum = [0]
-        for a, b in self.intervals:
-            cum.append(cum[-1] + b - a + 1)
-        self._cum = cum
+        self._cum = list(accumulate((b - a + 1 for a, b in self.intervals), initial=0))
 
     def __contains__(self, n: int) -> bool:
         i = bisect_right(self._starts, n) - 1
@@ -76,6 +74,11 @@ class IntegerIntervalSet:
             return 0
         a, b = self.intervals[i]
         return self._cum[i] + min(n, b) - a + 1
+
+    def counted(self) -> Iterator[tuple[int, int, int]]:
+        """(a, b, count(b)) for each piece [a, b], in order, read from the
+        running counts in one pass."""
+        return ((a, b, c) for (a, b), c in zip(self.intervals, islice(self._cum, 1, None)))
 
     def clip(self, lo: int, hi: int) -> "IntegerIntervalSet":
         return IntegerIntervalSet(
@@ -293,37 +296,97 @@ def extract_exceptional(a: Sequence, b: Sequence, c: Sequence, n_max: int,
 # ---------------------------------------------------------------------------
 # Chacon-specific constructions
 
+
+def _at_most(c: int) -> bytes:
+    """Translate table that sends a weight w to 1 when w <= c, else to 0;
+    c >= 0."""
+    c = min(c, 255)
+    return b"\1" * (c + 1) + bytes(255 - c)
+
+
+def _weights_meeting(hk: int, n_max: int) -> bytes:
+    """b_0..b_L for every index l whose support can meet [0, n_max].
+
+    Since s_l >= l*h_k, only l <= n_max // h_k can meet the window; among
+    those b_l - 1 is at most the bit length B of n_max // h_k, so
+    s_l = l*h_k + (l - b_l + 1)/2 <= n_max needs l*(2h_k + 1) <= 2*n_max + B.
+    """
+    return support_weights((2 * n_max + (n_max // hk).bit_length()) // (2 * hk + 1))
+
+
+def _selected_runs(h: HFunction, weights: bytes) -> Iterator[tuple[int, int]]:
+    """(i, j) for each maximal run i..j of indices that J_k selects, layer by
+    layer: over [3^N, 3^(N+1)], those with b_l < (log N)^2 h(N).
+
+    Natural logarithm; the N = 1 layer has threshold 0 (nan for loglog) and
+    selects nothing.  The runs come in order of i; an index 3^N that ends
+    one layer and starts the next may come in both.
+    """
+    l_max = len(weights) - 1
+    big_n = 1
+    while 3 ** big_n <= l_max:
+        threshold = math.log(big_n) ** 2 * h(big_n)
+        if threshold > 0:
+            lo = 3 ** big_n
+            # an integer b < threshold exactly when b <= ceil(threshold) - 1;
+            # min keeps an infinite threshold out of ceil
+            cap = math.ceil(min(threshold, 256)) - 1
+            mask = weights[lo:3 * lo + 1].translate(_at_most(cap))
+            i = mask.find(1)
+            while i >= 0:
+                j = mask.find(0, i)
+                if j < 0:
+                    j = len(mask)
+                yield lo + i, lo + j - 1
+                i = mask.find(1, j)
+        big_n += 1
+
+
+def _hull(hk: int, weights: bytes, i: int, j: int) -> tuple[int, int]:
+    """(s_i, t_j) by the closed form of `correlation.support`: the union of the
+    supports of i..j when no gap splits them."""
+    return i * hk + (i - weights[i] + 1) // 2, j * hk + (j + weights[j] - 1) // 2
+
+
 def build_Jk(k: int, h: HFunction, n_max: int) -> IntegerIntervalSet:
     """Exceptional times for the base cell at stage k, on the window [0, n_max].
 
     Over each index layer [3^N, 3^(N+1)], the supports of all indices whose
-    balanced-ternary weight stays under (log N)^2 h(N) are collected.
-    Natural logarithm; the N = 1 layer has threshold 0 (nan for loglog) and
-    contributes nothing.  Since s_l >= l*h_k, only l <= n_max // h_k can meet
-    the window; among those b_l - 1 is at most the bit length L of n_max // h_k,
-    so s_l = l*h_k + (l - b_l + 1)/2 <= n_max needs l*(2h_k + 1) <= 2*n_max + L.
+    balanced-ternary weight stays under (log N)^2 h(N) are collected (see
+    `_selected_runs`).  Each maximal run i..j of selected indices is split
+    by the gap identity, for h = h_k and every l >= 0:
 
-    s_l rises strictly with l, so the selected supports, in index order, are
-    in the start order that IntegerIntervalSet merges in one pass.
+        s_(l+1) - t_l - 1 = h + 1 - max(b_l, b_(l+1)).
+
+    Proof.  By the closed form of `correlation.support`,
+    s_(l+1) - t_l - 1 = h + (1 - b_l - b_(l+1))/2, and |b_l - b_(l+1)| = 1
+    gives b_l + b_(l+1) = 2*max(b_l, b_(l+1)) - 1.
+
+    So a gap stands between the supports of l and l + 1 exactly where both
+    weights are <= h, and one bytes.find in the mask of weights <= h finds
+    the next split of the run.  Between splits the supports of i..j meet
+    or overlap pairwise, so they form the one interval [s_i, t_j].  s_l
+    rises strictly with l, so the pieces come in the start order that
+    IntegerIntervalSet merges in one pass, which also joins pieces of
+    neighbouring runs that touch.  Python steps once per layer, run and
+    split, never per index.
     """
     hk = tower.height(k)
     if k < 1:
         raise DomainError(f"stage k must be >= 1, got {k}")
-    l_max = (2 * n_max + (n_max // hk).bit_length()) // (2 * hk + 1)
-    weights = support_weights(l_max)
+    weights = _weights_meeting(hk, n_max)
+    gaps = weights.translate(_at_most(hk))
 
-    def selected():
-        big_n = 1
-        while 3 ** big_n <= l_max:
-            threshold = math.log(big_n) ** 2 * h(big_n)
-            if threshold > 0:
-                for l in range(3 ** big_n, min(3 ** (big_n + 1), l_max) + 1):
-                    b = weights[l]
-                    if b < threshold:
-                        yield support_span(hk, l, b)
-            big_n += 1
+    def pieces():
+        for i, j in _selected_runs(h, weights):
+            p = gaps.find(b"\1\1", i, j + 1)
+            while p >= 0:
+                yield _hull(hk, weights, i, p)
+                i = p + 1
+                p = gaps.find(b"\1\1", i, j + 1)
+            yield _hull(hk, weights, i, j)
 
-    return IntegerIntervalSet(selected()).clip(0, n_max)
+    return IntegerIntervalSet(pieces()).clip(0, n_max)
 
 
 class GlobalJ(NamedTuple):
@@ -336,8 +399,18 @@ class GlobalJ(NamedTuple):
 
 def build_J(k_max: int, h: HFunction, n_max: int) -> GlobalJ:
     """Union over stages of the stage sets J_k, each widened by h_k on both
-    sides and cut to [g(k), n_max].  The layers' intervals meet the
-    constructor in start order through one heap merge."""
+    sides and cut to [g(k), n_max].
+
+    A time of [g(k), n_max] within h_k of a selected support is within h_k
+    of one that starts at most n_max + h_k, so each layer reads the
+    selected runs of that window.  Fattening lemma: a run i..j of selected
+    indices widens to the one interval [s_i - h_k, t_j + h_k].  Proof.  By
+    the gap identity of `build_Jk`, the gap between the supports of l and
+    l + 1 is at most h_k - 1, because the larger of two weights that differ
+    by 1 is at least 2; widening both by h_k closes it.  So a layer costs
+    one step per run.  The layers' intervals meet the constructor in start
+    order through one heap merge.
+    """
     layers: dict[int, IntegerIntervalSet] = {}
     skipped: list[tuple[int, str]] = []
     for k in range(1, k_max + 1):
@@ -350,8 +423,9 @@ def build_J(k_max: int, h: HFunction, n_max: int) -> GlobalJ:
             skipped.append((k, f"cutoff g({k}) = {g} beyond window"))
             continue
         hk = tower.height(k)
-        jk = build_Jk(k, h, n_max + hk)
-        layers[k] = IntegerIntervalSet((a - hk, b + hk) for a, b in jk.intervals).clip(g, n_max)
+        weights = _weights_meeting(hk, n_max + hk)
+        hulls = (_hull(hk, weights, i, j) for i, j in _selected_runs(h, weights))
+        layers[k] = IntegerIntervalSet((a - hk, b + hk) for a, b in hulls).clip(g, n_max)
     total = IntegerIntervalSet(heapq.merge(*(layer.intervals for layer in layers.values())))
     return GlobalJ(total, layers, skipped)
 
@@ -360,19 +434,25 @@ def enumerate_Ek(k: int, l_max: int) -> tuple[IntegerIntervalSet, int]:
     """Times with zero autocorrelation, as the gaps between supports.
 
     Returns the gap set for indices l < l_max together with the covered
-    range bound (gaps are complete below s_{l_max}).
+    range bound (gaps are complete below s_{l_max}).  By the gap identity
+    of `build_Jk`, s_(l+1) - t_l - 1 = h_k + 1 - max(b_l, b_(l+1)), the gap
+    [t_l + 1, s_(l+1) - 1] is nonempty exactly where bytes l and l + 1 of
+    the mask of weights <= h_k are both 1, so each gap is one bytes.find.
     """
     if l_max < 0:
         raise DomainError(f"l = {l_max} < 0")
     hk = tower.height(k)
-    pieces = []
-    t_prev = -1
-    for l, b in enumerate(support_weights(l_max)):
-        s, t = support_span(hk, l, b)
-        if t_prev + 1 < s:
-            pieces.append((t_prev + 1, s - 1))
-        t_prev = t
-    return IntegerIntervalSet(pieces), s
+    weights = support_weights(l_max)
+    gaps = weights.translate(_at_most(hk))
+
+    def pieces():
+        p = gaps.find(b"\1\1")
+        while p >= 0:
+            s, t = _hull(hk, weights, p + 1, p)
+            yield t + 1, s - 1
+            p = gaps.find(b"\1\1", p + 1)
+
+    return IntegerIntervalSet(pieces()), _hull(hk, weights, l_max, l_max)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -558,6 +558,21 @@ class TestJsetEset:
         assert digest.hexdigest() == (
             "1f35fcc4e9f71e195449f487a1b4b8ecfe113ac5bafcdd80869a1df32b1b730f")
 
+    @pytest.mark.parametrize("argv, expected", [
+        ("jset --k 3 --global --N-max 4782969",
+         "2d9276bffe04e694fac1e9b4c7a074ee4e3c5271862dd942c41ad4ec8e6ac12b"),
+        ("jset --k 1 --N-max 4782969 --h loglog",
+         "3c88dbe4da89d06d55f10d3ceebde9b4a864708aca3ad3677abc36d74c652867"),
+        ("eset --k 1 --l 531441",
+         "0d225217ff943d8e6f0d50bd51e14dba3d4d740a1ecc857bd33514c0aeff2e58"),
+    ])
+    def test_large_window_pinned(self, capsys, argv, expected):
+        # sha256 of stdout at the default seed, recorded at commit 7834188,
+        # when the producers still stepped once per index
+        capsys.readouterr()
+        assert main(argv.split()) == EXIT_OK
+        assert hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest() == expected
+
     def test_eset_count_past_index_size(self, tmp_path):
         for fmt in ("csv", "json"):
             code, text = run(tmp_path, "eset", "--k", "45", "--l", "3", "--format", fmt)

@@ -1,3 +1,4 @@
+import heapq
 import math
 import random
 from fractions import Fraction
@@ -5,7 +6,14 @@ from fractions import Fraction
 import pytest
 
 from chaconlab import checks
-from chaconlab.correlation import autocorrelation, compute_bl, dl_run, support
+from chaconlab.correlation import (
+    autocorrelation,
+    compute_bl,
+    dl_run,
+    support,
+    support_span,
+    support_weights,
+)
 from chaconlab.exceptional import (
     BoundSpec,
     ExtractionResult,
@@ -57,6 +65,12 @@ class TestIntegerIntervalSet:
     def test_iter_points(self):
         s = IntegerIntervalSet([(1, 3), (7, 7)])
         assert list(s.iter_points()) == [1, 2, 3, 7]
+
+    def test_counted_matches_count(self):
+        s = IntegerIntervalSet([(1, 2), (5, 7), (8, 10), (20, 20)])
+        assert list(s.counted()) == [(a, b, s.count(b)) for a, b in s.intervals] == [
+            (1, 2, 2), (5, 10, 8), (20, 20, 9)]
+        assert list(IntegerIntervalSet().counted()) == []
 
 
     def test_one_merge_matches_point_sets(self):
@@ -553,6 +567,98 @@ class TestEnumerateEk:
                 gaps = IntegerIntervalSet((d.end + 1, e.start - 1)
                                           for d, e in zip(dists, dists[1:]))
                 assert enumerate_Ek(k, l_max) == (gaps, dists[-1].start)
+
+
+# the producers as they stood before they stepped by runs: one support_span
+# per selected index, merged by the constructor, kept as the reference that
+# the run-stepping producers must equal
+def reference_Jk(k, h, n_max):
+    hk = height(k)
+    l_max = (2 * n_max + (n_max // hk).bit_length()) // (2 * hk + 1)
+    weights = list(support_weights(l_max))
+    pieces = []
+    big_n = 1
+    while 3 ** big_n <= l_max:
+        threshold = math.log(big_n) ** 2 * h(big_n)
+        if threshold > 0:
+            for l in range(3 ** big_n, min(3 ** (big_n + 1), l_max) + 1):
+                if weights[l] < threshold:
+                    pieces.append(support_span(hk, l, weights[l]))
+        big_n += 1
+    return IntegerIntervalSet(pieces).clip(0, n_max)
+
+
+def reference_J(k_max, h, n_max):
+    layers, skipped = {}, []
+    for k in range(1, k_max + 1):
+        try:
+            g = g_cutoff(h, k)
+        except OverflowError as exc:
+            skipped.append((k, f"cutoff beyond overflow bound: {exc}"))
+            continue
+        if g > n_max:
+            skipped.append((k, f"cutoff g({k}) = {g} beyond window"))
+            continue
+        hk = height(k)
+        jk = reference_Jk(k, h, n_max + hk)
+        layers[k] = IntegerIntervalSet((a - hk, b + hk) for a, b in jk.intervals).clip(g, n_max)
+    total = IntegerIntervalSet(heapq.merge(*(layer.intervals for layer in layers.values())))
+    return total, layers, skipped
+
+
+def reference_Ek(k, l_max):
+    hk = height(k)
+    pieces = []
+    t_prev = -1
+    for l, b in enumerate(support_weights(l_max)):
+        s, t = support_span(hk, l, b)
+        if t_prev + 1 < s:
+            pieces.append((t_prev + 1, s - 1))
+        t_prev = t
+    return IntegerIntervalSet(pieces), s
+
+
+# every window edge 3^N - 1, 3^N, 3^N + 1 up to 3^12, and the first two times
+WINDOW_EDGES = [0, 1] + [3 ** big_n + d for big_n in range(1, 13) for d in (-1, 0, 1)]
+
+
+class TestRunsMatchPerIndex:
+    @pytest.mark.parametrize("spec", ["linear", "log", "loglog", "power:0.5", "power:0.25",
+                                      "table"])
+    def test_build_Jk_and_J(self, spec, tmp_path):
+        if spec == "table":
+            path = tmp_path / "h.csv"
+            path.write_text("x,y\n1,1\n4,2\n8,3\n", encoding="utf-8")
+            spec = f"table:{path}"
+        h = HFunction.parse(spec)
+        for n_max in WINDOW_EDGES:
+            for k in (1, 2, 3):
+                assert build_Jk(k, h, n_max) == reference_Jk(k, h, n_max), (spec, k, n_max)
+            # the layers do not depend on k_max, so k_max = 3 covers 1 and 2
+            total, layers, skipped = reference_J(3, h, n_max)
+            gj = build_J(3, h, n_max)
+            assert gj.jset == total, (spec, n_max)
+            assert gj.layers == layers and list(gj.layers) == list(layers), (spec, n_max)
+            assert gj.skipped == skipped, (spec, n_max)
+
+    def test_enumerate_Ek(self):
+        # the reference steps once per index, so the sizes stop at 3^10 + 1
+        sizes = [0, 1, 2] + [3 ** big_n + d for big_n in range(1, 11) for d in (-1, 1)]
+        for k in (0, 1, 2, 3):
+            for l_max in sizes:
+                assert enumerate_Ek(k, l_max) == reference_Ek(k, l_max), (k, l_max)
+
+    def test_gap_identity_and_bound(self):
+        # s_(l+1) - t_l - 1 = h_k + 1 - max(b_l, b_(l+1)) <= h_k - 1
+        for k in (1, 2, 3):
+            hk = height(k)
+            t_prev, b_prev = support(k, 0)[1], compute_bl(0)
+            for l in range(1, 3 ** 9 + 1):
+                s, t = support(k, l)
+                b = compute_bl(l)
+                gap = s - t_prev - 1
+                assert gap == hk + 1 - max(b_prev, b) <= hk - 1, (k, l)
+                t_prev, b_prev = t, b
 
 
 class TestBounds:
