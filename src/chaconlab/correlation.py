@@ -44,29 +44,6 @@ def compute_bl(l: int) -> int:
     return b
 
 
-_PLUS_ONE = bytes(range(1, 256)) + b"\0"    # translate table: byte x to x + 1
-
-
-def support_weights(l_max: int) -> bytes:
-    """b_0, ..., b_l_max, one byte each, by b_3q = b_q, b_(3q+1) = b_q + 1 and
-    b_(3q+2) = b_(q+1) + 1: each round triples b_0..b_(n-1) into
-    b_0..b_(3n-2) by one translate and three strided slice assignments.
-
-    A byte is enough: b_l - 1 counts the nonzero balanced-ternary digits of
-    l, and every l <= (3^254 - 1)/2 has at most 254 digits, so b_l <= 255
-    for every l < 3^253, far past any table that fits in memory."""
-    b = bytearray((1, 2))
-    while len(b) <= l_max:
-        up = b.translate(_PLUS_ONE)
-        tripled = bytearray(3 * len(b) - 1)
-        tripled[0::3] = b
-        tripled[1::3] = up
-        tripled[2::3] = up[1:]
-        b = tripled
-    del b[l_max + 1:]
-    return bytes(b)
-
-
 # ---------------------------------------------------------------------------
 # supports
 

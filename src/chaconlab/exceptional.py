@@ -13,7 +13,7 @@ from itertools import accumulate, islice
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from . import tower
-from .correlation import deviation_numerators, support_weights
+from .correlation import deviation_numerators, support
 # InputError is defined beside DomainError, and importable from here too
 from .triadic import DomainError, InputError
 
@@ -297,64 +297,91 @@ def extract_exceptional(a: Sequence, b: Sequence, c: Sequence, n_max: int,
 # Chacon-specific constructions
 
 
-def _at_most(c: int) -> bytes:
-    """Translate table that sends a weight w to 1 when w <= c, else to 0;
-    c >= 0."""
-    c = min(c, 255)
-    return b"\1" * (c + 1) + bytes(255 - c)
-
-
-def _weights_meeting(hk: int, n_max: int) -> bytes:
-    """b_0..b_L for every index l whose support can meet [0, n_max].
-
-    Since s_l >= l*h_k, only l <= n_max // h_k can meet the window; among
-    those b_l - 1 is at most the bit length B of n_max // h_k, so
-    s_l = l*h_k + (l - b_l + 1)/2 <= n_max needs l*(2h_k + 1) <= 2*n_max + B.
+def _weight_runs(c: int, lo: int, hi: int) -> Iterator[tuple[int, int, int, int]]:
+    """(i, j, b_i, b_j) for each maximal run i..j of indices in [lo, hi],
+    lo >= 0, with b_l - 1 <= c, in order, by one explicit-stack walk over
+    the balanced-ternary digit tree.  A node fixes the digits of l above the
+    m lowest, pw of them nonzero.  Node bound: it covers 3^m consecutive
+    indices, whose weights b_l - 1 fill [pw, pw + m], with pw + m at both
+    edges.  Proof.  The free digits add each integer of [-(3^m - 1)/2,
+    (3^m - 1)/2] once and hold 0 to m nonzero digits, all -1 at the lower
+    edge and all +1 at the upper.  So a node is skipped when pw > c, taken
+    whole when pw + m <= c inside [lo, hi], reduced to its centre (free
+    digits 0) when pw = c, and split into its three children otherwise.
     """
-    return support_weights((2 * n_max + (n_max // hk).bit_length()) // (2 * hk + 1))
+    powers = [1]
+    while powers[-1] // 2 < hi:
+        powers.append(3 * powers[-1])
+    stack = [(-(powers[-1] // 2), len(powers) - 1, 0)]     # (lower edge, m, pw)
+    run = None
+    while stack:
+        a, m, pw = stack.pop()
+        b = a + powers[m] - 1
+        if b < lo or a > hi or pw > c:
+            continue
+        if pw < c and (pw + m > c or a < lo or b > hi):
+            m -= 1
+            stack += ((a + 2 * powers[m], m, pw + 1), (a + powers[m], m, pw), (a, m, pw + 1))
+            continue
+        if pw + m > c:
+            a = b = a + powers[m] // 2
+            m = 0
+            if not lo <= a <= hi:
+                continue
+        if run and run[1] + 1 == a:
+            run = (run[0], b, run[2], 1 + pw + m)
+        else:
+            if run:
+                yield run
+            run = (a, b, 1 + pw + m, 1 + pw + m)
+    if run:
+        yield run
 
 
-def _selected_runs(h: HFunction, weights: bytes) -> Iterator[tuple[int, int]]:
-    """(i, j) for each maximal run i..j of indices that J_k selects, layer by
-    layer: over [3^N, 3^(N+1)], those with b_l < (log N)^2 h(N).
+def _steps(p: int, b: int, end: int) -> Iterator[tuple[int, int, int]]:
+    """(l, b_l, b_(l+1)) for l = p .. end - 1, from b = b_p, by the weight
+    step: b_(l+1) = b_l + 1 when the lowest digit of l that is not +1 is 0,
+    else b_l - 1.  Proof.  Adding 1 turns each trailing +1 into -1 and
+    raises the next digit: 0 to +1 adds a nonzero digit, -1 to 0 drops one.
+    The low digit is l % 3 read as 0, 1 or -1; above a +1 stands l // 3.
+    """
+    for p in range(p, end):
+        q = p
+        while q % 3 == 1:
+            q //= 3
+        after = b + 1 - q % 3
+        yield p, b, after
+        b = after
+
+
+def _layers(h: HFunction, hk: int, n_max: int) -> Iterator[tuple[int, int, int]]:
+    """(lo, hi, c) for each index layer [3^N, 3^(N+1)] of stage k, where J_k
+    selects the indices with b_l < (log N)^2 h(N), that is b_l - 1 <= c.
 
     Natural logarithm; the N = 1 layer has threshold 0 (nan for loglog) and
-    selects nothing.  The runs come in order of i; an index 3^N that ends
-    one layer and starts the next may come in both.
+    selects nothing.  The layers stop at the last index whose support can
+    meet [0, n_max]: only l <= n_max // h_k can, since s_l >= l*h_k, and
+    there b_l - 1 is at most the bit length B of n_max // h_k, so
+    s_l = l*h_k + (l - b_l + 1)/2 <= n_max needs l*(2h_k + 1) <= 2*n_max + B.
     """
-    l_max = len(weights) - 1
+    l_max = (2 * n_max + (n_max // hk).bit_length()) // (2 * hk + 1)
     big_n = 1
     while 3 ** big_n <= l_max:
         threshold = math.log(big_n) ** 2 * h(big_n)
         if threshold > 0:
             lo = 3 ** big_n
-            # an integer b < threshold exactly when b <= ceil(threshold) - 1;
-            # min keeps an infinite threshold out of ceil
-            cap = math.ceil(min(threshold, 256)) - 1
-            mask = weights[lo:3 * lo + 1].translate(_at_most(cap))
-            i = mask.find(1)
-            while i >= 0:
-                j = mask.find(0, i)
-                if j < 0:
-                    j = len(mask)
-                yield lo + i, lo + j - 1
-                i = mask.find(1, j)
+            # an integer b < threshold exactly when b - 1 <= ceil(threshold) - 2;
+            # every b_l of the layer is at most N + 3 (N + 2 digits), so the
+            # clamp, which keeps an infinite threshold out of ceil, selects alike
+            yield lo, min(3 * lo, l_max), math.ceil(min(threshold, big_n + 4)) - 2
         big_n += 1
-
-
-def _hull(hk: int, weights: bytes, i: int, j: int) -> tuple[int, int]:
-    """(s_i, t_j) by the closed form of `correlation.support`: the union of the
-    supports of i..j when no gap splits them."""
-    return i * hk + (i - weights[i] + 1) // 2, j * hk + (j + weights[j] - 1) // 2
 
 
 def build_Jk(k: int, h: HFunction, n_max: int) -> IntegerIntervalSet:
     """Exceptional times for the base cell at stage k, on the window [0, n_max].
 
-    Over each index layer [3^N, 3^(N+1)], the supports of all indices whose
-    balanced-ternary weight stays under (log N)^2 h(N) are collected (see
-    `_selected_runs`).  Each maximal run i..j of selected indices is split
-    by the gap identity, for h = h_k and every l >= 0:
+    Each maximal run i..j of selected indices (see `_layers` and
+    `_weight_runs`) is split by the gap identity, for h = h_k and l >= 0:
 
         s_(l+1) - t_l - 1 = h + 1 - max(b_l, b_(l+1)).
 
@@ -363,28 +390,27 @@ def build_Jk(k: int, h: HFunction, n_max: int) -> IntegerIntervalSet:
     gives b_l + b_(l+1) = 2*max(b_l, b_(l+1)) - 1.
 
     So a gap stands between the supports of l and l + 1 exactly where both
-    weights are <= h, and one bytes.find in the mask of weights <= h finds
-    the next split of the run.  Between splits the supports of i..j meet
-    or overlap pairwise, so they form the one interval [s_i, t_j].  s_l
-    rises strictly with l, so the pieces come in the start order that
-    IntegerIntervalSet merges in one pass, which also joins pieces of
-    neighbouring runs that touch.  Python steps once per layer, run and
-    split, never per index.
+    weights are <= h: where l and l + 1 share a run of the walk at
+    c = min(h - 1, c_N), inside a selected run; `_steps` gives b at each
+    split.  Between splits the supports meet or overlap, so they form the
+    one interval [s_i, t_j].  s_l rises strictly with l, so the pieces come
+    in the start order that IntegerIntervalSet merges in one pass.
     """
     hk = tower.height(k)
     if k < 1:
         raise DomainError(f"stage k must be >= 1, got {k}")
-    weights = _weights_meeting(hk, n_max)
-    gaps = weights.translate(_at_most(hk))
 
     def pieces():
-        for i, j in _selected_runs(h, weights):
-            p = gaps.find(b"\1\1", i, j + 1)
-            while p >= 0:
-                yield _hull(hk, weights, i, p)
-                i = p + 1
-                p = gaps.find(b"\1\1", i, j + 1)
-            yield _hull(hk, weights, i, j)
+        for lo, hi, c in _layers(h, hk, n_max):
+            gaps = _weight_runs(min(hk - 1, c), lo, hi)
+            gap = next(gaps, None)
+            for i, j, bi, bj in _weight_runs(c, lo, hi):
+                while gap and gap[0] <= j:
+                    for p, b, after in _steps(gap[0], gap[2], gap[1]):
+                        yield i * hk + (i - bi + 1) // 2, p * hk + (p + b - 1) // 2
+                        i, bi = p + 1, after
+                    gap = next(gaps, None)
+                yield i * hk + (i - bi + 1) // 2, j * hk + (j + bj - 1) // 2
 
     return IntegerIntervalSet(pieces()).clip(0, n_max)
 
@@ -408,8 +434,8 @@ def build_J(k_max: int, h: HFunction, n_max: int) -> GlobalJ:
     the gap identity of `build_Jk`, the gap between the supports of l and
     l + 1 is at most h_k - 1, because the larger of two weights that differ
     by 1 is at least 2; widening both by h_k closes it.  So a layer costs
-    one step per run.  The layers' intervals meet the constructor in start
-    order through one heap merge.
+    one step per run of `_weight_runs`, which gives b at both ends.  The
+    layers' intervals meet the constructor in start order by one heap merge.
     """
     layers: dict[int, IntegerIntervalSet] = {}
     skipped: list[tuple[int, str]] = []
@@ -423,9 +449,10 @@ def build_J(k_max: int, h: HFunction, n_max: int) -> GlobalJ:
             skipped.append((k, f"cutoff g({k}) = {g} beyond window"))
             continue
         hk = tower.height(k)
-        weights = _weights_meeting(hk, n_max + hk)
-        hulls = (_hull(hk, weights, i, j) for i, j in _selected_runs(h, weights))
-        layers[k] = IntegerIntervalSet((a - hk, b + hk) for a, b in hulls).clip(g, n_max)
+        hulls = ((i * hk + (i - bi + 1) // 2 - hk, j * hk + (j + bj - 1) // 2 + hk)
+                 for lo, hi, c in _layers(h, hk, n_max + hk)
+                 for i, j, bi, bj in _weight_runs(c, lo, hi))
+        layers[k] = IntegerIntervalSet(hulls).clip(g, n_max)
     total = IntegerIntervalSet(heapq.merge(*(layer.intervals for layer in layers.values())))
     return GlobalJ(total, layers, skipped)
 
@@ -436,23 +463,17 @@ def enumerate_Ek(k: int, l_max: int) -> tuple[IntegerIntervalSet, int]:
     Returns the gap set for indices l < l_max together with the covered
     range bound (gaps are complete below s_{l_max}).  By the gap identity
     of `build_Jk`, s_(l+1) - t_l - 1 = h_k + 1 - max(b_l, b_(l+1)), the gap
-    [t_l + 1, s_(l+1) - 1] is nonempty exactly where bytes l and l + 1 of
-    the mask of weights <= h_k are both 1, so each gap is one bytes.find.
+    [t_l + 1, s_(l+1) - 1] is nonempty exactly where l and l + 1 share a
+    run of `_weight_runs` at c = h_k - 1, along which `_steps` gives b.
     """
     if l_max < 0:
         raise DomainError(f"l = {l_max} < 0")
     hk = tower.height(k)
-    weights = support_weights(l_max)
-    gaps = weights.translate(_at_most(hk))
-
-    def pieces():
-        p = gaps.find(b"\1\1")
-        while p >= 0:
-            s, t = _hull(hk, weights, p + 1, p)
-            yield t + 1, s - 1
-            p = gaps.find(b"\1\1", p + 1)
-
-    return IntegerIntervalSet(pieces()), _hull(hk, weights, l_max, l_max)[0]
+    # [t_p + 1, s_(p+1) - 1] for each gap; b_(p+1) has the parity of p
+    gaps = ((p * hk + (p + b + 1) // 2, (p + 1) * hk + (p - after) // 2)
+            for i, j, bi, _ in _weight_runs(hk - 1, 0, l_max)
+            for p, b, after in _steps(i, bi, j))
+    return IntegerIntervalSet(gaps), support(k, l_max)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -565,13 +565,38 @@ class TestJsetEset:
          "3c88dbe4da89d06d55f10d3ceebde9b4a864708aca3ad3677abc36d74c652867"),
         ("eset --k 1 --l 531441",
          "0d225217ff943d8e6f0d50bd51e14dba3d4d740a1ecc857bd33514c0aeff2e58"),
+        ("jset --k 3 --global --N-max 129140163 --cap-n 129140163",
+         "6f652f1e9912d2e88a2df75164b035190d1250cb754e67683bf8b2292cb4428b"),
+        ("jset --k 2 --h power:0.5 --N-max 4782969",
+         "7de12a5d5d87d2275cc61f0979701d5f8980b05859ee744cee66bc3cbe780445"),
+        ("eset --k 2 --l 531441",
+         "51ebbbb630bb208b6fc55533091b608ce7daa42cb5c7e2e4f5fc366dcccb97eb"),
     ])
     def test_large_window_pinned(self, capsys, argv, expected):
-        # sha256 of stdout at the default seed, recorded at commit 7834188,
-        # when the producers still stepped once per index
+        # sha256 of stdout at the default seed: the first three recorded at
+        # commit 7834188, when the producers still stepped once per index,
+        # the last three at bb2359f, when they still read a table of weights
         capsys.readouterr()
         assert main(argv.split()) == EXIT_OK
         assert hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest() == expected
+
+    @pytest.mark.parametrize("power, expected", [
+        (100, "a3d964bb1cd7bf9fd46b7825097787134fe66ccc1f4b75a9d7bfae79d1c8057b"),
+        (300, "970303f2b530c4d340474b429a9157561303d31ce66e772886fb6398e85b1f96"),
+    ])
+    def test_far_window_pinned(self, capsys, power, expected):
+        # self-recorded: no commit before the digit walk reaches these windows,
+        # since its table of weights took about 5 bytes per index.  J holds
+        # five pieces, the last [346, n], so n - 288 points; the header reads
+        # count(), because len() overflows past 2^63 points
+        n = 3 ** power
+        capsys.readouterr()
+        assert main(["jset", "--k", "3", "--global", "--N-max", str(n),
+                     "--cap-n", str(n)]) == EXIT_OK
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == expected
+        assert f" count={n - 288} " in out.splitlines()[0]
+        assert out.splitlines()[-1] == f"346,{n},{n - 288}"
 
     def test_eset_count_past_index_size(self, tmp_path):
         for fmt in ("csv", "json"):

@@ -63,19 +63,10 @@ class TestBalancedTernary:
             assert compute_bl(3 * l + 2) == compute_bl(l + 1) + 1
 
     def test_weight_counts_nonzero_digits(self):
-        weights = co.support_weights(3 ** 8)
-        assert len(weights) == 3 ** 8 + 1
         for l in range(3 ** 8 + 1):
-            assert compute_bl(l) == weights[l] == 1 + sum(map(abs, balanced_ternary(l)))
-        assert list(co.support_weights(0)) == [1]
+            assert compute_bl(l) == 1 + sum(map(abs, balanced_ternary(l)))
         with pytest.raises(DomainError):
             compute_bl(-1)
-
-    def test_support_weights_match_digit_count(self):
-        reference = [compute_bl(l) for l in range(3 ** 9 + 2)]
-        sizes = set(range(801)) | {3 ** j + d for j in range(10) for d in (-1, 0, 1)}
-        for m in sorted(sizes):
-            assert list(co.support_weights(m)) == reference[:m + 1], m
 
     def test_weight_ratio_bounds(self):
         for l in range(3, 3 ** 8):

@@ -12,7 +12,6 @@ from chaconlab.correlation import (
     dl_run,
     support,
     support_span,
-    support_weights,
 )
 from chaconlab.exceptional import (
     BoundSpec,
@@ -20,6 +19,8 @@ from chaconlab.exceptional import (
     HFunction,
     InputError,
     IntegerIntervalSet,
+    _steps,
+    _weight_runs,
     build_J,
     build_Jk,
     convergence_report,
@@ -569,13 +570,27 @@ class TestEnumerateEk:
                 assert enumerate_Ek(k, l_max) == (gaps, dists[-1].start)
 
 
+def weight_list(l_max):
+    """b_0..b_l_max by b_3q = b_q, b_(3q+1) = b_q + 1 and b_(3q+2) = b_(q+1) + 1."""
+    b = [1, 2]
+    for l in range(2, l_max + 1):
+        q, r = divmod(l, 3)
+        b.append(b[q] if r == 0 else b[q] + 1 if r == 1 else b[q + 1] + 1)
+    return tuple(b[:l_max + 1])
+
+
+# b_l for every index the references below read: the last, 118,101, is the
+# last index whose support can meet [0, 3^12 + 1 + h_1] at stage 1
+WEIGHTS = weight_list(3 ** 11)
+
+
 # the producers as they stood before they stepped by runs: one support_span
 # per selected index, merged by the constructor, kept as the reference that
 # the run-stepping producers must equal
 def reference_Jk(k, h, n_max):
     hk = height(k)
     l_max = (2 * n_max + (n_max // hk).bit_length()) // (2 * hk + 1)
-    weights = list(support_weights(l_max))
+    weights = WEIGHTS[:l_max + 1]
     pieces = []
     big_n = 1
     while 3 ** big_n <= l_max:
@@ -610,7 +625,7 @@ def reference_Ek(k, l_max):
     hk = height(k)
     pieces = []
     t_prev = -1
-    for l, b in enumerate(support_weights(l_max)):
+    for l, b in enumerate(WEIGHTS[:l_max + 1]):
         s, t = support_span(hk, l, b)
         if t_prev + 1 < s:
             pieces.append((t_prev + 1, s - 1))
@@ -659,6 +674,51 @@ class TestRunsMatchPerIndex:
                 gap = s - t_prev - 1
                 assert gap == hk + 1 - max(b_prev, b) <= hk - 1, (k, l)
                 t_prev, b_prev = t, b
+
+
+def reference_runs(c, lo, hi):
+    """The maximal runs i..j of [lo, hi] with b_l - 1 <= c, one index at a
+    time, as (i, j, b_i, b_j)."""
+    runs = []
+    for l in range(lo, hi + 1):
+        if compute_bl(l) - 1 <= c:
+            if runs and runs[-1][1] == l - 1:
+                runs[-1][1] = l
+            else:
+                runs.append([l, l])
+    return [(i, j, compute_bl(i), compute_bl(j)) for i, j in runs]
+
+
+class TestWeightWalk:
+    def test_runs_match_per_index(self):
+        # every window whose edges are 0, 1 or 3^N +- 1 for N <= 7
+        edges = [0, 1] + [3 ** big_n + d for big_n in range(1, 8) for d in (-1, 1)]
+        for lo in edges:
+            for hi in edges:
+                if lo <= hi:
+                    for c in range(10):
+                        assert list(_weight_runs(c, lo, hi)) == reference_runs(c, lo, hi), \
+                            (c, lo, hi)
+
+    def test_far_windows(self):
+        # windows around 3^40, where the walk passes 40 digit levels
+        rng = random.Random(26)
+        for _ in range(20):
+            lo = 3 ** 40 + rng.randrange(-3 ** 6, 3 ** 6)
+            hi = lo + rng.randrange(3 ** 5)
+            c = rng.randrange(42)
+            assert list(_weight_runs(c, lo, hi)) == reference_runs(c, lo, hi), (c, lo, hi)
+
+    def test_empty_window_and_threshold(self):
+        assert list(_weight_runs(5, 10, 9)) == []
+        assert list(_weight_runs(-1, 0, 100)) == []
+        assert list(_weight_runs(0, 0, 100)) == [(0, 0, 1, 1)]
+
+    def test_weight_step(self):
+        steps = list(_steps(0, 1, 3 ** 9))
+        assert steps == [(p, compute_bl(p), compute_bl(p + 1)) for p in range(3 ** 9)]
+        assert list(_steps(3 ** 30, 2, 3 ** 30 + 40)) == [
+            (p, compute_bl(p), compute_bl(p + 1)) for p in range(3 ** 30, 3 ** 30 + 40)]
 
 
 class TestBounds:
