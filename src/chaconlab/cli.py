@@ -34,6 +34,7 @@ from typing import Iterable, Iterator, Sequence
 # only what dl, corr and cesaro run: every other command imports the rest of
 # what it runs, once, as it starts
 from . import correlation, tower
+from .correlation import BLOCK
 from .triadic import MAX_STAGE, DomainError, InputError, SizeError, TriadicRational
 
 EXIT_OK = 0
@@ -81,32 +82,51 @@ def _parse_value(text: str, lineno: int) -> Fraction:
         raise InputError(f"line {lineno}: {text!r} is not a finite rational") from None
 
 
-def _ratio(num: int, den: int) -> tuple[int, int, str]:
-    """num/den in lowest terms, and its decimal as dec12 prints it: int / int
-    is correctly rounded, so it is the same float."""
+def _ratio(num: int, den: int) -> str:
+    """The cells num,den,decimal of num/den: the fraction in lowest terms, and
+    its decimal as dec12 prints it (int / int is correctly rounded, so it is
+    the same float)."""
     g = math.gcd(num, den)
-    return num // g, den // g, "%.12g" % (num / den)
+    return "%d,%d,%.12g" % (num // g, den // g, num / den)
 
 
 class _Cells(dict):
     """num -> _ratio(num, den) for one den, made at the first lookup of each
-    num and kept for the command.  The numerators of a corr or dl window
-    repeat, so each distinct one is reduced and formatted once; the rows look
-    their cells up as Output writes them."""
+    num.  The numerators of a corr or dl block repeat, so each distinct one
+    is reduced and formatted once, and kept as one string; the rows look
+    their cells up as Output writes them.  A table holds at most about one
+    block's values: `over` replaces it when the den changes or once it
+    holds BLOCK entries."""
 
     def __init__(self, den: int):
         super().__init__()
         self.den = den
 
-    def __missing__(self, num: int) -> tuple[int, int, str]:
+    def __missing__(self, num: int) -> str:
         cells = self[num] = _ratio(num, self.den)
         return cells
 
+    def over(self, den: int) -> _Cells:
+        """The table for a block over den: this one, while it is over den and
+        holds fewer than BLOCK values, else a new one."""
+        return self if self.den == den and len(self) < BLOCK else _Cells(den)
+
+
+def _json_value_row(row: Sequence) -> list:
+    """A row of `Output.emit_values` with its value's cells read back."""
+    *keys, value = row
+    num, den, decimal = value.split(",")
+    return [*keys, int(num), int(den), decimal]
+
 
 class Output:
-    """Writes rows as CSV or JSON, deterministically.  Every printed number
-    is the program's own, so the int -> str digit limit is lifted while it
-    writes and the caller's limit restored after."""
+    """Writes rows as CSV or JSON, deterministically.  CSV is written a chunk
+    of rows at a time as the rows are made, so memory is set by the chunk and
+    by what the command's rows hold, and every check of the command must come
+    before the first row; JSON gathers its rows into one document.  Every
+    printed number is the program's own, so the int -> str digit limit is
+    lifted while the rows are made and written, and the caller's limit
+    restored after."""
 
     CSV_CHUNK = 4096   # rows formatted, joined and written at a time
 
@@ -116,18 +136,28 @@ class Output:
         self.seed = seed
 
     def emit_rows(self, header: list[str], rows: Iterable[Sequence], meta: dict) -> None:
-        """CSV is written a chunk of rows at a time as the rows are made, so
-        every check of the command must come before the call."""
+        """One cell per column, each printed as str prints it."""
         if self.fmt == "csv":
-            self._write(self._csv_chunks(header, iter(rows), meta))
+            self._write(self._csv_chunks(header, iter(rows), meta, len(header)))
         else:
-            self.emit_json(dict(meta, columns=header, rows=list(rows)))
+            self._write(self._json_chunks(dict(meta, columns=header), rows))
+
+    def emit_values(self, keys: list[str], rows: Iterable[Sequence], meta: dict) -> None:
+        """Rows of key cells and one exact value, in the columns keys, num,
+        den and decimal: each row's last cell is the value's `_ratio` text,
+        which CSV writes as it is and JSON reads back into its cells."""
+        header = keys + ["num", "den", "decimal"]
+        if self.fmt == "csv":
+            self._write(self._csv_chunks(header, iter(rows), meta, len(keys) + 1))
+        else:
+            self._write(self._json_chunks(dict(meta, columns=header),
+                                          map(_json_value_row, rows)))
 
     def _csv_chunks(self, header: list[str], rows: Iterator[Sequence],
-                    meta: dict) -> Iterator[str]:
+                    meta: dict, width: int) -> Iterator[str]:
         lines = ["# seed=%d %s" % (self.seed, " ".join(
             "%s=%s" % (k, meta[k]) for k in sorted(meta))), ",".join(header)]
-        line = ",".join(["%s"] * len(header))   # %s formats a cell as str does
+        line = ",".join(["%s"] * width)   # %s formats a cell as str does
         while True:
             lines += [line % tuple(row) for row in islice(rows, self.CSV_CHUNK)]
             if not lines:
@@ -138,8 +168,10 @@ class Output:
     def emit_json(self, payload: dict) -> None:
         self._write(self._json_chunks(payload))
 
-    def _json_chunks(self, payload: dict) -> Iterator[str]:
+    def _json_chunks(self, payload: dict, rows: Iterable | None = None) -> Iterator[str]:
         import json
+        if rows is not None:
+            payload = dict(payload, rows=list(rows))
         # default=str prints any other cell as str, as %s does in CSV
         yield json.dumps(dict(payload, seed=self.seed), sort_keys=True, indent=2,
                          default=str) + "\n"
@@ -190,6 +222,17 @@ def _check_series(args, lo: int, hi: int) -> None:
 # ---------------------------------------------------------------------------
 # subcommands
 
+def _blocks(window: range, size: int) -> Iterator[range]:
+    """window in consecutive pieces of at most size values."""
+    return (window[i:i + size] for i in range(0, len(window), size))
+
+
+def _abs_span(ns: range) -> tuple[int, int]:
+    """The least and greatest |n| over the nonempty range ns."""
+    lo = 0 if ns[0] <= 0 <= ns[-1] else min(abs(ns[0]), abs(ns[-1]))
+    return lo, max(-ns[0], ns[-1])
+
+
 def cmd_dl(args, out: Output) -> int:
     ls = parse_range(args.l)
     # the first index's errors (l < 0, over the cap, a negative stage), then the
@@ -201,16 +244,19 @@ def cmd_dl(args, out: Output) -> int:
     _cap("l", ls[0], ls[-1], args.cap_l)
 
     def rows() -> Iterator[tuple]:
-        tables: dict[int, _Cells] = {}    # by the exponent e of d_l'
-        for l, d in zip(ls, correlation.dl_run(args.k, ls[0], ls[-1])):
-            cells = tables.get(d.e)
-            if cells is None:
-                cells = tables[d.e] = _Cells(2 * 3 ** d.e)
-            for n, m in enumerate(d.nums, d.start):
-                yield (l, n) + cells[m]
+        cells = _Cells(0)
+        # each d_l' of a block of indices is over its own 2 * 3^e, read here
+        # over the block's largest e: one den per block
+        for block in _blocks(ls, BLOCK // 27):
+            run = correlation.dl_run(args.k, block[0], block[-1])
+            e = max(d.e for d in run)
+            cells = cells.over(2 * 3 ** e)
+            for l, d in zip(block, run):
+                scale = 3 ** (e - d.e)
+                for n, m in enumerate(d.nums, d.start):
+                    yield l, n, cells[m * scale]
 
-    out.emit_rows(["l", "n", "num", "den", "decimal"], rows(),
-                  {"command": "dl", "k": args.k})
+    out.emit_values(["l", "n"], rows(), {"command": "dl", "k": args.k})
     return EXIT_OK
 
 
@@ -219,15 +265,18 @@ def cmd_corr(args, out: Output) -> int:
     # a cap error names the first row over the cap: this one, or else the
     # first n over it in the series below
     _cap("n", abs(ns[0]), abs(ns[0]), args.cap_n)
-    # c_k is even in n: one series over |n| covers the whole range
-    lo = 0 if ns[0] <= 0 <= ns[-1] else min(abs(ns[0]), abs(ns[-1]))
-    hi = max(abs(ns[0]), abs(ns[-1]))
-    _check_series(args, lo, hi)
-    nums, p = correlation.series_numerators(args.k, lo, hi)
-    cells = _Cells(3 ** p)
-    rows = ((n,) + cells[nums[abs(n) - lo]] for n in ns)
-    out.emit_rows(["n", "num", "den", "decimal"], rows,
-                  {"command": "corr", "k": args.k})
+    _check_series(args, *_abs_span(ns))
+
+    def rows() -> Iterator[tuple]:
+        cells = _Cells(0)
+        # c_k is even in n: one series over |n| covers a block of rows
+        for block in _blocks(ns, BLOCK):
+            lo, hi = _abs_span(block)
+            nums, p = correlation.series_numerators(args.k, lo, hi)
+            cells = cells.over(3 ** p)
+            yield from ((n, cells[nums[abs(n) - lo]]) for n in block)
+
+    out.emit_values(["n"], rows(), {"command": "corr", "k": args.k})
     return EXIT_OK
 
 
@@ -239,9 +288,8 @@ def cmd_cesaro(args, out: Output) -> int:
     _check_series(args, 0, args.n_max - 1)
     totals, den = correlation.cesaro_totals(args.k, args.n_max)
     # a running mean rarely repeats: each row is reduced and formatted anew
-    rows = ((n,) + _ratio(t, den * n) for n, t in enumerate(totals, 1))
-    out.emit_rows(["N", "num", "den", "decimal"], rows,
-                  {"command": "cesaro", "k": args.k})
+    rows = ((n, _ratio(t, den * n)) for n, t in enumerate(totals, 1))
+    out.emit_values(["N"], rows, {"command": "cesaro", "k": args.k})
     return EXIT_OK
 
 

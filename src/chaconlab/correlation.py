@@ -11,10 +11,14 @@ have a closed form in l, h_k and the balanced-ternary weight of l, so
 membership queries never materialize masses and finding the indices that
 meet a window of times costs the window's width, not its offset.  The
 deviation |c_k(n) - mu(A_k)^2| that defines the exceptional sets is one
-series of integers over a common denominator, which the Cesaro totals and
-the block report both read.  The L1 estimates on the centered profiles D_l
-are integer sums over the numerators of one stage-0 run.  Nothing here caps
-the size of its input: the command line does, before it calls in.
+series of integers over a common denominator, which the block report reads.
+A long window is read in blocks of BLOCK times, each one series: the Cesaro
+totals carry their running sum from block to block over one denominator
+fixed before the first block, and the command line reads corr and dl rows
+the same way, so what any of them holds at once is set by the block, not by
+the window.  The L1 estimates on the centered profiles D_l are integer sums
+over the numerators of one stage-0 run.  Nothing here caps the size of its
+input: the command line does, before it calls in.
 """
 
 from __future__ import annotations
@@ -22,11 +26,17 @@ from __future__ import annotations
 import sys
 from array import array
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, chain
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from . import tower
 from .triadic import DomainError
+
+# times per block of a streamed window: `cesaro_totals` and the corr command
+# read a window BLOCK times at a time, and the dl command BLOCK // 27 indices,
+# each of which holds a few masses; a block's series, rows and value table,
+# not the window, set what a command holds at once
+BLOCK = 3 ** 8
 
 
 # ---------------------------------------------------------------------------
@@ -297,11 +307,41 @@ def deviation_numerators(k: int, n_lo: int, n_hi: int) -> tuple[Iterator[int], i
 
 def cesaro_totals(k: int, big_n: int) -> tuple[Iterator[int], int]:
     """Integers T_1, ..., T_N and den with C_M = T_M / (den * M): the running
-    sums of `deviation_numerators` over 0..N-1, formed as the iterator is read."""
+    sums of `deviation_numerators` over 0..N-1.  Every check runs at the
+    call; each block is built as the iterator reaches it.
+
+    The window is read BLOCK times at a time, one `deviation_numerators`
+    series per block, and the running sum carries from block to block over
+    one den fixed before the first block: den = 3^max(L + k + 1, 2k + 2),
+    where L is the level count of the last index l_top of the window's
+    support run, L(m) = 0 for m <= 1 and L(m) = 1 + L(ceil(m/3)) otherwise.
+    A block's own den is 3^max(p, 2k + 2), with p = E + k + 1 and E the
+    largest exponent e_l over its support run, which lies inside the
+    window's; so it divides this one once every e_l <= L(l_top).
+
+    Proof.  L is nondecreasing, since ceil(m/3) is.  `_shape_run` gives
+    e_0 = e_1 = 0, and for l = 3q + r >= 2, e_l = e_q if r = 0 and
+    max(e_q, e_(q+1)) + 1 otherwise.  Induct on l: for r = 0,
+    e_l = e_q <= L(q) <= L(l); for r > 0, q + 1 = ceil(l/3), so
+    e_l <= L(q + 1) + 1 = L(l).  Then e_l <= L(l) <= L(l_top).
+    """
     if big_n < 1:
         raise DomainError(f"N = {big_n} < 1")
-    devs, den = deviation_numerators(k, 0, big_n - 1)
-    return accumulate(devs), den
+    mu_Ak(k)
+    top, levels = support_run(k, 0, big_n - 1)[-1], 0
+    while top > 1:
+        top, levels = -(-top // 3), levels + 1
+    den = 3 ** max(levels + k + 1, 2 * k + 2)
+
+    def blocks() -> Iterator[list[int]]:
+        total = 0
+        for lo in range(0, big_n, BLOCK):
+            devs, block_den = deviation_numerators(k, lo, min(lo + BLOCK, big_n) - 1)
+            block = list(accumulate(map((den // block_den).__mul__, devs), initial=total))[1:]
+            total = block[-1]
+            yield block
+
+    return chain.from_iterable(blocks()), den
 
 
 # ---------------------------------------------------------------------------

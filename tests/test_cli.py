@@ -7,6 +7,7 @@ import random
 import shlex
 import subprocess
 import sys
+import tracemalloc
 from contextlib import contextmanager, redirect_stderr, redirect_stdout
 from fractions import Fraction
 from pathlib import Path
@@ -250,6 +251,80 @@ def test_series_output_pinned(capsys):
     # recorded at commit e06cecc, before SupportIndex and the cached masses went
     assert digest.hexdigest() == (
         "10174d74d2f18d0222273ff98a75d825d0b9c66deb5a2698db622c8e6457313d")
+
+
+def test_blocked_series_output_pinned(capsys):
+    # exit code, stdout and stderr, CSV and JSON, of windows that span several
+    # blocks: corr across 0 and wholly below it, widths 3^8 - 1, 3^8 and
+    # 3^8 + 1 (the block and either side of it), a cesaro window whose blocks
+    # differ in p, and dl over many blocks of indices
+    commands = [
+        ["corr", "--k", "1", "--n=-20000..7000"],
+        ["corr", "--k", "2", "--n=-9000..-7000"],
+        ["corr", "--k", "1", "--n", "0..6559"],
+        ["corr", "--k", "1", "--n", "0..6560"],
+        ["corr", "--k", "1", "--n", "0..6561"],
+        ["cesaro", "--k", "1", "--N-max", "30000"],
+        ["dl", "--k", "1", "--l", "0..3000"],
+        ["dl", "--k", "2", "--l", "2377..4563"],
+    ]
+    capsys.readouterr()
+    digest = hashlib.sha256()
+    for argv in commands:
+        for fmt in ("csv", "json"):
+            code = main(argv + ["--format", fmt])
+            captured = capsys.readouterr()
+            digest.update(f"{code}\n{captured.out}{captured.err}".encode("utf-8"))
+    # recorded at commit cb036f8, which read each window whole
+    assert digest.hexdigest() == (
+        "60479a21e85584d4ed7de330c96e8d90d2e67a78acf4c218c04df522a9e221f7")
+
+
+class TestBlocks:
+    # corr, cesaro and dl read their windows a block at a time
+
+    @pytest.mark.parametrize("command, flag, narrow, wide", [
+        ("corr", "--n", f"0..{3 ** 9 - 1}", f"0..{3 ** 11 - 1}"),
+        ("cesaro", "--N-max", str(3 ** 9), str(3 ** 11)),
+        ("dl", "--l", f"0..{3 ** 7 - 1}", f"0..{3 ** 9 - 1}"),
+    ])
+    def test_heap_peak_is_set_by_the_block(self, tmp_path, command, flag, narrow, wide):
+        # a window nine times wider may at most double the traced heap peak
+        path = str(tmp_path / "out.txt")
+
+        def peak(window):
+            argv = [command, "--k", "1", flag, window, "--out", path]
+            tracemalloc.start()
+            try:
+                assert main(argv) == EXIT_OK
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(narrow)   # any one-time allocation lands here, not in the runs compared
+        assert peak(wide) <= 2 * peak(narrow)
+
+    def test_failing_window_prints_nothing(self, tmp_path, capsys, monkeypatch):
+        # every check runs before the first block is built
+        calls = []
+        for name in ("series_numerators", "deviation_numerators"):
+            build = getattr(correlation, name)
+            monkeypatch.setattr(correlation, name,
+                                lambda *a, build=build: calls.append(a) or build(*a))
+        path = tmp_path / "out.txt"
+        cases = [(["corr", "--k", "1", "--n", "0..20000", "--cap-l", "100"],
+                  "resource cap: l = 101 exceeds cap 100\n"),
+                 (["corr", "--k", "1", "--n=-20000..100", "--cap-n", "19999"],
+                  "resource cap: n = 20000 exceeds cap 19999\n"),
+                 (["cesaro", "--k", "1", "--N-max", "20000", "--cap-l", "100"],
+                  "resource cap: l = 101 exceeds cap 100\n")]
+        for argv, err in cases:
+            for extra in ([], ["--out", str(path)]):
+                capsys.readouterr()
+                assert main(argv + extra) == EXIT_RESOURCE
+                assert capsys.readouterr() == ("", err)
+                assert not path.exists()
+                assert calls == [], argv
 
 
 def test_readme_commands_run(tmp_path, capsys):

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from chaconlab import checks, cli, correlation as co
 from chaconlab.correlation import (
+    BLOCK,
     autocorrelation,
     cell_correlation,
     cesaro_totals,
@@ -506,6 +507,18 @@ class TestCesaro:
             running = accumulate(abs(c - mu_Ak(k) ** 2) for c in correlation_series(k, 0, 399))
             assert [Fraction(t, den) for t in totals] == list(running), k
 
+
+def test_cesaro_totals_carry_across_blocks():
+    # the blocks of these windows differ in p, and each block's deviations
+    # join the running sum over the one den fixed before the first block
+    big_n = 30000
+    for k in (1, 2):
+        ps = {series_numerators(k, lo, min(lo + BLOCK, big_n) - 1)[1]
+              for lo in range(0, big_n, BLOCK)}
+        assert len(ps) > 1, k
+        totals, den = cesaro_totals(k, big_n)
+        running = accumulate(abs(c - mu_Ak(k) ** 2) for c in correlation_series(k, 0, big_n - 1))
+        assert [Fraction(t, den) for t in totals] == list(running), k
 
 class TestDeviationNumerators:
     def test_matches_fraction_reference(self):
