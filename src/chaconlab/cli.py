@@ -63,23 +63,32 @@ def parse_range(text: str) -> range:
     return range(a, b + 1)
 
 
-def _parse_value(text: str, lineno: int) -> Fraction:
-    """An extract cell as an exact rational.  A plain decimal p or p/q is read
-    by int, as Fraction reads it but without its regex; any other rational
-    literal by Fraction; a decimal point or exponent as the binary64 value."""
+def _parse_value(text: str, lineno: int) -> tuple[int, int]:
+    """An extract cell as an exact rational num/den, den > 0: the pair the
+    extractor's integer columns hold.  A plain decimal p or p/q is read by int
+    straight into the pair, as Fraction reads it but without its regex, and
+    is not reduced: every test of the extractor gives the same answer on any
+    pair of the same value, so reducing would cost a gcd and change nothing.
+    Any other rational literal is read by Fraction, and a decimal point or
+    exponent as the binary64 value, and gives that value's reduced pair."""
     text = text.strip()
     num, slash, den = text.partition("/")
     try:
         # isdecimal admits only digits both read; int would also take the
         # signs, spaces and underscores that Fraction rejects beside the slash
         if num.isdecimal() and (den.isdecimal() or not slash):
-            return Fraction(int(num), int(den) if slash else 1)
+            p, q = int(num), int(den) if slash else 1
+            if q:
+                return p, q
+            raise ZeroDivisionError     # as Fraction(p, 0) raises it
         if slash or ("." not in text and "e" not in text.lower()):
-            return Fraction(text)
-        return Fraction(float(text))
+            x = Fraction(text)
+        else:
+            x = Fraction(float(text))
     except (ZeroDivisionError, OverflowError):
         # a zero denominator, or a float literal that overflows to infinity
         raise InputError(f"line {lineno}: {text!r} is not a finite rational") from None
+    return x.numerator, x.denominator
 
 
 def _ratio(num: int, den: int) -> str:
@@ -332,9 +341,10 @@ def cmd_eset(args, out: Output) -> int:
 
 def cmd_extract(args, out: Output) -> int:
     from . import exceptional
-    ns: dict[int, Fraction] = {}
-    bs: dict[int, Fraction] = {}
-    cs: dict[int, Fraction] = {}
+    # one integer column pair per series column, in file order; b and c get a
+    # term only from the rows that fill them.  row[n] is n's place in the file
+    a, b, c = (exceptional.Column([], []) for _ in range(3))
+    row: dict[int, int] = {}
     with open(args.series, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.strip()
@@ -344,36 +354,45 @@ def cmd_extract(args, out: Output) -> int:
             if len(parts) < 2:
                 raise InputError(f"line {lineno}: expected columns n, a [, b [, c]]")
             n = int(parts[0])
-            if n in ns:
+            if n in row:
                 raise InputError(f"line {lineno}: repeated n = {n}")
-            ns[n] = _parse_value(parts[1], lineno)
-            if len(parts) > 2 and parts[2].strip():
-                bs[n] = _parse_value(parts[2], lineno)
-            if len(parts) > 3 and parts[3].strip():
-                cs[n] = _parse_value(parts[3], lineno)
-    if not ns:
+            row[n] = len(row)
+            for col, cell in zip((a, b, c), parts[1:4]):
+                # an empty b or c cell leaves its column short, caught below
+                if col is a or cell.strip():
+                    num, den = _parse_value(cell, lineno)
+                    col.num.append(num)
+                    col.den.append(den)
+    if not row:
         raise InputError(f"no data rows in {args.series}")
-    n_max = max(ns)
-    # the keys are distinct integers: this is ns == {0..n_max} without building it
-    if min(ns) != 0 or len(ns) != n_max + 1:
+    n_max = max(row)
+    # the keys are distinct integers: this is row == {0..n_max} without building it
+    if min(row) != 0 or len(row) != n_max + 1:
         raise InputError("series must cover every n from 0 to its maximum")
-    a = [ns[n] for n in range(n_max + 1)]
-    if bs:
-        if len(bs) != n_max + 1:
-            raise InputError("b column must cover every n when present")
-        b = [bs[n] for n in range(n_max + 1)]
-    else:
+    for name, col in (("b", b), ("c", c)):
+        if col.num and len(col.num) != n_max + 1:
+            raise InputError(f"{name} column must cover every n when present")
+    if any(n != i for i, n in enumerate(row)):
+        # the rows came out of order: put each column's terms in the order of n
+        order = [row[n] for n in range(n_max + 1)]
+        for col in (a, b, c):
+            if col.num:
+                col.num = [col.num[i] for i in order]
+                col.den = [col.den[i] for i in order]
+    del row     # about 0.5 MB on a 2^13-row series: free it before the extractor runs
+    if not b.num:
+        # b_0 = 0 and b_n = (a_0 + ... + a_(n-1)) / n, over n times the sum's den
         run = Fraction(0)
-        b = [Fraction(0)]
-        for n in range(1, n_max + 1):
-            run += a[n - 1]
-            b.append(run / n)
-    if cs:
-        if len(cs) != n_max + 1:
-            raise InputError("c column must cover every n when present")
-        c = [cs[n] for n in range(n_max + 1)]
-    else:
-        c = [Fraction(1 / math.log(n + 2)) for n in range(n_max + 1)]
+        for n in range(n_max + 1):
+            b.num.append(run.numerator)
+            b.den.append(run.denominator * max(n, 1))
+            if a.num[n]:
+                run += Fraction(a.num[n], a.den[n])
+    if not c.num:
+        for n in range(n_max + 1):
+            num, den = (1 / math.log(n + 2)).as_integer_ratio()
+            c.num.append(num)
+            c.den.append(den)
 
     res = exceptional.extract_exceptional(a, b, c, n_max)
     rows = [["l_k", k + 1, lk] for k, lk in enumerate(res.thresholds)]

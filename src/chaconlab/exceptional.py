@@ -210,16 +210,37 @@ class ExtractionResult(NamedTuple):
     level_sets: list[IntegerIntervalSet]  # J_k for the same k range
 
 
-def _fractions(xs: Sequence) -> list[Fraction]:
-    return [x if isinstance(x, Fraction) else Fraction(x) for x in xs]
+class Column:
+    """A sequence of rationals as two integer lists: term i is num[i] / den[i],
+    with den[i] > 0 and the pair not necessarily in lowest terms."""
+
+    __slots__ = ("num", "den")
+
+    def __init__(self, num: list[int], den: list[int]):
+        self.num = num
+        self.den = den
 
 
-def extract_exceptional(a: Sequence, b: Sequence, c: Sequence, n_max: int,
-                        k_max: int = 32) -> ExtractionResult:
+def _column(xs: Sequence | Column, n_max: int) -> Column:
+    """Terms 0..n_max of xs as a Column.  A Column is taken as it is, so it
+    must hold exactly those terms; any other sequence is read term by term,
+    an int or a Fraction through its own numerator and denominator, and
+    anything else (a float, say) through Fraction."""
+    if isinstance(xs, Column):
+        return xs
+    xs = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in xs[: n_max + 1]]
+    return Column([x.numerator for x in xs], [x.denominator for x in xs])
+
+
+def extract_exceptional(a: Sequence | Column, b: Sequence | Column, c: Sequence | Column,
+                        n_max: int, k_max: int = 32) -> ExtractionResult:
     """Construct the exceptional set from a deviation sequence and its rates.
 
     a[j] for j <= n_max is the nonnegative deviation sequence, b[n] a bound
-    on its running Cesaro average, c[n] a decreasing null sequence.  The
+    on its running Cesaro average, c[n] a decreasing null sequence.  Each is
+    a sequence of ints, Fractions or floats (a float stands for its exact
+    binary64 value), or a Column of integer numerators and positive
+    denominators, which is read without building a Fraction per term.  The
     level sets are {j : a_j > 1/k}; each threshold l_k is the minimal window
     start from which the normalized count stays below 1/k (certified on the
     finite window only).
@@ -230,24 +251,36 @@ def extract_exceptional(a: Sequence, b: Sequence, c: Sequence, n_max: int,
     cnt * k <= floor(n * b_n / c_n), because cnt * k is an integer; c_n <= 0
     always passes, since n * b_n >= 0 once the Cesaro bound holds.  At n = 0
     the test is cnt == 0.
+
+    No pair needs to be in lowest terms, because every test reads a term only
+    through a quantity that scaling its pair (p, q) to (g p, g q), g > 0,
+    leaves unchanged.  The sign of a_j and of c_n is the sign of p, since
+    q > 0.  The Cesaro test S > n * b_n is S_num * b_den > n * b_num * S_den,
+    and c_n > c_(n-1) is c_num[n] * c_den[n-1] > c_num[n-1] * c_den[n]:
+    scaling one term's pair multiplies both sides by g, which keeps the
+    order.  The cap n * b_num * c_den // (b_den * c_num) is floor(n * b_n / c_n):
+    scaling b's pair by g and c's by h multiplies its numerator and its
+    denominator by g * h.  And q // p + 1 is floor(q / p) + 1.  The running
+    sum S is a Fraction, built only at the terms with a_j != 0, and the
+    Cesaro error prints it and b_n in lowest terms.
     """
-    av = _fractions(a[: n_max + 1])
-    bv = _fractions(b[: n_max + 1])
-    cv = _fractions(c[: n_max + 1])
-    if len(av) != n_max + 1 or len(bv) != n_max + 1 or len(cv) != n_max + 1:
+    a, b, c = (_column(x, n_max) for x in (a, b, c))
+    if len(a.num) != n_max + 1 or len(b.num) != n_max + 1 or len(c.num) != n_max + 1:
         raise InputError(f"sequences must cover indices 0..{n_max}")
-    if any(x.numerator < 0 for x in av):
+    a_num, a_den = a.num, a.den
+    b_num, b_den = b.num, b.den
+    c_num, c_den = c.num, c.den
+    if any(p < 0 for p in a_num):
         raise InputError("deviation sequence has a negative entry")
-    b_num = [x.numerator for x in bv]
-    b_den = [x.denominator for x in bv]
     running = Fraction(0)
+    s_num, s_den = 0, 1
     for n in range(1, n_max + 1):
-        if av[n - 1]:
-            running += av[n - 1]
-        if running.numerator * b_den[n] > n * b_num[n] * running.denominator:
-            raise InputError(f"Cesaro bound violated at n={n}: mean {running / n} > {bv[n]}")
-    c_num = [x.numerator for x in cv]
-    c_den = [x.denominator for x in cv]
+        if a_num[n - 1]:
+            running += Fraction(a_num[n - 1], a_den[n - 1])
+            s_num, s_den = running.numerator, running.denominator
+        if s_num * b_den[n] > n * b_num[n] * s_den:
+            raise InputError(f"Cesaro bound violated at n={n}: mean {running / n} > "
+                             f"{Fraction(b_num[n], b_den[n])}")
     for n in range(1, n_max + 1):
         if c_num[n] * c_den[n - 1] > c_num[n - 1] * c_den[n]:
             raise InputError(f"c is not decreasing at n={n}")
@@ -256,7 +289,7 @@ def extract_exceptional(a: Sequence, b: Sequence, c: Sequence, n_max: int,
     caps = [0] + [n * b_num[n] * c_den[n] // (b_den[n] * c_num[n]) if c_num[n] > 0 else math.inf
                   for n in range(1, n_max + 1)]
     # (first k with a_j * k > 1, j) for every j that enters some level set, in j order
-    firsts = [(x.denominator // x.numerator + 1, j) for j, x in enumerate(av) if x.numerator]
+    firsts = [(a_den[j] // p + 1, j) for j, p in enumerate(a_num) if p]
 
     thresholds: list[int] = []
     level_sets: list[IntegerIntervalSet] = []

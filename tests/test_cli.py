@@ -723,6 +723,29 @@ def extract_one_row(path, cell, capsys):
     return code, captured.out, captured.err
 
 
+def pinned_series(n_points):
+    """The series of TestExtract.test_output_pinned on n_points points."""
+    rng = random.Random("extract-pinned")
+    a = [Fraction(0)] * n_points
+    for i, n in enumerate(rng.sample(range(n_points), n_points // 16)):
+        a[n] = Fraction(1, 1 + i % 32)
+    b, total = [Fraction(1)], Fraction(0)
+    for n in range(1, n_points):
+        total += a[n - 1]
+        b.append((total + 1) / n)
+    c = [Fraction(1 / math.log(n + 2)) for n in range(n_points)]
+    return a, b, c
+
+
+def extract_text(path, text, capsys):
+    """Exit code, stdout sha256 and stderr of extract on the series text."""
+    path.write_text(text, encoding="utf-8")
+    capsys.readouterr()
+    code = main(["extract", str(path)])
+    captured = capsys.readouterr()
+    return code, hashlib.sha256(captured.out.encode("utf-8")).hexdigest(), captured.err
+
+
 class TestExtract:
     def test_cells_read_as_fraction_reads_them(self, tmp_path, capsys):
         series = tmp_path / "series.csv"
@@ -736,7 +759,7 @@ class TestExtract:
                 expected = (EXIT_INPUT, "", f"invalid input: {exc}\n")
             else:
                 got = _parse_value(cell, 2)
-                assert type(got) is Fraction and got == value, cell
+                assert got[1] > 0 and Fraction(*got) == value, cell
                 # a signed p/q is never plain decimal, so only Fraction reads it
                 expected = extract_one_row(
                     series, f"{value.numerator:+d}/{value.denominator}", capsys)
@@ -830,6 +853,68 @@ class TestExtract:
         # recorded at commit 28b6eb4, the last one with the Fraction extractor
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
             "4698535898a5527ece2724deeaa392edc2672846282761405daf482d5d90824d")
+
+    def test_column_forms_output_pinned(self, tmp_path, capsys):
+        # recorded at commit c1357ca, whose extractor read every cell as a Fraction
+        series = tmp_path / "series.csv"
+        a, b, c = pinned_series(2 ** 11)
+        n_points = len(a)
+        # default b (the running means) and default c
+        text = "n,a\n" + "".join(f"{n},{a[n]}\n" for n in range(n_points))
+        assert extract_text(series, text, capsys) == (
+            EXIT_OK, "253d2a89d2e52e06bf207a09d08c304a2e6e530084b4f659f7168692630ae826", "")
+        # default c only: the same output as test_output_pinned
+        text = "n,a,b\n" + "".join(f"{n},{a[n]},{b[n]}\n" for n in range(n_points))
+        pinned = (EXIT_OK, "4698535898a5527ece2724deeaa392edc2672846282761405daf482d5d90824d", "")
+        assert extract_text(series, text, capsys) == pinned
+
+        # the test_output_pinned series with its rows shuffled and a third of
+        # its cells unreduced and zero-padded: the same output again
+        def cell(x, n):
+            if x == Fraction(1, 2):
+                return "2/4"
+            return f"{2 * x.numerator:03d}/{2 * x.denominator:03d}" if n % 3 == 0 else str(x)
+
+        rows = [f"{n},{cell(a[n], n)},{cell(b[n], n + 1)},{cell(c[n], n + 2)}\n"
+                for n in range(n_points)]
+        random.Random("extract-shuffled").shuffle(rows)
+        text = "n,a,b,c\n" + "".join(rows)
+        assert ",2/4," in text and ",000/002," in text and ",002/044," in text
+        assert extract_text(series, text, capsys) == pinned
+
+    def test_column_errors_pinned(self, tmp_path, capsys):
+        # recorded at commit c1357ca; the Cesaro error prints reduced fractions
+        series = tmp_path / "series.csv"
+        no_output = hashlib.sha256(b"").hexdigest()
+        cases = [("n,a,b\n0,0,1\n1,0,\n2,0,1\n", "b column must cover every n when present"),
+                 ("n,a,b,c\n0,0,1,1\n1,0,,1\n2,0,1,1\n",
+                  "b column must cover every n when present"),
+                 ("n,a,b,c\n0,0,1,1\n1,0,1,\n2,0,1,1\n", "c column must cover every n when present"),
+                 ("n,a,b\n0,2/4,2/2\n1,006/004,2/4\n2,0,003/009\n3,0,1\n",
+                  "Cesaro bound violated at n=2: mean 1 > 1/3"),
+                 ("n,a,b,c\n0,0,1,004/008\n1,0,1,2/6\n2,0,1,010/030\n3,0,1,3/6\n",
+                  "c is not decreasing at n=3")]
+        for text, err in cases:
+            assert extract_text(series, text, capsys) == (
+                EXIT_INPUT, no_output, f"invalid input: {err}\n"), text
+
+    def test_heap_peak_of_bench_series(self, tmp_path):
+        # the traced heap peak of extract on a 2^13-row series shaped like the
+        # exceptional benchmark's: 4.31 MB when every cell was a Fraction kept
+        # in an n-keyed dict (commit c1357ca), 2.27 MB from integer columns
+        a, b, c = pinned_series(2 ** 13)
+        series = tmp_path / "series.csv"
+        series.write_text("n,a,b,c\n" + "".join(
+            f"{n},{a[n]},{b[n]},{c[n]}\n" for n in range(len(a))), encoding="utf-8")
+        argv = ["extract", str(series), "--out", str(tmp_path / "out.txt")]
+        assert main(argv) == EXIT_OK    # any one-time allocation lands here
+        tracemalloc.start()
+        try:
+            assert main(argv) == EXIT_OK
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3.3e6, peak
 
 
 class TestPointwise:
