@@ -115,28 +115,32 @@ def zero_correlation_times(l_max: int, rng, samples: int) -> bool:
     return ok
 
 
-def power_of_two_series(n_max: int) -> tuple[list, list, list]:
-    """a_n = 1 at powers of two, b_n = (floor(log2 n) + 2)/n, c_n = 1/log(n + 2)."""
-    a = [Fraction(1) if n and n & (n - 1) == 0 else Fraction(0) for n in range(n_max + 1)]
-    b = [Fraction(1)] + [Fraction(math.floor(math.log2(n)) + 2, n) for n in range(1, n_max + 1)]
-    c = [Fraction(1 / math.log(n + 2)) for n in range(n_max + 1)]
+def power_of_two_series(n_max: int) -> tuple[exceptional.Column, ...]:
+    """a_n = 1 at powers of two, b_n = (floor(log2 n) + 2)/n, c_n = 1/log(n + 2),
+    as integer Columns; b_n is not reduced and b_0 = 1."""
+    a = exceptional.Column([int(n > 0 and n & (n - 1) == 0) for n in range(n_max + 1)],
+                           [1] * (n_max + 1))
+    b = exceptional.Column([1] + [n.bit_length() + 1 for n in range(1, n_max + 1)],
+                           [1] + list(range(1, n_max + 1)))
+    ratios = [(1 / math.log(n + 2)).as_integer_ratio() for n in range(n_max + 1)]
+    c = exceptional.Column([p for p, _ in ratios], [q for _, q in ratios])
     return a, b, c
 
 
 def contract_holds(res, a, b, c, n_max: int) -> bool:
     """From l_k on, a_n > 1/k is exceptional and c_n * count(n) * k <= n * b_n.
 
-    Both inequalities are cross-multiplied on the numerators and the positive
-    denominators of the exact terms, so no Fraction is built per step.
+    a, b and c are Columns.  Both inequalities are cross-multiplied on their
+    numerators and positive denominators, so no Fraction is built per step.
     """
     for k in range(1, len(res.thresholds) + 1):
         lk = res.thresholds[k - 1]
         hi = res.thresholds[k] if k < len(res.thresholds) else n_max + 1
-        if any(a[n].numerator * k > a[n].denominator and n not in res.exceptional
+        if any(a.num[n] * k > a.den[n] and n not in res.exceptional
                for n in range(lk, n_max + 1)):
             return False
-        if any(c[n].numerator * res.exceptional.count(n) * k * b[n].denominator
-               > n * b[n].numerator * c[n].denominator for n in range(max(lk, 1), hi)):
+        if any(c.num[n] * res.exceptional.count(n) * k * b.den[n]
+               > n * b.num[n] * c.den[n] for n in range(max(lk, 1), hi)):
             return False
     return True
 

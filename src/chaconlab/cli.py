@@ -377,8 +377,8 @@ def cmd_extract(args, out: Output) -> int:
         order = [row[n] for n in range(n_max + 1)]
         for col in (a, b, c):
             if col.num:
-                col.num = [col.num[i] for i in order]
-                col.den = [col.den[i] for i in order]
+                col.num[:] = [col.num[i] for i in order]
+                col.den[:] = [col.den[i] for i in order]
     del row     # about 0.5 MB on a 2^13-row series: free it before the extractor runs
     if not b.num:
         # b_0 = 0 and b_n = (a_0 + ... + a_(n-1)) / n, over n times the sum's den

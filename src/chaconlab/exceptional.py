@@ -210,40 +210,26 @@ class ExtractionResult(NamedTuple):
     level_sets: list[IntegerIntervalSet]  # J_k for the same k range
 
 
-class Column:
+class Column(NamedTuple):
     """A sequence of rationals as two integer lists: term i is num[i] / den[i],
     with den[i] > 0 and the pair not necessarily in lowest terms."""
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num: list[int], den: list[int]):
-        self.num = num
-        self.den = den
+    num: list[int]
+    den: list[int]
 
 
-def _column(xs: Sequence | Column, n_max: int) -> Column:
-    """Terms 0..n_max of xs as a Column.  A Column is taken as it is, so it
-    must hold exactly those terms; any other sequence is read term by term,
-    an int or a Fraction through its own numerator and denominator, and
-    anything else (a float, say) through Fraction."""
-    if isinstance(xs, Column):
-        return xs
-    xs = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in xs[: n_max + 1]]
-    return Column([x.numerator for x in xs], [x.denominator for x in xs])
+# the extractor's largest level k
+K_MAX = 32
 
 
-def extract_exceptional(a: Sequence | Column, b: Sequence | Column, c: Sequence | Column,
-                        n_max: int, k_max: int = 32) -> ExtractionResult:
+def extract_exceptional(a: Column, b: Column, c: Column, n_max: int) -> ExtractionResult:
     """Construct the exceptional set from a deviation sequence and its rates.
 
-    a[j] for j <= n_max is the nonnegative deviation sequence, b[n] a bound
-    on its running Cesaro average, c[n] a decreasing null sequence.  Each is
-    a sequence of ints, Fractions or floats (a float stands for its exact
-    binary64 value), or a Column of integer numerators and positive
-    denominators, which is read without building a Fraction per term.  The
-    level sets are {j : a_j > 1/k}; each threshold l_k is the minimal window
-    start from which the normalized count stays below 1/k (certified on the
-    finite window only).
+    a_j for j <= n_max is the nonnegative deviation sequence, b_n a bound on
+    its running Cesaro average, c_n a decreasing null sequence; each Column
+    holds exactly the terms 0..n_max.  The level sets are {j : a_j > 1/k} for
+    k = 1 .. K_MAX; each threshold l_k is the minimal window start from which
+    the normalized count stays below 1/k (certified on the finite window
+    only).
 
     Every comparison is made on integers.  a_j = p/q > 1/k exactly when
     k >= q//p + 1, so one sort of a gives every level set.  For n >= 1 with
@@ -264,12 +250,9 @@ def extract_exceptional(a: Sequence | Column, b: Sequence | Column, c: Sequence 
     sum S is a Fraction, built only at the terms with a_j != 0, and the
     Cesaro error prints it and b_n in lowest terms.
     """
-    a, b, c = (_column(x, n_max) for x in (a, b, c))
     if len(a.num) != n_max + 1 or len(b.num) != n_max + 1 or len(c.num) != n_max + 1:
         raise InputError(f"sequences must cover indices 0..{n_max}")
-    a_num, a_den = a.num, a.den
-    b_num, b_den = b.num, b.den
-    c_num, c_den = c.num, c.den
+    (a_num, a_den), (b_num, b_den), (c_num, c_den) = a, b, c
     if any(p < 0 for p in a_num):
         raise InputError("deviation sequence has a negative entry")
     running = Fraction(0)
@@ -295,7 +278,7 @@ def extract_exceptional(a: Sequence | Column, b: Sequence | Column, c: Sequence 
     level_sets: list[IntegerIntervalSet] = []
     jk = IntegerIntervalSet()
     prev_l = 0
-    for k in range(1, k_max + 1):
+    for k in range(1, K_MAX + 1):
         members = [j for first, j in firsts if first <= k]     # J_k, increasing
         if len(members) > len(jk):
             jk = IntegerIntervalSet((j, j) for j in members)

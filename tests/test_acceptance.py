@@ -209,27 +209,29 @@ def test_criterion_12_extractor_contract():
     ok = True
 
     n_max = 400
-    a = [Fraction(0)] * (n_max + 1)
-    b = [Fraction(1, n + 1) for n in range(n_max + 1)]
-    c = [Fraction(1, n + 2) for n in range(n_max + 1)]
+    a = ex.Column([0] * (n_max + 1), [1] * (n_max + 1))
+    b = ex.Column([1] * (n_max + 1), list(range(1, n_max + 2)))     # 1/(n + 1)
+    c = ex.Column([1] * (n_max + 1), list(range(2, n_max + 3)))     # 1/(n + 2)
     res = ex.extract_exceptional(a, b, c, n_max)
     ok &= len(res.exceptional) == 0 and all(lk == 0 for lk in res.thresholds)
     ok &= checks.contract_holds(res, a, b, c, n_max)
 
     n_max = 2 ** 16
     a, b, c = checks.power_of_two_series(n_max)
-    res = ex.extract_exceptional(a, b, c, n_max, k_max=8)
+    res = ex.extract_exceptional(a, b, c, n_max)
     l2 = res.thresholds[1]
     ok &= all(2 ** e in res.exceptional for e in range(17) if 2 ** e >= l2)
     ok &= checks.contract_holds(res, a, b, c, n_max)
 
+    # a_j = 1/(j + 1), b_n its running mean (b_0 = 1), c_n = 1/(n + 2)
     n_max = 1000
-    a = [Fraction(1, j + 1) for j in range(n_max + 1)]
-    run, b = Fraction(0), [Fraction(1)]
+    a = ex.Column([1] * (n_max + 1), list(range(1, n_max + 2)))
+    run, b = Fraction(0), ex.Column([1], [1])
     for n in range(1, n_max + 1):
-        run += a[n - 1]
-        b.append(run / n)
-    c = [Fraction(1, n + 2) for n in range(n_max + 1)]
+        run += Fraction(1, n)
+        b.num.append(run.numerator)
+        b.den.append(run.denominator * n)
+    c = ex.Column([1] * (n_max + 1), list(range(2, n_max + 3)))
     res = ex.extract_exceptional(a, b, c, n_max)
     ok &= all(set(res.level_sets[k - 1].iter_points()) == set(range(k - 1))
               for k in range(1, len(res.level_sets) + 1))

@@ -336,7 +336,8 @@ def test_readme_commands_run(tmp_path, capsys):
     series = tmp_path / "series.csv"
     a, b, c = checks.power_of_two_series(300)
     series.write_text("n,a,b,c\n" + "".join(
-        f"{n},{a[n]},{b[n]},{c[n]}\n" for n in range(301)), encoding="utf-8")
+        f"{n}," + ",".join(f"{col.num[n]}/{col.den[n]}" for col in (a, b, c)) + "\n"
+        for n in range(301)), encoding="utf-8")
     assert len(commands) == 10
     for argv in commands:
         argv = [str(series) if arg == "series.csv" else arg for arg in argv]

@@ -165,7 +165,8 @@ class TestComputeDl:
         series = tmp_path / "series.csv"
         a, b, c = checks.power_of_two_series(300)
         series.write_text("n,a,b,c\n" + "".join(
-            f"{n},{a[n]},{b[n]},{c[n]}\n" for n in range(301)), encoding="utf-8")
+            f"{n}," + ",".join(f"{col.num[n]}/{col.den[n]}" for col in (a, b, c)) + "\n"
+            for n in range(301)), encoding="utf-8")
         before = held()
         series_numerators(1, 0, 3 ** 9)
         for l in (0, 1, 2, 5, 3 ** 7 + 4, 3 ** 30 + 17):

@@ -14,7 +14,9 @@ from chaconlab.correlation import (
     support_span,
 )
 from chaconlab.exceptional import (
+    K_MAX,
     BoundSpec,
+    Column,
     ExtractionResult,
     HFunction,
     InputError,
@@ -191,21 +193,41 @@ class TestHFunction:
                 assert outcome(g_cutoff, h, k) == outcome(uncapped, h, k), (spec, k)
 
 
+def columns(*seqs):
+    """Each sequence of ints, Fractions or floats as a Column, every term read
+    through Fraction, so a float stands for its exact binary64 value."""
+    fracs = ([Fraction(x) for x in xs] for xs in seqs)
+    return [Column([x.numerator for x in xs], [x.denominator for x in xs]) for xs in fracs]
+
+
 class TestExtractor:
     def test_zero_sequence(self):
         n_max = 300
         a = [Fraction(0)] * (n_max + 1)
         b = [Fraction(1, n + 1) for n in range(n_max + 1)]
         c = [Fraction(1, n + 2) for n in range(n_max + 1)]
+        a, b, c = columns(a, b, c)
         res = extract_exceptional(a, b, c, n_max)
         assert len(res.exceptional) == 0
         assert all(lk == 0 for lk in res.thresholds)
         assert checks.contract_holds(res, a, b, c, n_max)
 
+    def test_power_of_two_series_terms(self):
+        # the integer Columns hold the terms of the series' Fraction definition
+        n_max = 2 ** 12
+        a, b, c = checks.power_of_two_series(n_max)
+        assert all(len(col.num) == len(col.den) == n_max + 1 for col in (a, b, c))
+        assert all(col.den[n] > 0 for col in (a, b, c) for n in range(n_max + 1))
+        for n in range(n_max + 1):
+            assert Fraction(a.num[n], a.den[n]) == (1 if n and 2 ** int(math.log2(n)) == n else 0)
+            assert Fraction(b.num[n], b.den[n]) == (
+                Fraction(math.floor(math.log2(n)) + 2, n) if n else 1)
+            assert Fraction(c.num[n], c.den[n]) == Fraction(1 / math.log(n + 2))
+
     def test_power_of_two_spikes(self):
         n_max = 2 ** 12
         a, b, c = checks.power_of_two_series(n_max)
-        res = extract_exceptional(a, b, c, n_max, k_max=6)
+        res = extract_exceptional(a, b, c, n_max)
         assert len(res.thresholds) >= 2
         l2 = res.thresholds[1]
         assert all(2 ** e in res.exceptional
@@ -216,7 +238,7 @@ class TestExtractor:
         # a_16 = 1 > 1/2 from l_2 on, so dropping 16 breaks the first inequality
         n_max = 2 ** 12
         a, b, c = checks.power_of_two_series(n_max)
-        res = extract_exceptional(a, b, c, n_max, k_max=6)
+        res = extract_exceptional(a, b, c, n_max)
         assert res.thresholds[1] <= 16
         kept = IntegerIntervalSet((p, p) for p in res.exceptional.iter_points() if p != 16)
         res = ExtractionResult(kept, res.thresholds, res.level_sets)
@@ -224,10 +246,10 @@ class TestExtractor:
 
     def test_contract_fails_with_thresholds_at_zero(self):
         # every power of two stays exceptional, but at n = 1 the count bound
-        # of the last k reads c_1 * 1 * 6 = 6/log 3 > 1 * b_1 = 2
+        # of the last k reads c_1 * 1 * 8 = 8/log 3 > 1 * b_1 = 2
         n_max = 2 ** 12
         a, b, c = checks.power_of_two_series(n_max)
-        res = extract_exceptional(a, b, c, n_max, k_max=6)
+        res = extract_exceptional(a, b, c, n_max)
         res = ExtractionResult(res.exceptional, [0] * len(res.thresholds), res.level_sets)
         assert not checks.contract_holds(res, a, b, c, n_max)
 
@@ -239,6 +261,7 @@ class TestExtractor:
             run += a[n - 1]
             b.append(run / n)
         c = [Fraction(1, n + 2) for n in range(n_max + 1)]
+        a, b, c = columns(a, b, c)
         res = extract_exceptional(a, b, c, n_max)
         for k in range(1, len(res.level_sets) + 1):
             assert set(res.level_sets[k - 1].iter_points()) == set(range(k - 1))
@@ -246,25 +269,25 @@ class TestExtractor:
 
     def test_rejects_negative_deviation(self):
         with pytest.raises(InputError):
-            extract_exceptional([Fraction(-1)], [Fraction(1)], [Fraction(1)], 0)
+            extract_exceptional(*columns([-1], [1], [1]), 0)
 
     def test_rejects_cesaro_violation_with_witness(self):
         a = [Fraction(1)] * 4
         b = [Fraction(1), Fraction(1), Fraction(1, 10), Fraction(1)]
         c = [Fraction(1, n + 2) for n in range(4)]
         with pytest.raises(InputError, match="n=2"):
-            extract_exceptional(a, b, c, 3)
+            extract_exceptional(*columns(a, b, c), 3)
 
     def test_rejects_increasing_c(self):
         a = [Fraction(0)] * 4
         b = [Fraction(1)] * 4
         c = [Fraction(1), Fraction(2), Fraction(1), Fraction(1)]
         with pytest.raises(InputError, match="not decreasing"):
-            extract_exceptional(a, b, c, 3)
+            extract_exceptional(*columns(a, b, c), 3)
 
     def test_rejects_short_sequences(self):
         with pytest.raises(InputError):
-            extract_exceptional([Fraction(0)], [Fraction(1)], [Fraction(1)], 5)
+            extract_exceptional(*columns([0], [1], [1]), 5)
 
 
 def reference_extract(a, b, c, n_max: int, k_max: int = 32) -> ExtractionResult:
@@ -322,10 +345,10 @@ def reference_extract(a, b, c, n_max: int, k_max: int = 32) -> ExtractionResult:
     return ExtractionResult(IntegerIntervalSet(pieces), thresholds, level_sets)
 
 
-def extraction(fn, a, b, c, n_max, k_max):
+def extraction(fn, a, b, c, n_max):
     """(thresholds, level sets, exceptional set), or the InputError message."""
     try:
-        res = fn(a, b, c, n_max, k_max)
+        res = fn(a, b, c, n_max)
     except InputError as exc:
         return str(exc)
     return res.thresholds, res.level_sets, res.exceptional
@@ -373,11 +396,9 @@ def random_series(rng, n_max: int):
 
 
 class TestExtractorMatchesReference:
-    K_MAX = (1, 8, 32)
-
-    def check(self, a, b, c, n_max, k_max):
-        expected = extraction(reference_extract, a, b, c, n_max, k_max)
-        assert extraction(extract_exceptional, a, b, c, n_max, k_max) == expected
+    def check(self, a, b, c, n_max):
+        expected = extraction(reference_extract, a, b, c, n_max)
+        assert extraction(extract_exceptional, *columns(a, b, c), n_max) == expected
         return expected
 
     def test_random_series(self):
@@ -386,10 +407,9 @@ class TestExtractorMatchesReference:
         for case in range(150):
             n_max = rng.choice((0, 1, 2, rng.randint(3, 300), rng.randint(3, 300)))
             a, b, c = random_series(rng, n_max)
-            for k_max in self.K_MAX:
-                thresholds, level_sets, _ = self.check(a, b, c, n_max, k_max)
-                seen["early-break"] += 0 < len(thresholds) < k_max
-                seen["nonzero-threshold"] += any(thresholds)
+            thresholds, level_sets, _ = self.check(a, b, c, n_max)
+            seen["early-break"] += 0 < len(thresholds) < K_MAX
+            seen["nonzero-threshold"] += any(thresholds)
             seen["nonpositive-c"] += Fraction(c[-1]) <= 0
         assert all(seen.values()), seen
 
@@ -398,12 +418,11 @@ class TestExtractorMatchesReference:
         a = [Fraction(1, 1 + j % 8) if j % 3 == 0 else 0 for j in range(n_max + 1)]
         b = [1] * (n_max + 1)
         c = [Fraction(1, n + 2) for n in range(n_max + 1)]
-        for k_max in self.K_MAX:
-            _, level_sets, _ = self.check(a, b, c, n_max, k_max)
-            # a_j = 1/k is not in J_k
-            for k, jk in enumerate(level_sets, 1):
-                assert all(a[j] * k > 1 for j in jk.iter_points())
-                assert all(j in jk for j in range(n_max + 1) if a[j] * k > 1)
+        _, level_sets, _ = self.check(a, b, c, n_max)
+        # a_j = 1/k is not in J_k
+        for k, jk in enumerate(level_sets, 1):
+            assert all(a[j] * k > 1 for j in jk.iter_points())
+            assert all(j in jk for j in range(n_max + 1) if a[j] * k > 1)
 
     def test_large_deviations_and_zero_series(self):
         for n_max in (0, 1, 7, 200):
@@ -412,8 +431,7 @@ class TestExtractorMatchesReference:
                 b = [3] * (n_max + 1)
                 for c in ([Fraction(1, n + 2) for n in range(n_max + 1)],
                           [Fraction(10 - n, 10) for n in range(n_max + 1)], [0] * (n_max + 1)):
-                    for k_max in self.K_MAX:
-                        self.check(a, b, c, n_max, k_max)
+                    self.check(a, b, c, n_max)
 
     def test_early_break(self):
         # a large value near the end of the window fails at n_max from some k on
@@ -421,13 +439,13 @@ class TestExtractorMatchesReference:
         a = [0] * n_max + [Fraction(1, 3)]
         b = [Fraction(1, 300)] * (n_max + 1)
         c = [1] * (n_max + 1)
-        thresholds, _, _ = self.check(a, b, c, n_max, 32)
+        thresholds, _, _ = self.check(a, b, c, n_max)
         assert len(thresholds) == 3
 
     def test_one_point_window(self):
-        for a0, expected in ((0, [0] * 8), (Fraction(1, 8), [0] * 8), (Fraction(1, 4), [0] * 4),
-                             (2, [])):
-            thresholds, _, _ = self.check([a0], [1], [1], 0, 8)
+        for a0, expected in ((0, [0] * K_MAX), (Fraction(1, 8), [0] * 8),
+                             (Fraction(1, 4), [0] * 4), (2, [])):
+            thresholds, _, _ = self.check([a0], [1], [1], 0)
             assert thresholds == expected
 
     def test_same_errors(self):
@@ -444,7 +462,7 @@ class TestExtractorMatchesReference:
                 b[n] = -Fraction(1, rng.randint(1, 9))
             else:
                 c[n] = Fraction(c[n - 1]) + Fraction(1, rng.randint(1, 9))
-            expected = self.check(a, b, c, n_max, 8)
+            expected = self.check(a, b, c, n_max)
             assert isinstance(expected, str)
             kinds.add(expected.split(" ")[0])
         assert kinds == {"deviation", "Cesaro", "c"}
