@@ -13,12 +13,14 @@ Exit codes: 0 success, 1 verification failure, 2 invalid input, 3 resource
 cap exceeded.
 
 Every resource cap lives here, where outside input enters; the library takes
-none.  --cap-l bounds the index l of dl, corr, cesaro and eset, and --cap-n
-the time n of corr, cesaro, jset and apply-t.  The stage k of dl, corr,
-cesaro, jset, eset and locate, and the m of a p/3^m point, are bounded by
-triadic.MAX_STAGE.  Each check runs where the computation would first meet
-its value, so the first error a command reports is the one that computation
-would have raised.
+none.  A cap bounds only a value the command is given: --cap-l the index l
+of dl and eset, and --cap-n the time n of corr, cesaro, jset and apply-t.
+The indices that corr and cesaro build from their times are bounded through
+--cap-n, since a time n needs no index above about 2n/(2h_k + 1) + 1.  The
+stage k of dl, corr, cesaro, jset, eset and locate, and the m of a p/3^m
+point, are bounded by triadic.MAX_STAGE.  Each check runs where the
+computation would first meet its value, so the first error a command
+reports is the one that computation would have raised.
 """
 
 from __future__ import annotations
@@ -218,16 +220,6 @@ def _stage(k: int) -> int:
     return k
 
 
-def _check_series(args, lo: int, hi: int) -> None:
-    """The caps of the c_k series over lo..hi in the order computing it meets
-    them: the window, the stage, then the first d_l' of its support run past
-    --cap-l.  An empty run builds none."""
-    _cap("n", lo, hi, args.cap_n)
-    run = correlation.support_run(_stage(args.k), lo, hi)
-    if run:
-        _cap("l", run[0], run[-1], args.cap_l)
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -274,7 +266,8 @@ def cmd_corr(args, out: Output) -> int:
     # a cap error names the first row over the cap: this one, or else the
     # first n over it in the series below
     _cap("n", abs(ns[0]), abs(ns[0]), args.cap_n)
-    _check_series(args, *_abs_span(ns))
+    _cap("n", *_abs_span(ns), args.cap_n)
+    tower.height(_stage(args.k))
 
     def rows() -> Iterator[tuple]:
         cells = _Cells(0)
@@ -290,11 +283,11 @@ def cmd_corr(args, out: Output) -> int:
 
 
 def cmd_cesaro(args, out: Output) -> int:
-    # the checks of cesaro_totals in its order: N, the stage, then the series
+    # the checks of cesaro_totals in its order: N, the stage, then the window
     if args.n_max < 1:
         raise DomainError(f"N = {args.n_max} < 1")
     correlation.mu_Ak(_stage(args.k))
-    _check_series(args, 0, args.n_max - 1)
+    _cap("n", 0, args.n_max - 1, args.cap_n)
     totals, den = correlation.cesaro_totals(args.k, args.n_max)
     # a running mean rarely repeats: each row is reduced and formatted anew
     rows = ((n, _ratio(t, den * n)) for n, t in enumerate(totals, 1))
@@ -342,9 +335,9 @@ def cmd_eset(args, out: Output) -> int:
 def cmd_extract(args, out: Output) -> int:
     from . import exceptional
     # one integer column pair per series column, in file order; b and c get a
-    # term only from the rows that fill them.  row[n] is n's place in the file
+    # term only from the rows that fill them.  row holds each n in file order
     a, b, c = (exceptional.Column([], []) for _ in range(3))
-    row: dict[int, int] = {}
+    row: dict[int, None] = {}
     with open(args.series, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.strip()
@@ -356,7 +349,7 @@ def cmd_extract(args, out: Output) -> int:
             n = int(parts[0])
             if n in row:
                 raise InputError(f"line {lineno}: repeated n = {n}")
-            row[n] = len(row)
+            row[n] = None
             for col, cell in zip((a, b, c), parts[1:4]):
                 # an empty b or c cell leaves its column short, caught below
                 if col is a or cell.strip():
@@ -373,8 +366,11 @@ def cmd_extract(args, out: Output) -> int:
         if col.num and len(col.num) != n_max + 1:
             raise InputError(f"{name} column must cover every n when present")
     if any(n != i for i, n in enumerate(row)):
-        # the rows came out of order: put each column's terms in the order of n
-        order = [row[n] for n in range(n_max + 1)]
+        # the rows came out of order: put each column's terms in the order of n.
+        # order is the argsort of the file's n's, a permutation's inverse
+        order = [0] * (n_max + 1)
+        for i, n in enumerate(row):
+            order[n] = i
         for col in (a, b, c):
             if col.num:
                 col.num[:] = [col.num[i] for i in order]
@@ -480,13 +476,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("corr", help="autocorrelation series")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--n", required=True, help="time or range A..B")
-    common(p, cap_l=True, cap_n=True)
+    common(p, cap_n=True)
     p.set_defaults(fn=cmd_corr)
 
     p = sub.add_parser("cesaro", help="running Cesaro averages of deviations")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--N-max", dest="n_max", type=int, required=True)
-    common(p, cap_l=True, cap_n=True)
+    common(p, cap_n=True)
     p.set_defaults(fn=cmd_cesaro)
 
     p = sub.add_parser("jset", help="exceptional time sets")
@@ -541,7 +537,7 @@ def main(argv: list[str] | None = None) -> int:
     except (SizeError, OverflowError) as exc:   # oracle.FragmentationError too
         print(f"resource cap: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
-    except (DomainError, InputError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:   # DomainError and InputError too
         print(f"invalid input: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import io
 import json
@@ -23,6 +24,7 @@ from chaconlab.cli import (
     EXIT_RESOURCE,
     Output,
     _parse_value,
+    build_parser,
     dec12,
     main,
     parse_range,
@@ -164,19 +166,25 @@ class TestCorr:
         code, _ = run(tmp_path, "corr", "--k", "-2", "--n", "3")
         assert code == EXIT_INPUT
 
-    def test_index_cap(self, tmp_path, capsys):
-        code, text = run(tmp_path, "corr", "--k", "1", "--n", "0..1000", "--cap-l", "5")
-        assert (code, text) == (EXIT_RESOURCE, "")
-        assert capsys.readouterr().err == "resource cap: l = 6 exceeds cap 5\n"
-        # n = 3000000 needs l = 666666, over the default l cap
-        assert run(tmp_path, "corr", "--k", "1", "--n", "3000000",
-                   "--cap-n", "3000000")[0] == EXIT_RESOURCE
+    def test_time_cap_alone_bounds_the_window(self, tmp_path):
+        # n = 3000000 needs l = 666666, past 3^12, the default index cap of dl
         code, text = run(tmp_path, "corr", "--k", "1", "--n", "3000000",
-                         "--cap-n", "3000000", "--cap-l", "700000")
+                         "--cap-n", "3000000")
         assert code == EXIT_OK
         _, _, rows = csv_rows(text)
         assert [Fraction(int(rows[0][1]), int(rows[0][2]))] == correlation_series(
             1, 3_000_000, 3_000_000)
+
+    @pytest.mark.parametrize("k", [0, 1])
+    def test_top_of_default_window_runs(self, tmp_path, k):
+        # the last times below the default --cap-n need l past 3^12 at stages
+        # 0 and 1, as they do not at stage 2
+        lo, hi = 3 ** 14 - 10, 3 ** 14 - 1
+        code, text = run(tmp_path, "corr", "--k", str(k), "--n", f"{lo}..{hi}")
+        assert code == EXIT_OK
+        _, _, rows = csv_rows(text)
+        assert [int(r[0]) for r in rows] == list(range(lo, hi + 1))
+        assert [Fraction(int(r[1]), int(r[2])) for r in rows] == correlation_series(k, lo, hi)
 
     def test_far_window_renormalizes_to_next_stage(self, capsys):
         # a d_l' build that recursed once per ternary digit of l would pass the
@@ -185,7 +193,7 @@ class TestCorr:
         n0, cap = 3 ** 1000, str(10 ** 600)
         capsys.readouterr()
         assert main(["corr", "--k", "1", "--n", f"{n0}..{n0 + 20}",
-                     "--cap-n", cap, "--cap-l", cap]) == EXIT_OK
+                     "--cap-n", cap]) == EXIT_OK
         out, err = capsys.readouterr()
         rows = [ln.split(",") for ln in out.splitlines()[2:]]
         assert err == "" and len(rows) == 21
@@ -219,11 +227,6 @@ class TestCesaro:
         code, _ = run(tmp_path, "cesaro", "--k", "-2", "--N-max", "5")
         assert code == EXIT_INPUT
 
-    def test_index_cap(self, tmp_path, capsys):
-        code, text = run(tmp_path, "cesaro", "--k", "1", "--N-max", "100", "--cap-l", "5")
-        assert (code, text) == (EXIT_RESOURCE, "")
-        assert capsys.readouterr().err == "resource cap: l = 6 exceeds cap 5\n"
-
 
 def test_series_output_pinned(capsys):
     # exit code, stdout and stderr of corr, cesaro and dl: ranges across 0,
@@ -233,7 +236,6 @@ def test_series_output_pinned(capsys):
         ["corr", "--k", "2", "--n=-7..3", "--format", "json"],
         ["corr", "--k", "3", "--n", "500..540"],
         ["corr", "--k", "1", "--n=-600..10", "--cap-n", "500"],
-        ["corr", "--k", "1", "--n", "0..1000", "--cap-l", "5"],
         ["cesaro", "--k", "1", "--N-max", "40"],
         ["cesaro", "--k", "2", "--N-max", "30", "--format", "json"],
         ["cesaro", "--k", "1", "--N-max", "50", "--cap-n", "20"],
@@ -248,9 +250,9 @@ def test_series_output_pinned(capsys):
         code = main(argv)
         captured = capsys.readouterr()
         digest.update(f"{code}\n{captured.out}{captured.err}".encode("utf-8"))
-    # recorded at commit e06cecc, before SupportIndex and the cached masses went
+    # recorded at commit b44d646, the last one where corr and cesaro took --cap-l
     assert digest.hexdigest() == (
-        "10174d74d2f18d0222273ff98a75d825d0b9c66deb5a2698db622c8e6457313d")
+        "b4dc00aa4ce4614e0a0fc8f064cfadf9498cfdc7e8d87864c0f2d158c931bb49")
 
 
 def test_blocked_series_output_pinned(capsys):
@@ -312,12 +314,12 @@ class TestBlocks:
             monkeypatch.setattr(correlation, name,
                                 lambda *a, build=build: calls.append(a) or build(*a))
         path = tmp_path / "out.txt"
-        cases = [(["corr", "--k", "1", "--n", "0..20000", "--cap-l", "100"],
-                  "resource cap: l = 101 exceeds cap 100\n"),
+        cases = [(["corr", "--k", "1", "--n", "0..20000", "--cap-n", "100"],
+                  "resource cap: n = 101 exceeds cap 100\n"),
                  (["corr", "--k", "1", "--n=-20000..100", "--cap-n", "19999"],
                   "resource cap: n = 20000 exceeds cap 19999\n"),
-                 (["cesaro", "--k", "1", "--N-max", "20000", "--cap-l", "100"],
-                  "resource cap: l = 101 exceeds cap 100\n")]
+                 (["cesaro", "--k", "1", "--N-max", "20000", "--cap-n", "100"],
+                  "resource cap: n = 101 exceeds cap 100\n")]
         for argv, err in cases:
             for extra in ([], ["--out", str(path)]):
                 capsys.readouterr()
@@ -379,7 +381,7 @@ class TestRowsFromNumerators:
         assert len(set(series)) > len(series) * 9 // 10
         expected = [fraction_row(n, value=c) for n, c in enumerate(series, lo)]
         assert stdout_rows(capsys, ["corr", "--k", "1", f"--n={lo}..{hi}",
-                                    "--cap-n", cap, "--cap-l", cap]) == expected
+                                    "--cap-n", cap]) == expected
 
     def test_cesaro_matches_fractions(self, capsys):
         big_n = 2 * CHUNK + 100
@@ -1115,7 +1117,7 @@ class TestStageBound:
 
 class TestCapOptions:
     # --cap-l and --cap-n are declared only where a command reads them
-    DECLARED = {"dl": "l", "corr": "ln", "cesaro": "ln", "jset": "n", "eset": "l",
+    DECLARED = {"dl": "l", "corr": "n", "cesaro": "n", "jset": "n", "eset": "l",
                 "apply-t": "n", "extract": "", "verify": "", "locate": ""}
 
     def test_each_cap_only_where_read(self, tmp_path, capsys):
@@ -1142,6 +1144,22 @@ class TestCapOptions:
                     # refused while parsing, before verify would run its suite
                     assert (code, out) == (EXIT_INPUT, ""), (command, cap)
                     assert err.endswith(f"error: unrecognized arguments: --cap-{cap} 1000\n")
+
+    def test_readme_table_matches_parser(self):
+        # each --cap-* row of the README's cap table names the subcommands
+        # that declare that option
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        table = {}
+        for line in readme.splitlines():
+            if line.startswith("| `--cap-"):
+                cells = line.split("|")
+                table[cells[1].split("`")[1]] = set(cells[3].split("`")[1::2])
+        subparsers, = (a for a in build_parser()._actions
+                       if isinstance(a, argparse._SubParsersAction))
+        declared = {opt: {name for name, p in subparsers.choices.items()
+                          if opt in p._option_string_actions}
+                    for opt in ("--cap-l", "--cap-n")}
+        assert table == declared
 
 
 class TestVerify:
