@@ -1,8 +1,11 @@
-"""Checks of the computed objects against their defining properties and oracles.
+"""Checks of the computed objects against their defining properties, the
+oracles and the paper's bounds.
 
 One function per property, window as a parameter: `chacon verify` runs SUITE
 on small windows, the acceptance tests call the same functions on full ones.
-Engine and oracles are called as module attributes, never imported by name.
+The growth bound on the count of J and the block maxima off J_k are checks
+that only the acceptance criteria run, outside SUITE.  Engine and oracles are
+called as module attributes, never imported by name.
 """
 
 from __future__ import annotations
@@ -11,7 +14,7 @@ import math
 from fractions import Fraction
 
 from . import constants, correlation, exceptional, oracle, tower
-from .triadic import TriadicRational, TriadicSet
+from .triadic import DomainError, TriadicRational, TriadicSet
 
 # d_l' at stage 1 for l <= 3: l -> (start, masses)
 SMALL_DL_TABLE = {0: (0, (Fraction(1),)), 1: (4, (Fraction(1, 2), Fraction(1, 2))),
@@ -149,6 +152,45 @@ def extractor_contract(n_max: int) -> bool:
     a, b, c = power_of_two_series(n_max)
     res = exceptional.extract_exceptional(a, b, c, n_max)
     return len(res.thresholds) >= 2 and contract_holds(res, a, b, c, n_max)
+
+
+def growth_bound_holds(iset: exceptional.IntegerIntervalSet, c: float,
+                       h: exceptional.HFunction, grid) -> tuple[bool, bool]:
+    """Whether |iset ∩ [0, n]| <= c h(n) (ln n)^((ln ln n)^2 h(n)) at every n of
+    grid, and whether the bound overflowed at some n of it.
+
+    The bound is a binary64 value.  It is +inf where its logarithm passes 700
+    or a step overflows, and any count passes there.  It needs ln ln n > 0, so
+    n < 3 raises DomainError.
+    """
+    holds, overflow = True, False
+    for n in grid:
+        if n < 3:
+            raise DomainError(f"bounds need n >= 3, got n = {n}")
+        lnln = math.log(math.log(n))
+        try:
+            hn = h(float(n))
+            log_bound = lnln ** 2 * hn * lnln
+            bound = math.inf if log_bound > 700 else c * math.exp(log_bound) * hn
+        except OverflowError:
+            bound = math.inf
+        holds &= iset.count(n) <= bound
+        overflow |= math.isinf(bound)
+    return holds, overflow
+
+
+def block_maxima_off_Jk(k: int, h: exceptional.HFunction, blocks) -> list[Fraction | None]:
+    """max |c_k(n) - mu(A_k)^2| over the times n of [3^N, 3^(N+1)] outside
+    J_k, for each N of blocks, from one `deviation_numerators` series per
+    block; None where J_k covers the block."""
+    maxima = []
+    for big_n in blocks:
+        lo, hi = 3 ** big_n, 3 ** (big_n + 1)
+        jk = exceptional.build_Jk(k, h, hi)
+        devs, den = correlation.deviation_numerators(k, lo, hi)
+        best = max((d for n, d in enumerate(devs, lo) if n not in jk), default=None)
+        maxima.append(None if best is None else Fraction(best, den))
+    return maxima
 
 
 # (name, detail, check) in run order; every check is handed the suite's rng

@@ -48,10 +48,43 @@ EXIT_RESOURCE = 3
 DEFAULT_MAX_L = 3 ** 12
 DEFAULT_MAX_N = 3 ** 14
 
+# the least positive normal float, about 2.2e-308
+LEAST_NORMAL = sys.float_info.min
+
+
+def _decimal(num: int, den: int) -> str:
+    """num/den, den > 0, to 12 significant digits, as "%.12g" prints it.
+
+    int / int is correctly rounded, so "%.12g" of the float is right wherever
+    the float is normal.  Below LEAST_NORMAL a subnormal keeps fewer than 12
+    significant digits, and 0 none.  There the digits are rounded from
+    integers, half to even as printf rounds: the decimal exponent e of such a
+    value is at most -308, so the layout is the exponent form d.ddddde-XXX
+    with trailing zeros dropped.
+    """
+    x = num / den
+    if abs(x) >= LEAST_NORMAL or not num:
+        return "%.12g" % x
+    sign, num = ("-", -num) if num < 0 else ("", num)
+    # within one of e, then exact: 10^e <= num/den < 10^(e+1)
+    e = math.floor(math.log10(num) - math.log10(den))
+    while num * 10 ** -e < den:
+        e -= 1
+    while num * 10 ** (-e - 1) >= den:
+        e += 1
+    m, r = divmod(num * 10 ** (11 - e), den)
+    if 2 * r > den or 2 * r == den and m % 2:
+        m += 1
+    if m == 10 ** 12:
+        m, e = 10 ** 11, e + 1
+    digits = str(m).rstrip("0")
+    point = "." if len(digits) > 1 else ""
+    return "%s%s%s%se%+03d" % (sign, digits[0], point, digits[1:], e)
+
 
 def dec12(x: Fraction) -> str:
     """12-significant-digit decimal for a rational."""
-    return "%.12g" % (x.numerator / x.denominator)
+    return _decimal(x.numerator, x.denominator)
 
 
 def parse_range(text: str) -> range:
@@ -95,10 +128,13 @@ def _parse_value(text: str, lineno: int) -> tuple[int, int]:
 
 def _ratio(num: int, den: int) -> str:
     """The cells num,den,decimal of num/den: the fraction in lowest terms, and
-    its decimal as dec12 prints it (int / int is correctly rounded, so it is
-    the same float)."""
+    its decimal as dec12 prints it."""
     g = math.gcd(num, den)
-    return "%d,%d,%.12g" % (num // g, den // g, num / den)
+    x = num / den
+    if abs(x) >= LEAST_NORMAL or not num:
+        # _decimal's float path in the same format: cesaro runs this per row
+        return "%d,%d,%.12g" % (num // g, den // g, x)
+    return "%d,%d,%s" % (num // g, den // g, _decimal(num, den))
 
 
 class _Cells(dict):

@@ -11,7 +11,8 @@ have a closed form in l, h_k and the balanced-ternary weight of l, so
 membership queries never materialize masses and finding the indices that
 meet a window of times costs the window's width, not its offset.  The
 deviation |c_k(n) - mu(A_k)^2| that defines the exceptional sets is one
-series of integers over a common denominator, which the block report reads.
+series of integers over a common denominator, which the Cesaro totals and
+the block maxima of the checks read.
 A long window is read in blocks of BLOCK times, each one series: the Cesaro
 totals carry their running sum from block to block over one denominator
 fixed before the first block, and the command line reads corr and dl rows
@@ -82,13 +83,6 @@ def support(k: int, l: int) -> tuple[int, int]:
 def support_span(h: int, l: int, b: int) -> tuple[int, int]:
     """[s_l, t_l] from h = h_k, l and b = b_l: the closed form of `support`."""
     return l * h + (l - b + 1) // 2, l * h + (l + b - 1) // 2
-
-
-def find_Pn(k: int, n: int) -> list[int]:
-    """All l with d_l(n) > 0.  The set is a contiguous run of indices."""
-    if n < 0:
-        raise DomainError(f"n = {n} < 0")
-    return list(support_run(k, n, n))
 
 
 def support_run(k: int, n_lo: int, n_hi: int) -> range:

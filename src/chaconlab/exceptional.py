@@ -1,6 +1,7 @@
 """Exceptional-set machinery: the generic extractor, the explicit
-constructions for the Chacon transformation, the zero-correlation times,
-and evaluation of the growth bounds against exact window counts.
+constructions for the Chacon transformation and the zero-correlation times.
+The growth bound on their counts and the block maxima off J_k are checks,
+in `checks`.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from itertools import accumulate, islice
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from . import tower
-from .correlation import deviation_numerators, support
+from .correlation import support
 # InputError is defined beside DomainError, and importable from here too
 from .triadic import DomainError, InputError
 
@@ -490,92 +491,3 @@ def enumerate_Ek(k: int, l_max: int) -> tuple[IntegerIntervalSet, int]:
             for i, j, bi, _ in _weight_runs(hk - 1, 0, l_max)
             for p, b, after in _steps(i, bi, j))
     return IntegerIntervalSet(gaps), support(k, l_max)[0]
-
-
-# ---------------------------------------------------------------------------
-# bounds and verification reports
-
-class BoundSpec(NamedTuple):
-    """An evaluable growth bound with explicit constants.
-
-    Forms: 'upper'  C * [h(n)] * (log n)^((log log n)^2 h(n))
-           'lower'  C * (log n)^t
-    """
-
-    form: str
-    constant: float
-    h: HFunction | None = None
-    include_h_factor: bool = False
-    exponent: float = 0.0        # t of the lower form
-    provenance: str = "unspecified"
-
-    def evaluate(self, n: int) -> float:
-        """Binary64 value of the bound; +inf on overflow."""
-        if n < 3:
-            raise DomainError(f"bounds need n >= 3, got n = {n}")
-        ln = math.log(n)
-        try:
-            if self.form == "upper":
-                if self.h is None:
-                    raise DomainError("upper form needs a growth function")
-                expo = math.log(ln) ** 2 * self.h(float(n))
-                log_value = expo * math.log(ln)
-                if log_value > 700:
-                    return math.inf
-                value = self.constant * math.exp(log_value)
-                if self.include_h_factor:
-                    value *= self.h(float(n))
-                return value
-            if self.form == "lower":
-                return self.constant * ln ** self.exponent
-        except OverflowError:
-            return math.inf
-        raise DomainError(f"unknown bound form {self.form!r}")
-
-
-def verify_count(iset: IntegerIntervalSet, spec: BoundSpec, grid: Sequence[int]) -> dict:
-    """Compare exact window counts against the bound over a grid of n.
-
-    The direction is the form's: 'upper' checks count <= bound, 'lower'
-    checks count >= bound.  Overflowed upper bounds pass trivially and are
-    flagged.
-    """
-    rows = []
-    all_pass = True
-    for n in grid:
-        bound = spec.evaluate(n)
-        cnt = iset.count(n)
-        overflow = math.isinf(bound)
-        ok = cnt <= bound if spec.form == "upper" else cnt >= bound
-        all_pass &= ok
-        rows.append({"n": n, "count": cnt, "bound": bound, "pass": ok,
-                     "overflow": overflow})
-    return {"form": spec.form, "constant": spec.constant,
-            "provenance": spec.provenance, "direction": spec.form,
-            "grid": rows, "pass": all_pass}
-
-
-class BlockDeviation(NamedTuple):
-    N: int
-    lo: int
-    hi: int
-    max_dev: Fraction | None      # None when the block sits inside J_k
-    excluded: int
-
-
-def convergence_report(k: int, h: HFunction, n_range: Iterable[int]) -> list[BlockDeviation]:
-    """Per-block maxima of |c_k(n) - mu(A_k)^2| over times outside J_k.
-
-    Blocks are [3^N, 3^(N+1)] for N in n_range.  Each block reads one
-    `deviation_numerators` series.
-    """
-    rows = []
-    for big_n in n_range:
-        lo, hi = 3 ** big_n, 3 ** (big_n + 1)
-        jk = build_Jk(k, h, hi)
-        devs, den = deviation_numerators(k, lo, hi)
-        kept = [dev for n, dev in enumerate(devs, lo) if n not in jk]
-        best = max(kept, default=None)
-        rows.append(BlockDeviation(big_n, lo, hi, None if best is None else Fraction(best, den),
-                                   hi - lo + 1 - len(kept)))
-    return rows

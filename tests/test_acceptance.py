@@ -29,12 +29,12 @@ from chaconlab.cli import main
 from chaconlab.correlation import (
     compute_bl,
     dl_run,
-    find_Pn,
     profile_gap,
     support,
+    support_run,
     H_value,
 )
-from chaconlab.exceptional import BoundSpec, HFunction
+from chaconlab.exceptional import HFunction
 from chaconlab.tower import height
 
 
@@ -107,7 +107,7 @@ def test_criterion_06_pn_bounds():
     for k in (1, 2):
         h = Fraction(height(k))
         for n in range(10 ** 5 + 1):
-            pn = find_Pn(k, n)
+            pn = list(support_run(k, n, n))
             sz = len(pn)
             for m in pn:
                 b = compute_bl(m)
@@ -152,8 +152,7 @@ def test_criterion_08_majorization():
 
 
 def test_criterion_09_convergence_off_excluded_set():
-    rows = ex.convergence_report(1, HFunction.linear(), range(5, 10))
-    devs = [r.max_dev for r in rows]
+    devs = checks.block_maxima_off_Jk(1, HFunction.linear(), range(5, 10))
     decreasing = all(a is not None and b is not None and a > b
                      for a, b in zip(devs, devs[1:]))
     factor = devs[0] is not None and devs[-1] is not None and devs[0] >= 3 * devs[-1]
@@ -179,11 +178,9 @@ def test_criterion_10_global_count_bound():
     for name in ("linear", "log"):
         h = HFunction.parse(name)
         gj = ex.build_J(2, h, 3 ** 12)
-        spec = BoundSpec("upper", fr.c_star, h=h, include_h_factor=True,
-                         provenance="frozen window sweep")
-        rep = ex.verify_count(gj.jset, spec, grid)
-        ok &= rep["pass"]
-        if any(r["overflow"] for r in rep["grid"]):
+        holds, overflow = checks.growth_bound_holds(gj.jset, fr.c_star, h, grid)
+        ok &= holds
+        if overflow:
             flagged.append(f"{name}: bound overflow")
         if gj.skipped:
             flagged.append(f"{name}: {len(gj.skipped)} layers below cutoff")

@@ -1,5 +1,6 @@
 import argparse
 import hashlib
+import inspect
 import io
 import json
 import math
@@ -10,6 +11,7 @@ import subprocess
 import sys
 import tracemalloc
 from contextlib import contextmanager, redirect_stderr, redirect_stdout
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from pathlib import Path
 
@@ -17,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chaconlab import checks, correlation, oracle
+from chaconlab import checks, cli, constants, correlation, exceptional, oracle, tower, triadic
 from chaconlab.cli import (
     EXIT_INPUT,
     EXIT_OK,
@@ -86,6 +88,16 @@ def csv_rows(text):
     return lines[0], lines[1].split(","), [ln.split(",") for ln in lines[2:]]
 
 
+def decimal_12g(q):
+    """q, below 1e-5 in size, to 12 significant digits by decimal at 60 digits,
+    in the exponent layout of %.12g: trailing zeros and a bare point dropped."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        text = format(Decimal(q.numerator) / Decimal(q.denominator), ".12g")
+    mantissa, _, exponent = text.partition("e")
+    return mantissa.rstrip("0").rstrip(".") + "e" + exponent
+
+
 class TestHelpers:
     def test_parse_range(self):
         assert list(parse_range("3..6")) == [3, 4, 5, 6]
@@ -97,6 +109,22 @@ class TestHelpers:
         for q in (Fraction(2, 3), Fraction(1, 7), Fraction(5, 9) ** 4):
             err = abs(Fraction(dec12(q)) - q)
             assert err <= abs(q) * Fraction(1, 10 ** 11)
+
+    def test_dec12_below_the_least_normal_float(self):
+        # subnormal floats and those that are 0 for a nonzero value, a tie
+        # either way, a carry into the exponent, and both signs
+        rng = random.Random(308)
+        values = [Fraction(rng.randrange(1, 10 ** 20), 10 ** rng.randrange(20, 360))
+                  for _ in range(300)] + [
+            Fraction(2, 3 ** 701), Fraction(2, 3 ** 661), Fraction(1, 3 ** 700),
+            Fraction(1234567890125, 10 ** 332), Fraction(1234567890135, 10 ** 332),
+            Fraction(9999999999995, 10 ** 332), Fraction(1, 10 ** 320)]
+        for q in values + [-q for q in values]:
+            x = q.numerator / q.denominator
+            if x == 0 or abs(x) < sys.float_info.min:
+                assert dec12(q) == decimal_12g(q), q
+            else:
+                assert dec12(q) == "%.12g" % x, q
 
 
 class TestDl:
@@ -329,22 +357,90 @@ class TestBlocks:
                 assert calls == [], argv
 
 
-def test_readme_commands_run(tmp_path, capsys):
-    # every `chacon ...` line of the README's command-line block answers
+def readme_commands(tmp_path):
+    """The argv of each `chacon ...` line of the README's command-line block,
+    with its series.csv written to tmp_path."""
     readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
     block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
-    commands = [shlex.split(line, comments=True)[1:] for line in block.splitlines()
-                if line.startswith("chacon ")]
     series = tmp_path / "series.csv"
     a, b, c = checks.power_of_two_series(300)
     series.write_text("n,a,b,c\n" + "".join(
         f"{n}," + ",".join(f"{col.num[n]}/{col.den[n]}" for col in (a, b, c)) + "\n"
         for n in range(301)), encoding="utf-8")
+    return [[str(series) if arg == "series.csv" else arg
+             for arg in shlex.split(line, comments=True)[1:]]
+            for line in block.splitlines() if line.startswith("chacon ")]
+
+
+def test_readme_commands_run(tmp_path, capsys):
+    # every `chacon ...` line of the README's command-line block answers
+    commands = readme_commands(tmp_path)
     assert len(commands) == 10
     for argv in commands:
-        argv = [str(series) if arg == "series.csv" else arg for arg in argv]
         assert main(argv) == EXIT_OK, argv
         assert capsys.readouterr().out, argv
+
+
+# the public functions that no command and no verify check reaches, each with
+# the reason it stays
+UNREACHED = {
+    "correlation.autocorrelation":
+        "perfbench's probe workload calls it (child.py); it goes with the benchmark's next change",
+    "correlation.cell_correlation":
+        "perfbench's probe workload calls it (child.py); it goes with the benchmark's next change",
+}
+
+
+def public_functions():
+    """'module.name' or 'module.Class.name' -> code object, for every public
+    function and method of the library modules that run commands.  Names
+    with a leading underscore are skipped: private helpers, and the dunders
+    that serve a type's contract with the interpreter.  So are the methods
+    that NamedTuple generates, whose module is collections."""
+    found = {}
+    for module in (correlation, exceptional, oracle, tower, triadic, constants, cli):
+        short = module.__name__.rsplit(".", 1)[1]
+        for name, obj in vars(module).items():
+            if name.startswith("_") or getattr(obj, "__module__", None) != module.__name__:
+                continue
+            if inspect.isfunction(obj):
+                found[f"{short}.{name}"] = obj.__code__
+            elif inspect.isclass(obj):
+                for attr, member in vars(obj).items():
+                    fn = member.fget if isinstance(member, property) else \
+                        getattr(member, "__func__", member)
+                    if (not attr.startswith("_") and inspect.isfunction(fn)
+                            and fn.__module__ == module.__name__):
+                        found[f"{short}.{name}.{attr}"] = fn.__code__
+    return found
+
+
+def test_every_public_function_is_reached(tmp_path, capsys):
+    # the README's commands, jset under each growth family, a backward
+    # apply-t and JSON corr, profiled in this process: each public function
+    # runs in one of them, or UNREACHED says why it stays
+    table = tmp_path / "h.csv"
+    table.write_text("x,y\n1,1\n4,2\n8,3\n", encoding="utf-8")
+    runs = readme_commands(tmp_path) + [
+        ["jset", "--k", "2", "--h", h, "--N-max", "10000", *mode]
+        for h in ("log", "loglog", "power:0.5", f"table:{table}") for mode in ([], ["--global"])
+    ] + [["apply-t", "1/3^2", "--n=-3"], ["corr", "--k", "1", "--n", "0..20", "--format", "json"]]
+    reached = set()
+
+    def hook(frame, event, arg):
+        if event == "call":
+            reached.add(frame.f_code)
+
+    previous = sys.getprofile()
+    sys.setprofile(hook)
+    try:
+        codes = [main(argv) for argv in runs]
+    finally:
+        sys.setprofile(previous)
+    capsys.readouterr()
+    assert codes == [EXIT_OK] * len(runs)
+    missed = {name for name, code in public_functions().items() if code not in reached}
+    assert missed == set(UNREACHED)
 
 
 CHUNK = Output.CSV_CHUNK
@@ -547,6 +643,23 @@ class TestDeepStage:
         self.expect(capsys, ["cesaro", "--k", "4600", "--N-max", "3"],
                     [value_row(m, value=Fraction(t, den * m))
                      for m, t in enumerate(totals, 1)])
+
+    def test_decimals_below_the_least_normal_float(self, capsys):
+        # c_k(0) = mu(A_k) = 2/3^(k+1) is subnormal at k = 660 and below the
+        # least subnormal at k = 700; the points are 1/3^700
+        cases = [(["corr", "--k", "660", "--n", "0..0"], Fraction(2, 3 ** 661),
+                  "8.39229276812e-316"),
+                 (["corr", "--k", "700", "--n", "0..0"], Fraction(2, 3 ** 701),
+                  "6.90288180439e-335"),
+                 (["locate", "1/3^700", "--k", "1"], Fraction(1, 3 ** 700),
+                  "1.03543227066e-334"),
+                 (["apply-t", "1/3^700", "--n", "0"], Fraction(1, 3 ** 700),
+                  "1.03543227066e-334")]
+        for argv, value, decimal in cases:
+            capsys.readouterr()
+            assert main(argv) == EXIT_OK
+            assert capsys.readouterr().out.splitlines()[2].rsplit(",", 1)[1] == decimal
+            assert decimal_12g(value) == decimal
 
     def test_apply_t(self, capsys):
         x = TriadicRational.parse("1/3^9100")
@@ -1054,9 +1167,11 @@ class TestPointwise:
         for argv in commands:
             assert main(argv) == EXIT_OK, argv
         out = capsys.readouterr().out
-        # recorded at commit 619d84d, the last one with the Fraction stage step
+        # recorded at commit 619d84d, the last one with the Fraction stage step,
+        # then with one cell changed: the decimal of locate 0.1 --k 3000, whose
+        # offset is below the least float, reads 1.4424958962e-1432, not 0
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
-            "3102dbf002de945cf63fb0601ea1640ff565cf91bcbc8e97dfd1b35c7a14f65d")
+            "bcad58ae2c5fc7ca5061c5203261726d3a616df58f9abdc100a2236fc4c1b196")
 
     def test_apply_t_power_cap(self, tmp_path):
         assert run(tmp_path, "apply-t", "1/3^1", "--n", "600", "--cap-n", "500")[0] == EXIT_RESOURCE

@@ -22,12 +22,12 @@ from chaconlab.correlation import (
     correlation_series,
     deviation_numerators,
     dl_run,
-    find_Pn,
     mu_Ak,
     profile_gap,
     support,
     H_value,
     series_numerators,
+    support_run,
 )
 from chaconlab.tower import height
 from chaconlab.triadic import DomainError
@@ -292,17 +292,17 @@ class TestSupport:
             support(1, -1)
 
 
-class TestFindPn:
+class TestSupportRun:
     def test_examples(self):
         for k in (1, 2):
-            assert find_Pn(k, 0) == [0]
-            assert find_Pn(k, height(k)) == [1]
-        assert find_Pn(1, 11) == []
+            assert list(support_run(k, 0, 0)) == [0]
+            assert list(support_run(k, height(k), height(k))) == [1]
+        assert list(support_run(1, 11, 11)) == []
 
     def test_membership_and_contiguity(self):
         for k in (1, 2):
             for n in range(2000):
-                pn = find_Pn(k, n)
+                pn = list(support_run(k, n, n))
                 assert pn == list(range(pn[0], pn[-1] + 1)) if pn else True
                 for l in pn:
                     s, t = support(k, l)
@@ -323,7 +323,7 @@ class TestFindPn:
                 for n in range(max(mid - b, 0), min(mid + b, n_max) + 1):
                     if abs(2 * n - l * (2 * h + 1)) <= b - 1:
                         pn[n].append(l)
-            assert all(find_Pn(k, n) == pn[n] for n in range(n_max + 1))
+            assert all(list(support_run(k, n, n)) == pn[n] for n in range(n_max + 1))
 
     def test_far_runs_match_mass_recursion(self):
         # near 3^30 the run holds exactly the l whose d_l' covers n
@@ -341,7 +341,7 @@ class TestFindPn:
         for k in (1, 2):
             h = Fraction(height(k))
             for n in range(20_000):
-                pn = find_Pn(k, n)
+                pn = list(support_run(k, n, n))
                 for m in pn:
                     assert len(pn) < compute_bl(m) / (h - Fraction(1, 2)) + 1
 
@@ -349,7 +349,7 @@ class TestFindPn:
         # the matching lower bound (b_m - 1)/(h_k + 3/2) < |P_n| fails: at
         # k=1, n=548 the only index is m=122 with b_m = 7, and 6/5.5 > 1.
         # Frozen so any change in this behavior is noticed.
-        assert find_Pn(1, 548) == [122]
+        assert list(support_run(1, 548, 548)) == [122]
         assert compute_bl(122) == 7
         assert support(1, 121) == (542, 547)
         assert support(1, 123) == (551, 556)
@@ -383,7 +383,7 @@ class TestAutocorrelation:
 
 def reference_correlation(k, n):
     """c_k(n) as a per-n Fraction sum over the masses of each d_l' covering n."""
-    pn = find_Pn(k, n)
+    pn = support_run(k, n, n)
     run = dl_run(k, pn[0], pn[-1]) if pn else []
     return mu_Ak(k) * sum((d.masses[n - d.start] for d in run), Fraction(0))
 
@@ -396,7 +396,7 @@ class TestCorrelationSeries:
 
     def test_window_starting_in_a_gap(self):
         for k in (1, 2, 3):
-            gap = next(n for n in range(1000, 3 ** 8) if not find_Pn(k, n))
+            gap = next(n for n in range(1000, 3 ** 8) if not support_run(k, n, n))
             assert correlation_series(k, gap, gap + 400) == [
                 reference_correlation(k, n) for n in range(gap, gap + 401)]
             assert correlation_series(k, gap, gap) == [0]
@@ -525,7 +525,7 @@ class TestDeviationNumerators:
     def test_matches_fraction_reference(self):
         # at the origin, from inside a gap of the supports, and near 3^30
         for k in (1, 2, 3):
-            gap = next(n for n in range(1000, 3 ** 8) if not find_Pn(k, n))
+            gap = next(n for n in range(1000, 3 ** 8) if not support_run(k, n, n))
             for lo, hi in ((0, 400), (gap, gap + 400), (3 ** 30, 3 ** 30 + 400)):
                 devs, den = deviation_numerators(k, lo, hi)
                 _, p = series_numerators(k, lo, hi)

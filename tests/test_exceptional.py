@@ -5,17 +5,17 @@ from fractions import Fraction
 
 import pytest
 
-from chaconlab import checks
+from chaconlab import checks, constants
 from chaconlab.correlation import (
     autocorrelation,
     compute_bl,
+    correlation_series,
     dl_run,
     support,
     support_span,
 )
 from chaconlab.exceptional import (
     K_MAX,
-    BoundSpec,
     Column,
     ExtractionResult,
     HFunction,
@@ -25,11 +25,9 @@ from chaconlab.exceptional import (
     _weight_runs,
     build_J,
     build_Jk,
-    convergence_report,
     enumerate_Ek,
     extract_exceptional,
     g_cutoff,
-    verify_count,
 )
 from chaconlab.tower import height
 from chaconlab.triadic import DomainError
@@ -740,59 +738,59 @@ class TestWeightWalk:
 
 
 class TestBounds:
-    def test_lower_form(self):
-        spec = BoundSpec("lower", 1.0, exponent=2.0)
-        assert spec.evaluate(round(math.exp(10))) == pytest.approx(100.0, rel=1e-3)
+    # checks.growth_bound_holds: |J ∩ [0, n]| <= c h(n) (ln n)^((ln ln n)^2 h(n))
 
     def test_upper_form_closed_value(self):
-        h = HFunction("one", lambda x: 1.0)
-        spec = BoundSpec("upper", 1.0, h=h)
-        n = 15
-        ln = math.log(n)
-        assert spec.evaluate(n) == pytest.approx(ln ** (math.log(ln) ** 2))
+        # one time in the set: the check passes exactly when c * bound >= 1,
+        # so constants just either side of 1/bound pin the bound's value
+        two = HFunction("two", lambda x: 2.0)
+        s = IntegerIntervalSet([(0, 0)])
+        for n in (15, 1000):
+            ln = math.log(n)
+            bound = 2 * ln ** (2 * math.log(ln) ** 2)
+            assert checks.growth_bound_holds(s, (1 + 1e-9) / bound, two, [n]) == (True, False)
+            assert checks.growth_bound_holds(s, (1 - 1e-9) / bound, two, [n]) == (False, False)
+        # every n of the grid is checked: 10 times pass at n = 10 and 100
+        ten = IntegerIntervalSet([(0, 9)])
+        assert checks.growth_bound_holds(ten, 100.0, two, [10, 100]) == (True, False)
+        assert checks.growth_bound_holds(ten, 1.0, two, [100, 10]) == (False, False)
 
     def test_upper_form_overflows_to_infinity(self):
-        spec = BoundSpec("upper", 1.0, h=HFunction.linear())
-        assert math.isinf(spec.evaluate(1000))
-
-    def test_rejects_small_n_and_unknown_form(self):
-        with pytest.raises(DomainError):
-            BoundSpec("lower", 1.0, exponent=1.0).evaluate(2)
-        with pytest.raises(DomainError):
-            BoundSpec("mystery", 1.0).evaluate(10)
-
-    def test_verify_count_directions(self):
-        # the form sets the direction: the upper form checks count <= bound,
-        # the lower form count >= bound; the window holds 10 times
-        s = IntegerIntervalSet([(0, 9)])
+        s = IntegerIntervalSet([(0, 999)])
+        assert checks.growth_bound_holds(s, 1.0, HFunction.linear(), [1000]) == (True, True)
+        # float(n) overflows past the largest float
         one = HFunction("one", lambda x: 1.0)
-        up = verify_count(s, BoundSpec("upper", 100.0, h=one), [10, 100])
-        assert up["pass"] and all(r["pass"] for r in up["grid"])
-        assert up["direction"] == "upper"
-        assert [r["count"] for r in up["grid"]] == [10, 10]
-        assert not verify_count(s, BoundSpec("upper", 1.0, h=one), [10])["pass"]
-        low = verify_count(s, BoundSpec("lower", 1.0, exponent=1.0), [10, 100])
-        assert low["pass"] and low["direction"] == "lower"
-        assert not verify_count(s, BoundSpec("lower", 100.0, exponent=1.0), [10])["pass"]
+        assert checks.growth_bound_holds(s, 1.0, one, [3 ** 700]) == (True, True)
 
-    def test_verify_count_flags_overflow(self):
-        s = IntegerIntervalSet([(0, 5)])
-        rep = verify_count(s, BoundSpec("upper", 1.0, h=HFunction.linear()), [243])
-        assert rep["pass"]
-        assert rep["grid"][0]["overflow"]
+    def test_rejects_small_n(self):
+        one = HFunction("one", lambda x: 1.0)
+        for n in (0, 2):
+            with pytest.raises(DomainError):
+                checks.growth_bound_holds(IntegerIntervalSet(), 1.0, one, [n])
+
+    def test_criterion_10_grid(self):
+        # on criterion 10's grid the linear bound overflows at every n and
+        # the log bound at none
+        grid = [3 ** e for e in range(5, 13)]
+        for name, overflow in (("linear", True), ("log", False)):
+            h = HFunction.parse(name)
+            jset = build_J(2, h, 3 ** 12).jset
+            for n in grid:
+                assert checks.growth_bound_holds(jset, constants.FROZEN.c_star, h,
+                                                 [n]) == (True, overflow)
 
 
-class TestConvergenceReport:
-    def test_block_structure(self):
-        rows = convergence_report(1, HFunction.linear(), range(2, 4))
-        assert [(r.N, r.lo, r.hi) for r in rows] == [(2, 9, 27), (3, 27, 81)]
-        for r in rows:
-            assert r.excluded >= 0
-            assert r.max_dev is None or r.max_dev >= 0
-
-    def test_excluded_counts_match_layer_set(self):
-        h = HFunction.linear()
-        rows = convergence_report(1, h, [4])
-        jk = build_Jk(1, h, rows[0].hi)
-        assert rows[0].excluded == sum(
-            1 for n in range(rows[0].lo, rows[0].hi + 1) if n in jk)
+class TestBlockMaxima:
+    def test_matches_per_time_maximum(self):
+        # each block's maximum against one read per time n of the block:
+        # c_1(n) from correlation_series, kept where build_Jk leaves n out
+        mu_sq = Fraction(2, 9) ** 2
+        for h in (HFunction.linear(), HFunction.log()):
+            expected = []
+            for big_n in range(2, 6):
+                lo, hi = 3 ** big_n, 3 ** (big_n + 1)
+                jk = build_Jk(1, h, hi)
+                expected.append(max((abs(c - mu_sq) for n, c in
+                                     enumerate(correlation_series(1, lo, hi), lo)
+                                     if n not in jk), default=None))
+            assert checks.block_maxima_off_Jk(1, h, range(2, 6)) == expected
