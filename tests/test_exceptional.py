@@ -750,10 +750,6 @@ class TestBounds:
             bound = 2 * ln ** (2 * math.log(ln) ** 2)
             assert checks.growth_bound_holds(s, (1 + 1e-9) / bound, two, [n]) == (True, False)
             assert checks.growth_bound_holds(s, (1 - 1e-9) / bound, two, [n]) == (False, False)
-        # every n of the grid is checked: 10 times pass at n = 10 and 100
-        ten = IntegerIntervalSet([(0, 9)])
-        assert checks.growth_bound_holds(ten, 100.0, two, [10, 100]) == (True, False)
-        assert checks.growth_bound_holds(ten, 1.0, two, [100, 10]) == (False, False)
 
     def test_upper_form_overflows_to_infinity(self):
         s = IntegerIntervalSet([(0, 999)])
@@ -761,6 +757,23 @@ class TestBounds:
         # float(n) overflows past the largest float
         one = HFunction("one", lambda x: 1.0)
         assert checks.growth_bound_holds(s, 1.0, one, [3 ** 700]) == (True, True)
+
+    def test_verify_count_directions(self):
+        # the count must stay at or below the bound at every n of the grid;
+        # the window holds 10 times
+        ten = IntegerIntervalSet([(0, 9)])
+        one = HFunction("one", lambda x: 1.0)
+        two = HFunction("two", lambda x: 2.0)
+        assert checks.growth_bound_holds(ten, 100.0, one, [10, 100]) == (True, False)
+        assert checks.growth_bound_holds(ten, 100.0, two, [10, 100]) == (True, False)
+        assert checks.growth_bound_holds(ten, 1.0, one, [10]) == (False, False)
+        # one failing n fails the grid, wherever it stands in it
+        assert checks.growth_bound_holds(ten, 1.0, two, [100, 10]) == (False, False)
+
+    def test_verify_count_flags_overflow(self):
+        # an overflowed bound passes any count and is flagged
+        s = IntegerIntervalSet([(0, 5)])
+        assert checks.growth_bound_holds(s, 1.0, HFunction.linear(), [243]) == (True, True)
 
     def test_rejects_small_n(self):
         one = HFunction("one", lambda x: 1.0)
@@ -780,7 +793,31 @@ class TestBounds:
                                                  [n]) == (True, overflow)
 
 
-class TestBlockMaxima:
+class TestConvergenceReport:
+    # checks.block_maxima_off_Jk: criterion 09's block maxima off J_k
+
+    def test_block_structure(self):
+        # one maximum per block, in block order, each None or nonnegative
+        maxima = checks.block_maxima_off_Jk(1, HFunction.linear(), range(2, 4))
+        assert len(maxima) == 2
+        assert all(m is None or m >= 0 for m in maxima)
+        assert checks.block_maxima_off_Jk(1, HFunction.linear(), []) == []
+
+    def test_excluded_counts_match_layer_set(self):
+        # the maximum skips exactly the times of the block that build_Jk holds
+        h = HFunction.linear()
+        mu_sq = Fraction(2, 9) ** 2
+        for big_n in (4, 5):
+            lo, hi = 3 ** big_n, 3 ** (big_n + 1)
+            jk = build_Jk(1, h, hi)
+            devs = [(n, abs(c - mu_sq)) for n, c in
+                    enumerate(correlation_series(1, lo, hi), lo)]
+            assert any(n in jk for n, _ in devs)
+            kept = max(d for n, d in devs if n not in jk)
+            assert checks.block_maxima_off_Jk(1, h, [big_n]) == [kept]
+        # at N = 5 the largest deviation of the block lies in J_1
+        assert kept < max(d for _, d in devs)
+
     def test_matches_per_time_maximum(self):
         # each block's maximum against one read per time n of the block:
         # c_1(n) from correlation_series, kept where build_Jk leaves n out
