@@ -3,11 +3,12 @@
 Subcommands compute return-time distributions, correlations, Cesaro
 averages, exceptional sets and zero-correlation times, run the generic
 extractor on a CSV series, apply the transformation pointwise, and run the
-deterministic verification suite.  Output is CSV (comma, header row, LF,
-UTF-8, seed recorded in a leading comment line) or JSON with sorted keys;
-identical config and seed give byte-identical output.  Printed numbers are
-exact at any stage: Output lifts the int -> str digit limit while it writes,
-so the limit guards only the parsing of argv and of extract cells.
+deterministic verification suite.  Rows stream, a chunk at a time, as CSV
+(comma, header row, LF, UTF-8, seed in a leading comment line) or JSON with
+sorted keys; verify writes one JSON report.  Identical config and seed give
+byte-identical output.  Printed numbers are exact at any stage: Output lifts
+the int -> str digit limit while it writes, so the limit guards only the
+parsing of argv and of extract cells.
 
 Exit codes: 0 success, 1 verification failure, 2 invalid input, 3 resource
 cap exceeded.
@@ -167,15 +168,14 @@ def _json_value_row(row: Sequence) -> list:
 
 
 class Output:
-    """Writes rows as CSV or JSON, deterministically.  CSV is written a chunk
-    of rows at a time as the rows are made, so memory is set by the chunk and
-    by what the command's rows hold, and every check of the command must come
-    before the first row; JSON gathers its rows into one document.  Every
-    printed number is the program's own, so the int -> str digit limit is
-    lifted while the rows are made and written, and the caller's limit
-    restored after."""
+    """Writes rows as CSV or JSON, deterministically, a chunk of rows at a
+    time as the rows are made: memory is set by the chunk and by what the
+    command's rows hold, and every check of the command must come before the
+    first row.  Every printed number is the program's own, so the int -> str
+    digit limit is lifted while the rows are made and written, and the
+    caller's limit restored after."""
 
-    CSV_CHUNK = 4096   # rows formatted, joined and written at a time
+    CSV_CHUNK = 4096   # rows formatted, joined and written at a time, in either format
 
     def __init__(self, fmt: str, out: str | None, seed: int):
         self.fmt = fmt
@@ -184,44 +184,52 @@ class Output:
 
     def emit_rows(self, header: list[str], rows: Iterable[Sequence], meta: dict) -> None:
         """One cell per column, each printed as str prints it."""
-        if self.fmt == "csv":
-            self._write(self._csv_chunks(header, iter(rows), meta, len(header)))
-        else:
-            self._write(self._json_chunks(dict(meta, columns=header), rows))
+        self._write(self._chunks(header, iter(rows), meta, len(header)))
 
     def emit_values(self, keys: list[str], rows: Iterable[Sequence], meta: dict) -> None:
         """Rows of key cells and one exact value, in the columns keys, num,
         den and decimal: each row's last cell is the value's `_ratio` text,
         which CSV writes as it is and JSON reads back into its cells."""
-        header = keys + ["num", "den", "decimal"]
-        if self.fmt == "csv":
-            self._write(self._csv_chunks(header, iter(rows), meta, len(keys) + 1))
-        else:
-            self._write(self._json_chunks(dict(meta, columns=header),
-                                          map(_json_value_row, rows)))
-
-    def _csv_chunks(self, header: list[str], rows: Iterator[Sequence],
-                    meta: dict, width: int) -> Iterator[str]:
-        lines = ["# seed=%d %s" % (self.seed, " ".join(
-            "%s=%s" % (k, meta[k]) for k in sorted(meta))), ",".join(header)]
-        line = ",".join(["%s"] * width)   # %s formats a cell as str does
-        while True:
-            lines += [line % tuple(row) for row in islice(rows, self.CSV_CHUNK)]
-            if not lines:
-                return
-            yield "\n".join(lines) + "\n"
-            lines = []
+        rows = map(_json_value_row, rows) if self.fmt == "json" else iter(rows)
+        self._write(self._chunks(keys + ["num", "den", "decimal"], rows, meta, len(keys) + 1))
 
     def emit_json(self, payload: dict) -> None:
-        self._write(self._json_chunks(payload))
+        # map is lazy: the document is made once _write has lifted the limit
+        self._write(map(self._document, [payload]))
 
-    def _json_chunks(self, payload: dict, rows: Iterable | None = None) -> Iterator[str]:
+    def _document(self, payload: dict) -> str:
         import json
-        if rows is not None:
-            payload = dict(payload, rows=list(rows))
         # default=str prints any other cell as str, as %s does in CSV
-        yield json.dumps(dict(payload, seed=self.seed), sort_keys=True, indent=2,
-                         default=str) + "\n"
+        return json.dumps(dict(payload, seed=self.seed), sort_keys=True, indent=2,
+                          default=str) + "\n"
+
+    def _chunks(self, header: list[str], rows: Iterator[Sequence], meta: dict,
+                width: int) -> Iterator[str]:
+        """The head, each chunk of rows, sep before all but the first, and the
+        tail.  The head is made here, where _write has lifted the digit limit,
+        and goes out with the first chunk."""
+        if self.fmt == "csv":
+            line = ",".join(["%s"] * width) + "\n"   # %s formats a cell as str does
+            texts = iter(lambda: "".join(
+                [line % tuple(row) for row in islice(rows, self.CSV_CHUNK)]), "")
+            text = next(texts, "")
+            head, sep, tail = "# seed=%d %s\n%s\n" % (self.seed, " ".join(
+                "%s=%s" % (k, meta[k]) for k in sorted(meta)), ",".join(header)), "", ""
+        else:
+            import json
+            dump = json.JSONEncoder(indent=2, default=str).encode
+            # a chunk as one list, less "[\n  " and "\n]", one level in: as the document nests rows
+            texts = iter(lambda: dump(list(islice(rows, self.CSV_CHUNK)))[4:-2]
+                         .replace("\n", "\n  "), "")
+            text = next(texts, "")
+            # the document cut at its two rows "\0" (argv holds no NUL), or with none
+            doc = self._document(dict(meta, columns=header, rows=["\0"] * 2 if text else []))
+            head, sep, tail = doc.split(dump("\0")) if text else (doc, "", "")
+        yield head + text
+        del text   # no chunk's text is held while the next one is made
+        yield from map(sep.__add__, texts)
+        if tail:
+            yield tail
 
     def _write(self, chunks: Iterator[str]) -> None:
         """The target is opened once the first chunk is made, so an error in
@@ -494,8 +502,10 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact computations for a rank-one cutting-and-stacking map.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, cap_l: bool = False, cap_n: bool = False) -> None:
-        p.add_argument("--format", choices=("csv", "json"), default="csv")
+    def common(p: argparse.ArgumentParser, cap_l: bool = False, cap_n: bool = False,
+               fmt: bool = True) -> None:
+        if fmt:
+            p.add_argument("--format", choices=("csv", "json"), default="csv")
         p.add_argument("--out", default=None)
         p.add_argument("--seed", type=int, default=0)
         if cap_l:
@@ -543,8 +553,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="deterministic verification suite")
     p.add_argument("--suite", choices=("all",), default="all")
-    common(p)
-    p.set_defaults(fn=cmd_verify)
+    # the report is one JSON document: a default, not an option
+    common(p, fmt=False)
+    p.set_defaults(fn=cmd_verify, format="json")
 
     p = sub.add_parser("apply-t", help="apply the map at a triadic point")
     p.add_argument("point", help="p/3^m, 0.a1a2..., or a plain fraction")

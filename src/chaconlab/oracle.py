@@ -164,7 +164,7 @@ def brute_correlation(a: TriadicSet, b: TriadicSet, n: int) -> Fraction:
     Overlaps are integer lengths: at stage s, A, B, the level starts and
     the width 2/3^(s+2) lie on the grid 3^-G, G = max(F, s + 2) with 3^-F
     the finest endpoint grid of A and B, and each stage's sum becomes one
-    Fraction over 3^G.  At n = 0 the one overlap is taken on the grid 3^-F.
+    Fraction over 3^G.
     """
     if n < 0:
         a, b, n = b, a, -n
@@ -172,10 +172,6 @@ def brute_correlation(a: TriadicSet, b: TriadicSet, n: int) -> Fraction:
         raise FragmentationError(f"n = {n} exceeds oracle cap {ORACLE_CAP}")
     fine = max((_pow3_exponent(q.denominator) for iv in a.intervals + b.intervals for q in iv),
                default=0)
-    if n == 0:
-        return Fraction(_shift_overlap(_on_grid(a.intervals, fine), _on_grid(b.intervals, fine),
-                                       0, 0, 3 ** fine), 3 ** fine)
-
     m = 1
     while _h(m) < n + 2:
         m += 1

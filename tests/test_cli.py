@@ -68,7 +68,7 @@ class TestLeanStart:
         assert "chaconlab.correlation" in loaded
         assert loaded.isdisjoint({"dataclasses", "inspect", "chaconlab.exceptional",
                                   "chaconlab.checks", "chaconlab.oracle",
-                                  "chaconlab.constants"})
+                                  "chaconlab.constants", "json"})
 
     def test_jset_loads_no_oracle(self):
         loaded = self.loaded_after("jset", "--k", "1", "--N-max", "1000")
@@ -319,11 +319,12 @@ class TestBlocks:
         ("dl", "--l", f"0..{3 ** 7 - 1}", f"0..{3 ** 9 - 1}"),
     ])
     def test_heap_peak_is_set_by_the_block(self, tmp_path, command, flag, narrow, wide):
-        # a window nine times wider may at most double the traced heap peak
+        # in either format, a window nine times wider may at most double the
+        # traced heap peak
         path = str(tmp_path / "out.txt")
 
-        def peak(window):
-            argv = [command, "--k", "1", flag, window, "--out", path]
+        def peak(window, fmt):
+            argv = [command, "--k", "1", flag, window, "--format", fmt, "--out", path]
             tracemalloc.start()
             try:
                 assert main(argv) == EXIT_OK
@@ -331,8 +332,9 @@ class TestBlocks:
             finally:
                 tracemalloc.stop()
 
-        peak(narrow)   # any one-time allocation lands here, not in the runs compared
-        assert peak(wide) <= 2 * peak(narrow)
+        for fmt in ("csv", "json"):
+            peak(narrow, fmt)   # any one-time allocation lands here, not in the runs compared
+            assert peak(wide, fmt) <= 2 * peak(narrow, fmt), fmt
 
     def test_failing_window_prints_nothing(self, tmp_path, capsys, monkeypatch):
         # every check runs before the first block is built
@@ -1294,6 +1296,14 @@ class TestVerify:
         # recorded at commit 4b97af2, the last one with Fraction overlaps in the oracle
         assert hashlib.sha256(proc.stdout.encode("utf-8")).hexdigest() == (
             "3231edecd3cf589c1389e1d4e13264715e9c4e16c21d8ab9133f6a9a5de328b8")
+
+    def test_format_is_not_an_option(self, capsys):
+        # the report is one JSON document: --format is refused while parsing,
+        # as an undeclared cap is, before the suite would run
+        code = main(["verify", "--suite", "all", "--format", "csv"])
+        out, err = capsys.readouterr()
+        assert (code, out) == (EXIT_INPUT, "")
+        assert err.endswith("error: unrecognized arguments: --format csv\n")
 
     def test_unknown_suite_is_invalid(self, tmp_path):
         code, _ = run(tmp_path, "verify", "--suite", "bogus")

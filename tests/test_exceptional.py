@@ -1,6 +1,7 @@
 import heapq
 import math
 import random
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
@@ -21,6 +22,7 @@ from chaconlab.exceptional import (
     HFunction,
     InputError,
     IntegerIntervalSet,
+    _layers,
     _steps,
     _weight_runs,
     build_J,
@@ -503,6 +505,23 @@ class TestBuildJk:
                 for t_max in (2, 8, 9, 80, 81, 300, 729, 2187, 6560):
                     for n_max in (t_max * hk, t_max * hk + hk - 1):
                         assert build_Jk(k, h, n_max) == full.clip(0, n_max), (h.name, k, n_max)
+
+    def test_layer_thresholds_are_exact(self):
+        # _layers decides b_l < (ln N)^2 h(N) through the ceiling of a binary64
+        # product; for these families and every layer N = 2..1000 it gives the
+        # c of the exact value at 60 digits, and no layer where that is <= 0
+        # (loglog at N = 2)
+        exact = {"linear": lambda n: n, "log": Decimal.ln, "loglog": lambda n: n.ln().ln(),
+                 "power:0.5": Decimal.sqrt, "power:0.25": lambda n: n.sqrt().sqrt()}
+        with localcontext() as ctx:
+            ctx.prec = 60
+            for spec, h in exact.items():
+                # at h_k = 1 the layers reach N = 1000 on the window [0, 3^1001]
+                cs = {lo: c for lo, _, c in _layers(HFunction.parse(spec), 1, 3 ** 1001)}
+                for big_n in range(2, 1001):
+                    threshold = Decimal(big_n).ln() ** 2 * h(Decimal(big_n))
+                    expected = math.ceil(min(threshold, big_n + 4)) - 2 if threshold > 0 else None
+                    assert cs.get(3 ** big_n) == expected, (spec, big_n)
 
     def test_members_carry_positive_correlation(self):
         jk = build_Jk(1, HFunction.linear(), 400)
