@@ -43,11 +43,12 @@ def corr_matches_oracle(ks, n_max: int) -> bool:
 
 
 def dl_normalized_unimodal(l_bound: int) -> bool:
-    """Each d_l' at stage 1, l < l_bound, sums to 1, is palindromic and unimodal."""
+    """Each d_l' at stage 1, l < l_bound, sums to 1, is palindromic and unimodal,
+    read on its numerators over their one denominator 2 * 3^e."""
     for d in correlation.dl_run(1, 0, l_bound - 1):
-        m = d.masses
-        peak = max(range(len(m)), key=lambda i: m[i])
-        if not (sum(m) == 1 and m == tuple(reversed(m))
+        m = d.nums
+        peak = max(range(len(m)), key=m.__getitem__)
+        if not (sum(m) == 2 * 3 ** d.e and m == m[::-1]
                 and all(x <= y for x, y in zip(m[:peak], m[1:peak + 1]))
                 and all(x >= y for x, y in zip(m[peak:], m[peak + 1:]))):
             return False

@@ -50,6 +50,11 @@ FROZEN = FrozenConstants(
 )
 
 
+def _weighted_sq(x: Fraction, weight: int, divisor: int = 1) -> Fraction:
+    """x^2 * weight / divisor, as one Fraction built from integers."""
+    return Fraction(x.numerator ** 2 * weight, x.denominator ** 2 * divisor)
+
+
 def _first_max(values: dict) -> tuple:
     """The largest value and the first key, in order, that attains it."""
     arg = max(values, key=values.__getitem__)
@@ -59,13 +64,13 @@ def _first_max(values: dict) -> tuple:
 def sweep_c1_sq(l_bound: int) -> tuple[Fraction, int]:
     """Exact max of H_l^2 b_l over l < l_bound, with its argmax."""
     run = dl_run(0, 0, l_bound - 1)
-    return _first_max({l: H_value(l, run) ** 2 * compute_bl(l) for l in range(l_bound)})
+    return _first_max({l: _weighted_sq(H_value(l, run), compute_bl(l)) for l in range(l_bound)})
 
 
 def sweep_c2_sq(l_bound: int) -> tuple[Fraction, int]:
     """Exact max of |D_{l+1} - D_l|_1^2 b_l over l < l_bound."""
     run = dl_run(0, 0, l_bound)
-    return _first_max({l: profile_gap([(l + 1, 0), (l, 0)], run) ** 2 * compute_bl(l)
+    return _first_max({l: _weighted_sq(profile_gap([(l + 1, 0), (l, 0)], run), compute_bl(l))
                        for l in range(l_bound)})
 
 
@@ -74,6 +79,7 @@ def sweep_c3_sq(l_bound: int, p_bound: int) -> tuple[Fraction, tuple[int, int]]:
     is the envelope gap of D_{l+j}(. - i/2), 0 <= j <= 2, -p <= i <= p."""
     run = dl_run(0, 0, l_bound + 1)
     return _first_max({
-        (l, p): profile_gap([(l + j, i) for j in range(3) for i in range(-p, p + 1)], run) ** 2
-        * compute_bl(l) / (p * p)
+        (l, p): _weighted_sq(
+            profile_gap([(l + j, i) for j in range(3) for i in range(-p, p + 1)], run),
+            compute_bl(l), p * p)
         for l in range(l_bound) for p in range(1, p_bound + 1)})

@@ -349,20 +349,26 @@ def profile_gap(family: Iterable[tuple[int, int]], run: Sequence[ReturnDistribut
     and at every stage the first cell of D_l(. - i/2) is 2*o_l - l - 1 + i.
     Over the largest exponent e in the family every cell value is an integer
     over 2 * 3^e, so the cell sum is an integer and the integral is that sum
-    over 4 * 3^e.  For two profiles this is their L1 distance.  run is
-    `dl_run(0, 0, L)` for an L no less than any l of the family.
+    over 4 * 3^e.  For two profiles this is their L1 distance.  The doubled,
+    scaled cells of each distinct l are built once, as one row padded with
+    the family's width of zeros on both sides, and each member (l, i) reads
+    its cells as a slice of that row.  run is `dl_run(0, 0, L)` for an L no
+    less than any l of the family.
     """
     # at stage 0, h = 1, so o_l = start - l
-    members = [(run[l].nums, run[l].e, 2 * run[l].start - 3 * l - 1 + i) for l, i in family]
-    e_max = max(e for _, e, _ in members)
-    lo = min(first for _, _, first in members)
-    hi = max(first + 2 * len(nums) for nums, _, first in members)
-    rows = []
-    for nums, e, first in members:
-        scale = 3 ** (e_max - e)
-        cells = [v for m in nums for v in (m * scale,) * 2]
-        rows.append([0] * (first - lo) + cells + [0] * (hi - first - len(cells)))
-    return Fraction(sum(max(col) - min(col) for col in zip(*rows)), 4 * 3 ** e_max)
+    members = [(l, 2 * run[l].start - 3 * l - 1 + i) for l, i in family]
+    e_max = max(run[l].e for l, _ in members)
+    lo = min(first for _, first in members)
+    width = max(first + 2 * len(run[l].nums) for l, first in members) - lo
+    padded = {}
+    for l in {l for l, _ in members}:
+        scale = 3 ** (e_max - run[l].e)
+        padded[l] = [0] * width + [v for m in run[l].nums for v in (m * scale,) * 2] + [0] * width
+    # a member's cells begin first - lo cells into its row
+    rows = [padded[l][width + lo - first:2 * width + lo - first] for l, first in members]
+    # rows[0] again changes no max or min, and lets a family of one profile map
+    return Fraction(sum(map(max, rows[0], *rows)) - sum(map(min, rows[0], *rows)),
+                    4 * 3 ** e_max)
 
 
 def H_value(l: int, run: Sequence[ReturnDistribution]) -> Fraction:

@@ -13,7 +13,9 @@ Three unrelated verification devices live here:
   the two sets, and each stage's sum becomes one Fraction (_lv_start gives
   the level starts of stage k as numerators over 3^(k+1)),
 * exhaustive digit-cell enumeration of the return-time distributions via
-  the orbit sum of first-return times (no use of the mass recursion),
+  the orbit sum of first-return times (no use of the mass recursion), each
+  cell's mass an integer over one 2 * 3^D, D the number of base-3 digits
+  of l, with one Fraction per returned mass,
 * the smoothing-operator polynomials as coefficient tuples, the
   partial-sum order on them, and the lazy-walk polynomials they are
   compared against.
@@ -233,20 +235,31 @@ def brute_dl(k: int, l: int) -> EnumeratedDistribution:
     one infinite regress, the first-return time of a uniform tail, is closed
     in exact form: stripping a leading 2 leaves the law invariant, so the
     time is h with probability 1/2 and h + 1 with probability 1/2.
+
+    Each cell's mass is an integer over den = 2 * 3^D, D the number of
+    base-3 digits of l, and one Fraction is built per returned mass.  No
+    division drops a remainder.  Every step takes the remaining index m to
+    q + z <= ceil(m/3), and splits at most once, only while m >= 2.  If
+    m <= 3^t then ceil(m/3) <= 3^(t-1), and l <= 3^D, so after j steps
+    m <= 3^(D-j): a cell splits at most D times on its way to m <= 1, where
+    the closure halves once.
     """
     if k < 0:
         raise DomainError(f"stage {k} < 0")
     if l < 0:
         raise DomainError(f"l = {l} < 0")
     h = _h(k)
-    half = Fraction(1, 2)
-    dist: dict[int, Fraction] = {}
+    digits, rest = 0, l
+    while rest:
+        digits, rest = digits + 1, rest // 3
+    den = 2 * 3 ** digits
+    dist: dict[int, int] = {}
 
-    def emit(n: int, m: Fraction) -> None:
-        dist[n] = dist.get(n, Fraction(0)) + m
+    def emit(n: int, m: int) -> None:
+        dist[n] = dist.get(n, 0) + m
 
     # states: (next digit or None for a fresh uniform tail, shift, index, mass)
-    stack: list[tuple[int | None, int, int, Fraction]] = [(None, 0, l, Fraction(1))]
+    stack: list[tuple[int | None, int, int, int]] = [(None, 0, l, den)]
     while stack:
         a, shift, m, mass = stack.pop()
         if m == 0:
@@ -265,11 +278,10 @@ def brute_dl(k: int, l: int) -> EnumeratedDistribution:
             else:
                 # a == 2 strips to the same state; a is None for the uniform
                 # tail, whose geometric closure gives the half-half law
-                emit(shift + h, half * mass)
-                emit(shift + h + 1, half * mass)
+                emit(shift + h, mass // 2)
+                emit(shift + h + 1, mass // 2)
         elif a is None:
-            third = Fraction(1, 3) * mass
-            stack.extend((d, shift, m, third) for d in (0, 1, 2))
+            stack.extend((d, shift, m, mass // 3) for d in (0, 1, 2))
         else:
             x, y, z = _DL_ROWS[s - 1][a]
             stack.append((None, shift + (2 * q + x) * h + q + y, q + z, mass))
@@ -277,7 +289,7 @@ def brute_dl(k: int, l: int) -> EnumeratedDistribution:
     lo, hi = min(dist), max(dist)
     if set(dist) != set(range(lo, hi + 1)):
         raise DomainError(f"enumerated support of d_{l}' is not an integer interval")
-    return EnumeratedDistribution(lo, tuple(dist[n] for n in range(lo, hi + 1)))
+    return EnumeratedDistribution(lo, tuple(Fraction(dist[n], den) for n in range(lo, hi + 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -315,9 +327,8 @@ def _mix(shifted: tuple[Fraction, ...], plain: tuple[Fraction, ...]) -> tuple[Fr
 
 def walk_poly(n: int) -> tuple[Fraction, ...]:
     """((1/3) phi + (2/3))^n, the lazy-walk smoothing polynomial F_n."""
-    third = Fraction(1, 3)
-    two_thirds = Fraction(2, 3)
-    return tuple(comb(n, i) * third ** i * two_thirds ** (n - i) for i in range(n + 1))
+    den = 3 ** n
+    return tuple(Fraction(comb(n, i) * 2 ** (n - i), den) for i in range(n + 1))
 
 
 def precedes(f: tuple[Fraction, ...], g: tuple[Fraction, ...]) -> bool:

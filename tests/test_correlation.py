@@ -609,7 +609,7 @@ class TestProfiles:
             for l in range(243):
                 families = [[(l + 1, 0), (l, 0)]]
                 families += [[(l + j, i) for j in range(3) for i in range(-p, p + 1)]
-                             for p in (1, 2)]
+                             for p in (1, 2, 3, 4)]
                 for family in families:
                     # one profile serves every stage
                     assert profile_gap(family, run) == reference_gap(k, dists, family)

@@ -262,7 +262,9 @@ class TestBruteDl:
             17, (Fraction(2, 9), Fraction(5, 9), Fraction(2, 9)))
 
     def test_agrees_with_recursion_engine(self):
-        assert checks.dl_matches_oracle((1, 2), 79)
+        # every l < 3^6, the deepest digit counts D for which the oracle's
+        # mass denominator 2 * 3^D must hold, at the stages 0 to 3
+        assert checks.dl_matches_oracle((0, 1, 2, 3), 3 ** 6 - 1)
 
     def test_rejects_negative_stage(self):
         with pytest.raises(DomainError):
