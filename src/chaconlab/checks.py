@@ -136,15 +136,25 @@ def contract_holds(res, a, b, c, n_max: int) -> bool:
 
     a, b and c are Columns.  Both inequalities are cross-multiplied on their
     numerators and positive denominators, so no Fraction is built per step.
+
+    One pass over n, carrying k = the number of thresholds <= n and the
+    running count of exceptional points, checks both at that one k.  This
+    needs nondecreasing thresholds, which extract_exceptional makes: then the
+    k with l_k <= n are 1..k, a_n * k > 1 is monotone in k, so the largest k
+    decides the first inequality, and the ranges [l_k, l_(k+1)) partition the
+    window, so the second reads exactly this k at n.
     """
-    for k in range(1, len(res.thresholds) + 1):
-        lk = res.thresholds[k - 1]
-        hi = res.thresholds[k] if k < len(res.thresholds) else n_max + 1
-        if any(a.num[n] * k > a.den[n] and n not in res.exceptional
-               for n in range(lk, n_max + 1)):
-            return False
-        if any(c.num[n] * res.exceptional.count(n) * k * b.den[n]
-               > n * b.num[n] * c.den[n] for n in range(max(lk, 1), hi)):
+    thresholds, exceptional = res.thresholds, res.exceptional
+    if any(lo > hi for lo, hi in zip(thresholds, thresholds[1:])):
+        raise DomainError(f"thresholds {thresholds} are not nondecreasing")
+    k = count = 0
+    for n in range(n_max + 1):
+        while k < len(thresholds) and thresholds[k] <= n:
+            k += 1
+        member = n in exceptional
+        count += member
+        if k and (a.num[n] * k > a.den[n] and not member
+                  or n and c.num[n] * count * k * b.den[n] > n * b.num[n] * c.den[n]):
             return False
     return True
 

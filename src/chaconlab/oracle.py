@@ -11,7 +11,9 @@ Three unrelated verification devices live here:
   is still a level of that stage; at stage s the overlaps are integer
   lengths on the grid 3^-max(F, s + 2), 3^-F the finest endpoint grid of
   the two sets, and each stage's sum becomes one Fraction (_lv_start gives
-  the level starts of stage k as numerators over 3^(k+1)),
+  the level starts of stage k as numerators over 3^(k+1)); a copy whose
+  source window misses A's hull, or whose target window misses B's, is
+  skipped, which is exact because its overlap is 0,
 * exhaustive digit-cell enumeration of the return-time distributions via
   the orbit sum of first-return times (no use of the mass recursion), each
   cell's mass an integer over one 2 * 3^D, D the number of base-3 digits
@@ -166,7 +168,10 @@ def brute_correlation(a: TriadicSet, b: TriadicSet, n: int) -> Fraction:
     Overlaps are integer lengths: at stage s, A, B, the level starts and
     the width 2/3^(s+2) lie on the grid 3^-G, G = max(F, s + 2) with 3^-F
     the finest endpoint grid of A and B, and each stage's sum becomes one
-    Fraction over 3^G.
+    Fraction over 3^G.  A resolving copy whose source window misses A's hull
+    [min A, max A), or whose target window misses B's, adds nothing and is
+    skipped: that set's trace on the window is empty, so the overlap is 0
+    exactly.
     """
     if n < 0:
         a, b, n = b, a, -n
@@ -189,12 +194,20 @@ def brute_correlation(a: TriadicSet, b: TriadicSet, n: int) -> Fraction:
         av, bv = _on_grid(a.intervals, grid), _on_grid(b.intervals, grid)
         hs, hn, scale = _h(stage), _h(stage + 1), 3 ** (grid - stage - 2)
         copies = [p for j in unresolved for p in (j, j + hs, j + 2 * hs + 1)] + [2 * hs]
+        w = 2 * scale
+        # the hulls [a_lo, a_hi) and [b_lo, b_hi); a window that misses one
+        # has overlap 0, and an empty set leaves every window missing it
+        a_lo, a_hi = (av[0][0], av[-1][1]) if av else (0, 0)
+        b_lo, b_hi = (bv[0][0], bv[-1][1]) if bv else (0, 0)
         chi = 0
         unresolved = []
         for p in copies:
             if p + n < hn:
-                chi += _shift_overlap(av, bv, _lv_start(stage + 1, p) * scale,
-                                      _lv_start(stage + 1, p + n) * scale, 2 * scale)
+                src = _lv_start(stage + 1, p) * scale
+                if src < a_hi and a_lo < src + w:
+                    dst = _lv_start(stage + 1, p + n) * scale
+                    if dst < b_hi and b_lo < dst + w:
+                        chi += _shift_overlap(av, bv, src, dst, w)
             else:
                 unresolved.append(p)
         history.append(Fraction(chi, 3 ** grid))

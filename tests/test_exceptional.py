@@ -290,6 +290,93 @@ class TestExtractor:
             extract_exceptional(*columns([0], [1], [1]), 5)
 
 
+def reference_contract_holds(res, a, b, c, n_max: int) -> bool:
+    """The per-threshold contract check of commit 70e1755, verbatim: one scan
+    of the window per threshold, the reference for the one-pass check."""
+    for k in range(1, len(res.thresholds) + 1):
+        lk = res.thresholds[k - 1]
+        hi = res.thresholds[k] if k < len(res.thresholds) else n_max + 1
+        if any(a.num[n] * k > a.den[n] and n not in res.exceptional
+               for n in range(lk, n_max + 1)):
+            return False
+        if any(c.num[n] * res.exceptional.count(n) * k * b.den[n]
+               > n * b.num[n] * c.den[n] for n in range(max(lk, 1), hi)):
+            return False
+    return True
+
+
+class TestContractMatchesReference:
+    def check(self, res, a, b, c, n_max):
+        expected = reference_contract_holds(res, a, b, c, n_max)
+        assert checks.contract_holds(res, a, b, c, n_max) == expected, (res.thresholds, n_max)
+        return expected
+
+    def test_power_of_two_series(self):
+        for n_max in (0, 1, 2 ** 6, 2 ** 12):
+            a, b, c = checks.power_of_two_series(n_max)
+            assert self.check(extract_exceptional(a, b, c, n_max), a, b, c, n_max)
+
+    def test_edited_thresholds(self):
+        n_max = 2 ** 6
+        a, b, c = checks.power_of_two_series(n_max)
+        res = extract_exceptional(a, b, c, n_max)
+        k = len(res.thresholds)
+        verdicts = set()
+        for thresholds in ([0] * k, [0, 10, 10, 27], [0, 0, 27, 27], [0, 0, 10, n_max],
+                           [n_max] * k, [0, 0, n_max, n_max], [0, 1, 1, 2]):
+            edited = ExtractionResult(res.exceptional, thresholds, res.level_sets)
+            verdicts.add(self.check(edited, a, b, c, n_max))
+        assert verdicts == {True, False}
+
+    def test_count_bound_starts_at_one(self):
+        # an exceptional point at n = 0 is counted from n = 1 on, where
+        # c_n * 1 * 1 = 1/(n + 2) <= n * b_n = n/(n + 1)
+        n_max = 40
+        a, b, c = columns([0] * (n_max + 1), [Fraction(1, n + 1) for n in range(n_max + 1)],
+                          [Fraction(1, n + 2) for n in range(n_max + 1)])
+        res = ExtractionResult(IntegerIntervalSet([(0, 0)]), [0], [IntegerIntervalSet()])
+        assert self.check(res, a, b, c, n_max)
+
+    def test_seeded_results_with_a_point_dropped_or_a_threshold_lowered(self):
+        # every exceptional point is needed, so a dropped one always fails;
+        # a lowered threshold passes, fails the first inequality or fails
+        # only the count bound
+        rng = random.Random(47)
+        verdicts = {"dropped": set(), "lowered": set()}
+        for case in range(80):
+            n_max = rng.randint(3, 200)
+            a, b, c = columns(*random_series(rng, n_max))
+            res = extract_exceptional(a, b, c, n_max)
+            assert self.check(res, a, b, c, n_max)
+            points = list(res.exceptional.iter_points())
+            if points:
+                gone = rng.choice(points)
+                kept = IntegerIntervalSet((p, p) for p in points if p != gone)
+                verdicts["dropped"].add(self.check(
+                    ExtractionResult(kept, res.thresholds, res.level_sets), a, b, c, n_max))
+            # lower one threshold l_k to a value in [l_(k-1), l_k)
+            raised = [k for k, lk in enumerate(res.thresholds, 1)
+                      if lk > ([0] + res.thresholds)[k - 1]]
+            if raised:
+                k = rng.choice(raised)
+                thresholds = list(res.thresholds)
+                lk = rng.randrange(([0] + thresholds)[k - 1], thresholds[k - 1])
+                thresholds[k - 1] = lk
+                holds = self.check(
+                    ExtractionResult(res.exceptional, thresholds, res.level_sets), a, b, c, n_max)
+                first = all(a.num[n] * k <= a.den[n] or n in res.exceptional
+                            for n in range(lk, n_max + 1))
+                verdicts["lowered"].add("holds" if holds else "count" if first else "first")
+        assert verdicts == {"dropped": {False}, "lowered": {"holds", "count", "first"}}
+
+    def test_rejects_decreasing_thresholds(self):
+        a, b, c = checks.power_of_two_series(2 ** 6)
+        res = extract_exceptional(a, b, c, 2 ** 6)
+        res = ExtractionResult(res.exceptional, [0, 10, 0, 27], res.level_sets)
+        with pytest.raises(DomainError, match="nondecreasing"):
+            checks.contract_holds(res, a, b, c, 2 ** 6)
+
+
 def reference_extract(a, b, c, n_max: int, k_max: int = 32) -> ExtractionResult:
     """The Fraction extractor of commit 28b6eb4, verbatim: the reference for the
     integer one."""

@@ -211,6 +211,45 @@ class TestBruteCorrelation:
                 assert brute_correlation(a, b, n) == chain_correlation(a, b, n), (
                     a.intervals, b.intervals, n)
 
+    def test_empty_set_correlates_to_zero(self):
+        empty, a1 = TriadicSet.from_endpoints([]), base_cell(1)
+        for n in range(-5, 6):
+            assert brute_correlation(empty, a1, n) == 0
+            assert brute_correlation(a1, empty, n) == 0
+
+    def test_hull_edges_match_chain(self):
+        # a copy is skipped when its window misses a set's hull; windows of
+        # stage s start at even multiples of 3^-(s+2), so these sets end where
+        # a window starts, start where one ends, or reach one unit into one
+        def sets():
+            for e in (3, 4, 5):
+                u = Fraction(1, 3 ** e)
+                for i in (1, 4, 7):
+                    yield [((2 * i - 1) * u, 2 * i * u)]              # ends at a window start
+                    yield [(2 * (i + 1) * u, (2 * i + 3) * u)]        # starts at a window end
+                    yield [((2 * i - 1) * u, (2 * i + 1) * u)]        # one unit into window i
+                    yield [((2 * i + 1) * u, (2 * i + 3) * u)]        # one unit out of it
+            # a wide gap: the hull spans levels neither piece meets
+            yield [(0, Fraction(1, 27)), (Fraction(16, 27), Fraction(2, 3))]
+            yield [(Fraction(2, 81), Fraction(4, 81)), (1 - Fraction(2, 27), 1 - Fraction(1, 27))]
+            # inside the spacer remainder [1 - 3^-(k+1), 1) of stages k = 2, 3, 4
+            for k in (2, 3, 4):
+                yield [(1 - Fraction(1, 3 ** (k + 1)), 1 - Fraction(1, 3 ** (k + 2)))]
+                yield [(1 - Fraction(1, 3 ** (k + 2)), Fraction(1))]
+            # endpoints on the grids 3^-7 .. 3^-9
+            for e in (7, 8, 9):
+                u, mid = Fraction(1, 3 ** e), Fraction(2, 27)
+                yield [(mid - u, mid + u), (1 - 2 * u, 1 - u)]
+
+        cases = [TriadicSet.from_endpoints(pairs) for pairs in sets()]
+        rng = random.Random(53)
+        for a in cases:
+            partners = [base_cell(1), base_cell(3)] + rng.sample(cases, 2)
+            for b in partners:
+                for n in (0, rng.randint(1, 12), rng.randint(13, 60), -rng.randint(1, 40)):
+                    assert brute_correlation(a, b, n) == chain_correlation(a, b, n), (
+                        a.intervals, b.intervals, n)
+
     def test_cap(self):
         a1 = base_cell(1)
         with pytest.raises(FragmentationError):
