@@ -92,12 +92,15 @@ def measure_preserved(rng, samples: int) -> bool:
 
 
 def majorized(l_max: int) -> bool:
-    """phi_l precedes, and peaks no higher than, the (b_l - 1)-step lazy walk."""
+    """phi_l precedes, and peaks no higher than, the (b_l - 1)-step lazy walk,
+    for 1 <= l <= l_max.  Each walk and its peak are built once per distinct
+    weight b_l - 1, at most the balanced-ternary digit count of l_max."""
     phis = oracle.phi_run(l_max)
-    pairs = ((phis[l], oracle.walk_poly(correlation.compute_bl(l) - 1))
-             for l in range(1, l_max + 1))
-    return all(oracle.precedes(phi, walk) and oracle.center_value(phi) <= oracle.center_value(walk)
-               for phi, walk in pairs)
+    weights = {l: correlation.compute_bl(l) - 1 for l in range(1, l_max + 1)}
+    walks = {w: oracle.walk_poly(w) for w in set(weights.values())}
+    peaks = {w: oracle.center_value(walk) for w, walk in walks.items()}
+    return all(oracle.precedes(phis[l], walks[w]) and oracle.center_value(phis[l]) <= peaks[w]
+               for l, w in weights.items())
 
 
 def frozen_constants_reproduce() -> bool:

@@ -13,7 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple
 
-from .correlation import H_value, compute_bl, dl_run, profile_gap
+from .correlation import H_value, compute_bl, dl_run, envelope_gaps, profile_gap
 
 HEADROOM = Fraction(121, 100)     # (1.1)^2, applied to squared maxima
 
@@ -75,11 +75,12 @@ def sweep_c2_sq(l_bound: int) -> tuple[Fraction, int]:
 
 
 def sweep_c3_sq(l_bound: int, p_bound: int) -> tuple[Fraction, tuple[int, int]]:
-    """Exact max of gap(l, p)^2 b_l / p^2 over the sweep window, where gap(l, p)
-    is the envelope gap of D_{l+j}(. - i/2), 0 <= j <= 2, -p <= i <= p."""
+    """Exact max of gap(l, p)^2 b_l / p^2 over l < l_bound, 1 <= p <= p_bound,
+    with its first argmax (l, p) in l-major, p-minor order, where gap(l, p)
+    is the envelope gap of D_{l+j}(. - i/2), 0 <= j <= 2, -p <= i <= p.
+    Each l's gaps for every p come from one `envelope_gaps` call."""
     run = dl_run(0, 0, l_bound + 1)
     return _first_max({
-        (l, p): _weighted_sq(
-            profile_gap([(l + j, i) for j in range(3) for i in range(-p, p + 1)], run),
-            compute_bl(l), p * p)
-        for l in range(l_bound) for p in range(1, p_bound + 1)})
+        (l, p): _weighted_sq(gap, compute_bl(l), p * p)
+        for l in range(l_bound)
+        for p, gap in enumerate(envelope_gaps(l, p_bound, run), 1)})

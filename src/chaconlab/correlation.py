@@ -371,6 +371,48 @@ def profile_gap(family: Iterable[tuple[int, int]], run: Sequence[ReturnDistribut
                     4 * 3 ** e_max)
 
 
+def envelope_gaps(l: int, p_bound: int, run: Sequence[ReturnDistribution]) -> list[Fraction]:
+    """[gap(l, p) for p = 1..p_bound], where gap(l, p) is the `profile_gap` of
+    the family D_(l+j)(. - i/2), 0 <= j <= 2, |i| <= p, read from three rows.
+
+    The doubled, scaled cells of D_l, D_(l+1) and D_(l+2) are laid on one
+    half-cell grid, padded by p_bound zero cells on each side; E_0 is their
+    cellwise max.  The family's max at cell x is E_p(x), the max of E_0 over
+    [x - p, x + p]: E_1 is the max of E_0 at x - 1, x and x + 1, and for
+    p >= 2, E_p(x) = max(E_(p-1)(x - 1), E_(p-1)(x + 1)), since those two
+    windows are [x - p, x + p - 2] and [x - p + 2, x + p], whose union is
+    [x - p, x + p] once x + p - 2 >= x - p + 1, that is p >= 2.  The min
+    envelope is the same steps with min.  Every row is 0 off its support, so
+    both envelopes are 0 more than p cells outside the rows' hull, which the
+    padding covers for every p <= p_bound, and a cell shifted in from beyond
+    the grid reads 0.  As in `profile_gap`, each gap is the cell sum of max
+    - min over 4 * 3^e, e the largest exponent of the three.  run is
+    `dl_run(0, 0, L)` for an L >= l + 2.
+    """
+    dists = run[l:l + 3]
+    e_max = max(d.e for d in dists)
+    # at stage 0 the first cell of D_m is 2*start - 3m - 1, as in `profile_gap`
+    firsts = [2 * d.start - 3 * m - 1 for m, d in enumerate(dists, l)]
+    lo = min(firsts) - p_bound
+    width = max(first + 2 * len(d.nums) for first, d in zip(firsts, dists)) + p_bound - lo
+    rows = []
+    for first, d in zip(firsts, dists):
+        scale = 3 ** (e_max - d.e)
+        row = [0] * width
+        row[first - lo:first - lo + 2 * len(d.nums)] = [v for m in d.nums for v in (m * scale,) * 2]
+        rows.append(row)
+    # the cell sums of E_1 .. E_p_bound, for max and then for min
+    sums = []
+    for pick in (max, min):
+        env = list(map(pick, *rows))
+        env = list(map(pick, [0] + env[:-1], env, env[1:] + [0]))
+        sums.append([sum(env)])
+        for _ in range(p_bound - 1):
+            env = list(map(pick, [0] + env[:-1], env[1:] + [0]))
+            sums[-1].append(sum(env))
+    return [Fraction(top - bottom, 4 * 3 ** e_max) for top, bottom in zip(*sums)]
+
+
 def H_value(l: int, run: Sequence[ReturnDistribution]) -> Fraction:
     """Peak height H_l = D_l(0), the mass of d_l' at (l + 1 - 2*o_l) // 2;
     run is `dl_run(0, 0, L)` for an L >= l, as for `profile_gap`."""

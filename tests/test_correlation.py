@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chaconlab import checks, cli, correlation as co
+from chaconlab import checks, cli, constants, correlation as co
 from chaconlab.correlation import (
     BLOCK,
     autocorrelation,
@@ -22,6 +22,7 @@ from chaconlab.correlation import (
     correlation_series,
     deviation_numerators,
     dl_run,
+    envelope_gaps,
     mu_Ak,
     profile_gap,
     support,
@@ -585,6 +586,23 @@ class TestProfiles:
                 gap = profile_gap(family, run)
                 for q in range(l * 3 ** p, (l + 1) * 3 ** p):
                     assert profile_gap(family + [(q, 0)], run) == gap
+
+    def test_envelope_gaps_match_profile_gap(self):
+        # every envelope family of l < 3^5, each p_bound read against the
+        # general definition; one run serves every l
+        run = dl_run(0, 0, 3 ** 5 + 1)
+        for l in range(3 ** 5):
+            gaps = [profile_gap([(l + j, i) for j in range(3) for i in range(-p, p + 1)], run)
+                    for p in range(1, 7)]
+            for p_bound in range(1, 7):
+                assert envelope_gaps(l, p_bound, run) == gaps[:p_bound]
+
+    def test_sweeps_pinned(self):
+        # the values and first argmaxes recorded beside constants.FROZEN; the
+        # argmax is the first key in the sweep's order that attains the max
+        assert constants.sweep_c1_sq(3 ** 5) == (Fraction(980, 729), 16)
+        assert constants.sweep_c2_sq(3 ** 5) == (Fraction(16, 9), 5)
+        assert constants.sweep_c3_sq(3 ** 4, 4) == (Fraction(605, 36), (16, 1))
 
     def test_gap_matches_reference_cells(self):
         def reference_gap(k, dists, family):

@@ -370,3 +370,12 @@ class TestPhiPolynomials:
 
     def test_majorized_by_lazy_walk(self):
         assert checks.majorized(120)
+
+    def test_majorized_reads_each_weights_own_walk(self, monkeypatch):
+        # l = 2 has weight 2, and phi_2 = (1/3, 0, 2/3) does not precede a
+        # walk with all its mass on the top power
+        assert checks.majorized(100)
+        walk_poly = oracle.walk_poly
+        monkeypatch.setattr(oracle, "walk_poly",
+                            lambda n: (Fraction(0),) * n + (Fraction(1),) if n == 2 else walk_poly(n))
+        assert not checks.majorized(100)
