@@ -43,15 +43,44 @@ BLOCK = 3 ** 8
 # ---------------------------------------------------------------------------
 # balanced-ternary weights
 
+def _six_digit_weights() -> bytes:
+    """NZ6: byte v is the number of nonzero digits of v - 364 in six
+    balanced-ternary digits, for v = 0..728.  Built digit by digit: d + 1
+    digits write t*3^d + m, with t in {-1, 0, 1} the top digit and m one of
+    the d-digit values, which fill [-(3^d - 1)/2, (3^d - 1)/2]; so in order
+    of value the table for d + 1 digits is that for d digits with one
+    added, then as it is, then with one added again."""
+    table = b"\0"
+    for _ in range(6):
+        up = bytes(c + 1 for c in table)
+        table = up + table + up
+    return table
+
+
+NZ6 = _six_digit_weights()
+
+
 def compute_bl(l: int) -> int:
-    """Support size b_l = 1 + the number of nonzero balanced-ternary digits of l."""
+    """Support size b_l = 1 + the number of nonzero balanced-ternary digits of l,
+    read six digits per step.
+
+    Proof.  Six balanced digits write 3^6 = 729 distinct integers, each of
+    size at most 1 + 3 + ... + 3^5 = 364, so they write exactly
+    [-364, 364], one value for each residue mod 729.  If l has low six
+    digits worth r and the rest worth m, then l = r + 729m, so r is the
+    residue of l in [-364, 364], r = ((l + 364) mod 729) - 364, and
+    m = (l - r) / 729 = (l + 364) // 729; the digits of l above the sixth
+    are those of m, since a balanced-ternary expansion is unique.  So l
+    has NZ6[(l + 364) % 729] nonzero digits below 3^6 and those of
+    (l + 364) // 729 above.
+    """
     if l < 0:
         raise DomainError(f"l = {l} < 0")
     b = 1
     while l:
-        # the low digit is l % 3 read as 0, 1 or -1; the rest of l is (l + 1) // 3
-        b += l % 3 != 0
-        l = (l + 1) // 3
+        l += 364
+        b += NZ6[l % 729]
+        l //= 729
     return b
 
 
@@ -88,16 +117,22 @@ def support_span(h: int, l: int, b: int) -> tuple[int, int]:
 def support_run(k: int, n_lo: int, n_hi: int) -> range:
     """All l whose support [s_l, t_l] meets [n_lo, n_hi], a contiguous run.
 
-    s_l <= l*(2h+1)/2 <= t_l and both rise by h or h + 1 per step, so the
-    run starts at most floor(2*n_lo/(2h+1)) + 1 and ends after
-    floor(2*n_hi/(2h+1)), each end a few steps from there.
+    s_l = l*(2h+1)/2 - (b_l - 1)/2 and t_l = l*(2h+1)/2 + (b_l - 1)/2, with
+    h = h_k, and both rise by h or h + 1 per step, so the run starts at most
+    floor(2*n_lo/(2h+1)) + 1 and ends after floor(2*n_hi/(2h+1)).  Each end
+    walks from there, one weight per step.  Down, every l the walk reaches
+    has t_l >= n_lo, so l >= (2*n_lo - b_l + 1)/(2h+1); up, every l it
+    passes has s_l <= n_hi, so l <= (2*n_hi + b_l - 1)/(2h+1).  So each end
+    takes at most about (b_max - 1)/(2h + 1) steps, with b_max the largest
+    weight walked: near 3^300 at k = 1, b_l reaches about 215 and 2h + 1 = 9,
+    so a point evaluates about 47 weights, 24 or so at each end.
     """
-    step = 2 * tower.height(k) + 1
-    lo = 2 * n_lo // step + 1
-    while lo and support(k, lo - 1)[1] >= n_lo:
+    h = tower.height(k)
+    lo = 2 * n_lo // (2 * h + 1) + 1
+    while lo and support_span(h, lo - 1, compute_bl(lo - 1))[1] >= n_lo:
         lo -= 1
-    hi = 2 * n_hi // step + 1
-    while support(k, hi)[0] <= n_hi:
+    hi = 2 * n_hi // (2 * h + 1) + 1
+    while support_span(h, hi, compute_bl(hi))[0] <= n_hi:
         hi += 1
     return range(lo, hi)
 
@@ -159,8 +194,7 @@ def _shape_run(a: int, b: int) -> tuple[list[Shape], int]:
         a, b = a // 3, -(-b // 3)
         runs.append((a, b))
     w = -(-(2 * 3 ** (len(runs) - 1)).bit_length() // 64) * 64
-    twice = 1 + (1 << w)          # a piece and the same piece one limb up
-    base = [(0, 2, 0, 1), (0, twice, 0, 2)]
+    base = [(0, 2, 0, 1), (0, 1 + (1 << w), 0, 2)]
     lo, hi = runs.pop()
     shapes = base[lo:hi + 1]
     for a, b in reversed(runs):
@@ -180,18 +214,23 @@ def _shape_run(a: int, b: int) -> tuple[list[Shape], int]:
             elif e1 > e:
                 p, e = p * 3 ** (e1 - e), e1
             if r == 1:
-                level.append((o + q, p * twice + (p1 << w * (o1 - o)), e + 1, n + 1))
+                level.append((o + q, p + (p << w) + (p1 << w * (o1 - o)), e + 1, n + 1))
             else:
-                level.append((o1 + q, (p << w * (1 + o - o1)) + p1 * twice, e + 1, n1 + 1))
+                level.append((o1 + q, (p << w * (1 + o - o1)) + p1 + (p1 << w), e + 1, n1 + 1))
         shapes, lo = level, a
     return shapes, w
 
 
 def _limbs(packed: int, first: int, count: int, w: int) -> list[int]:
     """Limbs first .. first + count - 1 of packed, w bits each, lowest first;
-    a limb below limb 0 reads 0."""
+    a limb below limb 0 reads 0.  A few limbs are read by shift and mask, a
+    wider window by one conversion to bytes: each shift costs the size of
+    packed, so past about six limbs the conversion is cheaper."""
     if first < 0:
         packed, first = packed << w * -first, 0
+    if count <= 6:
+        mask = (1 << w) - 1
+        return [packed >> w * i & mask for i in range(first, first + count)]
     size = w // 8
     end = (first + count) * size
     raw = memoryview(packed.to_bytes(max(end, (packed.bit_length() + 7) // 8), "little"))
@@ -267,7 +306,8 @@ def series_numerators(k: int, n_lo: int, n_hi: int) -> tuple[list[int], int]:
 def autocorrelation(k: int, n: int) -> Fraction:
     """mu(A_k intersect T^-n A_k), exactly, via the integer sum over P_n."""
     n = abs(n)
-    return correlation_series(k, n, n)[0]
+    (a,), p = series_numerators(k, n, n)
+    return Fraction(a, 3 ** p)
 
 
 def cell_correlation(cells_a: Iterable[int], cells_b: Iterable[int], k: int, n: int) -> Fraction:

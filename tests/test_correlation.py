@@ -70,6 +70,17 @@ class TestBalancedTernary:
         with pytest.raises(DomainError):
             compute_bl(-1)
 
+    def test_weight_across_six_digit_chunks(self):
+        # compute_bl reads six digits per step, so check it where a digit
+        # carries from one six-digit chunk into the next: at the all-ones
+        # l = (3^(6j) - 1)/2 and one past it, and at 3^(6j) +- 1
+        edges = [m + d for j in range(171)
+                 for m, ds in (((3 ** (6 * j) - 1) // 2, (0, 1)), (3 ** (6 * j), (-1, 1)))
+                 for d in ds]
+        rng = random.Random(1000)
+        for l in edges + [rng.randrange(3 ** 1000) for _ in range(2000)]:
+            assert compute_bl(l) == 1 + sum(map(abs, balanced_ternary(l))), l
+
     def test_weight_ratio_bounds(self):
         for l in range(3, 3 ** 8):
             assert compute_bl(l) <= 4 * compute_bl(l // 3)
@@ -416,6 +427,26 @@ class TestCorrelationSeries:
         assert correlation_series(1, n, n) == [reference_correlation(1, n)]
         with pytest.raises(DomainError):
             correlation_series(1, -1, 10)
+
+    @pytest.mark.parametrize("e", [13, 100, 300])
+    def test_points_and_narrow_windows_match_a_wide_window(self, e):
+        # a point is read directly, and a window of a few limbs by shift and
+        # mask, with limbs wider than 64 bits at 3^100 and 3^300; both must
+        # agree with a 40-wide window, which is read through bytes, once
+        # each is put over the wide window's denominator
+        rng = random.Random(e)
+        for k in (1, 2, 3):
+            n0 = 3 ** e + rng.randrange(3 ** e)
+            wide, big_p = series_numerators(k, n0, n0 + 39)
+            assert any(wide)
+            for n in (n0, n0 + 17):
+                assert autocorrelation(k, n) == autocorrelation(k, -n) == correlation_series(
+                    k, n, n)[0]
+            for width in range(1, 7):
+                for i in range(41 - width):
+                    nums, p = series_numerators(k, n0 + i, n0 + i + width - 1)
+                    assert p <= big_p
+                    assert [a * 3 ** (big_p - p) for a in nums] == wide[i:i + width], (k, i, width)
 
 
 def fraction_series(k, n_lo, n_hi):
