@@ -223,14 +223,9 @@ def _shape_run(a: int, b: int) -> tuple[list[Shape], int]:
 
 def _limbs(packed: int, first: int, count: int, w: int) -> list[int]:
     """Limbs first .. first + count - 1 of packed, w bits each, lowest first;
-    a limb below limb 0 reads 0.  A few limbs are read by shift and mask, a
-    wider window by one conversion to bytes: each shift costs the size of
-    packed, so past about six limbs the conversion is cheaper."""
+    a limb below limb 0 reads 0."""
     if first < 0:
         packed, first = packed << w * -first, 0
-    if count <= 6:
-        mask = (1 << w) - 1
-        return [packed >> w * i & mask for i in range(first, first + count)]
     size = w // 8
     end = (first + count) * size
     raw = memoryview(packed.to_bytes(max(end, (packed.bit_length() + 7) // 8), "little"))

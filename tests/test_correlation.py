@@ -65,21 +65,18 @@ class TestBalancedTernary:
             assert compute_bl(3 * l + 2) == compute_bl(l + 1) + 1
 
     def test_weight_counts_nonzero_digits(self):
-        for l in range(3 ** 8 + 1):
-            assert compute_bl(l) == 1 + sum(map(abs, balanced_ternary(l)))
-        with pytest.raises(DomainError):
-            compute_bl(-1)
-
-    def test_weight_across_six_digit_chunks(self):
-        # compute_bl reads six digits per step, so check it where a digit
-        # carries from one six-digit chunk into the next: at the all-ones
-        # l = (3^(6j) - 1)/2 and one past it, and at 3^(6j) +- 1
+        # compute_bl reads six digits per step, so past l <= 3^8 check it
+        # where a digit carries from one six-digit chunk into the next: at
+        # the all-ones l = (3^(6j) - 1)/2 and one past it, and at 3^(6j) +- 1
         edges = [m + d for j in range(171)
                  for m, ds in (((3 ** (6 * j) - 1) // 2, (0, 1)), (3 ** (6 * j), (-1, 1)))
                  for d in ds]
         rng = random.Random(1000)
-        for l in edges + [rng.randrange(3 ** 1000) for _ in range(2000)]:
+        far = [rng.randrange(3 ** 1000) for _ in range(2000)]
+        for l in [*range(3 ** 8 + 1), *edges, *far]:
             assert compute_bl(l) == 1 + sum(map(abs, balanced_ternary(l))), l
+        with pytest.raises(DomainError):
+            compute_bl(-1)
 
     def test_weight_ratio_bounds(self):
         for l in range(3, 3 ** 8):
@@ -430,10 +427,9 @@ class TestCorrelationSeries:
 
     @pytest.mark.parametrize("e", [13, 100, 300])
     def test_points_and_narrow_windows_match_a_wide_window(self, e):
-        # a point is read directly, and a window of a few limbs by shift and
-        # mask, with limbs wider than 64 bits at 3^100 and 3^300; both must
-        # agree with a 40-wide window, which is read through bytes, once
-        # each is put over the wide window's denominator
+        # a point is read directly, and narrow windows read a few limbs,
+        # wider than 64 bits at 3^100 and 3^300; both must agree with one
+        # 40-wide window once each is put over the wide window's denominator
         rng = random.Random(e)
         for k in (1, 2, 3):
             n0 = 3 ** e + rng.randrange(3 ** e)
