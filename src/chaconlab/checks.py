@@ -164,7 +164,7 @@ def contract_holds(res, a, b, c, n_max: int) -> bool:
 
 def extractor_contract(n_max: int) -> bool:
     a, b, c = power_of_two_series(n_max)
-    res = exceptional.extract_exceptional(a, b, c, n_max)
+    res = exceptional.extract_exceptional(exceptional.column_terms(a, b, c, n_max))
     return len(res.thresholds) >= 2 and contract_holds(res, a, b, c, n_max)
 
 

@@ -31,7 +31,7 @@ import math
 import sys
 from contextlib import nullcontext
 from fractions import Fraction
-from itertools import islice
+from itertools import count, islice
 from typing import Iterable, Iterator, Sequence
 
 # only what dl, corr and cesaro run: every other command imports the rest of
@@ -101,7 +101,7 @@ def parse_range(text: str) -> range:
 
 def _parse_value(text: str, lineno: int) -> tuple[int, int]:
     """An extract cell as an exact rational num/den, den > 0: the pair the
-    extractor's integer columns hold.  A plain decimal p or p/q is read by int
+    extractor's terms hold.  A plain decimal p or p/q is read by int
     straight into the pair, as Fraction reads it but without its regex, and
     is not reduced: every test of the extractor gives the same answer on any
     pair of the same value, so reducing would cost a gcd and change nothing.
@@ -376,13 +376,23 @@ def cmd_eset(args, out: Output) -> int:
     return EXIT_OK
 
 
-def cmd_extract(args, out: Output) -> int:
-    from . import exceptional
-    # one integer column pair per series column, in file order; b and c get a
-    # term only from the rows that fill them.  row holds each n in file order
-    a, b, c = (exceptional.Column([], []) for _ in range(3))
-    row: dict[int, None] = {}
-    with open(args.series, encoding="utf-8") as fh:
+def _series_rows(path: str) -> Iterator[tuple[int | None, ...]]:
+    """The rows of an extract series file in the order of n, each as
+    (a_num, a_den, b_num, b_den, c_num, c_den), with None for an empty b or c
+    cell.
+
+    A row whose n equals the number of rows streamed so far cannot repeat one,
+    so rows stream as they are read until the first that is out of order;
+    from there on the rows are held in an n-keyed map, and yielded in n order
+    once every row is read and the series covers every n.  A cell error or a
+    repeated n is raised at its line, the coverage errors after the last
+    line.  So a b or c column that some rows leave empty streams until the
+    end and then raises: what the rows fed the extractor before is dropped.
+    """
+    held: dict[int, tuple[int | None, ...]] = {}
+    streamed = 0
+    filled = [0, 0]             # the number of rows that fill b, and c
+    with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if not line or line.startswith("#") or line.lower().startswith("n,"):
@@ -391,50 +401,58 @@ def cmd_extract(args, out: Output) -> int:
             if len(parts) < 2:
                 raise InputError(f"line {lineno}: expected columns n, a [, b [, c]]")
             n = int(parts[0])
-            if n in row:
+            if 0 <= n < streamed or n in held:
                 raise InputError(f"line {lineno}: repeated n = {n}")
-            row[n] = None
-            for col, cell in zip((a, b, c), parts[1:4]):
-                # an empty b or c cell leaves its column short, caught below
-                if col is a or cell.strip():
-                    num, den = _parse_value(cell, lineno)
-                    col.num.append(num)
-                    col.den.append(den)
-    if not row:
-        raise InputError(f"no data rows in {args.series}")
-    n_max = max(row)
-    # the keys are distinct integers: this is row == {0..n_max} without building it
-    if min(row) != 0 or len(row) != n_max + 1:
+            row = _parse_value(parts[1], lineno)
+            for i, cell in enumerate(parts[2:4]):
+                if cell.strip():
+                    row += _parse_value(cell, lineno)
+                    filled[i] += 1
+                else:
+                    row += (None, None)
+            row += (None, None) * (3 - len(row) // 2)
+            if n == streamed and not held:
+                streamed += 1
+                yield row
+            else:
+                held[n] = row
+    if not streamed and not held:
+        raise InputError(f"no data rows in {path}")
+    rows = streamed + len(held)
+    # the held n's are distinct integers: this is held == {streamed .. rows - 1}
+    # without building it
+    if held and (min(held) != streamed or max(held) != rows - 1):
         raise InputError("series must cover every n from 0 to its maximum")
-    for name, col in (("b", b), ("c", c)):
-        if col.num and len(col.num) != n_max + 1:
+    for name, n_filled in zip("bc", filled):
+        if 0 < n_filled < rows:
             raise InputError(f"{name} column must cover every n when present")
-    if any(n != i for i, n in enumerate(row)):
-        # the rows came out of order: put each column's terms in the order of n.
-        # order is the argsort of the file's n's, a permutation's inverse
-        order = [0] * (n_max + 1)
-        for i, n in enumerate(row):
-            order[n] = i
-        for col in (a, b, c):
-            if col.num:
-                col.num[:] = [col.num[i] for i in order]
-                col.den[:] = [col.den[i] for i in order]
-    del row     # about 0.5 MB on a 2^13-row series: free it before the extractor runs
-    if not b.num:
-        # b_0 = 0 and b_n = (a_0 + ... + a_(n-1)) / n, over n times the sum's den
-        run = Fraction(0)
-        for n in range(n_max + 1):
-            b.num.append(run.numerator)
-            b.den.append(run.denominator * max(n, 1))
-            if a.num[n]:
-                run += Fraction(a.num[n], a.den[n])
-    if not c.num:
-        for n in range(n_max + 1):
-            num, den = (1 / math.log(n + 2)).as_integer_ratio()
-            c.num.append(num)
-            c.den.append(den)
+    for n in range(streamed, rows):
+        yield held.pop(n)
 
-    res = exceptional.extract_exceptional(a, b, c, n_max)
+
+def _series_terms(path: str) -> Iterator[tuple[int, ...]]:
+    """The terms of an extract series file, as `exceptional.extract_exceptional`
+    reads them: the rows of `_series_rows` with the default b and c filled in.
+    Default b_0 = 0 and b_n = (a_0 + ... + a_(n-1)) / n, over n times the
+    sum's den; default c_n = the binary64 value of 1/log(n + 2)."""
+    run = Fraction(0)
+    for n, (a_num, a_den, b_num, b_den, c_num, c_den) in enumerate(_series_rows(path)):
+        if b_num is None:
+            b_num, b_den = run.numerator, run.denominator * max(n, 1)
+            if a_num:
+                run += Fraction(a_num, a_den)
+        if c_num is None:
+            c_num, c_den = (1 / math.log(n + 2)).as_integer_ratio()
+        yield a_num, a_den, b_num, b_den, c_num, c_den
+
+
+def cmd_extract(args, out: Output) -> int:
+    from . import exceptional
+    # zip draws from read only after a term, so next(read) then counts them
+    read = count()
+    res = exceptional.extract_exceptional(
+        term for term, _ in zip(_series_terms(args.series), read))
+    n_max = next(read) - 1
     rows = [["l_k", k + 1, lk] for k, lk in enumerate(res.thresholds)]
     rows += [["interval", lo, hi] for lo, hi in res.exceptional.intervals]
     out.emit_rows(["kind", "x", "y"], rows,

@@ -222,22 +222,37 @@ class Column(NamedTuple):
 K_MAX = 32
 
 
-def extract_exceptional(a: Column, b: Column, c: Column, n_max: int) -> ExtractionResult:
+def column_terms(a: Column, b: Column, c: Column, n_max: int) -> Iterator[tuple[int, ...]]:
+    """The terms 0..n_max of three Columns as the stream `extract_exceptional`
+    reads.  InputError unless each of the six lists holds exactly n_max + 1
+    entries, so the zip never drops a term."""
+    if any(len(side) != n_max + 1 for col in (a, b, c) for side in col):
+        raise InputError(f"sequences must cover indices 0..{n_max}")
+    return zip(a.num, a.den, b.num, b.den, c.num, c.den)
+
+
+def extract_exceptional(terms: Iterable[tuple[int, int, int, int, int, int]]) -> ExtractionResult:
     """Construct the exceptional set from a deviation sequence and its rates.
 
-    a_j for j <= n_max is the nonnegative deviation sequence, b_n a bound on
-    its running Cesaro average, c_n a decreasing null sequence; each Column
-    holds exactly the terms 0..n_max.  The level sets are {j : a_j > 1/k} for
-    k = 1 .. K_MAX; each threshold l_k is the minimal window start from which
-    the normalized count stays below 1/k (certified on the finite window
-    only).
+    Term n of the stream is (a_num, a_den, b_num, b_den, c_num, c_den), each
+    denominator positive, for n = 0 .. n_max in order, n_max + 1 being the
+    stream's length.  a_j is the nonnegative deviation sequence, b_n a bound
+    on its running Cesaro average, c_n a decreasing null sequence.  The level
+    sets are {j : a_j > 1/k} for k = 1 .. K_MAX; each threshold l_k is the
+    minimal window start from which the normalized count stays below 1/k
+    (certified on the finite window only).
+
+    One pass over the terms runs every check and keeps, besides the running
+    sum and the previous c, one cap per term and one entry per nonzero a_j.
+    The first violation of each rule is recorded as the terms pass and raised
+    after the last one, a negative a_j first, then the Cesaro bound, then c;
+    so an error that the stream raises itself comes first.
 
     Every comparison is made on integers.  a_j = p/q > 1/k exactly when
-    k >= q//p + 1, so one sort of a gives every level set.  For n >= 1 with
-    c_n > 0, c_n * cnt * k <= n * b_n exactly when
-    cnt * k <= floor(n * b_n / c_n), because cnt * k is an integer; c_n <= 0
-    always passes, since n * b_n >= 0 once the Cesaro bound holds.  At n = 0
-    the test is cnt == 0.
+    k >= q//p + 1.  For n >= 1 with c_n > 0, c_n * cnt * k <= n * b_n
+    exactly when cnt * k <= floor(n * b_n / c_n), because cnt * k is an
+    integer; c_n <= 0 always passes, since n * b_n >= 0 once the Cesaro bound
+    holds.  At n = 0 the test is cnt == 0.
 
     No pair needs to be in lowest terms, because every test reads a term only
     through a quantity that scaling its pair (p, q) to (g p, g q), g > 0,
@@ -251,29 +266,36 @@ def extract_exceptional(a: Column, b: Column, c: Column, n_max: int) -> Extracti
     sum S is a Fraction, built only at the terms with a_j != 0, and the
     Cesaro error prints it and b_n in lowest terms.
     """
-    if len(a.num) != n_max + 1 or len(b.num) != n_max + 1 or len(c.num) != n_max + 1:
-        raise InputError(f"sequences must cover indices 0..{n_max}")
-    (a_num, a_den), (b_num, b_den), (c_num, c_den) = a, b, c
-    if any(p < 0 for p in a_num):
-        raise InputError("deviation sequence has a negative entry")
+    # cap_0 = 0 turns cnt * k <= cap_0 into cnt == 0
+    caps: list[int | float] = []
+    # (first k with a_j * k > 1, j) for every j that enters some level set, in j order
+    firsts: list[tuple[int, int]] = []
+    negative = False
+    cesaro = increase = None        # the message of the first violation
     running = Fraction(0)
     s_num, s_den = 0, 1
-    for n in range(1, n_max + 1):
-        if a_num[n - 1]:
-            running += Fraction(a_num[n - 1], a_den[n - 1])
+    for n, (a_num, a_den, b_num, b_den, c_num, c_den) in enumerate(terms):
+        if n:
+            if cesaro is None and s_num * b_den > n * b_num * s_den:
+                cesaro = (f"Cesaro bound violated at n={n}: mean {running / n} > "
+                          f"{Fraction(b_num, b_den)}")
+            if increase is None and c_num * prev_den > prev_num * c_den:
+                increase = f"c is not decreasing at n={n}"
+            caps.append(n * b_num * c_den // (b_den * c_num) if c_num > 0 else math.inf)
+        else:
+            caps.append(0)
+        prev_num, prev_den = c_num, c_den
+        if a_num:
+            negative |= a_num < 0
+            firsts.append((a_den // a_num + 1, n))
+            running += Fraction(a_num, a_den)
             s_num, s_den = running.numerator, running.denominator
-        if s_num * b_den[n] > n * b_num[n] * s_den:
-            raise InputError(f"Cesaro bound violated at n={n}: mean {running / n} > "
-                             f"{Fraction(b_num[n], b_den[n])}")
-    for n in range(1, n_max + 1):
-        if c_num[n] * c_den[n - 1] > c_num[n - 1] * c_den[n]:
-            raise InputError(f"c is not decreasing at n={n}")
-
-    # cap_0 = 0 turns cnt * k <= cap_0 into cnt == 0
-    caps = [0] + [n * b_num[n] * c_den[n] // (b_den[n] * c_num[n]) if c_num[n] > 0 else math.inf
-                  for n in range(1, n_max + 1)]
-    # (first k with a_j * k > 1, j) for every j that enters some level set, in j order
-    firsts = [(a_den[j] // p + 1, j) for j, p in enumerate(a_num) if p]
+    if negative:
+        raise InputError("deviation sequence has a negative entry")
+    for message in (cesaro, increase):
+        if message:
+            raise InputError(message)
+    n_max = len(caps) - 1
 
     thresholds: list[int] = []
     level_sets: list[IntegerIntervalSet] = []

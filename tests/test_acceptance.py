@@ -209,13 +209,13 @@ def test_criterion_12_extractor_contract():
     a = ex.Column([0] * (n_max + 1), [1] * (n_max + 1))
     b = ex.Column([1] * (n_max + 1), list(range(1, n_max + 2)))     # 1/(n + 1)
     c = ex.Column([1] * (n_max + 1), list(range(2, n_max + 3)))     # 1/(n + 2)
-    res = ex.extract_exceptional(a, b, c, n_max)
+    res = ex.extract_exceptional(ex.column_terms(a, b, c, n_max))
     ok &= len(res.exceptional) == 0 and all(lk == 0 for lk in res.thresholds)
     ok &= checks.contract_holds(res, a, b, c, n_max)
 
     n_max = 2 ** 16
     a, b, c = checks.power_of_two_series(n_max)
-    res = ex.extract_exceptional(a, b, c, n_max)
+    res = ex.extract_exceptional(ex.column_terms(a, b, c, n_max))
     l2 = res.thresholds[1]
     ok &= all(2 ** e in res.exceptional for e in range(17) if 2 ** e >= l2)
     ok &= checks.contract_holds(res, a, b, c, n_max)
@@ -229,7 +229,7 @@ def test_criterion_12_extractor_contract():
         b.num.append(run.numerator)
         b.den.append(run.denominator * n)
     c = ex.Column([1] * (n_max + 1), list(range(2, n_max + 3)))
-    res = ex.extract_exceptional(a, b, c, n_max)
+    res = ex.extract_exceptional(ex.column_terms(a, b, c, n_max))
     ok &= all(set(res.level_sets[k - 1].iter_points()) == set(range(k - 1))
               for k in range(1, len(res.level_sets) + 1))
     ok &= checks.contract_holds(res, a, b, c, n_max)

@@ -1034,6 +1034,55 @@ class TestExtract:
             tracemalloc.stop()
         assert peak < 3.3e6, peak
 
+    def test_error_precedence_pinned(self, tmp_path, capsys):
+        # exit code and stderr recorded at commit a9f27d3, which read the whole
+        # file before the extractor checked a term: an error of the file
+        # itself wins over a rule the terms break, at any line
+        series = tmp_path / "series.csv"
+        no_output = hashlib.sha256(b"").hexdigest()
+        cases = [("n,a,b\n0,2,1\n1,2,1\n2,0,1\n3,x,1\n",
+                  "Invalid literal for Fraction: 'x'"),
+                 ("n,a,b\n0,2,1\n1,2,1\n2,0,1\n2,0,1\n", "line 5: repeated n = 2"),
+                 ("n,a,b,c\n0,0,1,1/2\n1,0,1,1\n2,0,,1\n",
+                  "b column must cover every n when present"),
+                 ("n,a,b\n0,2,1\n1,2,1\n2,-1,1\n3,0,1\n",
+                  "deviation sequence has a negative entry"),
+                 ("n,a,b\n2,0,1\n0,2,1\n3,0,1\n1,2,1\n",
+                  "Cesaro bound violated at n=1: mean 2 > 1"),
+                 ("n,a,b\n0,2,1\n1,2,1\n3,0,1\n",
+                  "series must cover every n from 0 to its maximum"),
+                 ("n,a,b,c\n0,0,1,1/2\n1,0,1,1\n2,5,1,1/3\n3,0,1,1/4\n4,0,1,1/5\n",
+                  "Cesaro bound violated at n=3: mean 5/3 > 1"),
+                 ("n,a,b,c\n1,0,1,1/2\n0,0,1,1\n2,0,1,\n",
+                  "c column must cover every n when present"),
+                 # below the rows read in order, only a negative n is no repeat
+                 ("n,a\n0,0\n1,0\n-1,0\n", "series must cover every n from 0 to its maximum"),
+                 ("n,a\n0,0\n-1,0\n-1,0\n", "line 4: repeated n = -1")]
+        for text, err in cases:
+            assert extract_text(series, text, capsys) == (
+                EXIT_INPUT, no_output, f"invalid input: {err}\n"), text
+
+    @pytest.mark.parametrize("order, bound", [("in-order", 0.8e6), ("shuffled", 3.3e6)])
+    def test_heap_peak_of_streamed_series(self, tmp_path, order, bound):
+        # the series of test_heap_peak_of_bench_series streams row by row in
+        # n order (0.28 MB traced, one cap per term); shuffled, its rows wait
+        # in an n-keyed map (2.18 MB)
+        a, b, c = pinned_series(2 ** 13)
+        rows = [f"{n},{a[n]},{b[n]},{c[n]}\n" for n in range(len(a))]
+        if order == "shuffled":
+            random.Random("extract-shuffled").shuffle(rows)
+        series = tmp_path / "series.csv"
+        series.write_text("n,a,b,c\n" + "".join(rows), encoding="utf-8")
+        argv = ["extract", str(series), "--out", str(tmp_path / "out.txt")]
+        assert main(argv) == EXIT_OK    # any one-time allocation lands here
+        tracemalloc.start()
+        try:
+            assert main(argv) == EXIT_OK
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound, peak
+
 
 class TestPointwise:
     def test_apply_t(self, tmp_path):

@@ -1,6 +1,7 @@
 import heapq
 import math
 import random
+from bisect import bisect_right
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
@@ -27,6 +28,7 @@ from chaconlab.exceptional import (
     _weight_runs,
     build_J,
     build_Jk,
+    column_terms,
     enumerate_Ek,
     extract_exceptional,
     g_cutoff,
@@ -200,6 +202,11 @@ def columns(*seqs):
     return [Column([x.numerator for x in xs], [x.denominator for x in xs]) for xs in fracs]
 
 
+def extract(a, b, c, n_max):
+    """The extractor on three Columns, zipped into its stream of terms."""
+    return extract_exceptional(column_terms(a, b, c, n_max))
+
+
 class TestExtractor:
     def test_zero_sequence(self):
         n_max = 300
@@ -207,7 +214,7 @@ class TestExtractor:
         b = [Fraction(1, n + 1) for n in range(n_max + 1)]
         c = [Fraction(1, n + 2) for n in range(n_max + 1)]
         a, b, c = columns(a, b, c)
-        res = extract_exceptional(a, b, c, n_max)
+        res = extract(a, b, c, n_max)
         assert len(res.exceptional) == 0
         assert all(lk == 0 for lk in res.thresholds)
         assert checks.contract_holds(res, a, b, c, n_max)
@@ -227,7 +234,7 @@ class TestExtractor:
     def test_power_of_two_spikes(self):
         n_max = 2 ** 12
         a, b, c = checks.power_of_two_series(n_max)
-        res = extract_exceptional(a, b, c, n_max)
+        res = extract(a, b, c, n_max)
         assert len(res.thresholds) >= 2
         l2 = res.thresholds[1]
         assert all(2 ** e in res.exceptional
@@ -238,7 +245,7 @@ class TestExtractor:
         # a_16 = 1 > 1/2 from l_2 on, so dropping 16 breaks the first inequality
         n_max = 2 ** 12
         a, b, c = checks.power_of_two_series(n_max)
-        res = extract_exceptional(a, b, c, n_max)
+        res = extract(a, b, c, n_max)
         assert res.thresholds[1] <= 16
         kept = IntegerIntervalSet((p, p) for p in res.exceptional.iter_points() if p != 16)
         res = ExtractionResult(kept, res.thresholds, res.level_sets)
@@ -249,7 +256,7 @@ class TestExtractor:
         # of the last k reads c_1 * 1 * 8 = 8/log 3 > 1 * b_1 = 2
         n_max = 2 ** 12
         a, b, c = checks.power_of_two_series(n_max)
-        res = extract_exceptional(a, b, c, n_max)
+        res = extract(a, b, c, n_max)
         res = ExtractionResult(res.exceptional, [0] * len(res.thresholds), res.level_sets)
         assert not checks.contract_holds(res, a, b, c, n_max)
 
@@ -262,32 +269,40 @@ class TestExtractor:
             b.append(run / n)
         c = [Fraction(1, n + 2) for n in range(n_max + 1)]
         a, b, c = columns(a, b, c)
-        res = extract_exceptional(a, b, c, n_max)
+        res = extract(a, b, c, n_max)
         for k in range(1, len(res.level_sets) + 1):
             assert set(res.level_sets[k - 1].iter_points()) == set(range(k - 1))
         assert checks.contract_holds(res, a, b, c, n_max)
 
     def test_rejects_negative_deviation(self):
         with pytest.raises(InputError):
-            extract_exceptional(*columns([-1], [1], [1]), 0)
+            extract(*columns([-1], [1], [1]), 0)
 
     def test_rejects_cesaro_violation_with_witness(self):
         a = [Fraction(1)] * 4
         b = [Fraction(1), Fraction(1), Fraction(1, 10), Fraction(1)]
         c = [Fraction(1, n + 2) for n in range(4)]
         with pytest.raises(InputError, match="n=2"):
-            extract_exceptional(*columns(a, b, c), 3)
+            extract(*columns(a, b, c), 3)
 
     def test_rejects_increasing_c(self):
         a = [Fraction(0)] * 4
         b = [Fraction(1)] * 4
         c = [Fraction(1), Fraction(2), Fraction(1), Fraction(1)]
         with pytest.raises(InputError, match="not decreasing"):
-            extract_exceptional(*columns(a, b, c), 3)
+            extract(*columns(a, b, c), 3)
 
     def test_rejects_short_sequences(self):
-        with pytest.raises(InputError):
-            extract_exceptional(*columns([0], [1], [1]), 5)
+        # the Column-to-stream zip refuses a column that misses a term, and
+        # truncates none
+        with pytest.raises(InputError, match=r"cover indices 0\.\.5"):
+            column_terms(*columns([0], [1], [1]), 5)
+        a, b, c = columns([0] * 6, [1] * 6, [1] * 6)
+        for short in (Column(a.num, a.den[:5]), Column(a.num[:5], a.den)):
+            with pytest.raises(InputError):
+                column_terms(short, b, c, 5)
+            with pytest.raises(InputError):
+                column_terms(b, c, short, 5)
 
 
 def reference_contract_holds(res, a, b, c, n_max: int) -> bool:
@@ -314,12 +329,12 @@ class TestContractMatchesReference:
     def test_power_of_two_series(self):
         for n_max in (0, 1, 2 ** 6, 2 ** 12):
             a, b, c = checks.power_of_two_series(n_max)
-            assert self.check(extract_exceptional(a, b, c, n_max), a, b, c, n_max)
+            assert self.check(extract(a, b, c, n_max), a, b, c, n_max)
 
     def test_edited_thresholds(self):
         n_max = 2 ** 6
         a, b, c = checks.power_of_two_series(n_max)
-        res = extract_exceptional(a, b, c, n_max)
+        res = extract(a, b, c, n_max)
         k = len(res.thresholds)
         verdicts = set()
         for thresholds in ([0] * k, [0, 10, 10, 27], [0, 0, 27, 27], [0, 0, 10, n_max],
@@ -346,7 +361,7 @@ class TestContractMatchesReference:
         for case in range(80):
             n_max = rng.randint(3, 200)
             a, b, c = columns(*random_series(rng, n_max))
-            res = extract_exceptional(a, b, c, n_max)
+            res = extract(a, b, c, n_max)
             assert self.check(res, a, b, c, n_max)
             points = list(res.exceptional.iter_points())
             if points:
@@ -371,7 +386,7 @@ class TestContractMatchesReference:
 
     def test_rejects_decreasing_thresholds(self):
         a, b, c = checks.power_of_two_series(2 ** 6)
-        res = extract_exceptional(a, b, c, 2 ** 6)
+        res = extract(a, b, c, 2 ** 6)
         res = ExtractionResult(res.exceptional, [0, 10, 0, 27], res.level_sets)
         with pytest.raises(DomainError, match="nondecreasing"):
             checks.contract_holds(res, a, b, c, 2 ** 6)
@@ -485,7 +500,7 @@ def random_series(rng, n_max: int):
 class TestExtractorMatchesReference:
     def check(self, a, b, c, n_max):
         expected = extraction(reference_extract, a, b, c, n_max)
-        assert extraction(extract_exceptional, *columns(a, b, c), n_max) == expected
+        assert extraction(extract, *columns(a, b, c), n_max) == expected
         return expected
 
     def test_random_series(self):
@@ -553,6 +568,136 @@ class TestExtractorMatchesReference:
             assert isinstance(expected, str)
             kinds.add(expected.split(" ")[0])
         assert kinds == {"deviation", "Cesaro", "c"}
+
+
+def reference_column_extract(a: Column, b: Column, c: Column, n_max: int) -> ExtractionResult:
+    """The Column extractor of commit a9f27d3, verbatim: six integer lists
+    and n_max in, every check raised as it is met; the reference for the
+    streamed one."""
+    if len(a.num) != n_max + 1 or len(b.num) != n_max + 1 or len(c.num) != n_max + 1:
+        raise InputError(f"sequences must cover indices 0..{n_max}")
+    (a_num, a_den), (b_num, b_den), (c_num, c_den) = a, b, c
+    if any(p < 0 for p in a_num):
+        raise InputError("deviation sequence has a negative entry")
+    running = Fraction(0)
+    s_num, s_den = 0, 1
+    for n in range(1, n_max + 1):
+        if a_num[n - 1]:
+            running += Fraction(a_num[n - 1], a_den[n - 1])
+            s_num, s_den = running.numerator, running.denominator
+        if s_num * b_den[n] > n * b_num[n] * s_den:
+            raise InputError(f"Cesaro bound violated at n={n}: mean {running / n} > "
+                             f"{Fraction(b_num[n], b_den[n])}")
+    for n in range(1, n_max + 1):
+        if c_num[n] * c_den[n - 1] > c_num[n - 1] * c_den[n]:
+            raise InputError(f"c is not decreasing at n={n}")
+
+    # cap_0 = 0 turns cnt * k <= cap_0 into cnt == 0
+    caps = [0] + [n * b_num[n] * c_den[n] // (b_den[n] * c_num[n]) if c_num[n] > 0 else math.inf
+                  for n in range(1, n_max + 1)]
+    # (first k with a_j * k > 1, j) for every j that enters some level set, in j order
+    firsts = [(a_den[j] // p + 1, j) for j, p in enumerate(a_num) if p]
+
+    thresholds: list[int] = []
+    level_sets: list[IntegerIntervalSet] = []
+    jk = IntegerIntervalSet()
+    prev_l = 0
+    for k in range(1, K_MAX + 1):
+        members = [j for first, j in firsts if first <= k]     # J_k, increasing
+        if len(members) > len(jk):
+            jk = IntegerIntervalSet((j, j) for j in members)
+        # minimal start so the normalized count stays <= 1/k through the
+        # window: walk the members down from the top; cnt = |J_k ∩ [0, n]|
+        # is constant on [members[cnt - 1], hi], and cnt = 0 always passes
+        ok_from = 0
+        hi = n_max
+        for cnt in range(len(members), 0, -1):
+            lo = members[cnt - 1]
+            bound = cnt * k
+            if min(caps[lo:hi + 1]) < bound:
+                ok_from = next(n for n in range(hi, lo - 1, -1) if caps[n] < bound) + 1
+                break
+            hi = lo - 1
+        if ok_from > n_max:
+            break
+        lk = max(ok_from, prev_l)
+        thresholds.append(lk)
+        level_sets.append(jk)
+        prev_l = lk
+
+    # J is the union of J_k clipped to [l_k, l_(k+1)] (the last to n_max); the
+    # level sets are nested, so j is in J exactly when it is in J_K for the
+    # largest K with l_K <= j
+    exceptional = IntegerIntervalSet(
+        (j, j) for first, j in firsts if first <= bisect_right(thresholds, j))
+    return ExtractionResult(exceptional, thresholds, level_sets)
+
+
+def spike_series(rng, n_points):
+    """The shape of the exceptional benchmark's series: a is zero but at
+    n_points/16 seeded spikes 1/d, d = 1..32; b = (sum_{j<n} a_j + 1)/n;
+    c = the binary64 values of 1/log(n + 2)."""
+    a = [Fraction(0)] * n_points
+    for i, n in enumerate(rng.sample(range(n_points), n_points // 16)):
+        a[n] = Fraction(1, 1 + i % 32)
+    b, total = [Fraction(1)], Fraction(0)
+    for n in range(1, n_points):
+        total += a[n - 1]
+        b.append((total + 1) / n)
+    return a, b, [1 / math.log(n + 2) for n in range(n_points)]
+
+
+class TestStreamMatchesColumnReference:
+    def check(self, a, b, c, n_max):
+        expected = extraction(reference_column_extract, a, b, c, n_max)
+        assert extraction(extract, a, b, c, n_max) == expected
+        return expected
+
+    def test_power_of_two_series(self):
+        n_max = 2 ** 12
+        thresholds, _, exceptional = self.check(*checks.power_of_two_series(n_max), n_max)
+        assert len(thresholds) >= 2 and 2 ** 12 in exceptional
+
+    def test_vanishing_sequence(self):
+        n_max = 800
+        a = [Fraction(1, j + 1) for j in range(n_max + 1)]
+        run, b = Fraction(0), [Fraction(1)]
+        for n in range(1, n_max + 1):
+            run += a[n - 1]
+            b.append(run / n)
+        c = [Fraction(1, n + 2) for n in range(n_max + 1)]
+        _, level_sets, _ = self.check(*columns(a, b, c), n_max)
+        assert len(level_sets) == K_MAX
+
+    def test_seeded_spike_series(self):
+        rng = random.Random(53)
+        for n_points in (1, 2, 17, 300, 2 ** 11):
+            thresholds, _, exceptional = self.check(*columns(*spike_series(rng, n_points)),
+                                                    n_points - 1)
+            assert n_points < 2 ** 11 or len(exceptional) and any(thresholds)
+
+    def test_series_that_break_several_rules(self):
+        # a negative a_j, a b_n below the running mean and an increase of c,
+        # two or three of them at seeded places: the same error, which names
+        # the first rule broken in the reference's order
+        rng = random.Random(59)
+        messages = set()
+        for case in range(90):
+            n_max = rng.randint(2, 150)
+            a, b, c = random_series(rng, n_max)
+            broken = rng.sample(range(3), rng.choice((2, 3)))
+            for rule in broken:
+                n = rng.randint(1, n_max)
+                if rule == 0:
+                    a[n - 1] = -Fraction(1, rng.randint(1, 9))
+                elif rule == 1:
+                    b[n] = -Fraction(1, rng.randint(1, 9))
+                else:
+                    c[n] = Fraction(c[n - 1]) + Fraction(1, rng.randint(1, 9))
+            message = self.check(*columns(a, b, c), n_max)
+            assert isinstance(message, str)
+            messages.add((min(broken), message.split(" ")[0]))
+        assert messages == {(0, "deviation"), (1, "Cesaro")}
 
 
 class TestBuildJk:
