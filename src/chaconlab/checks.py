@@ -195,15 +195,24 @@ def growth_bound_holds(iset: exceptional.IntegerIntervalSet, c: float,
 
 def block_maxima_off_Jk(k: int, h: exceptional.HFunction, blocks) -> list[Fraction | None]:
     """max |c_k(n) - mu(A_k)^2| over the times n of [3^N, 3^(N+1)] outside
-    J_k, for each N of blocks, from one `deviation_numerators` series per
-    block; None where J_k covers the block."""
+    J_k, for each N of blocks; None where J_k covers the block.  Each list of
+    `correlation.deviation_blocks` has the times of J_k's pieces struck out
+    as -1, below every deviation, and gives one max."""
     maxima = []
     for big_n in blocks:
         lo, hi = 3 ** big_n, 3 ** (big_n + 1)
-        jk = exceptional.build_Jk(k, h, hi)
-        devs, den = correlation.deviation_numerators(k, lo, hi)
-        best = max((d for n, d in enumerate(devs, lo) if n not in jk), default=None)
-        maxima.append(None if best is None else Fraction(best, den))
+        pieces = list(exceptional.build_Jk(k, h, hi).clip(lo, hi).intervals)[::-1]
+        reads, den = correlation.deviation_blocks(k, lo, hi)
+        best, start = -1, lo
+        for devs in reads:
+            end = start + len(devs)
+            while pieces and pieces[-1][0] < end:
+                a, b = pieces.pop()
+                devs[a - start:b + 1 - start] = [-1] * (min(b + 1, end) - a)
+                if b >= end:
+                    pieces.append((end, b))   # its rest, for the next list
+            best, start = max(best, max(devs)), end
+        maxima.append(None if best < 0 else Fraction(best, den))
     return maxima
 
 

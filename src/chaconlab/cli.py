@@ -267,11 +267,6 @@ def _stage(k: int) -> int:
 # ---------------------------------------------------------------------------
 # subcommands
 
-def _blocks(window: range, size: int) -> Iterator[range]:
-    """window in consecutive pieces of at most size values."""
-    return (window[i:i + size] for i in range(0, len(window), size))
-
-
 def _abs_span(ns: range) -> tuple[int, int]:
     """The least and greatest |n| over the nonempty range ns."""
     lo = 0 if ns[0] <= 0 <= ns[-1] else min(abs(ns[0]), abs(ns[-1]))
@@ -292,7 +287,7 @@ def cmd_dl(args, out: Output) -> int:
         cells = _Cells(0)
         # each d_l' of a block of indices is over its own 2 * 3^e, read here
         # over the block's largest e: one den per block
-        for block in _blocks(ls, BLOCK // 27):
+        for block in correlation.blocks(ls, BLOCK // 27):
             run = correlation.dl_run(args.k, block[0], block[-1])
             e = max(d.e for d in run)
             cells = cells.over(2 * 3 ** e)
@@ -316,7 +311,7 @@ def cmd_corr(args, out: Output) -> int:
     def rows() -> Iterator[tuple]:
         cells = _Cells(0)
         # c_k is even in n: one series over |n| covers a block of rows
-        for block in _blocks(ns, BLOCK):
+        for block in correlation.blocks(ns, BLOCK):
             lo, hi = _abs_span(block)
             nums, p = correlation.series_numerators(args.k, lo, hi)
             cells = cells.over(3 ** p)

@@ -10,15 +10,12 @@ shifted add.  Nothing is kept once the call returns.  Support endpoints
 have a closed form in l, h_k and the balanced-ternary weight of l, so
 membership queries never materialize masses and finding the indices that
 meet a window of times costs the window's width, not its offset.  The
-deviation |c_k(n) - mu(A_k)^2| that defines the exceptional sets is one
-series of integers over a common denominator, which the Cesaro totals and
-the block maxima of the checks read.
-A long window is read in blocks of BLOCK times, each one series: the Cesaro
-totals carry their running sum from block to block over one denominator
-fixed before the first block, and the command line reads corr and dl rows
-the same way, so what any of them holds at once is set by the block, not by
-the window.  The L1 estimates on the centered profiles D_l are integer sums
-over the numerators of one stage-0 run.  Nothing here caps the size of its
+deviations |c_k(n) - mu(A_k)^2| have one reader, `deviation_blocks`, for
+the Cesaro totals and the checks' block maxima.  `blocks` cuts a window
+into blocks of BLOCK times, one series each, for it and for the corr and dl
+rows, so what any of them holds at once is set by the block, not by the
+window.  The L1 estimates on the centered profiles D_l are integer sums over
+the numerators of one stage-0 run.  Nothing here caps the size of its
 input: the command line does, before it calls in.
 """
 
@@ -33,7 +30,7 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 from . import tower
 from .triadic import DomainError
 
-# times per block of a streamed window: `cesaro_totals` and the corr command
+# times per block of a streamed window: `deviation_blocks` and the corr command
 # read a window BLOCK times at a time, and the dl command BLOCK // 27 indices,
 # each of which holds a few masses; a block's series, rows and value table,
 # not the window, set what a command holds at once
@@ -319,34 +316,22 @@ def cell_correlation(cells_a: Iterable[int], cells_b: Iterable[int], k: int, n: 
                Fraction(0))
 
 
-def deviation_numerators(k: int, n_lo: int, n_hi: int) -> tuple[Iterator[int], int]:
-    """Integers d_n and den with |c_k(n) - mu(A_k)^2| = d_n / den for n in n_lo..n_hi.
-
-    den = 3^max(p, 2k+2), with p that of `series_numerators`, so that both
-    c_k(n) and mu(A_k)^2 are integers over it.  Every check runs, and the
-    series is computed, at the call; each d_n is formed as it is read.
-    """
-    mu = mu_Ak(k)
-    corr, p = series_numerators(k, n_lo, n_hi)
-    den = 3 ** max(p, 2 * k + 2)
-    scale = den // 3 ** p
-    target = int(mu ** 2 * den)
-    return (abs(scale * c - target) for c in corr), den
+def blocks(window: range, size: int) -> Iterator[range]:
+    """window in consecutive pieces of at most size values."""
+    return (window[i:i + size] for i in range(0, len(window), size))
 
 
-def cesaro_totals(k: int, big_n: int) -> tuple[Iterator[int], int]:
-    """Integers T_1, ..., T_N and den with C_M = T_M / (den * M): the running
-    sums of `deviation_numerators` over 0..N-1.  Every check runs at the
-    call; each block is built as the iterator reaches it.
+def deviation_blocks(k: int, n_lo: int, n_hi: int) -> tuple[Iterator[list[int]], int]:
+    """Lists of at most BLOCK consecutive d_n, in order, and den: integers with
+    |c_k(n) - mu(A_k)^2| = d_n / den for n in n_lo..n_hi.  Every check runs
+    and den is fixed at the call; each list is one `series_numerators` call,
+    made as the iterator reaches it; its numerators are gone before it is read.
 
-    The window is read BLOCK times at a time, one `deviation_numerators`
-    series per block, and the running sum carries from block to block over
-    one den fixed before the first block: den = 3^max(L + k + 1, 2k + 2),
-    where L is the level count of the last index l_top of the window's
-    support run, L(m) = 0 for m <= 1 and L(m) = 1 + L(ceil(m/3)) otherwise.
-    A block's own den is 3^max(p, 2k + 2), with p = E + k + 1 and E the
-    largest exponent e_l over its support run, which lies inside the
-    window's; so it divides this one once every e_l <= L(l_top).
+    den = 3^max(L + k + 1, 2k + 2), with L = 0 for an empty support run and
+    else L(l_top), l_top its last index, L(m) = 0 for m <= 1 and
+    1 + L(ceil(m/3)) otherwise.  A block's series is over 3^(E + k + 1), E the
+    largest e_l of its run, which lies inside the window's: so it and
+    mu(A_k)^2 = 4 / 3^(2k + 2) are integers over den once every e_l <= L(l_top).
 
     Proof.  L is nondecreasing, since ceil(m/3) is.  `_shape_run` gives
     e_0 = e_1 = 0, and for l = 3q + r >= 2, e_l = e_q if r = 0 and
@@ -354,23 +339,30 @@ def cesaro_totals(k: int, big_n: int) -> tuple[Iterator[int], int]:
     e_l = e_q <= L(q) <= L(l); for r > 0, q + 1 = ceil(l/3), so
     e_l <= L(q + 1) + 1 = L(l).  Then e_l <= L(l) <= L(l_top).
     """
-    if big_n < 1:
-        raise DomainError(f"N = {big_n} < 1")
-    mu_Ak(k)
-    top, levels = support_run(k, 0, big_n - 1)[-1], 0
+    mu = mu_Ak(k)
+    if n_lo < 0:
+        raise DomainError(f"n = {n_lo} < 0")
+    top, levels = (support_run(k, n_lo, n_hi) or [0])[-1], 0
     while top > 1:
         top, levels = -(-top // 3), levels + 1
     den = 3 ** max(levels + k + 1, 2 * k + 2)
+    target = int(mu ** 2 * den)
 
-    def blocks() -> Iterator[list[int]]:
-        total = 0
-        for lo in range(0, big_n, BLOCK):
-            devs, block_den = deviation_numerators(k, lo, min(lo + BLOCK, big_n) - 1)
-            block = list(accumulate(map((den // block_den).__mul__, devs), initial=total))[1:]
-            total = block[-1]
-            yield block
+    def read(block: range) -> list[int]:
+        nums, p = series_numerators(k, block[0], block[-1])
+        scale = den // 3 ** p
+        return [abs(scale * c - target) for c in nums]
 
-    return chain.from_iterable(blocks()), den
+    return map(read, blocks(range(n_lo, n_hi + 1), BLOCK)), den
+
+
+def cesaro_totals(k: int, big_n: int) -> tuple[Iterator[int], int]:
+    """Integers T_1, ..., T_N and den with C_M = T_M / (den * M): the running
+    sums of `deviation_blocks(k, 0, N - 1)`, with its den and its checks."""
+    if big_n < 1:
+        raise DomainError(f"N = {big_n} < 1")
+    devs, den = deviation_blocks(k, 0, big_n - 1)
+    return accumulate(chain.from_iterable(devs)), den
 
 
 # ---------------------------------------------------------------------------

@@ -169,12 +169,15 @@ class HFunction:
             path = spec.split(":", 1)[1]
             points = []
             with open(path, encoding="utf-8") as fh:
-                for line in fh:
+                for lineno, line in enumerate(fh, 1):
                     line = line.strip()
                     if not line or line.startswith("#") or line.lower().startswith("x,"):
                         continue
-                    xs, ys = line.split(",")[:2]
-                    points.append((float(xs), float(ys)))
+                    try:
+                        xs, ys = line.split(",")[:2]
+                        points.append((float(xs), float(ys)))
+                    except ValueError:
+                        raise InputError(f"{path} line {lineno}: expected columns x, y") from None
             return cls.table(points)
         raise DomainError(f"unknown growth function {spec!r}")
 

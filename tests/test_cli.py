@@ -339,7 +339,7 @@ class TestBlocks:
     def test_failing_window_prints_nothing(self, tmp_path, capsys, monkeypatch):
         # every check runs before the first block is built
         calls = []
-        for name in ("series_numerators", "deviation_numerators"):
+        for name in ("series_numerators", "deviation_blocks"):
             build = getattr(correlation, name)
             monkeypatch.setattr(correlation, name,
                                 lambda *a, build=build: calls.append(a) or build(*a))
@@ -718,6 +718,16 @@ class TestJsetEset:
                 code, _ = run(tmp_path, "jset", "--k", "1", "--h", f"table:{path}",
                               "--N-max", "1000", *extra)
                 assert code == EXIT_INPUT
+
+    def test_malformed_table_row_names_its_file_and_line(self, tmp_path, capsys):
+        path = tmp_path / "h.csv"
+        for body in ("x,y\n1\n4,2\n", "1,1\n4,two\n"):
+            path.write_text(body, encoding="utf-8")
+            code, text = run(tmp_path, "jset", "--k", "1", "--h", f"table:{path}",
+                             "--N-max", "1000")
+            assert (code, text) == (EXIT_INPUT, "")
+            assert capsys.readouterr().err == (
+                f"invalid input: {path} line 2: expected columns x, y\n")
 
     def test_global_mode_with_log_growth_is_empty(self, tmp_path):
         code, text = run(tmp_path, "jset", "--k", "2", "--h", "log",

@@ -20,7 +20,7 @@ from chaconlab.correlation import (
     cesaro_totals,
     compute_bl,
     correlation_series,
-    deviation_numerators,
+    deviation_blocks,
     dl_run,
     envelope_gaps,
     mu_Ak,
@@ -549,23 +549,38 @@ def test_cesaro_totals_carry_across_blocks():
         running = accumulate(abs(c - mu_Ak(k) ** 2) for c in correlation_series(k, 0, big_n - 1))
         assert [Fraction(t, den) for t in totals] == list(running), k
 
-class TestDeviationNumerators:
+def level_count(m):
+    """L(m) of `deviation_blocks`: 0 for m <= 1, else 1 + L(ceil(m/3))."""
+    return 0 if m <= 1 else 1 + level_count(-(-m // 3))
+
+
+class TestDeviationBlocks:
     def test_matches_fraction_reference(self):
-        # at the origin, from inside a gap of the supports, and near 3^30
+        # at the origin, inside a gap of the supports (an empty run), across
+        # several blocks whose p differ, and near 3^30
         for k in (1, 2, 3):
             gap = next(n for n in range(1000, 3 ** 8) if not support_run(k, n, n))
-            for lo, hi in ((0, 400), (gap, gap + 400), (3 ** 30, 3 ** 30 + 400)):
-                devs, den = deviation_numerators(k, lo, hi)
-                _, p = series_numerators(k, lo, hi)
-                assert den == 3 ** max(p, 2 * k + 2)
-                assert [Fraction(d, den) for d in devs] == [
+            gap_end = next(n for n in range(gap, 3 ** 8) if support_run(k, n + 1, n + 1))
+            assert not support_run(k, gap, gap_end)
+            ps = {series_numerators(k, lo, min(lo + BLOCK, 30000) - 1)[1]
+                  for lo in range(0, 30000, BLOCK)}
+            assert len(ps) > 1, k
+            for lo, hi in ((0, 400), (gap, gap_end), (0, 29999), (3 ** 30, 3 ** 30 + 400)):
+                reads, den = deviation_blocks(k, lo, hi)
+                run = support_run(k, lo, hi)
+                assert den == 3 ** max((level_count(run[-1]) if run else 0) + k + 1,
+                                       2 * k + 2), (k, lo)
+                lists = list(reads)
+                assert [len(devs) for devs in lists[:-1]] == [BLOCK] * (len(lists) - 1)
+                assert [Fraction(d, den) for devs in lists for d in devs] == [
                     abs(c - mu_Ak(k) ** 2) for c in correlation_series(k, lo, hi)], (k, lo)
 
     def test_checks_run_at_the_call(self):
-        with pytest.raises(DomainError):
-            deviation_numerators(-1, 0, 3)
-        with pytest.raises(DomainError):
-            deviation_numerators(1, -1, 3)
+        # the stage first, then n_lo < 0, before any list is read
+        with pytest.raises(DomainError, match="stage -1"):
+            deviation_blocks(-1, -1, 3)
+        with pytest.raises(DomainError, match="n = -1"):
+            deviation_blocks(1, -1, 3)
 
 
 class TestProfiles:

@@ -1,6 +1,7 @@
 import heapq
 import math
 import random
+import tracemalloc
 from bisect import bisect_right
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -13,6 +14,7 @@ from chaconlab.correlation import (
     compute_bl,
     correlation_series,
     dl_run,
+    series_numerators,
     support,
     support_span,
 )
@@ -1082,3 +1084,26 @@ class TestConvergenceReport:
                                      enumerate(correlation_series(1, lo, hi), lo)
                                      if n not in jk), default=None))
             assert checks.block_maxima_off_Jk(1, h, range(2, 6)) == expected
+
+    def test_heap_peak_is_set_by_the_list(self):
+        # a block nine times wider may at most double the traced heap peak,
+        # and its maximum is still that of one read per time n.  N = 8 is the
+        # first block to fill a list of BLOCK times: N = 7's has 4,375
+        h = HFunction.log()
+
+        def peak(big_n):
+            tracemalloc.start()
+            try:
+                maxima = checks.block_maxima_off_Jk(1, h, [big_n])
+                return tracemalloc.get_traced_memory()[1], maxima
+            finally:
+                tracemalloc.stop()
+
+        checks.block_maxima_off_Jk(1, h, [8])   # any one-time allocation lands here
+        (narrow, _), (wide, maxima) = peak(8), peak(10)
+        assert wide <= 2 * narrow
+        lo, hi = 3 ** 10, 3 ** 11
+        jk = build_Jk(1, h, hi)
+        nums, p = series_numerators(1, lo, hi)
+        best = max(abs(81 * a - 4 * 3 ** p) for n, a in enumerate(nums, lo) if n not in jk)
+        assert maxima == [Fraction(best, 81 * 3 ** p)]
