@@ -112,7 +112,8 @@ def frozen_constants_reproduce() -> bool:
 
 def zero_correlation_times(l_max: int, rng, samples: int) -> bool:
     """c_1 vanishes on E_1 and, at `samples` random covered times, only there."""
-    ek, covered = exceptional.enumerate_Ek(1, l_max)
+    gaps, covered = exceptional.enumerate_Ek(1, l_max)
+    ek = exceptional.IntegerIntervalSet(gaps)
     corr, _ = correlation.series_numerators(1, 0, covered - 1)
     ok = all(corr[n] == 0 for n in ek.iter_points())
     for _ in range(samples):
@@ -168,15 +169,16 @@ def extractor_contract(n_max: int) -> bool:
     return len(res.thresholds) >= 2 and contract_holds(res, a, b, c, n_max)
 
 
-def growth_bound_holds(iset: exceptional.IntegerIntervalSet, c: float,
-                       h: exceptional.HFunction, grid) -> tuple[bool, bool]:
-    """Whether |iset ∩ [0, n]| <= c h(n) (ln n)^((ln ln n)^2 h(n)) at every n of
-    grid, and whether the bound overflowed at some n of it.
+def growth_bound_holds(pieces, c: float, h: exceptional.HFunction,
+                       grid) -> tuple[bool, bool]:
+    """Whether |set ∩ [0, n]| <= c h(n) (ln n)^((ln ln n)^2 h(n)) at every n of
+    grid, for the set of pieces in start order, and whether the bound overflowed.
 
     The bound is a binary64 value.  It is +inf where its logarithm passes 700
     or a step overflows, and any count passes there.  It needs ln ln n > 0, so
     n < 3 raises DomainError.
     """
+    iset = exceptional.IntegerIntervalSet(pieces)
     holds, overflow = True, False
     for n in grid:
         if n < 3:
@@ -201,16 +203,16 @@ def block_maxima_off_Jk(k: int, h: exceptional.HFunction, blocks) -> list[Fracti
     maxima = []
     for big_n in blocks:
         lo, hi = 3 ** big_n, 3 ** (big_n + 1)
-        pieces = list(exceptional.build_Jk(k, h, hi).clip(lo, hi).intervals)[::-1]
+        pieces = exceptional.cut(exceptional.build_Jk(k, h, hi), lo, hi)
+        piece = next(pieces, None)
         reads, den = correlation.deviation_blocks(k, lo, hi)
         best, start = -1, lo
         for devs in reads:
             end = start + len(devs)
-            while pieces and pieces[-1][0] < end:
-                a, b = pieces.pop()
+            while piece and piece[0] < end:
+                a, b = piece
                 devs[a - start:b + 1 - start] = [-1] * (min(b + 1, end) - a)
-                if b >= end:
-                    pieces.append((end, b))   # its rest, for the next list
+                piece = (end, b) if b >= end else next(pieces, None)   # its rest waits
             best, start = max(best, max(devs)), end
         maxima.append(None if best < 0 else Fraction(best, den))
     return maxima

@@ -342,18 +342,17 @@ def cmd_jset(args, out: Output) -> int:
     h = exceptional.HFunction.parse(args.h)
     _stage(args.k)
     meta: dict = {"command": "jset", "h": args.h, "n_max": args.n_max}
+    build = exceptional.build_J if args.global_set else exceptional.build_Jk
+    # two fresh streams: one counts the set for the head before any row, one gives the rows
+    first, again = build(args.k, h, args.n_max), build(args.k, h, args.n_max)
     if args.global_set:
-        gj = exceptional.build_J(args.k, h, args.n_max)
-        jset = gj.jset
-        meta["mode"] = "global"
-        meta["k_max"] = args.k
-        meta["skipped"] = ";".join("%d:%s" % (k, r) for k, r in gj.skipped) or "none"
+        meta.update(mode="global", k_max=args.k, skipped=";".join(
+            "%d:%s" % (k, r) for k, r in first.skipped) or "none")
+        first, again = first.jset, again.jset
     else:
-        jset = exceptional.build_Jk(args.k, h, args.n_max)
-        meta["mode"] = "layer"
-        meta["k"] = args.k
-    meta["count"] = jset.count(args.n_max)
-    out.emit_rows(["lo", "hi", "count_cum"], jset.counted(), meta)
+        meta.update(mode="layer", k=args.k)
+    meta["count"] = sum(b + 1 - a for a, b in first)
+    out.emit_rows(["lo", "hi", "count_cum"], exceptional.counted(again), meta)
     return EXIT_OK
 
 
@@ -364,10 +363,11 @@ def cmd_eset(args, out: Output) -> int:
     # enumerate_Ek's first check, then the stage
     if l_max < 0:
         raise DomainError(f"l = {l_max} < 0")
-    ek, covered = exceptional.enumerate_Ek(_stage(args.k), l_max)
-    out.emit_rows(["lo", "hi", "count_cum"], ek.counted(),
-                  {"command": "eset", "k": args.k, "l_max": l_max,
-                   "covered": covered, "count": ek.count(covered)})
+    gaps, covered = exceptional.enumerate_Ek(_stage(args.k), l_max)
+    meta = {"command": "eset", "k": args.k, "l_max": l_max, "covered": covered,
+            "count": sum(b + 1 - a for a, b in gaps)}   # a first pass, as in jset
+    rows = exceptional.counted(exceptional.enumerate_Ek(args.k, l_max)[0])
+    out.emit_rows(["lo", "hi", "count_cum"], rows, meta)
     return EXIT_OK
 
 

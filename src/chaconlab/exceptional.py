@@ -1,7 +1,7 @@
-"""Exceptional-set machinery: the generic extractor, the explicit
-constructions for the Chacon transformation and the zero-correlation times.
-The growth bound on their counts and the block maxima off J_k are checks,
-in `checks`.
+"""Exceptional-set machinery: the generic extractor, and J_k, J and the
+zero-correlation times E_k of the Chacon transformation, each a stream of
+merged integer pieces in order.  The growth bound on their counts and the
+block maxima off J_k are checks, in `checks`.
 """
 
 from __future__ import annotations
@@ -10,7 +10,8 @@ import heapq
 import math
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
-from itertools import accumulate, islice
+from itertools import accumulate
+from operator import itemgetter
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from . import tower
@@ -26,40 +27,59 @@ INVERSE_BOUND = 2.0 ** 512
 # ---------------------------------------------------------------------------
 # integer interval sets
 
-class IntegerIntervalSet:
-    """Sorted disjoint union of inclusive integer intervals [a, b].
-
-    The constructor takes its intervals in order of their starts and merges
-    them in one pass: [a, b] opens a new piece when a > hi + 1, for the open
-    piece [lo, hi], and otherwise extends it to max(hi, b), so touching,
+def merged(intervals: Iterable[tuple[int, int]]) -> Iterator[tuple[int, int]]:
+    """The sorted disjoint pieces of integer intervals [a, b] given in start
+    order, in one pass: [a, b] opens a new piece when a > hi + 1, for the
+    open piece [lo, hi], and otherwise extends it to max(hi, b), so touching,
     overlapping and nested neighbours become one piece.  Empty intervals
-    (a > b) are skipped; a start below lo raises DomainError.
-    """
+    (a > b) are skipped; a start below lo raises DomainError."""
+    lo = hi = None
+    for a, b in intervals:
+        if a > b:
+            continue
+        if hi is None or a > hi + 1:
+            if hi is not None:
+                yield lo, hi
+            lo, hi = a, b
+        elif a < lo:
+            raise DomainError(f"interval [{a}, {b}] starts below the piece [{lo}, {hi}]")
+        elif b > hi:
+            hi = b
+    if hi is not None:
+        yield lo, hi
 
-    __slots__ = ("intervals", "_starts", "_cum")
+
+def cut(pieces: Iterable[tuple[int, int]], lo: int, hi: int) -> Iterator[tuple[int, int]]:
+    """Sorted disjoint pieces cut to [lo, hi], read up to the first past hi."""
+    for a, b in pieces:
+        if a > hi:
+            return
+        if b >= lo:
+            yield (a if a > lo else lo), (b if b < hi else hi)   # max() and min() cost more
+
+
+def counted(pieces: Iterable[tuple[int, int]]) -> Iterator[tuple[int, int, int]]:
+    """(a, b, |set ∩ [0, b]|) for each of sorted disjoint pieces [a, b] >= 0."""
+    total = 0
+    for a, b in pieces:
+        total += b - a + 1
+        yield a, b, total
+
+
+class IntegerIntervalSet:
+    """The `merged` pieces of intervals, held for random access; iterable."""
+
+    __slots__ = ("intervals", "_cum")
 
     def __init__(self, intervals: Iterable[tuple[int, int]] = ()):
-        pieces: list[tuple[int, int]] = []
-        lo = hi = None
-        for a, b in intervals:
-            if a > b:
-                continue
-            if hi is None or a > hi + 1:
-                if hi is not None:
-                    pieces.append((lo, hi))
-                lo, hi = a, b
-            elif a < lo:
-                raise DomainError(f"interval [{a}, {b}] starts below the piece [{lo}, {hi}]")
-            elif b > hi:
-                hi = b
-        if hi is not None:
-            pieces.append((lo, hi))
-        self.intervals: tuple[tuple[int, int], ...] = tuple(pieces)
-        self._starts = [a for a, _ in self.intervals]
+        self.intervals: tuple[tuple[int, int], ...] = tuple(merged(intervals))
         self._cum = list(accumulate((b - a + 1 for a, b in self.intervals), initial=0))
 
+    def __iter__(self) -> Iterator[tuple[int, int]]:
+        return iter(self.intervals)
+
     def __contains__(self, n: int) -> bool:
-        i = bisect_right(self._starts, n) - 1
+        i = bisect_right(self.intervals, n, key=itemgetter(0)) - 1
         return i >= 0 and n <= self.intervals[i][1]
 
     def __len__(self) -> int:
@@ -70,28 +90,14 @@ class IntegerIntervalSet:
 
     def count(self, n: int) -> int:
         """|set intersect [0, n]| (the set never holds negatives here)."""
-        i = bisect_right(self._starts, n) - 1
+        i = bisect_right(self.intervals, n, key=itemgetter(0)) - 1
         if i < 0:
             return 0
         a, b = self.intervals[i]
         return self._cum[i] + min(n, b) - a + 1
 
-    def counted(self) -> Iterator[tuple[int, int, int]]:
-        """(a, b, count(b)) for each piece [a, b], in order, read from the
-        running counts in one pass."""
-        return ((a, b, c) for (a, b), c in zip(self.intervals, islice(self._cum, 1, None)))
-
-    def clip(self, lo: int, hi: int) -> "IntegerIntervalSet":
-        return IntegerIntervalSet(
-            (max(a, lo), min(b, hi)) for a, b in self.intervals if b >= lo and a <= hi
-        )
-
     def iter_points(self):
-        for a, b in self.intervals:
-            yield from range(a, b + 1)
-
-    def __repr__(self) -> str:
-        return f"IntegerIntervalSet({list(self.intervals)!r})"
+        return (n for a, b in self.intervals for n in range(a, b + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -157,14 +163,14 @@ class HFunction:
 
     @classmethod
     def parse(cls, spec: str) -> "HFunction":
-        if spec == "linear":
-            return cls.linear()
-        if spec == "log":
-            return cls.log()
-        if spec == "loglog":
-            return cls.loglog()
+        if spec in ("linear", "log", "loglog"):
+            return getattr(cls, spec)()
         if spec.startswith("power:"):
-            return cls.power(float(spec.split(":", 1)[1]))
+            try:
+                alpha = float(spec.split(":", 1)[1])
+            except ValueError:
+                raise DomainError(f"growth function {spec!r}: exponent is not a number") from None
+            return cls.power(alpha)
         if spec.startswith("table:"):
             path = spec.split(":", 1)[1]
             points = []
@@ -419,7 +425,7 @@ def _layers(h: HFunction, hk: int, n_max: int) -> Iterator[tuple[int, int, int]]
         big_n += 1
 
 
-def build_Jk(k: int, h: HFunction, n_max: int) -> IntegerIntervalSet:
+def build_Jk(k: int, h: HFunction, n_max: int) -> Iterator[tuple[int, int]]:
     """Exceptional times for the base cell at stage k, on the window [0, n_max].
 
     Each maximal run i..j of selected indices (see `_layers` and
@@ -436,7 +442,7 @@ def build_Jk(k: int, h: HFunction, n_max: int) -> IntegerIntervalSet:
     c = min(h - 1, c_N), inside a selected run; `_steps` gives b at each
     split.  Between splits the supports meet or overlap, so they form the
     one interval [s_i, t_j].  s_l rises strictly with l, so the pieces come
-    in the start order that IntegerIntervalSet merges in one pass.
+    in the start order that `merged` takes, and leave it in order.
     """
     hk = tower.height(k)
     if k < 1:
@@ -454,14 +460,22 @@ def build_Jk(k: int, h: HFunction, n_max: int) -> IntegerIntervalSet:
                     gap = next(gaps, None)
                 yield i * hk + (i - bi + 1) // 2, j * hk + (j + bj - 1) // 2
 
-    return IntegerIntervalSet(pieces()).clip(0, n_max)
+    return cut(merged(pieces()), 0, n_max)
+
+
+def _fattened(h: HFunction, hk: int, g: int, n_max: int) -> Iterator[tuple[int, int]]:
+    """The layer of `build_J` at h_k = hk, cut to [g, n_max]: it reads the
+    selected runs of [0, n_max + hk], the supports that can come within hk."""
+    hulls = ((i * hk + (i - bi + 1) // 2 - hk, j * hk + (j + bj - 1) // 2 + hk)
+             for lo, hi, c in _layers(h, hk, n_max + hk)
+             for i, j, bi, bj in _weight_runs(c, lo, hi))
+    yield from cut(merged(hulls), g, n_max)
 
 
 class GlobalJ(NamedTuple):
-    """The global exceptional set on a finite window, layer by layer."""
+    """The global exceptional set on a finite window."""
 
-    jset: IntegerIntervalSet
-    layers: dict[int, IntegerIntervalSet]
+    jset: Iterator[tuple[int, int]]    # merged pieces, in order
     skipped: list[tuple[int, str]]     # (k, reason) for layers empty on the window
 
 
@@ -469,17 +483,15 @@ def build_J(k_max: int, h: HFunction, n_max: int) -> GlobalJ:
     """Union over stages of the stage sets J_k, each widened by h_k on both
     sides and cut to [g(k), n_max].
 
-    A time of [g(k), n_max] within h_k of a selected support is within h_k
-    of one that starts at most n_max + h_k, so each layer reads the
-    selected runs of that window.  Fattening lemma: a run i..j of selected
-    indices widens to the one interval [s_i - h_k, t_j + h_k].  Proof.  By
-    the gap identity of `build_Jk`, the gap between the supports of l and
-    l + 1 is at most h_k - 1, because the larger of two weights that differ
-    by 1 is at least 2; widening both by h_k closes it.  So a layer costs
+    Fattening lemma: a run i..j of selected indices widens to the one
+    interval [s_i - h_k, t_j + h_k].  Proof.  By the gap identity of
+    `build_Jk`, the gap between the supports of l and l + 1 is at most
+    h_k - 1, because the larger of two weights that differ by 1 is at
+    least 2; widening both by h_k closes it.  So a layer (`_fattened`) costs
     one step per run of `_weight_runs`, which gives b at both ends.  The
-    layers' intervals meet the constructor in start order by one heap merge.
+    layers' pieces meet `merged` in start order by one heap merge.
     """
-    layers: dict[int, IntegerIntervalSet] = {}
+    layers: list[Iterator[tuple[int, int]]] = []
     skipped: list[tuple[int, str]] = []
     for k in range(1, k_max + 1):
         try:
@@ -490,23 +502,19 @@ def build_J(k_max: int, h: HFunction, n_max: int) -> GlobalJ:
         if g > n_max:
             skipped.append((k, f"cutoff g({k}) = {g} beyond window"))
             continue
-        hk = tower.height(k)
-        hulls = ((i * hk + (i - bi + 1) // 2 - hk, j * hk + (j + bj - 1) // 2 + hk)
-                 for lo, hi, c in _layers(h, hk, n_max + hk)
-                 for i, j, bi, bj in _weight_runs(c, lo, hi))
-        layers[k] = IntegerIntervalSet(hulls).clip(g, n_max)
-    total = IntegerIntervalSet(heapq.merge(*(layer.intervals for layer in layers.values())))
-    return GlobalJ(total, layers, skipped)
+        layers.append(_fattened(h, tower.height(k), g, n_max))
+    return GlobalJ(merged(heapq.merge(*layers)), skipped)
 
 
-def enumerate_Ek(k: int, l_max: int) -> tuple[IntegerIntervalSet, int]:
+def enumerate_Ek(k: int, l_max: int) -> tuple[Iterator[tuple[int, int]], int]:
     """Times with zero autocorrelation, as the gaps between supports.
 
-    Returns the gap set for indices l < l_max together with the covered
-    range bound (gaps are complete below s_{l_max}).  By the gap identity
-    of `build_Jk`, s_(l+1) - t_l - 1 = h_k + 1 - max(b_l, b_(l+1)), the gap
-    [t_l + 1, s_(l+1) - 1] is nonempty exactly where l and l + 1 share a
-    run of `_weight_runs` at c = h_k - 1, along which `_steps` gives b.
+    Returns the gaps for indices l < l_max, merged and in order (a support
+    stands between two), with the covered range bound (gaps are complete
+    below s_{l_max}).  By the gap identity of `build_Jk`, s_(l+1) - t_l - 1
+    = h_k + 1 - max(b_l, b_(l+1)), the gap [t_l + 1, s_(l+1) - 1] is nonempty
+    exactly where l and l + 1 share a run of `_weight_runs` at c = h_k - 1,
+    along which `_steps` gives b.
     """
     if l_max < 0:
         raise DomainError(f"l = {l_max} < 0")
@@ -515,4 +523,4 @@ def enumerate_Ek(k: int, l_max: int) -> tuple[IntegerIntervalSet, int]:
     gaps = ((p * hk + (p + b + 1) // 2, (p + 1) * hk + (p - after) // 2)
             for i, j, bi, _ in _weight_runs(hk - 1, 0, l_max)
             for p, b, after in _steps(i, bi, j))
-    return IntegerIntervalSet(gaps), support(k, l_max)[0]
+    return gaps, support(k, l_max)[0]

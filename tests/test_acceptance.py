@@ -189,14 +189,14 @@ def test_criterion_10_global_count_bound():
 
 def test_criterion_11_zero_correlation_structure():
     ok = checks.zero_correlation_times(200, random.Random(11), 100)
-    pts = set(ex.enumerate_Ek(1, 200)[0].iter_points())
+    pts = set(ex.IntegerIntervalSet(ex.enumerate_Ek(1, 200)[0]).iter_points())
     ok &= {1, 2, 3} <= pts and {11, 12} <= pts and 8 not in pts
     for k in (1, 2, 3):
         hk = height(k)
         ok &= all(support(k, l + 1)[0] - support(k, l)[1] >= 2
                   for l in range(3 ** 6 + 1) if compute_bl(l) <= hk - 2)
     # the count lower bound at stage 3 is vacuous on the checkable range
-    ek3, _ = ex.enumerate_Ek(3, 50)
+    ek3 = ex.IntegerIntervalSet(ex.enumerate_Ek(3, 50)[0])
     ok &= all(ek3.count(n) >= math.comb(n - 1, height(3) - 3)
               for n in range(3, 38))
     assert report(11, "zero-correlation-structure", ok)

@@ -32,7 +32,7 @@ from chaconlab.cli import (
     parse_range,
 )
 from chaconlab.correlation import autocorrelation, correlation_series, dl_run, mu_Ak
-from chaconlab.exceptional import HFunction, build_Jk
+from chaconlab.exceptional import HFunction, IntegerIntervalSet, build_Jk
 from chaconlab.tower import apply_T_power, height, locate
 from chaconlab.triadic import MAX_STAGE, SizeError, TriadicRational
 
@@ -386,6 +386,8 @@ def test_readme_commands_run(tmp_path, capsys):
 # the public functions that no command and no verify check reaches, each with
 # the reason it stays
 UNREACHED = {
+    "exceptional.IntegerIntervalSet.count":
+        "criteria 10 and 11 read counts at points of a grid; jset and eset count their streams",
     "correlation.autocorrelation":
         "perfbench's probe workload calls it (child.py); it goes with the benchmark's next change",
     "correlation.cell_correlation":
@@ -672,6 +674,33 @@ class TestDeepStage:
 
 
 class TestJsetEset:
+    @pytest.mark.parametrize("argv, flag, narrow, wide", [
+        (["jset", "--k", "2"], "--N-max", 3 ** 10, 3 ** 12),
+        (["eset", "--k", "2"], "--l", 3 ** 8, 3 ** 10),
+    ])
+    def test_heap_peak_is_set_by_the_chunk(self, tmp_path, argv, flag, narrow, wide):
+        # the sets stream their pieces: a window nine times wider may at most
+        # double the traced heap peak
+        path = str(tmp_path / "out.txt")
+
+        def peak(window):
+            tracemalloc.start()
+            try:
+                assert main(argv + [flag, str(window), "--out", path]) == EXIT_OK
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(narrow)   # any one-time allocation lands here, not in the runs compared
+        assert peak(wide) <= 2 * peak(narrow)
+
+    def test_power_exponent_that_is_not_a_number_is_named(self, tmp_path, capsys):
+        for spec in ("power:abc", "power:1/2", "power:"):
+            code, text = run(tmp_path, "jset", "--k", "1", "--h", spec, "--N-max", "10")
+            assert (code, text) == (EXIT_INPUT, "")
+            assert capsys.readouterr().err == (
+                f"invalid input: growth function {spec!r}: exponent is not a number\n")
+
     def test_layer_mode(self, tmp_path):
         code, text = run(tmp_path, "jset", "--k", "1", "--h", "linear",
                          "--N-max", "2000")
@@ -816,7 +845,7 @@ class TestJsetEset:
         code, text = run(tmp_path, "jset", "--k", "1", "--h", "power:1e308", "--N-max", "100")
         assert code == EXIT_OK
         _, _, rows = csv_rows(text)
-        infinite = build_Jk(1, HFunction("inf", lambda x: math.inf), 100)
+        infinite = IntegerIntervalSet(build_Jk(1, HFunction("inf", lambda x: math.inf), 100))
         assert [(int(a), int(b)) for a, b, _ in rows] == list(infinite.intervals) != []
         code, text = run(tmp_path, "jset", "--global", "--k", "3", "--h", "power:1e308",
                          "--N-max", "100")

@@ -1,4 +1,5 @@
 import heapq
+import itertools
 import math
 import random
 import tracemalloc
@@ -25,12 +26,15 @@ from chaconlab.exceptional import (
     HFunction,
     InputError,
     IntegerIntervalSet,
+    _fattened,
     _layers,
     _steps,
     _weight_runs,
     build_J,
     build_Jk,
     column_terms,
+    counted,
+    cut,
     enumerate_Ek,
     extract_exceptional,
     g_cutoff,
@@ -58,13 +62,13 @@ class TestIntegerIntervalSet:
 
     def test_fatten_truncate_clip(self):
         s = IntegerIntervalSet([(2, 3), (10, 11)])
-        assert s.clip(3, 11).intervals == ((3, 3), (10, 11))
-        assert s.clip(3, 10).intervals == ((3, 3), (10, 10))
+        assert tuple(cut(s, 3, 11)) == ((3, 3), (10, 11))
+        assert tuple(cut(s, 3, 10)) == ((3, 3), (10, 10))
         assert IntegerIntervalSet([(2, 3), (4, 9), (10, 11)]).intervals == ((2, 11),)
 
     def test_truncation_only_changes_the_prefix(self):
         s = IntegerIntervalSet([(2, 8), (15, 20), (30, 31)])
-        t = s.clip(16, 40)
+        t = IntegerIntervalSet(cut(s, 16, 40))
         for n in range(16, 40):
             assert (n in s) == (n in t)
         assert t.count(40) == s.count(40) - s.count(15)
@@ -75,10 +79,15 @@ class TestIntegerIntervalSet:
 
     def test_counted_matches_count(self):
         s = IntegerIntervalSet([(1, 2), (5, 7), (8, 10), (20, 20)])
-        assert list(s.counted()) == [(a, b, s.count(b)) for a, b in s.intervals] == [
+        assert list(counted(s)) == [(a, b, s.count(b)) for a, b in s.intervals] == [
             (1, 2, 2), (5, 10, 8), (20, 20, 9)]
-        assert list(IntegerIntervalSet().counted()) == []
+        assert list(counted(IntegerIntervalSet())) == []
 
+    def test_cut_stops_at_the_first_piece_past_its_end(self):
+        # an endless stream of pieces: cut reads one piece past hi, no more
+        pieces = ((3 * i, 3 * i + 1) for i in itertools.count())
+        assert tuple(cut(pieces, 4, 10)) == ((4, 4), (6, 7), (9, 10))
+        assert next(pieces) == (15, 16)
 
     def test_one_merge_matches_point_sets(self):
         # seeded intervals in start order, against the set of their points;
@@ -113,15 +122,15 @@ class TestIntegerIntervalSet:
             assert len(s) == len(points)
             window = range(-30, (top or 0) + 4)
             assert [n in s for n in window] == [n in points for n in window]
-            nonneg = s.clip(0, (top or 0) + 3)
+            nonneg = IntegerIntervalSet(cut(s, 0, (top or 0) + 3))
             assert [nonneg.count(n) for n in window] == [
                 sum(0 <= p <= n for p in points) for n in window]
             for _ in range(3):
                 lo = rng.randint(-30, (top or 0) + 3)
                 hi = rng.randint(lo - 2, (top or 0) + 5)
-                cut = s.clip(lo, hi)
-                assert set(cut.iter_points()) == {p for p in points if lo <= p <= hi}
-                assert cut == IntegerIntervalSet((p, p) for p in sorted(cut.iter_points()))
+                part = IntegerIntervalSet(cut(s, lo, hi))
+                assert set(part.iter_points()) == {p for p in points if lo <= p <= hi}
+                assert part == IntegerIntervalSet((p, p) for p in sorted(part.iter_points()))
         assert all(kinds.values()), kinds
 
     def test_start_below_the_open_piece_is_rejected(self):
@@ -445,7 +454,7 @@ def reference_extract(a, b, c, n_max: int, k_max: int = 32) -> ExtractionResult:
     for i, jk in enumerate(level_sets):
         lo = thresholds[i]
         hi = thresholds[i + 1] if i + 1 < len(thresholds) else n_max
-        pieces.extend(jk.clip(lo, hi).intervals)
+        pieces.extend(cut(jk, lo, hi))
     return ExtractionResult(IntegerIntervalSet(pieces), thresholds, level_sets)
 
 
@@ -705,12 +714,12 @@ class TestStreamMatchesColumnReference:
 class TestBuildJk:
     def test_first_layer_is_empty(self):
         # the window ends just below s_9 >= 9 h_1, where layer 2 starts
-        assert len(build_Jk(1, HFunction.linear(), 9 * height(1) - 1)) == 0
+        assert len(IntegerIntervalSet(build_Jk(1, HFunction.linear(), 9 * height(1) - 1))) == 0
 
     def test_generous_threshold_takes_whole_layer(self):
         # the window [0, t_27] holds layer 2 and ends below s_28
         h = HFunction("shift100", lambda x: x + 100)
-        jk = build_Jk(1, h, support(1, 27)[1])
+        jk = IntegerIntervalSet(build_Jk(1, h, support(1, 27)[1]))
         manual = IntegerIntervalSet(support(1, t) for t in range(9, 28))
         assert jk == manual
 
@@ -738,7 +747,8 @@ class TestBuildJk:
                 hk = height(k)
                 for t_max in (2, 8, 9, 80, 81, 300, 729, 2187, 6560):
                     for n_max in (t_max * hk, t_max * hk + hk - 1):
-                        assert build_Jk(k, h, n_max) == full.clip(0, n_max), (h.name, k, n_max)
+                        assert tuple(build_Jk(k, h, n_max)) == tuple(cut(full, 0, n_max)), (
+                            h.name, k, n_max)
 
     def test_layer_thresholds_are_exact(self):
         # _layers decides b_l < (ln N)^2 h(N) through the ceiling of a binary64
@@ -758,7 +768,7 @@ class TestBuildJk:
                     assert cs.get(3 ** big_n) == expected, (spec, big_n)
 
     def test_members_carry_positive_correlation(self):
-        jk = build_Jk(1, HFunction.linear(), 400)
+        jk = IntegerIntervalSet(build_Jk(1, HFunction.linear(), 400))
         pts = list(jk.iter_points())
         assert pts
         assert all(autocorrelation(1, n) > 0 for n in pts)
@@ -766,35 +776,36 @@ class TestBuildJk:
 
 class TestBuildJ:
     def test_layers_are_fattened_and_truncated(self):
-        gj = build_J(1, HFunction.linear(), 3 ** 9)
-        layer = gj.layers[1]
+        jset = IntegerIntervalSet(build_J(1, HFunction.linear(), 3 ** 9).jset)
         g1 = g_cutoff(HFunction.linear(), 1)
+        layer = IntegerIntervalSet(_fattened(HFunction.linear(), height(1), g1, 3 ** 9))
         assert all(a >= g1 for a, _ in layer.intervals)
-        jk = build_Jk(1, HFunction.linear(), 3 ** 9)
+        jk = IntegerIntervalSet(build_Jk(1, HFunction.linear(), 3 ** 9))
         for n in jk.iter_points():
             if g1 + height(1) <= n <= 3 ** 9 - height(1):
                 for i in range(-height(1), height(1) + 1):
-                    assert n + i in gj.jset
+                    assert n + i in jset
 
     def test_layers_and_union_match_point_sets(self):
         # each layer is J_k on [0, N + h_k], widened by h_k and cut to
         # [g(k), N]; the global set is the union of the layers
         h, n_max = HFunction.linear(), 3 ** 9
         gj = build_J(4, h, n_max)
-        assert sorted(gj.layers) == [1, 2, 3] and [k for k, _ in gj.skipped] == [4]
+        assert [k for k, _ in gj.skipped] == [4]
         union = set()
-        for k, layer in gj.layers.items():
+        for k in (1, 2, 3):
             hk, g = height(k), g_cutoff(h, k)
-            widened = {n + i for n in build_Jk(k, h, n_max + hk).iter_points()
+            layer = IntegerIntervalSet(_fattened(h, hk, g, n_max))
+            widened = {n + i for n in IntegerIntervalSet(build_Jk(k, h, n_max + hk)).iter_points()
                        for i in range(-hk, hk + 1)}
             points = {n for n in widened if g <= n <= n_max}
             assert set(layer.iter_points()) == points, k
             union |= points
-        assert set(gj.jset.iter_points()) == union
+        assert set(IntegerIntervalSet(gj.jset).iter_points()) == union
 
     def test_window_below_cutoff_is_empty(self):
         gj = build_J(1, HFunction.linear(), 80)
-        assert len(gj.jset) == 0
+        assert len(IntegerIntervalSet(gj.jset)) == 0
         assert gj.skipped and gj.skipped[0][0] == 1
 
     def test_overflowing_power_cutoff(self):
@@ -805,14 +816,14 @@ class TestBuildJ:
 
     def test_overflowing_inverse_skips_layer(self):
         gj = build_J(2, HFunction.log(), 3 ** 9)
-        assert len(gj.jset) == 0
+        assert len(IntegerIntervalSet(gj.jset)) == 0
         assert {k for k, _ in gj.skipped} == {1, 2}
 
 
 class TestEnumerateEk:
     def test_known_members(self):
         ek, covered = enumerate_Ek(1, 30)
-        pts = set(ek.iter_points())
+        pts = set(IntegerIntervalSet(ek).iter_points())
         assert {1, 2, 3} <= pts
         assert {11, 12} <= pts
         assert 8 not in pts
@@ -836,7 +847,8 @@ class TestEnumerateEk:
                 dists = dl_run(k, 0, l_max)
                 gaps = IntegerIntervalSet((d.end + 1, e.start - 1)
                                           for d, e in zip(dists, dists[1:]))
-                assert enumerate_Ek(k, l_max) == (gaps, dists[-1].start)
+                ek, covered = enumerate_Ek(k, l_max)
+                assert (tuple(ek), covered) == (tuple(gaps), dists[-1].start)
 
 
 def weight_list(l_max):
@@ -869,7 +881,7 @@ def reference_Jk(k, h, n_max):
                 if weights[l] < threshold:
                     pieces.append(support_span(hk, l, weights[l]))
         big_n += 1
-    return IntegerIntervalSet(pieces).clip(0, n_max)
+    return IntegerIntervalSet(cut(IntegerIntervalSet(pieces), 0, n_max))
 
 
 def reference_J(k_max, h, n_max):
@@ -885,7 +897,8 @@ def reference_J(k_max, h, n_max):
             continue
         hk = height(k)
         jk = reference_Jk(k, h, n_max + hk)
-        layers[k] = IntegerIntervalSet((a - hk, b + hk) for a, b in jk.intervals).clip(g, n_max)
+        widened = IntegerIntervalSet((a - hk, b + hk) for a, b in jk.intervals)
+        layers[k] = IntegerIntervalSet(cut(widened, g, n_max))
     total = IntegerIntervalSet(heapq.merge(*(layer.intervals for layer in layers.values())))
     return total, layers, skipped
 
@@ -917,12 +930,15 @@ class TestRunsMatchPerIndex:
         h = HFunction.parse(spec)
         for n_max in WINDOW_EDGES:
             for k in (1, 2, 3):
-                assert build_Jk(k, h, n_max) == reference_Jk(k, h, n_max), (spec, k, n_max)
+                assert tuple(build_Jk(k, h, n_max)) == tuple(reference_Jk(k, h, n_max)), (
+                    spec, k, n_max)
             # the layers do not depend on k_max, so k_max = 3 covers 1 and 2
             total, layers, skipped = reference_J(3, h, n_max)
             gj = build_J(3, h, n_max)
-            assert gj.jset == total, (spec, n_max)
-            assert gj.layers == layers and list(gj.layers) == list(layers), (spec, n_max)
+            assert tuple(gj.jset) == tuple(total), (spec, n_max)
+            for k, layer in layers.items():
+                assert tuple(_fattened(h, height(k), g_cutoff(h, k), n_max)) == tuple(layer), (
+                    spec, k, n_max)
             assert gj.skipped == skipped, (spec, n_max)
 
     def test_enumerate_Ek(self):
@@ -930,7 +946,9 @@ class TestRunsMatchPerIndex:
         sizes = [0, 1, 2] + [3 ** big_n + d for big_n in range(1, 11) for d in (-1, 1)]
         for k in (0, 1, 2, 3):
             for l_max in sizes:
-                assert enumerate_Ek(k, l_max) == reference_Ek(k, l_max), (k, l_max)
+                ek, covered = enumerate_Ek(k, l_max)
+                gaps, s = reference_Ek(k, l_max)
+                assert (tuple(ek), covered) == (tuple(gaps), s), (k, l_max)
 
     def test_gap_identity_and_bound(self):
         # s_(l+1) - t_l - 1 = h_k + 1 - max(b_l, b_(l+1)) <= h_k - 1
@@ -1040,7 +1058,7 @@ class TestBounds:
         grid = [3 ** e for e in range(5, 13)]
         for name, overflow in (("linear", True), ("log", False)):
             h = HFunction.parse(name)
-            jset = build_J(2, h, 3 ** 12).jset
+            jset = IntegerIntervalSet(build_J(2, h, 3 ** 12).jset)
             for n in grid:
                 assert checks.growth_bound_holds(jset, constants.FROZEN.c_star, h,
                                                  [n]) == (True, overflow)
@@ -1062,7 +1080,7 @@ class TestConvergenceReport:
         mu_sq = Fraction(2, 9) ** 2
         for big_n in (4, 5):
             lo, hi = 3 ** big_n, 3 ** (big_n + 1)
-            jk = build_Jk(1, h, hi)
+            jk = IntegerIntervalSet(build_Jk(1, h, hi))
             devs = [(n, abs(c - mu_sq)) for n, c in
                     enumerate(correlation_series(1, lo, hi), lo)]
             assert any(n in jk for n, _ in devs)
@@ -1079,7 +1097,7 @@ class TestConvergenceReport:
             expected = []
             for big_n in range(2, 6):
                 lo, hi = 3 ** big_n, 3 ** (big_n + 1)
-                jk = build_Jk(1, h, hi)
+                jk = IntegerIntervalSet(build_Jk(1, h, hi))
                 expected.append(max((abs(c - mu_sq) for n, c in
                                      enumerate(correlation_series(1, lo, hi), lo)
                                      if n not in jk), default=None))
@@ -1103,7 +1121,7 @@ class TestConvergenceReport:
         (narrow, _), (wide, maxima) = peak(8), peak(10)
         assert wide <= 2 * narrow
         lo, hi = 3 ** 10, 3 ** 11
-        jk = build_Jk(1, h, hi)
+        jk = IntegerIntervalSet(build_Jk(1, h, hi))
         nums, p = series_numerators(1, lo, hi)
         best = max(abs(81 * a - 4 * 3 ** p) for n, a in enumerate(nums, lo) if n not in jk)
         assert maxima == [Fraction(best, 81 * 3 ** p)]
